@@ -162,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="run the full verification suite")
-    p.add_argument("--seed", type=int, default=20260808)
     p.add_argument("--interval", type=_interval_arg, default=None)
 
     return parser
@@ -349,8 +348,6 @@ def _cmd_report(args, cfg) -> int:
         em_terms=args.em_terms,
         quad_order=args.quad_order,
         interval=(interval.a, interval.b),
-        seed=args.seed,
-        out_path=args.out,
     )
     entries = run_report(config)
     text = report_json(config, entries)

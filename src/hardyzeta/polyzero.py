@@ -150,7 +150,13 @@ def project(f: SampledFunction, interval: Interval, degree: int,
     return ProjectionResult(poly=poly, l2_error=l2_error)
 
 
-def _poly_zeros_detail(p: PolynomialRealCoeffs) -> tuple[list[float], int]:
+def poly_real_zeros(p: PolynomialRealCoeffs) -> list[float]:
+    """All real zeros strictly inside the interval, ascending.
+
+    Legendre expansions go through the colleague-matrix eigenproblem,
+    monomials through the companion matrix; near-real eigenvalue pairs
+    are snapped onto the axis, the rest are discarded.
+    """
     if p.degree < 1:
         raise DomainError("zero extraction needs degree >= 1")
     try:
@@ -169,22 +175,8 @@ def _poly_zeros_detail(p: PolynomialRealCoeffs) -> tuple[list[float], int]:
     else:
         snap_scale = np.maximum(1.0, np.abs(np.real(roots_x)))
         imag = np.abs(np.imag(roots_x))
-    real_mask = imag <= IMAG_SNAP * snap_scale
-    discarded = int(np.sum(~real_mask))
-    xs = np.real(roots_x)[real_mask]
-    inside = [float(x) for x in xs if iv.a < x < iv.b]
-    return sorted(inside), discarded
-
-
-def poly_real_zeros(p: PolynomialRealCoeffs) -> list[float]:
-    """All real zeros strictly inside the interval, ascending.
-
-    Legendre expansions go through the colleague-matrix eigenproblem,
-    monomials through the companion matrix; near-real eigenvalue pairs
-    are snapped onto the axis, the rest are discarded.
-    """
-    zeros, _ = _poly_zeros_detail(p)
-    return zeros
+    xs = np.real(roots_x)[imag <= IMAG_SNAP * snap_scale]
+    return sorted(float(x) for x in xs if iv.a < x < iv.b)
 
 
 def _match_sorted(alpha: list[float], beta: list[float]

@@ -10,7 +10,7 @@ recorded, never raised, so one bad claim cannot abort the suite.
 
 Reports are byte-reproducible: the config is embedded verbatim, floats
 are rounded to 12 significant digits, keys are sorted, and nothing
-time- or platform-dependent is written.
+time-, platform- or path-dependent is written.
 """
 
 from __future__ import annotations
@@ -31,18 +31,6 @@ from .zetaeval import (
     zeta_em,
 )
 
-CLAIM_ORDER = (
-    "sin-theta-identity",
-    "functional-equation",
-    "chi-modulus",
-    "gs-preserves-first",
-    "independence-grid",
-    "zero-convergence",
-    "lehmer-7005",
-    "dh-offline-zero",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a report run depends on; embedded verbatim in the output."""
@@ -52,8 +40,6 @@ class RunConfig:
     rs_remainder_order: int = 0
     quad_order: int = 256
     interval: tuple[float, float] = (10.0, 50.0)
-    seed: int = 20260808
-    out_path: str | None = None
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(
@@ -69,8 +55,6 @@ class RunConfig:
             "rs_remainder_order": self.rs_remainder_order,
             "quad_order": self.quad_order,
             "interval": [self.interval[0], self.interval[1]],
-            "seed": self.seed,
-            "out_path": self.out_path,
         }
 
 
@@ -259,9 +243,9 @@ def run_report(config: RunConfig | None = None) -> list[ReportEntry]:
     as Fail entries rather than raised."""
     config = config or RunConfig()
     entries = []
-    for claim in CLAIM_ORDER:
+    for claim, build in _ENTRY_BUILDERS.items():
         try:
-            entries.append(_ENTRY_BUILDERS[claim](config))
+            entries.append(build(config))
         except Exception as exc:
             entries.append(ReportEntry(claim, "Fail", {},
                                        f"aborted: {exc!r}"))

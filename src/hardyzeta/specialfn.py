@@ -142,15 +142,14 @@ def chi(s: complex) -> complex:
     return cmath.exp(log_chi)
 
 
-def theta(t: float, mode: ThetaMode = ThetaMode.EXACT,
-          t_min: float = DEFAULT_T_MIN) -> float:
+def theta(t: float, mode: ThetaMode = ThetaMode.EXACT) -> float:
     """Riemann-Siegel theta phase.
 
     EXACT mode evaluates Im log Gamma(1/4 + it/2) - (t/2) log pi and is
     valid for any real t.  ASYMPTOTIC mode sums the six-term expansion
     t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760 t^3) + 31/(80640 t^5),
-    requires t > 0, and warns below t_min where the truncated tail starts
-    to matter.
+    requires t > 0, and warns below DEFAULT_T_MIN where the truncated
+    tail starts to matter.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
@@ -158,9 +157,9 @@ def theta(t: float, mode: ThetaMode = ThetaMode.EXACT,
         return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LOG_PI
     if t <= 0.0:
         raise DomainError(f"asymptotic theta requires t > 0, got t={t}")
-    if t < t_min:
+    if t < DEFAULT_T_MIN:
         warnings.warn(
-            f"asymptotic theta at t={t} below t_min={t_min}; "
+            f"asymptotic theta at t={t} below t_min={DEFAULT_T_MIN}; "
             "truncation error may exceed 1e-9",
             stacklevel=2,
         )
@@ -174,19 +173,19 @@ def theta(t: float, mode: ThetaMode = ThetaMode.EXACT,
     )
 
 
-def theta_derivative(t: float, t_min: float = DEFAULT_T_MIN) -> float:
+def theta_derivative(t: float) -> float:
     """Termwise derivative of the asymptotic theta expansion.
 
     theta'(t) = (1/2) log(t/2pi) - 1/(48 t^2) - 21/(5760 t^4)
-    - 155/(80640 t^6).  Warns below t_min, rejects t <= 0.
+    - 155/(80640 t^6).  Warns below DEFAULT_T_MIN, rejects t <= 0.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if t <= 0.0:
         raise DomainError(f"theta_derivative requires t > 0, got t={t}")
-    if t < t_min:
+    if t < DEFAULT_T_MIN:
         warnings.warn(
-            f"theta_derivative at t={t} below t_min={t_min}",
+            f"theta_derivative at t={t} below t_min={DEFAULT_T_MIN}",
             stacklevel=2,
         )
     return (

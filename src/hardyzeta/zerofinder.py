@@ -60,12 +60,27 @@ class LehmerPair:
     min_between: float
 
 
-def scan_sign_changes(f: SampledFunction, interval: Interval,
-                      step: float) -> list[tuple[float, float]]:
-    """All consecutive grid pairs of f with a strict sign change.
+#: Grid cells whose endpoint |Z| both stay above this are considered
+#: safe from a hidden (Lehmer-style) pair of zeros inside the cell.
+RISK_AMPLITUDE = 0.2
+
+
+def _straddles(vals: np.ndarray) -> np.ndarray:
+    """The bracket rule: True at i when vals[i], vals[i+1] strictly
+    change sign."""
+    v0, v1 = vals[:-1], vals[1:]
+    return ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
+
+
+def _scan(f: SampledFunction, interval: Interval, step: float,
+          risk_amplitude: float | None) -> list[tuple[float, float]]:
+    """Sign-change scan of f on the grid a, a+step, ..., b.
 
     Grid points where f lands exactly on zero are expanded into a
-    bracket of +/- step/10 around the point.
+    bracket of +/- step/10 around the point.  When risk_amplitude is
+    set, cells without a sign change whose smaller endpoint |f| dips
+    under it are rescanned at step/10, since a pair of zeros hiding
+    inside one cell forces the neighbouring grid values down.
     """
     if step <= 0.0 or step >= interval.width:
         raise DomainError(
@@ -76,19 +91,33 @@ def scan_sign_changes(f: SampledFunction, interval: Interval,
     if xs[-1] < interval.b - 1e-12 * max(1.0, abs(interval.b)):
         xs = np.append(xs, interval.b)
     vals = f.sample(xs)
+    change = _straddles(vals)
     brackets: list[tuple[float, float]] = []
     for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
+        if vals[i] == 0.0:
             lo = max(interval.a, xs[i] - 0.1 * step)
             hi = min(interval.b, xs[i] + 0.1 * step)
             brackets.append((lo, hi))
-        elif (v0 < 0.0 < v1) or (v1 < 0.0 < v0):
+        elif change[i]:
             brackets.append((float(xs[i]), float(xs[i + 1])))
+        elif (risk_amplitude is not None
+              and min(abs(vals[i]), abs(vals[i + 1])) < risk_amplitude):
+            sub = np.linspace(xs[i], xs[i + 1], 11)
+            brackets.extend((float(sub[j]), float(sub[j + 1]))
+                            for j in np.flatnonzero(_straddles(f.sample(sub))))
     if vals[-1] == 0.0:
-        lo = max(interval.a, xs[-1] - 0.1 * step)
-        brackets.append((lo, float(xs[-1])))
+        brackets.append((max(interval.a, xs[-1] - 0.1 * step), float(xs[-1])))
     return brackets
+
+
+def scan_sign_changes(f: SampledFunction, interval: Interval,
+                      step: float) -> list[tuple[float, float]]:
+    """All consecutive grid pairs of f with a strict sign change.
+
+    Grid points where f lands exactly on zero are expanded into a
+    bracket of +/- step/10 around the point.
+    """
+    return _scan(f, interval, step, None)
 
 
 def refine_zero(f: SampledFunction, bracket: tuple[float, float],
@@ -142,44 +171,6 @@ def hardy_em_function(cfg: EvalConfig | None = None) -> SampledFunction:
                            label="Z_em", sigma=0.5)
 
 
-#: Grid cells whose endpoint |Z| both stay above this are considered
-#: safe from a hidden (Lehmer-style) pair of zeros inside the cell.
-RISK_AMPLITUDE = 0.2
-
-
-def _scan_with_risk_rescan(f: SampledFunction, interval: Interval,
-                           step: float) -> list[tuple[float, float]]:
-    """Sign-change scan; low-amplitude cells are rescanned at step/10.
-
-    A pair of zeros hiding inside one grid cell forces the neighbouring
-    grid values down, so only cells whose endpoint amplitudes dip under
-    RISK_AMPLITUDE (without a sign change) need the finer pass.
-    """
-    n = int(math.floor(interval.width / step))
-    xs = interval.a + step * np.arange(n + 1)
-    if xs[-1] < interval.b - 1e-12 * max(1.0, abs(interval.b)):
-        xs = np.append(xs, interval.b)
-    vals = f.sample(xs)
-    brackets: list[tuple[float, float]] = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            lo = max(interval.a, xs[i] - 0.1 * step)
-            hi = min(interval.b, xs[i] + 0.1 * step)
-            brackets.append((lo, hi))
-        elif (v0 < 0.0 < v1) or (v1 < 0.0 < v0):
-            brackets.append((float(xs[i]), float(xs[i + 1])))
-        elif min(abs(v0), abs(v1)) < RISK_AMPLITUDE:
-            sub = np.linspace(xs[i], xs[i + 1], 11)
-            sv = f.sample(sub)
-            for j in range(10):
-                if (sv[j] < 0.0 < sv[j + 1]) or (sv[j + 1] < 0.0 < sv[j]):
-                    brackets.append((float(sub[j]), float(sub[j + 1])))
-    if vals[-1] == 0.0:
-        brackets.append((max(interval.a, xs[-1] - 0.1 * step), float(xs[-1])))
-    return brackets
-
-
 def find_critical_zeros(interval: Interval, step: float = 0.01,
                         cfg: EvalConfig | None = None,
                         tol: float = 1e-10) -> list[ZeroRecord]:
@@ -187,12 +178,13 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
 
     Brackets come from the Riemann-Siegel route at the given step (with
     low-amplitude cells rescanned at step/10, where close pairs could
-    hide inside one cell).  Each bracket is then re-bracketed and
-    refined on the Euler-Maclaurin route: the two routes differ by up
-    to the leading-remainder error, so a bracket may need to grow a few
-    cell-widths before it straddles the accurate zero.  Brackets whose
-    sign change never survives on the accurate route are discarded as
-    scanning artifacts.
+    hide inside one cell).  Each bracket is then refined on the
+    Euler-Maclaurin route: the two routes differ by up to the
+    leading-remainder error, so the bracket is grown by factors 1, 2, 4
+    and 8 about its centre (never past its neighbours) and the first
+    growth that refine_zero accepts gives the record.  Brackets that
+    refine_zero rejects at every growth, because their sign change never
+    survives on the accurate route, are discarded as scanning artifacts.
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -202,13 +194,9 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         raise DomainError(
             f"interval exceeds the validated height {MAX_SCAN_HEIGHT:g}"
         )
-    if step <= 0.0 or step >= interval.width:
-        raise DomainError(
-            f"step must lie in (0, {interval.width}), got {step}"
-        )
     z_rs = hardy_rs_function(cfg)
     z_em = hardy_em_function(cfg)
-    brackets = _scan_with_risk_rescan(z_rs, interval, step)
+    brackets = _scan(z_rs, interval, step, RISK_AMPLITUDE)
     brackets.sort()
     records = []
     for k, (lo, hi) in enumerate(brackets):
@@ -217,19 +205,13 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         hi_cap = brackets[k + 1][0] if k + 1 < len(brackets) else interval.b
         c = 0.5 * (lo + hi)
         w = 0.5 * (hi - lo)
-        chosen = None
         for grow in (1.0, 2.0, 4.0, 8.0):
-            blo = max(lo_cap, c - grow * w)
-            bhi = min(hi_cap, c + grow * w)
-            if not blo < bhi:
-                continue
-            vlo, vhi = z_em.eval(blo), z_em.eval(bhi)
-            if vlo == 0.0 or vhi == 0.0 or (vlo > 0.0) != (vhi > 0.0):
-                chosen = (blo, bhi)
+            grown = (max(lo_cap, c - grow * w), min(hi_cap, c + grow * w))
+            try:
+                records.append(refine_zero(z_em, grown, tol))
                 break
-        if chosen is None:
-            continue
-        records.append(refine_zero(z_em, chosen, tol))
+            except BracketError:
+                pass
     records.sort(key=lambda r: r.location)
     deduped: list[ZeroRecord] = []
     for r in records:

@@ -58,6 +58,10 @@ KAPPA = (math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) - 2.0) / (math.sqrt(5.0) - 1.0)
 
 # Odd Dirichlet character mod 5 fixed by chi(2) = i.
 _CHI5 = {1: 1.0 + 0.0j, 2: 1.0j, 3: -1.0j, 4: -1.0 + 0.0j}
+_CHI5_BAR = {a: ch.conjugate() for a, ch in _CHI5.items()}
+
+# Davenport-Heilbronn coefficients on the residues 1..4 mod 5.
+_DH_COEF = {1: 1.0, 2: KAPPA, 3: -KAPPA, 4: -1.0}
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,14 @@ def _em_tail(s: complex, base: float, order: int) -> complex:
     return total
 
 
+def _em_sum(s: complex, a: float, terms: int, order: int) -> complex:
+    """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
+    sum_{n<terms} (n+a)^{-s} plus the boundary terms at terms+a."""
+    ns = np.arange(0, terms, dtype=float) + a
+    head = complex(np.sum(ns ** (-s)))
+    return head + _em_tail(s, terms + a, order)
+
+
 def zeta_em(s: complex, cfg: EvalConfig | None = None) -> complex:
     """Riemann zeta via Euler-Maclaurin summation, valid on C minus {1}.
 
@@ -165,12 +177,7 @@ def zeta_em(s: complex, cfg: EvalConfig | None = None) -> complex:
             "Euler-Maclaurin accuracy degrades",
             stacklevel=2,
         )
-    if n_cut > 1:
-        ns = np.arange(1, n_cut, dtype=float)
-        head = complex(np.sum(ns ** (-s)))
-    else:
-        head = 0.0 + 0.0j
-    return head + _em_tail(s, float(n_cut), cfg.em_bernoulli_order)
+    return _em_sum(s, 1.0, n_cut - 1, cfg.em_bernoulli_order)
 
 
 def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex:
@@ -185,10 +192,7 @@ def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex
         raise DomainError(f"hurwitz offset a must lie in (0, 1], got {a}")
     if s == 1.0:
         raise PoleError("hurwitz zeta has a pole at s=1")
-    n_cut = cfg.cutoff(s.imag)
-    ns = np.arange(0, n_cut, dtype=float) + a
-    head = complex(np.sum(ns ** (-s)))
-    return head + _em_tail(s, n_cut + a, cfg.em_bernoulli_order)
+    return _em_sum(s, a, cfg.cutoff(s.imag), cfg.em_bernoulli_order)
 
 
 def _rs_psi(p: float) -> float:
@@ -232,14 +236,10 @@ def hardy_z_rs(t: float, cfg: EvalConfig | None = None) -> float:
         th = theta(t, ThetaMode.ASYMPTOTIC)
     else:
         th = theta(t, ThetaMode.EXACT)
-    if n_main <= 48:
-        acc = 0.0
-        for n in range(1, n_main + 1):
-            acc += math.cos(th - t * math.log(n)) / math.sqrt(n)
-        value = 2.0 * acc
-    else:
-        ns = np.arange(1, n_main + 1, dtype=float)
-        value = 2.0 * float(np.sum(np.cos(th - t * np.log(ns)) / np.sqrt(ns)))
+    acc = 0.0
+    for n in range(1, n_main + 1):
+        acc += math.cos(th - t * math.log(n)) / math.sqrt(n)
+    value = 2.0 * acc
     if cfg.rs_remainder_order >= 0:
         p = root - n_main
         value += (-1.0) ** (n_main - 1) * root ** -0.5 * _rs_psi(p)
@@ -300,32 +300,37 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     return abs(lhs - rhs)
 
 
+def _mod5_series(s: complex, coeffs: dict[int, complex | float],
+                 cfg: EvalConfig | None) -> complex:
+    """5^{-s} sum_{a=1..4} coeffs[a] zeta(s, a/5): the Dirichlet series
+    whose coefficients repeat with period 5 as coeffs[1..4], 0."""
+    total = 0.0 + 0.0j
+    for a, c in coeffs.items():
+        total += c * hurwitz_zeta(s, a / 5.0, cfg)
+    return cmath.exp(-s * math.log(5.0)) * total
+
+
 def dirichlet_l_mod5(s: complex, cfg: EvalConfig | None = None,
                      conjugate: bool = False) -> complex:
     """Dirichlet L for the odd mod-5 character with chi(2)=i (or its bar).
 
     L(s, chi) = 5^{-s} sum_{a=1..4} chi(a) zeta(s, a/5).
     """
-    total = 0.0 + 0.0j
-    for a, ch in _CHI5.items():
-        coeff = ch.conjugate() if conjugate else ch
-        total += coeff * hurwitz_zeta(s, a / 5.0, cfg)
-    return cmath.exp(-s * math.log(5.0)) * total
+    return _mod5_series(s, _CHI5_BAR if conjugate else _CHI5, cfg)
 
 
 def davenport_heilbronn(s: complex, cfg: EvalConfig | None = None) -> complex:
-    """Davenport-Heilbronn function: a mod-5 L combination with a
+    """Davenport-Heilbronn function: a period-5 Dirichlet series with a
     Riemann-type functional equation but zeros off the critical line.
 
-    f(s) = (1-i kappa)/2 L(s, chi) + (1+i kappa)/2 L(s, chi-bar) with
-    kappa = (sqrt(10-2 sqrt 5)-2)/(sqrt 5 - 1).  This orientation of the
-    weights is the one that actually satisfies
+    f(s) = 5^{-s} sum_{a=1..4} c_a zeta(s, a/5) with c = (1, kappa,
+    -kappa, -1) and kappa = (sqrt(10-2 sqrt 5)-2)/(sqrt 5 - 1), one pass
+    over the four Hurwitz zetas.  Since c_a = 2 Re(w chi(a)) with
+    w = (1-i kappa)/2, this is the L combination
+    w L(s, chi) + conj(w) L(s, chi-bar).  That orientation of the weights
+    is the one that actually satisfies
     f(s) = (5/pi)^{(1-2s)/2} (Gamma((2-s)/2)/Gamma((s+1)/2)) f(1-s)
     with constant exactly 1 (the Gauss-sum phase of chi cancels against
-    (1-i kappa)^2 only this way round).  Its Dirichlet coefficients are
-    the period-5 pattern 1, kappa, -kappa, -1, 0.
+    (1-i kappa)^2 only this way round).
     """
-    w = 0.5 * (1.0 - 1j * KAPPA)
-    return w * dirichlet_l_mod5(s, cfg) + w.conjugate() * dirichlet_l_mod5(
-        s, cfg, conjugate=True
-    )
+    return _mod5_series(s, _DH_COEF, cfg)

@@ -149,6 +149,19 @@ class TestReport:
         run_cli(capsys, "report", "--out", str(out1))
         assert out1.read_text() == text1
 
+    def test_cli_report_independent_of_out_path(self, capsys, tmp_path):
+        paths = [tmp_path / d / "r.json" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            assert run_cli(capsys, "report", "--out", str(path))[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_config_matches_schema(self):
+        config_schema = load_schema()["properties"]["config"]
+        keys = set(RunConfig().as_dict())
+        assert keys == set(config_schema["properties"])
+        assert set(config_schema["required"]) <= keys
+
     def test_payload_validates_against_schema(self):
         config = RunConfig()
         entries = run_report(config)

@@ -105,6 +105,16 @@ class TestCriticalZeros:
         assert len(a) == len(b) == 10
         assert max(abs(x.location - y.location) for x, y in zip(a, b)) < 1e-9
 
+    @pytest.mark.parametrize("step", [0.2, 0.5])
+    def test_coarse_steps_keep_close_pairs(self, step):
+        # [7000, 7010] holds the Lehmer pair near 7005; only the
+        # low-amplitude rescan finds all 11 zeros at these coarse steps.
+        iv = Interval(7000.0, 7010.0)
+        fine = [r.location for r in find_critical_zeros(iv, step=0.01)]
+        coarse = [r.location for r in find_critical_zeros(iv, step=step)]
+        assert len(fine) == len(coarse) == 11
+        assert max(abs(x - y) for x, y in zip(fine, coarse)) < 1e-9
+
     def test_residuals_tiny_relative_to_local_scale(self):
         recs = find_critical_zeros(Interval(10.0, 60.0), step=0.01, tol=1e-12)
         z = hardy_em_function()

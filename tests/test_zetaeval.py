@@ -129,6 +129,11 @@ class TestHardyZ:
             d = abs(hardy_z_rs(float(t)) - generalized_hardy(0.5, float(t)).z)
             assert d <= 3.0 * t**-0.75
 
+    def test_agrees_with_em_route_above_validated_height(self):
+        # N = floor(sqrt(t/2pi)) = 56 here, beyond every N of the
+        # validated range t <= 1e4.
+        assert abs(hardy_z_rs(2e4) - generalized_hardy(0.5, 2e4).z) < 1e-3
+
 
 class TestGeneralizedHardy:
     def test_perpendicular_component_vanishes_on_line(self):
@@ -234,6 +239,17 @@ class TestDavenportHeilbronn:
             pattern[(n - 1) % 5] * n ** (-s) for n in range(1, 200001)
         )
         assert abs(davenport_heilbronn(s) - direct) < 1e-10
+
+    def test_matches_l_function_combination(self):
+        # f = w L(s, chi) + conj(w) L(s, chi-bar) with w = (1 - i kappa)/2.
+        w = 0.5 * (1.0 - 1j * KAPPA)
+        for sigma in (-0.5, 0.3, 0.5, 0.8, 1.5):
+            for t in (0.5, 14.0, 85.7, 300.0):
+                s = complex(sigma, t)
+                ref = w * dirichlet_l_mod5(s) + w.conjugate() * dirichlet_l_mod5(
+                    s, conjugate=True)
+                f = davenport_heilbronn(s)
+                assert abs(f - ref) <= 1e-14 * max(abs(ref), 1.0)
 
     def test_l_function_conjugate_symmetry(self):
         s = complex(0.8, 12.0)
