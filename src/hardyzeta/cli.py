@@ -10,13 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import hilbert, polyzero, zerofinder
 from .errors import NumericsError
-from .output import emit_spiral_svg, format_sig, sig, write_spiral_csv
+from .output import (
+    emit_spiral_svg,
+    format_sig,
+    sig,
+    spiral_csv,
+    write_spiral_csv,
+)
 from .report import RunConfig, render_summary, report_json, run_report
 from .specialfn import ThetaMode, theta
 from .zetaeval import (
@@ -50,22 +57,18 @@ def _interval_arg(text: str) -> hilbert.Interval:
         ) from exc
 
 
-def _floats_arg(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from exc
+def _list_arg(kind: type, what: str):
+    """argparse type for a comma-separated list of `kind` values."""
 
+    def parse(text: str) -> list:
+        try:
+            return [kind(p) for p in text.split(",") if p.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from exc
 
-def _ints_arg(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from exc
+    return parse
 
 
 def _box_arg(text: str) -> tuple[float, float, float, float]:
@@ -94,7 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write primary output to this path "
                              "(path prefix for ortho)")
     # The global flags are accepted after the subcommand too; SUPPRESS
-    # keeps the subparser from clobbering values given before it.
+    # keeps the subparser from clobbering values given before it.  They
+    # are declared twice on purpose: argparse parents share their action
+    # objects, so if the root parser took `common` as a parent too, giving
+    # it real defaults (a root set_defaults) would also overwrite the
+    # subparsers' SUPPRESS defaults and drop flags given before the
+    # subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS)
     common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS)
@@ -127,14 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", parents=[common],
                        help="conditioning of a Z(sigma,.) family")
-    p.add_argument("--sigmas", type=_floats_arg, required=True)
+    p.add_argument("--sigmas", type=_list_arg(float, "numbers"),
+                   required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--order", type=int, default=None)
 
     p = sub.add_parser("ortho", parents=[common],
                        help="orthogonalize a Z(sigma,.) family "
                             "(--out gives the CSV path prefix)")
-    p.add_argument("--sigmas", type=_floats_arg, required=True)
+    p.add_argument("--sigmas", type=_list_arg(float, "numbers"),
+                   required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--order", type=int, default=None)
 
@@ -142,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polynomial zero-convergence study")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--degrees", type=_ints_arg, required=True)
+    p.add_argument("--degrees", type=_list_arg(int, "integers"),
+                   required=True)
 
     p = sub.add_parser("zeros", parents=[common],
                        help="scan and refine critical-line zeros")
@@ -219,13 +230,8 @@ def _cmd_spiral(args, cfg) -> int:
         wrote.append(args.svg)
     if wrote:
         print("wrote " + ", ".join(wrote), file=sys.stderr)
-    elif args.out:
-        write_spiral_csv(path, args.out)
     else:
-        lines = ["n,re,im"]
-        lines += [f"{k},{format_sig(z.real)},{format_sig(z.imag)}"
-                  for k, z in enumerate(path.points, start=1)]
-        _emit("\n".join(lines), None)
+        _emit(spiral_csv(path), args.out)
     return EXIT_OK
 
 
@@ -281,10 +287,9 @@ def _cmd_polyfit(args, cfg) -> int:
     studies = polyzero.zero_convergence_study(f, args.interval, args.degrees)
     payload = []
     for comp in studies:
-        proj = polyzero.project(f, args.interval, comp.degree)
         payload.append({
             "degree": comp.degree,
-            "l2_error": sig(proj.l2_error),
+            "l2_error": sig(comp.l2_error),
             "max_deviation": sig(comp.max_deviation),
             "pairs": [[sig(a), sig(b), sig(d)]
                       for a, b, d in comp.matched_pairs],
@@ -331,11 +336,9 @@ def _cmd_lehmer(args, cfg) -> int:
 
 
 def _cmd_dh_scan(args, cfg) -> int:
-    def f(z: complex) -> complex:
-        return davenport_heilbronn(z, cfg)
-
-    count = zerofinder.argument_principle_count(f, args.box,
-                                                n_per_side=args.n_per_side)
+    count = zerofinder.argument_principle_count(
+        partial(davenport_heilbronn, cfg=cfg), args.box,
+        n_per_side=args.n_per_side)
     payload = {"box": list(args.box), "n_per_side": args.n_per_side,
                "count": count}
     _emit(json.dumps(payload, sort_keys=True), args.out)
@@ -343,9 +346,9 @@ def _cmd_dh_scan(args, cfg) -> int:
 
 
 def _cmd_report(args, cfg) -> int:
-    interval = args.interval or hilbert.Interval(10.0, 50.0)
+    interval = args.interval or hilbert.Interval(*RunConfig.interval)
     config = RunConfig(
-        em_terms=args.em_terms,
+        evaluation=cfg,
         quad_order=args.quad_order,
         interval=(interval.a, interval.b),
     )

@@ -13,7 +13,7 @@ callback unchanged so it is bit-identical to the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -25,6 +25,10 @@ from .specialfn import DEFAULT_T_MIN, theta_derivative
 from .zetaeval import EvalConfig, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
+
+#: Smallest quadrature order picked by default (oscillation_order, and
+#: polyzero.project for low degrees).
+MIN_QUAD_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -48,11 +52,6 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains(self, x: float, strict: bool = False) -> bool:
-        if strict:
-            return self.a < x < self.b
-        return self.a <= x <= self.b
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -60,21 +59,17 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: Interval
-    order: int
 
 
 @dataclass
 class SampledFunction:
-    """A real function of one real variable plus labelling metadata.
+    """A real function of one real variable plus a label for messages.
 
-    The callback must be deterministic; `sigma` records the line
-    parameter when the function is a generalized Hardy function.
+    The callback must be deterministic.
     """
 
     eval: Callable[[float], float]
     label: str = ""
-    sigma: float | None = None
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -94,14 +89,9 @@ class SampledFunction:
 
 @dataclass
 class GramMatrix:
-    """Matrix of pairwise inner products with its row labels."""
+    """Matrix of pairwise inner products."""
 
     entries: np.ndarray
-    labels: list[str] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
@@ -133,8 +123,6 @@ def gauss_legendre_rule(order: int, interval: Interval) -> QuadratureRule:
     return QuadratureRule(
         nodes=interval.a + half * (xs + 1.0),
         weights=half * ws,
-        interval=interval,
-        order=order,
     )
 
 
@@ -150,7 +138,8 @@ def inner_product(f: SampledFunction, g: SampledFunction,
 
 def norm(f: SampledFunction, rule: QuadratureRule) -> float:
     """Quadrature L2 norm, sqrt(<f, f>); clamped at zero."""
-    return math.sqrt(max(inner_product(f, f, rule), 0.0))
+    fv = f.sample(rule.nodes)
+    return math.sqrt(max(_dot(rule.weights, fv, fv), 0.0))
 
 
 def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatrix:
@@ -165,7 +154,7 @@ def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatr
             v = _dot(rule.weights, samples[i], samples[j])
             g[i, j] = v
             g[j, i] = v
-    return GramMatrix(entries=g, labels=[f.label for f in fs])
+    return GramMatrix(entries=g)
 
 
 def _combination(coeffs: np.ndarray,
@@ -216,14 +205,12 @@ def gram_schmidt(fs: Sequence[SampledFunction], rule: QuadratureRule,
         coeff_rows.append(row)
         if i == 0:
             outputs.append(SampledFunction(eval=fs[0].eval,
-                                           label=fs[0].label,
-                                           sigma=fs[0].sigma))
+                                           label=fs[0].label))
         else:
             outputs.append(
                 SampledFunction(
                     eval=_combination(row, fs),
                     label=f"ortho[{i}]({fs[i].label or i})",
-                    sigma=fs[i].sigma,
                 )
             )
     return outputs
@@ -243,19 +230,19 @@ def hardy_function(sigma: float, cfg: EvalConfig | None = None) -> SampledFuncti
     def _eval(t: float) -> float:
         return generalized_hardy(sigma, t, cfg).z
 
-    return SampledFunction(eval=_eval, label=f"Z({sigma:g},.)", sigma=sigma)
+    return SampledFunction(eval=_eval, label=f"Z({sigma:g},.)")
 
 
-def oscillation_order(interval: Interval, minimum: int = 32) -> int:
+def oscillation_order(interval: Interval) -> int:
     """Quadrature order resolving the fastest oscillation of Z(sigma, .).
 
-    At least 4 * width * max|theta'| over the interval (theta' is
-    monotone increasing past its minimum at t = 2*pi, so the endpoint
-    maximum suffices).
+    At least MIN_QUAD_ORDER and 4 * width * max|theta'| over the
+    interval (theta' is monotone increasing past its minimum at
+    t = 2*pi, so the endpoint maximum suffices).
     """
     hi = max(abs(interval.a), abs(interval.b), DEFAULT_T_MIN)
     rate = abs(theta_derivative(hi))
-    return max(minimum, math.ceil(4.0 * interval.width * rate))
+    return max(MIN_QUAD_ORDER, math.ceil(4.0 * interval.width * rate))
 
 
 @dataclass

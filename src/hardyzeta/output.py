@@ -3,23 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError
 from .zetaeval import SpiralPath
 
-
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 720
-    height: int = 720
-    margin_frac: float = 0.05
-    primary_color: str = "#1f4e9c"
-    primary_width: float = 1.2
-    secondary_color: str = "#c23b22"
-    secondary_width: float = 0.9
-    secondary_dash: str = "4 3"
+# Fixed spiral figure style: canvas size in px, margin as a fraction of
+# the data span, and the stroke of the partial-sum (primary) and
+# midpoint (secondary, dashed) polylines.
+SVG_WIDTH = 720
+SVG_HEIGHT = 720
+SVG_MARGIN_FRAC = 0.05
+PRIMARY_STROKE = ("#1f4e9c", 1.2, "")
+SECONDARY_STROKE = ("#c23b22", 0.9, "4 3")
 
 
 def sig(x: float, digits: int = 12) -> float:
@@ -41,15 +37,20 @@ def format_sig(x: float, digits: int = 15) -> str:
     return f"{x:.{digits}g}"
 
 
-def write_spiral_csv(path: SpiralPath, out: str | Path) -> None:
+def spiral_csv(path: SpiralPath) -> str:
     """Partial sums as CSV rows `n,re,im`, 15 significant digits."""
     lines = ["n,re,im"]
     for k, z in enumerate(path.points, start=1):
         lines.append(f"{k},{format_sig(z.real)},{format_sig(z.imag)}")
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _polyline(points, color: str, width: float, dash: str = "") -> str:
+def write_spiral_csv(path: SpiralPath, out: str | Path) -> None:
+    """Write spiral_csv(path) to a file."""
+    Path(out).write_text(spiral_csv(path), encoding="utf-8")
+
+
+def _polyline(points, color: str, width: float, dash: str) -> str:
     pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in points)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
@@ -58,17 +59,14 @@ def _polyline(points, color: str, width: float, dash: str = "") -> str:
     )
 
 
-def emit_spiral_svg(path: SpiralPath, out: str | Path,
-                    style: SvgStyle | None = None) -> None:
+def emit_spiral_svg(path: SpiralPath, out: str | Path) -> None:
     """Standalone SVG of a spiral: partial sums plus the midpoint polyline.
 
-    The viewBox is auto-scaled to the data with a 5% margin (or
-    style.margin_frac); the midpoint polyline is drawn only when it has
-    at least two points, matching the n-1 midpoints of an n-point path.
-    Degenerate (repeated) points are legal and render as zero-length
-    segments.
+    The viewBox is auto-scaled to the data with a 5% margin; the
+    midpoint polyline is drawn only when it has at least two points,
+    matching the n-1 midpoints of an n-point path.  Degenerate
+    (repeated) points are legal and render as zero-length segments.
     """
-    style = style or SvgStyle()
     pts = list(path.points)
     if len(pts) < 2:
         raise DomainError("spiral SVG needs at least two partial sums")
@@ -78,27 +76,24 @@ def emit_spiral_svg(path: SpiralPath, out: str | Path,
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-12)
-    pad = style.margin_frac * span
+    pad = SVG_MARGIN_FRAC * span
 
     def to_px(z: complex) -> tuple[float, float]:
         # SVG's y axis points down; flip so the upper half plane is up.
-        x = (z.real - xmin + pad) / (span + 2 * pad) * style.width
-        y = (ymax - z.imag + pad) / (span + 2 * pad) * style.height
+        x = (z.real - xmin + pad) / (span + 2 * pad) * SVG_WIDTH
+        y = (ymax - z.imag + pad) / (span + 2 * pad) * SVG_HEIGHT
         return x, y
 
-    body = [_polyline([to_px(z) for z in pts], style.primary_color,
-                      style.primary_width)]
-    if len(mids) >= 2:
-        body.append(_polyline([to_px(z) for z in mids], style.secondary_color,
-                              style.secondary_width, style.secondary_dash))
-    else:
-        body.append(_polyline([], style.secondary_color,
-                              style.secondary_width, style.secondary_dash))
+    body = [
+        _polyline([to_px(z) for z in pts], *PRIMARY_STROKE),
+        _polyline([to_px(z) for z in mids] if len(mids) >= 2 else [],
+                  *SECONDARY_STROKE),
+    ]
     svg = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">\n'
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">\n'
         + "\n".join(body)
         + "\n</svg>\n"
     )

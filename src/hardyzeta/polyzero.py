@@ -19,7 +19,12 @@ from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
 from .errors import DomainError, NumericsError
-from .hilbert import Interval, QuadratureRule, SampledFunction, gauss_legendre_rule
+from .hilbert import (
+    MIN_QUAD_ORDER,
+    Interval,
+    SampledFunction,
+    gauss_legendre_rule,
+)
 from .zerofinder import refine_zero, scan_sign_changes
 
 MAX_PROJECT_DEGREE = 512
@@ -94,13 +99,15 @@ class ZeroComparison:
     """Zeros of a function versus zeros of its degree-d projection.
 
     matched_pairs holds (alpha, beta, |alpha - beta|) tuples from the
-    order-preserving minimal-distance assignment of the two sorted lists.
+    order-preserving minimal-distance assignment of the two sorted lists;
+    l2_error is the projection's own (ProjectionResult.l2_error).
     """
 
     function_zeros: list[float]
     polynomial_zeros: list[float]
     matched_pairs: list[tuple[float, float, float]]
     degree: int
+    l2_error: float
 
     @property
     def max_deviation(self) -> float:
@@ -118,14 +125,14 @@ def project(f: SampledFunction, interval: Interval, degree: int,
     orthogonal projection.  Monomial route: solves the weighted normal
     equations, whose Gram matrix is Hilbert-matrix-like and collapses
     past degree ~12 (kept as a conditioning demonstration).  The
-    quadrature order defaults to max(2*degree, 32).
+    quadrature order defaults to max(2*degree, MIN_QUAD_ORDER).
     """
     if not 1 <= degree <= MAX_PROJECT_DEGREE:
         raise DomainError(
             f"degree must be in [1, {MAX_PROJECT_DEGREE}], got {degree}"
         )
     if order is None:
-        order = max(2 * degree, 32)
+        order = max(2 * degree, MIN_QUAD_ORDER)
     if order < 2 * degree:
         raise DomainError(
             f"quadrature order {order} under-resolves degree {degree}; "
@@ -219,33 +226,30 @@ def _match_sorted(alpha: list[float], beta: list[float]
 
 
 def zero_convergence_study(f: SampledFunction, interval: Interval,
-                           degrees: list[int],
-                           scan_step: float | None = None,
-                           refine_tol: float = 1e-12,
-                           order: int | None = None) -> list[ZeroComparison]:
+                           degrees: list[int]) -> list[ZeroComparison]:
     """Track polynomial zeros converging onto the function's zeros.
 
-    The reference zeros come from a sign-change scan plus bracketed
-    refinement of f itself; for each degree (ascending) the projection's
-    real zeros are matched against them.  Raises if the zero counts
-    still disagree at the largest degree.
+    The reference zeros come from a sign-change scan of f itself at
+    step width/1000 plus bracketed refinement to 1e-12; for each degree
+    (ascending) the real zeros of the default-order projection are
+    matched against them.  Raises if the zero counts still disagree at
+    the largest degree.
     """
     if not degrees:
         raise DomainError("need at least one degree")
     degrees = sorted(degrees)
-    if scan_step is None:
-        scan_step = interval.width / 1000.0
-    brackets = scan_sign_changes(f, interval, scan_step)
-    alpha = [refine_zero(f, br, refine_tol).location for br in brackets]
+    brackets = scan_sign_changes(f, interval, interval.width / 1000.0)
+    alpha = [refine_zero(f, br, 1e-12).location for br in brackets]
     out = []
     for deg in degrees:
-        proj = project(f, interval, deg, order=order)
+        proj = project(f, interval, deg)
         beta = poly_real_zeros(proj.poly)
         pairs = _match_sorted(alpha, beta)
         out.append(ZeroComparison(function_zeros=list(alpha),
                                   polynomial_zeros=beta,
                                   matched_pairs=pairs,
-                                  degree=deg))
+                                  degree=deg,
+                                  l2_error=proj.l2_error))
     largest = out[-1]
     if len(largest.polynomial_zeros) != len(largest.function_zeros):
         raise NumericsError(

@@ -16,12 +16,14 @@ time-, platform- or path-dependent is written.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import hilbert, polyzero, zerofinder
+from .errors import DomainError
 from .output import sig
 from .specialfn import chi
 from .zetaeval import (
@@ -33,26 +35,29 @@ from .zetaeval import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a report run depends on; embedded verbatim in the output."""
+    """Everything a report run depends on; embedded verbatim in the output.
 
-    em_terms: int | None = None
-    em_bernoulli_order: int = 8
-    rs_remainder_order: int = 0
+    Raises DomainError for a quadrature order outside
+    [1, MAX_QUAD_ORDER] or an interval that is not finite with a < b,
+    so a report never records a config its schema rejects.
+    """
+
+    evaluation: EvalConfig = EvalConfig()
     quad_order: int = 256
     interval: tuple[float, float] = (10.0, 50.0)
 
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            em_terms=self.em_terms,
-            em_bernoulli_order=self.em_bernoulli_order,
-            rs_remainder_order=self.rs_remainder_order,
-        )
+    def __post_init__(self):
+        if not 1 <= self.quad_order <= hilbert.MAX_QUAD_ORDER:
+            raise DomainError(
+                f"quad_order must be in [1, {hilbert.MAX_QUAD_ORDER}], "
+                f"got {self.quad_order}"
+            )
+        hilbert.Interval(*self.interval)
 
     def as_dict(self) -> dict:
+        """Flat config: the EvalConfig fields, quad_order and interval."""
         return {
-            "em_terms": self.em_terms,
-            "em_bernoulli_order": self.em_bernoulli_order,
-            "rs_remainder_order": self.rs_remainder_order,
+            **asdict(self.evaluation),
             "quad_order": self.quad_order,
             "interval": [self.interval[0], self.interval[1]],
         }
@@ -78,9 +83,9 @@ class ReportEntry:
 
 
 def _entry_sin_theta(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
     ts = np.arange(10.0, 200.0001, 0.1)
-    worst = max(abs(generalized_hardy(0.5, float(t), cfg).y) for t in ts)
+    worst = max(abs(generalized_hardy(0.5, float(t), config.evaluation).y)
+                for t in ts)
     ok = worst < 1e-8
     return ReportEntry(
         "sin-theta-identity",
@@ -91,7 +96,7 @@ def _entry_sin_theta(config: RunConfig) -> ReportEntry:
 
 
 def _entry_functional_equation(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
+    cfg = config.evaluation
     worst = 0.0
     for sigma in np.linspace(-1.0, 2.0, 20):
         for t in np.linspace(5.0, 60.0, 20):
@@ -123,10 +128,10 @@ def _entry_chi_modulus(config: RunConfig) -> ReportEntry:
 
 
 def _entry_gs_first(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
     iv = hilbert.Interval(*config.interval)
     rule = hilbert.gauss_legendre_rule(config.quad_order, iv)
-    family = [hilbert.hardy_function(s, cfg) for s in (0.5, 0.3, 0.4)]
+    family = [hilbert.hardy_function(s, config.evaluation)
+              for s in (0.5, 0.3, 0.4)]
     outs = hilbert.gram_schmidt(family, rule)
     first_dev = float(np.max(np.abs(outs[0].sample(rule.nodes)
                                     - family[0].sample(rule.nodes))))
@@ -142,7 +147,6 @@ def _entry_gs_first(config: RunConfig) -> ReportEntry:
 
 
 def _entry_independence(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
     iv = hilbert.Interval(*config.interval)
     metrics: dict[str, float] = {}
     # Reflective pair sigma2 = 1 - sigma1, a non-reflective pair, and a
@@ -150,7 +154,8 @@ def _entry_independence(config: RunConfig) -> ReportEntry:
     for tag, sigmas in (("pair_0.3_0.7", (0.3, 0.7)),
                         ("pair_0.3_0.6", (0.3, 0.6)),
                         ("triple_0.5_0.3_0.4", (0.5, 0.3, 0.4))):
-        rep = hilbert.independence_report(sigmas, iv, config.quad_order, cfg)
+        rep = hilbert.independence_report(sigmas, iv, config.quad_order,
+                                          config.evaluation)
         metrics[f"{tag}_det"] = rep.correlation_det
         metrics[f"{tag}_min_eig"] = rep.min_eigenvalue
         for s1, s2, c in rep.pairwise():
@@ -165,9 +170,8 @@ def _entry_independence(config: RunConfig) -> ReportEntry:
 
 
 def _entry_zero_convergence(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
     iv = hilbert.Interval(10.0, 30.0)
-    f = hilbert.hardy_function(0.5, cfg)
+    f = hilbert.hardy_function(0.5, config.evaluation)
     studies = polyzero.zero_convergence_study(f, iv, [20, 30, 40])
     devs = {c.degree: c.max_deviation for c in studies}
     ok = devs[40] < 1e-6 and devs[40] < devs[20]
@@ -180,7 +184,7 @@ def _entry_zero_convergence(config: RunConfig) -> ReportEntry:
 
 
 def _entry_lehmer(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
+    cfg = config.evaluation
     pairs = zerofinder.lehmer_scan(hilbert.Interval(7000.0, 7010.0),
                                    threshold=0.2, step=0.01, cfg=cfg)
     if not pairs:
@@ -208,11 +212,7 @@ def _entry_lehmer(config: RunConfig) -> ReportEntry:
 
 
 def _entry_dh_offline(config: RunConfig) -> ReportEntry:
-    cfg = config.eval_config()
-
-    def f(z: complex) -> complex:
-        return davenport_heilbronn(z, cfg)
-
+    f = partial(davenport_heilbronn, cfg=config.evaluation)
     box = (0.51, 1.0, 80.0, 90.0)
     count = zerofinder.argument_principle_count(f, box, n_per_side=256)
     count2 = zerofinder.argument_principle_count(f, box, n_per_side=512)

@@ -60,6 +60,10 @@ class LehmerPair:
     min_between: float
 
 
+#: Winding counts refuse contours where |f| drops under this: the phase
+#: of f is unreliable that close to a zero.
+CONTOUR_MIN_ABS = 1e-8
+
 #: Grid cells whose endpoint |Z| both stay above this are considered
 #: safe from a hidden (Lehmer-style) pair of zeros inside the cell.
 RISK_AMPLITUDE = 0.2
@@ -161,14 +165,13 @@ def zero_count_estimate(T: float) -> float:
 
 def hardy_rs_function(cfg: EvalConfig | None = None) -> SampledFunction:
     """Z(t) via the Riemann-Siegel sum; the fast scanning route."""
-    return SampledFunction(eval=lambda t: hardy_z_rs(t, cfg),
-                           label="Z_rs", sigma=0.5)
+    return SampledFunction(eval=lambda t: hardy_z_rs(t, cfg), label="Z_rs")
 
 
 def hardy_em_function(cfg: EvalConfig | None = None) -> SampledFunction:
     """Z(t) via Euler-Maclaurin; the accurate refinement route."""
     return SampledFunction(eval=lambda t: generalized_hardy(0.5, t, cfg).z,
-                           label="Z_em", sigma=0.5)
+                           label="Z_em")
 
 
 def find_critical_zeros(interval: Interval, step: float = 0.01,
@@ -247,11 +250,10 @@ def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,
 
 
 def _phase_steps(f: Callable[[complex], complex], z0: complex, z1: complex,
-                 v0: complex, v1: complex, min_abs: float,
-                 depth: int = 0) -> float:
+                 v0: complex, v1: complex, depth: int = 0) -> float:
     """Total argument increment of f along [z0, z1], subdividing until
     each step turns by less than pi/2."""
-    if abs(v0) < min_abs or abs(v1) < min_abs:
+    if abs(v0) < CONTOUR_MIN_ABS or abs(v1) < CONTOUR_MIN_ABS:
         raise ContourError(
             f"|f| dipped to {min(abs(v0), abs(v1)):.3e} at the contour near "
             f"{z0 if abs(v0) < abs(v1) else z1}; a zero is too close"
@@ -266,21 +268,20 @@ def _phase_steps(f: Callable[[complex], complex], z0: complex, z1: complex,
         )
     zm = 0.5 * (z0 + z1)
     vm = f(zm)
-    return (_phase_steps(f, z0, zm, v0, vm, min_abs, depth + 1)
-            + _phase_steps(f, zm, z1, vm, v1, min_abs, depth + 1))
+    return (_phase_steps(f, z0, zm, v0, vm, depth + 1)
+            + _phase_steps(f, zm, z1, vm, v1, depth + 1))
 
 
 def argument_principle_count(f: Callable[[complex], complex],
                              box: Sequence[float],
-                             n_per_side: int = 256,
-                             min_abs: float = 1e-8) -> int:
+                             n_per_side: int = 256) -> int:
     """Number of zeros of f inside a rectangle, by winding number.
 
     box = (sigma1, sigma2, t1, t2).  The contour is sampled with
     n_per_side points per side and each step's argument increment is
     adaptively subdivided below pi/2, so once the sampling resolves the
     phase the count is exact and invariant under refinement.  Raises
-    ContourError when |f| on the contour drops under min_abs.
+    ContourError when |f| on the contour drops under CONTOUR_MIN_ABS.
     """
     s1, s2, t1, t2 = box
     if not (s1 < s2 and t1 < t2):
@@ -297,8 +298,7 @@ def argument_principle_count(f: Callable[[complex], complex],
     vals = [f(z) for z in zs]
     total = 0.0
     for i in range(len(zs) - 1):
-        total += _phase_steps(f, zs[i], zs[i + 1], vals[i], vals[i + 1],
-                              min_abs)
+        total += _phase_steps(f, zs[i], zs[i + 1], vals[i], vals[i + 1])
     winding = total / TWO_PI
     count = round(winding)
     if abs(winding - count) > 0.25:

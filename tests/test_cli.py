@@ -1,9 +1,13 @@
 import json
+import math
+import warnings
 
 import jsonschema
 import pytest
 
+from hardyzeta import hilbert, polyzero
 from hardyzeta.cli import main
+from hardyzeta.errors import DomainError
 from hardyzeta.report import RunConfig, load_schema, report_json, run_report
 
 
@@ -81,6 +85,14 @@ class TestFileCommands:
         assert lines[0] == "n,re,im"
         assert lines[1].startswith("1,1,")
 
+    def test_spiral_stdout_matches_csv_file(self, capsys, tmp_path):
+        csv = tmp_path / "s.csv"
+        argv = ("spiral", "--sigma", "0.5", "--t", "30", "--n", "50")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--csv", str(csv))[0] == 0
+        assert out.encode("utf-8") == csv.read_bytes()
+
     def test_ortho_csv(self, capsys, tmp_path):
         prefix = tmp_path / "orth"
         code, _, err = run_cli(capsys, "ortho", "--sigmas", "0.5,0.3",
@@ -130,6 +142,28 @@ class TestJsonCommands:
                                "--n-per-side", "128")
         payload = json.loads(out)
         assert payload["count"] >= 1
+
+    def test_polyfit_evaluates_only_the_study(self, capsys, monkeypatch):
+        calls = []
+        real = hilbert.generalized_hardy
+
+        def counted(sigma, t, cfg=None):
+            calls.append(t)
+            return real(sigma, t, cfg)
+
+        monkeypatch.setattr(hilbert, "generalized_hardy", counted)
+        code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
+                               "--interval", "10:30", "--degrees", "20,40")
+        assert code == 0
+        cli_calls = len(calls)
+        calls.clear()
+        study = polyzero.zero_convergence_study(
+            hilbert.hardy_function(0.5), hilbert.Interval(10.0, 30.0),
+            [20, 40])
+        assert cli_calls == len(calls)
+        payload = json.loads(out)
+        assert [p["l2_error"] for p in payload] == [
+            pytest.approx(c.l2_error, rel=1e-11) for c in study]
 
     def test_polyfit(self, capsys):
         code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
@@ -190,3 +224,42 @@ class TestReport:
         assert by_id["dh-offline-zero"].status == "Pass"
         assert by_id["dh-offline-zero"].metrics["count"] >= 1
         assert by_id["independence-grid"].status == "Measured"
+
+    def test_config_dict_is_flat(self):
+        assert RunConfig().as_dict() == {
+            "em_terms": None,
+            "em_bernoulli_order": 8,
+            "rs_remainder_order": 0,
+            "quad_order": 256,
+            "interval": [10.0, 50.0],
+        }
+
+    def test_cli_report_embeds_em_terms(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, _ = run_cli(capsys, "--em-terms", "200", "report",
+                                 "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["em_terms"] == 200
+
+    @pytest.mark.parametrize("order", ["0", "5000"])
+    def test_cli_report_rejects_quad_order(self, capsys, tmp_path, order):
+        out = tmp_path / "r.json"
+        code, stdout, err = run_cli(capsys, "report", "--quad-order", order,
+                                    "--out", str(out))
+        assert code == 2
+        assert "quad_order" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"quad_order": 0},
+        {"quad_order": 4097},
+        {"interval": (50.0, 10.0)},
+        {"interval": (10.0, 10.0)},
+        {"interval": (10.0, math.inf)},
+        {"interval": (math.nan, 50.0)},
+    ], ids=["order-0", "order-4097", "reversed", "empty", "infinite", "nan"])
+    def test_config_rejects_unreportable_values(self, kwargs):
+        with pytest.raises(DomainError):
+            RunConfig(**kwargs)

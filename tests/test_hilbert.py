@@ -107,6 +107,18 @@ class TestNorm:
         assert norm(scaled, rule) == pytest.approx(3.0 * norm(f, rule),
                                                    rel=1e-12)
 
+    def test_samples_each_node_once(self):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return math.sin(t)
+
+        rule = gauss_legendre_rule(16, Interval(0.0, 2.0))
+        value = norm(SampledFunction(counted, "sin"), rule)
+        assert len(calls) == 16
+        assert value == math.sqrt(inner_product(SIN, SIN, rule))
+
 
 class TestGramMatrix:
     def test_singleton(self):

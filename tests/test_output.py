@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hardyzeta
 from hardyzeta.errors import DomainError
 from hardyzeta.output import emit_spiral_svg, format_sig, sig, write_spiral_csv
 from hardyzeta.zetaeval import SpiralPath, dirichlet_partial_sums
@@ -72,3 +73,8 @@ class TestSvg:
     def test_single_point_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             emit_spiral_svg(_path_from([1.0 + 0.0j]), tmp_path / "one.svg")
+
+
+def test_public_names_resolve():
+    for name in hardyzeta.__all__:
+        assert hasattr(hardyzeta, name), name

@@ -149,3 +149,10 @@ class TestZeroConvergence:
         f = SampledFunction(math.sin, "sin")
         with pytest.raises(DomainError):
             zero_convergence_study(f, Interval(1.0, 10.0), [])
+
+    def test_l2_error_is_the_projections(self):
+        f = SampledFunction(math.sin, "sin")
+        iv = Interval(1.0, 10.0)
+        comps = zero_convergence_study(f, iv, [15, 20, 25])
+        for c in comps:
+            assert c.l2_error == project(f, iv, c.degree).l2_error
