@@ -386,15 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = EvalConfig(em_terms=args.em_terms)
-    except NumericsError as exc:
-        print(f"hardyzeta: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    try:
         return _COMMANDS[args.command](args, cfg)
-    except NumericsError as exc:
-        print(f"hardyzeta: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
+    except (NumericsError, OSError) as exc:
         print(f"hardyzeta: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -14,6 +14,7 @@ zero, so a defect in either route cannot silently plant or move zeros.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,7 +25,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, ContourError, DomainError
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, ThetaMode, theta, theta_derivative
-from .zetaeval import EvalConfig, generalized_hardy, hardy_z_rs
+from .zetaeval import DEFAULT_CONFIG, EvalConfig, generalized_hardy, hardy_z_rs
 
 #: Largest height validated for double-precision scanning.
 MAX_SCAN_HEIGHT = 1.0e4
@@ -86,7 +87,7 @@ def _scan(f: SampledFunction, interval: Interval, step: float,
     under it are rescanned at step/10, since a pair of zeros hiding
     inside one cell forces the neighbouring grid values down.
     """
-    if step <= 0.0 or step >= interval.width:
+    if not 0.0 < step < interval.width:
         raise DomainError(
             f"step must lie in (0, {interval.width}), got {step}"
         )
@@ -106,9 +107,11 @@ def _scan(f: SampledFunction, interval: Interval, step: float,
             brackets.append((float(xs[i]), float(xs[i + 1])))
         elif (risk_amplitude is not None
               and min(abs(vals[i]), abs(vals[i + 1])) < risk_amplitude):
+            # linspace returns both cell ends exactly: reuse their values.
             sub = np.linspace(xs[i], xs[i + 1], 11)
+            sub_vals = np.r_[vals[i], f.sample(sub[1:-1]), vals[i + 1]]
             brackets.extend((float(sub[j]), float(sub[j + 1]))
-                            for j in np.flatnonzero(_straddles(f.sample(sub))))
+                            for j in np.flatnonzero(_straddles(sub_vals)))
     if vals[-1] == 0.0:
         brackets.append((max(interval.a, xs[-1] - 0.1 * step), float(xs[-1])))
     return brackets
@@ -135,21 +138,19 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must be ordered, got ({lo}, {hi})")
-    flo, fhi = f.eval(lo), f.eval(hi)
-    if flo == 0.0:
-        root = lo
-    elif fhi == 0.0:
-        root = hi
-    elif (flo > 0.0) == (fhi > 0.0):
+    # One cache for this call: brentq re-evaluates both ends and returns
+    # a point it has evaluated (an end, when f is exactly 0 there).
+    f_at = functools.cache(f.eval)
+    flo, fhi = f_at(lo), f_at(hi)
+    if flo != 0.0 and fhi != 0.0 and (flo > 0.0) == (fhi > 0.0):
         raise BracketError(
             f"no sign change on ({lo}, {hi}): f={flo:.3e}, {fhi:.3e} "
             "(bracket lost, likely evaluation noise)"
         )
-    else:
-        root = float(brentq(f.eval, lo, hi, xtol=tol, rtol=1e-15))
+    root = float(brentq(f_at, lo, hi, xtol=tol, rtol=1e-15))
     h = max(1e-6, tol)
-    deriv = (f.eval(root + h) - f.eval(root - h)) / (2.0 * h)
-    residual = abs(f.eval(root))
+    deriv = (f_at(root + h) - f_at(root - h)) / (2.0 * h)
+    residual = abs(f_at(root))
     local_scale = max(abs(flo), abs(fhi))
     simple = abs(deriv) > SIMPLE_DERIVATIVE_FACTOR * local_scale
     return ZeroRecord(location=root, bracket=(lo, hi), derivative=deriv,
@@ -188,6 +189,8 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     growth that refine_zero accepts gives the record.  Brackets that
     refine_zero rejects at every growth, because their sign change never
     survives on the accurate route, are discarded as scanning artifacts.
+    A fixed em_terms below the default cutoff at the top of the interval
+    is refused, since refinement on so short a sum loses zeros silently.
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -196,6 +199,12 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     if interval.b > MAX_SCAN_HEIGHT:
         raise DomainError(
             f"interval exceeds the validated height {MAX_SCAN_HEIGHT:g}"
+        )
+    needed = DEFAULT_CONFIG.cutoff(interval.b)
+    if cfg is not None and cfg.em_terms is not None and cfg.em_terms < needed:
+        raise DomainError(
+            f"em_terms={cfg.em_terms} is below the cutoff {needed} that "
+            f"Euler-Maclaurin refinement needs up to t={interval.b:g}"
         )
     z_rs = hardy_rs_function(cfg)
     z_em = hardy_em_function(cfg)
@@ -234,6 +243,8 @@ def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,
     with the extremal |Z| between them.  Pass threshold=inf to obtain
     every consecutive pair (useful for gap statistics).
     """
+    if not threshold > 0.0:
+        raise DomainError(f"threshold must be positive, got {threshold}")
     records = find_critical_zeros(interval, step=step, cfg=cfg)
     z_rs = hardy_rs_function(cfg)
     pairs: list[LehmerPair] = []

@@ -5,10 +5,11 @@ import warnings
 import jsonschema
 import pytest
 
-from hardyzeta import hilbert, polyzero
+from hardyzeta import hilbert, polyzero, report
 from hardyzeta.cli import main
 from hardyzeta.errors import DomainError
 from hardyzeta.report import RunConfig, load_schema, report_json, run_report
+from hardyzeta.zetaeval import davenport_heilbronn
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +33,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "2*pi" in err
+
+    @pytest.mark.parametrize("argv,name", [
+        (("--em-terms", "0", "theta", "--t", "1"), "em_terms"),
+        (("--em-terms", "200", "zeros", "--interval", "7000:7010"),
+         "em_terms"),
+        (("zeros", "--interval", "10:20", "--step", "nan"), "step"),
+        (("lehmer", "--interval", "10:20", "--threshold", "nan"), "threshold"),
+        (("lehmer", "--interval", "10:20", "--threshold", "0"), "threshold"),
+    ], ids=["em-terms-0", "em-terms-200", "step-nan", "threshold-nan",
+            "threshold-0"])
+    def test_rejected_parameter_is_two(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert name in err
 
 
 class TestValueCommands:
@@ -189,6 +205,18 @@ class TestReport:
             path.parent.mkdir()
             assert run_cli(capsys, "report", "--out", str(path))[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_dh_recount_reuses_the_coarse_contour(self, monkeypatch):
+        seen = []
+
+        def counted(s, cfg=None):
+            seen.append(s)
+            return davenport_heilbronn(s, cfg)
+
+        monkeypatch.setattr(report, "davenport_heilbronn", counted)
+        entry = report._entry_dh_offline(RunConfig())
+        assert entry.status == "Pass"
+        assert len(seen) == len(set(seen))
 
     def test_config_matches_schema(self):
         config_schema = load_schema()["properties"]["config"]

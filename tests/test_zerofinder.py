@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyzeta import zerofinder
 from hardyzeta.errors import BracketError, ContourError, DomainError
 from hardyzeta.hilbert import Interval, SampledFunction
 from hardyzeta.zerofinder import (
@@ -14,7 +15,12 @@ from hardyzeta.zerofinder import (
     scan_sign_changes,
     zero_count_estimate,
 )
-from hardyzeta.zetaeval import EvalConfig, davenport_heilbronn, zeta_em
+from hardyzeta.zetaeval import (
+    EvalConfig,
+    davenport_heilbronn,
+    hardy_z_rs,
+    zeta_em,
+)
 
 SIN = SampledFunction(math.sin, "sin")
 
@@ -46,6 +52,8 @@ class TestScan:
             scan_sign_changes(SIN, Interval(0.0, 1.0), 2.0)
         with pytest.raises(DomainError):
             scan_sign_changes(SIN, Interval(0.0, 1.0), 0.0)
+        with pytest.raises(DomainError):
+            scan_sign_changes(SIN, Interval(0.0, 1.0), math.nan)
 
     def test_hardy_brackets_up_to_50(self):
         from hardyzeta.zerofinder import hardy_rs_function
@@ -72,6 +80,20 @@ class TestRefine:
     def test_derivative_estimate(self):
         r = refine_zero(SIN, (3.0, 3.3), 1e-10)
         assert r.derivative == pytest.approx(math.cos(math.pi), abs=1e-4)
+
+    def test_evaluates_each_point_once(self):
+        seen = []
+        f = SampledFunction(lambda x: seen.append(x) or math.sin(x), "sin")
+        r = refine_zero(f, (3.0, 3.3), 1e-12)
+        assert abs(r.location - math.pi) < 1e-12
+        assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("bracket", [(2.0, 3.0), (1.0, 2.0)])
+    def test_exact_zero_at_bracket_end(self, bracket):
+        r = refine_zero(SampledFunction(lambda x: x - 2.0, "x-2"), bracket)
+        assert r.location == 2.0
+        assert r.residual == 0.0
+        assert r.derivative == pytest.approx(1.0)
 
 
 class TestCountEstimate:
@@ -115,6 +137,28 @@ class TestCriticalZeros:
         assert len(fine) == len(coarse) == 11
         assert max(abs(x - y) for x, y in zip(fine, coarse)) < 1e-9
 
+    def test_scan_evaluates_each_height_once(self, monkeypatch):
+        seen = []
+
+        def counted(t, cfg=None):
+            seen.append(t)
+            return hardy_z_rs(t, cfg)
+
+        monkeypatch.setattr(zerofinder, "hardy_z_rs", counted)
+        recs = find_critical_zeros(Interval(7000.0, 7010.0), step=0.01)
+        assert len(recs) == 11
+        assert len(seen) == len(set(seen))
+
+    def test_refuses_em_terms_below_default_cutoff(self):
+        with pytest.raises(DomainError, match="4463"):
+            find_critical_zeros(Interval(7000.0, 7010.0),
+                                cfg=EvalConfig(em_terms=200))
+        # The default cutoff itself is accepted.
+        iv = Interval(10.0, 20.0)
+        with pytest.raises(DomainError, match="em_terms=49"):
+            find_critical_zeros(iv, cfg=EvalConfig(em_terms=49))
+        assert len(find_critical_zeros(iv, cfg=EvalConfig(em_terms=50))) == 1
+
     def test_residuals_tiny_relative_to_local_scale(self):
         recs = find_critical_zeros(Interval(10.0, 60.0), step=0.01, tol=1e-12)
         z = hardy_em_function()
@@ -157,6 +201,11 @@ class TestLehmer:
         z = hardy_em_function()
         assert abs(z.eval(p.t_low)) < 1e-6
         assert abs(z.eval(p.t_high)) < 1e-6
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+    def test_threshold_domain(self, threshold):
+        with pytest.raises(DomainError, match="threshold"):
+            lehmer_scan(Interval(7000.0, 7010.0), threshold=threshold)
 
     def test_infinite_threshold_returns_all_gaps(self):
         pairs = lehmer_scan(Interval(10.0, 50.0), threshold=math.inf)
