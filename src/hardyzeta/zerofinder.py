@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, ContourError, DomainError
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, ThetaMode, theta, theta_derivative
-from .zetaeval import DEFAULT_CONFIG, EvalConfig, generalized_hardy, hardy_z_rs
+from .zetaeval import EvalConfig, generalized_hardy, hardy_z_rs
 
 #: Largest height validated for double-precision scanning.
 MAX_SCAN_HEIGHT = 1.0e4
@@ -189,8 +189,8 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     growth that refine_zero accepts gives the record.  Brackets that
     refine_zero rejects at every growth, because their sign change never
     survives on the accurate route, are discarded as scanning artifacts.
-    A fixed em_terms below the default cutoff at the top of the interval
-    is refused, since refinement on so short a sum loses zeros silently.
+    An em_terms too short for the interval raises DomainError at the
+    first Euler-Maclaurin refinement (see zetaeval._em_sum).
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -199,12 +199,6 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     if interval.b > MAX_SCAN_HEIGHT:
         raise DomainError(
             f"interval exceeds the validated height {MAX_SCAN_HEIGHT:g}"
-        )
-    needed = DEFAULT_CONFIG.cutoff(interval.b)
-    if cfg is not None and cfg.em_terms is not None and cfg.em_terms < needed:
-        raise DomainError(
-            f"em_terms={cfg.em_terms} is below the cutoff {needed} that "
-            f"Euler-Maclaurin refinement needs up to t={interval.b:g}"
         )
     z_rs = hardy_rs_function(cfg)
     z_em = hardy_em_function(cfg)

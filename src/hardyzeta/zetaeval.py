@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +24,8 @@ import numpy as np
 from .errors import DomainError, PoleError
 from .specialfn import TWO_PI, ThetaMode, _require_finite, log_gamma, theta
 
-# Bernoulli numbers B_2 .. B_30 as exact rationals; the Euler-Maclaurin
-# correction coefficients are B_{2k}/(2k)!.
+# Bernoulli numbers B_2 .. B_18 as exact rationals: the EM_ORDER
+# correction coefficients B_{2k}/(2k)! and the first omitted one.
 _BERNOULLI_EVEN = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -37,20 +36,21 @@ _BERNOULLI_EVEN = (
     Fraction(7, 6),
     Fraction(-3617, 510),
     Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-    Fraction(-23749461029, 870),
-    Fraction(8615841276005, 14322),
 )
-
-MAX_BERNOULLI_ORDER = len(_BERNOULLI_EVEN)
 
 _EM_COEF = tuple(
     float(b / math.factorial(2 * (k + 1)))
     for k, b in enumerate(_BERNOULLI_EVEN)
 )
+
+#: Bernoulli correction terms m in every Euler-Maclaurin sum.
+EM_ORDER = 8
+
+#: Largest Backlund truncation bound allowed, relative to max(1, |value|).
+EM_TOL = 1e-8
+
+#: Most terms one Euler-Maclaurin or Riemann-Siegel evaluation sums.
+MAX_TERMS = 10**6
 
 #: Mixing constant of the Davenport-Heilbronn combination,
 #: (sqrt(10 - 2 sqrt 5) - 2) / (sqrt 5 - 1) ~= 0.2840790438.
@@ -70,26 +70,19 @@ class EvalConfig:
 
     em_terms: Euler-Maclaurin cutoff N; None picks max(50, ceil(2|t|/pi)),
         which keeps the truncation error near 1e-12 throughout the
-        validated range t <= 1e4.
-    em_bernoulli_order: number of Bernoulli correction terms (<= 15;
-        double precision degrades beyond that).
+        validated range t <= 1e4.  Either way, values that Backlund's
+        bound does not certify raise DomainError (see _em_sum).
     rs_remainder_order: -1 drops the Riemann-Siegel remainder, 0 adds the
         leading (t/2pi)^(-1/4) correction term.  Higher orders are not
         implemented.
     """
 
     em_terms: int | None = None
-    em_bernoulli_order: int = 8
     rs_remainder_order: int = 0
 
     def __post_init__(self):
         if self.em_terms is not None and self.em_terms < 1:
             raise DomainError(f"em_terms must be >= 1, got {self.em_terms}")
-        if not 1 <= self.em_bernoulli_order <= MAX_BERNOULLI_ORDER:
-            raise DomainError(
-                f"em_bernoulli_order must be in [1, {MAX_BERNOULLI_ORDER}], "
-                f"got {self.em_bernoulli_order}"
-            )
         if self.rs_remainder_order not in (-1, 0):
             raise DomainError(
                 "rs_remainder_order must be -1 (no remainder) or 0 "
@@ -133,51 +126,60 @@ def _config(cfg: EvalConfig | None) -> EvalConfig:
     return DEFAULT_CONFIG if cfg is None else cfg
 
 
-def _em_tail(s: complex, base: float, order: int) -> complex:
-    """Euler-Maclaurin boundary terms at cutoff `base` (= N or N+a).
-
-    base^{1-s}/(s-1) + base^{-s}/2 + sum_k B_{2k}/(2k)! (s)_{2k-1}
-    base^{1-s-2k}.
-    """
+def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
+    """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
+    sum_{n<terms} (n+a)^{-s} plus the boundary terms at base = terms+a
+    with m = EM_ORDER Bernoulli corrections.  Raises DomainError, naming
+    the caller's cutoff em_terms, if em_terms > MAX_TERMS, if Backlund's
+    premises base > |t|/2pi and sigma+2m+1 > 0 fail, or if his bound
+    |s+2m+1|/(sigma+2m+1) |T_{m+1}| on the truncation error (T_{m+1} the
+    first omitted term) exceeds EM_TOL max(1, |value|).  The bound does
+    not cover rounding in the head sum."""
+    base = terms + a
+    edge = 2 * EM_ORDER + 1 + s.real
+    if em_terms > MAX_TERMS:
+        raise DomainError(f"em_terms={em_terms} exceeds MAX_TERMS={MAX_TERMS}")
+    if base <= abs(s.imag) / TWO_PI or edge <= 0.0:
+        raise DomainError(
+            f"em_terms={em_terms} at s={s} fails the premises of the "
+            f"Backlund bound: cutoff above |Im s|/2pi="
+            f"{abs(s.imag) / TWO_PI:.1f}, Re s > {-2 * EM_ORDER - 1}"
+        )
+    ns = np.arange(0, terms, dtype=float) + a
+    head = complex(np.sum(ns ** (-s)))
     pw1 = base ** (1.0 - s)
-    total = pw1 / (s - 1.0) + 0.5 * pw1 / base
+    tail = pw1 / (s - 1.0) + 0.5 * pw1 / base
     inv2 = base ** -2.0
     poch = s
     pw = pw1 * inv2
-    for k in range(1, order + 1):
-        total += _EM_COEF[k - 1] * poch * pw
+    for k in range(EM_ORDER):
+        tail += _EM_COEF[k] * poch * pw
         pw *= inv2
-        poch *= (s + (2 * k - 1)) * (s + 2 * k)
-    return total
-
-
-def _em_sum(s: complex, a: float, terms: int, order: int) -> complex:
-    """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
-    sum_{n<terms} (n+a)^{-s} plus the boundary terms at terms+a."""
-    ns = np.arange(0, terms, dtype=float) + a
-    head = complex(np.sum(ns ** (-s)))
-    return head + _em_tail(s, terms + a, order)
+        poch *= (s + (2 * k + 1)) * (s + (2 * k + 2))
+    value = head + tail
+    bound = abs(s + (2 * EM_ORDER + 1)) / edge * abs(
+        _EM_COEF[EM_ORDER] * poch * pw)
+    if bound > EM_TOL * max(1.0, abs(value)):
+        raise DomainError(
+            f"em_terms={em_terms} leaves an Euler-Maclaurin truncation bound "
+            f"of {bound:.1e} at s={s}, above EM_TOL={EM_TOL:g} relative"
+        )
+    return value
 
 
 def zeta_em(s: complex, cfg: EvalConfig | None = None) -> complex:
     """Riemann zeta via Euler-Maclaurin summation, valid on C minus {1}.
 
     zeta(s) = sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2 + Bernoulli
-    corrections.  Warns when |Im s| > 2 pi N, the heuristic edge of the
-    expansion's validity.
+    corrections.  Raises DomainError where Backlund's bound does not
+    certify the value (see _em_sum).
     """
     s = _require_finite(s, "s")
     cfg = _config(cfg)
     if s == 1.0:
         raise PoleError("zeta has a pole at s=1")
     n_cut = cfg.cutoff(s.imag)
-    if abs(s.imag) > TWO_PI * n_cut:
-        warnings.warn(
-            f"|Im s|={abs(s.imag):.1f} exceeds 2*pi*em_terms={TWO_PI * n_cut:.1f}; "
-            "Euler-Maclaurin accuracy degrades",
-            stacklevel=2,
-        )
-    return _em_sum(s, 1.0, n_cut - 1, cfg.em_bernoulli_order)
+    return _em_sum(s, 1.0, n_cut - 1, n_cut)
 
 
 def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex:
@@ -192,7 +194,8 @@ def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex
         raise DomainError(f"hurwitz offset a must lie in (0, 1], got {a}")
     if s == 1.0:
         raise PoleError("hurwitz zeta has a pole at s=1")
-    return _em_sum(s, a, cfg.cutoff(s.imag), cfg.em_bernoulli_order)
+    n_cut = cfg.cutoff(s.imag)
+    return _em_sum(s, a, n_cut, n_cut)
 
 
 def _rs_psi(p: float) -> float:
@@ -221,7 +224,7 @@ def hardy_z_rs(t: float, cfg: EvalConfig | None = None) -> float:
 
     2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n) with N = floor
     sqrt(t/2pi), plus the leading remainder term when
-    rs_remainder_order >= 0.  Requires t >= 2 pi so that N >= 1.  Uses
+    rs_remainder_order >= 0.  Requires 1 <= N <= MAX_TERMS.  Uses
     the asymptotic theta (exact theta below t=10), keeping this route
     fully independent of the Euler-Maclaurin one.
     """
@@ -232,6 +235,8 @@ def hardy_z_rs(t: float, cfg: EvalConfig | None = None) -> float:
         raise DomainError(f"riemann-siegel sum needs t >= 2*pi, got t={t}")
     root = math.sqrt(t / TWO_PI)
     n_main = int(math.floor(root))
+    if n_main > MAX_TERMS:
+        raise DomainError(f"riemann-siegel sum at t={t:g} exceeds MAX_TERMS")
     if t >= 10.0:
         th = theta(t, ThetaMode.ASYMPTOTIC)
     else:

@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import jsonschema
 import pytest
@@ -41,8 +40,16 @@ class TestExitCodes:
         (("zeros", "--interval", "10:20", "--step", "nan"), "step"),
         (("lehmer", "--interval", "10:20", "--threshold", "nan"), "threshold"),
         (("lehmer", "--interval", "10:20", "--threshold", "0"), "threshold"),
+        (("--em-terms", "200", "z", "--method", "em", "--t", "7005"),
+         "em_terms"),
+        (("--em-terms", "2000", "z", "--method", "em", "--t", "7005"),
+         "em_terms"),
+        (("--em-terms", "20", "dh-scan", "--box", "0.51:1:80:90"),
+         "em_terms"),
+        (("gz", "--sigma", "-20", "--t", "1"), "em_terms"),
     ], ids=["em-terms-0", "em-terms-200", "step-nan", "threshold-nan",
-            "threshold-0"])
+            "threshold-0", "z-em-terms-200", "z-em-terms-2000",
+            "dh-scan-em-terms-20", "gz-sigma-minus-20"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -256,7 +263,6 @@ class TestReport:
     def test_config_dict_is_flat(self):
         assert RunConfig().as_dict() == {
             "em_terms": None,
-            "em_bernoulli_order": 8,
             "rs_remainder_order": 0,
             "quad_order": 256,
             "interval": [10.0, 50.0],
@@ -264,10 +270,8 @@ class TestReport:
 
     def test_cli_report_embeds_em_terms(self, capsys, tmp_path):
         out = tmp_path / "r.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, _, _ = run_cli(capsys, "--em-terms", "200", "report",
-                                 "--out", str(out))
+        code, _, _ = run_cli(capsys, "--em-terms", "200", "report",
+                             "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["config"]["em_terms"] == 200
 

@@ -150,14 +150,14 @@ class TestCriticalZeros:
         assert len(seen) == len(set(seen))
 
     def test_refuses_em_terms_below_default_cutoff(self):
-        with pytest.raises(DomainError, match="4463"):
+        with pytest.raises(DomainError, match="em_terms=200"):
             find_critical_zeros(Interval(7000.0, 7010.0),
                                 cfg=EvalConfig(em_terms=200))
-        # The default cutoff itself is accepted.
+        # A cutoff below the default that the bound certifies is accepted.
         iv = Interval(10.0, 20.0)
-        with pytest.raises(DomainError, match="em_terms=49"):
-            find_critical_zeros(iv, cfg=EvalConfig(em_terms=49))
-        assert len(find_critical_zeros(iv, cfg=EvalConfig(em_terms=50))) == 1
+        (short,) = find_critical_zeros(iv, cfg=EvalConfig(em_terms=49))
+        (default,) = find_critical_zeros(iv)
+        assert abs(short.location - default.location) < 1e-10
 
     def test_residuals_tiny_relative_to_local_scale(self):
         recs = find_critical_zeros(Interval(10.0, 60.0), step=0.01, tol=1e-12)

@@ -7,7 +7,9 @@ import pytest
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma
 from hardyzeta.zetaeval import (
+    EM_TOL,
     KAPPA,
+    MAX_TERMS,
     EvalConfig,
     davenport_heilbronn,
     dirichlet_l_mod5,
@@ -53,9 +55,35 @@ class TestZetaEm:
         with pytest.raises(DomainError):
             zeta_em(complex(0.5, float("inf")))
 
-    def test_accuracy_warning(self):
-        with pytest.warns(UserWarning):
+    def test_refuses_uncertified_cutoff(self):
+        with pytest.raises(DomainError, match="em_terms=20"):
             zeta_em(complex(0.5, 400.0), EvalConfig(em_terms=20))
+
+    @pytest.mark.parametrize("s", [0.5 + 300j, 0.5 + 1000j, 2 + 500j, -1 + 200j])
+    def test_smallest_certified_cutoff_meets_tolerance(self, s):
+        n = math.ceil(s.imag / (2.0 * math.pi))
+        while True:
+            try:
+                value = zeta_em(s, EvalConfig(em_terms=n))
+                break
+            except DomainError:
+                n += 1
+        oracle = zeta_em(s, EvalConfig(em_terms=10**4))
+        assert abs(value - oracle) <= EM_TOL * max(1.0, abs(value))
+
+    def test_default_cutoff_always_certified(self):
+        for sigma in np.linspace(-2.0, 3.0, 6):
+            for t in (-1e4, -2500.0, -30.0, 0.5, 14.1, 700.0, 5000.0, 1e4):
+                s = complex(sigma, t)
+                zeta_em(s)
+                for a in (1.0, 0.5, 0.05):
+                    hurwitz_zeta(s, a)
+
+    def test_refuses_more_than_max_terms(self):
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            zeta_em(complex(0.5, 10.0), EvalConfig(em_terms=MAX_TERMS + 1))
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            hardy_z_rs(1.3e13)
 
     def test_schwarz_reflection_grid(self):
         for sigma in np.linspace(-2.0, 3.0, 6):
@@ -73,8 +101,6 @@ class TestZetaEm:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EvalConfig(em_terms=0)
-        with pytest.raises(DomainError):
-            EvalConfig(em_bernoulli_order=16)
         with pytest.raises(DomainError):
             EvalConfig(rs_remainder_order=1)
 
