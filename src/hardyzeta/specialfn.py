@@ -1,6 +1,6 @@
 """Complex special functions used everywhere else in the package.
 
-Provides a complex log-gamma (Lanczos, g=7, 9 terms), the reflection
+Provides a complex log-gamma (scipy.special.loggamma), the reflection
 factor chi(s) = 2^(s-1) pi^s / (cos(pi s/2) Gamma(s)), and the
 Riemann-Siegel theta phase in two independent forms: an exact one built
 on log-gamma and the classical asymptotic expansion.  Having both forms
@@ -14,6 +14,8 @@ import math
 import warnings
 from enum import Enum
 
+from scipy.special import loggamma
+
 from .errors import DomainError, PoleError
 
 TWO_PI = 2.0 * math.pi
@@ -23,22 +25,6 @@ LOG_2 = math.log(2.0)
 #: Smallest t at which the asymptotic theta expansion is trusted; below this
 #: the truncated tail is no longer negligible and a warning is emitted.
 DEFAULT_T_MIN = 10.0
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# reconstructed Gamma is ~1e-13 over the right half plane, which makes the
-# absolute error of log_gamma itself ~1e-13.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Asymptotic theta: t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3)
 # + 31/(80640t^5).  Exactly these six terms, nothing more.
@@ -65,46 +51,21 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _log_gamma_lanczos(z: complex) -> complex:
-    """Lanczos core, valid for Re z >= 0.5 (both half planes in Im)."""
-    zm1 = z - 1.0
-    acc = complex(_LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (zm1 + k)
-    w = zm1 + _LANCZOS_G + 0.5
-    return (
-        0.5 * math.log(TWO_PI)
-        + (zm1 + 0.5) * cmath.log(w)
-        - w
-        + cmath.log(acc)
-    )
-
-
 def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z); exp(log_gamma(z)) == Gamma(z).
 
-    The branch is the analytic continuation that is real on the positive
-    real axis, so the imaginary part is continuous along vertical lines
-    with Re z > 0 (it is not reduced mod 2*pi).  Raises PoleError at the
-    non-positive integers.
+    Calls scipy.special.loggamma (Hare's algorithm).  The branch is real
+    on the positive real axis and analytic off the negative real axis, so
+    the imaginary part is continuous along vertical lines with Re z > 0
+    (it is not reduced mod 2*pi).  On the negative real axis the sign of a
+    zero imaginary part picks the side of the cut, so log_gamma(conj z) ==
+    conj(log_gamma(z)) everywhere.  Raises DomainError for non-finite z and
+    PoleError at the non-positive integers.
     """
     z = _require_finite(z, "z")
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z={z}")
-    if z.imag < 0.0:
-        return log_gamma(z.conjugate()).conjugate()
-    if z.real >= 0.5:
-        return _log_gamma_lanczos(z)
-    # Reflection through Gamma(z)Gamma(1-z) = pi/sin(pi z), with the sine
-    # log expanded so its branch stays continuous for Im z >= 0:
-    #   log sin(pi z) = log(1/2) + i pi/2 - i pi z + log(1 - e^{2 i pi z})
-    log_sin = (
-        -LOG_2
-        + 0.5j * math.pi
-        - 1j * math.pi * z
-        + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-    )
-    return LOG_PI - log_sin - _log_gamma_lanczos(1.0 - z)
+    return complex(loggamma(z))
 
 
 def _log_cos(w: complex) -> complex:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,3 +83,15 @@ class TestSvg:
 def test_public_names_resolve():
     for name in hardyzeta.__all__:
         assert hasattr(hardyzeta, name), name
+
+
+def test_package_import_does_not_load_mpmath():
+    # mpmath is the benchmark's oracle only; the package must not load it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, hardyzeta; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

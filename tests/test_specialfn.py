@@ -52,9 +52,24 @@ class TestLogGamma:
                 z = complex(re, im)
                 assert abs(log_gamma(z) - complex(scipy_loggamma(z))) < 1e-11
 
-    def test_conjugate_symmetry(self):
-        z = complex(0.3, 12.7)
+    @pytest.mark.parametrize("z", [0.3 + 12.7j, -2.3 + 0.0j, -0.7 + 0.0j])
+    def test_conjugate_symmetry(self, z):
+        # On the negative real axis the signed zero of Im z picks the side
+        # of the branch cut, so -0.0 must give the conjugate of +0.0.
         assert log_gamma(z.conjugate()) == log_gamma(z).conjugate()
+
+    @pytest.mark.parametrize(
+        "z, expected",
+        [
+            # Frozen from mpmath.loggamma at 40 digits.
+            (0.25 + 7.065j, -10.667368756066683601 + 6.3569318131049627906j),
+            (0.25 + 50.0j, -78.598880432701842504 + 145.20865952425722833j),
+            (-0.3 - 7.0j, -11.634424736051268852 - 5.3250009182951028939j),
+            (2.5 + 30.0j, -39.401169197616284552 + 75.112279562959702944j),
+        ],
+    )
+    def test_matches_frozen_high_precision_values(self, z, expected):
+        assert abs(log_gamma(z) - expected) <= 1e-15 * abs(expected)
 
 
 class TestChi:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hardyzeta.errors import DomainError, PoleError
-from hardyzeta.specialfn import chi, log_gamma
+from hardyzeta.specialfn import chi, log_gamma, theta
 from hardyzeta.zetaeval import (
     EM_TOL,
     KAPPA,
@@ -184,6 +184,12 @@ class TestGeneralizedHardy:
     def test_pole(self):
         with pytest.raises(PoleError):
             generalized_hardy(1.0, 0.0)
+
+    def test_real_axis_values_are_exactly_real(self):
+        # theta(0) = Im log Gamma(1/4) is exactly 0, so zeta(sigma) on the
+        # real axis has no perpendicular component, not even at roundoff.
+        assert theta(0.0) == 0.0
+        assert generalized_hardy(-1.5, 0.0).y == 0.0
 
 
 class TestSpiral:
