@@ -71,9 +71,9 @@ RISK_AMPLITUDE = 0.2
 
 
 def _straddles(vals: np.ndarray) -> np.ndarray:
-    """The bracket rule: True at i when vals[i], vals[i+1] strictly
-    change sign."""
-    v0, v1 = vals[:-1], vals[1:]
+    """The bracket rule along the last axis: True at i when vals[..., i],
+    vals[..., i+1] strictly change sign."""
+    v0, v1 = vals[..., :-1], vals[..., 1:]
     return ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
 
 
@@ -85,7 +85,8 @@ def _scan(f: SampledFunction, interval: Interval, step: float,
     bracket of +/- step/10 around the point.  When risk_amplitude is
     set, cells without a sign change whose smaller endpoint |f| dips
     under it are rescanned at step/10, since a pair of zeros hiding
-    inside one cell forces the neighbouring grid values down.
+    inside one cell forces the neighbouring grid values down; all
+    rescan points go to f in one sample call, after the grid's.
     """
     if not 0.0 < step < interval.width:
         raise DomainError(
@@ -105,15 +106,20 @@ def _scan(f: SampledFunction, interval: Interval, step: float,
             brackets.append((lo, hi))
         elif change[i]:
             brackets.append((float(xs[i]), float(xs[i + 1])))
-        elif (risk_amplitude is not None
-              and min(abs(vals[i]), abs(vals[i + 1])) < risk_amplitude):
-            # linspace returns both cell ends exactly: reuse their values.
-            sub = np.linspace(xs[i], xs[i + 1], 11)
-            sub_vals = np.r_[vals[i], f.sample(sub[1:-1]), vals[i + 1]]
-            brackets.extend((float(sub[j]), float(sub[j + 1]))
-                            for j in np.flatnonzero(_straddles(sub_vals)))
     if vals[-1] == 0.0:
         brackets.append((max(interval.a, xs[-1] - 0.1 * step), float(xs[-1])))
+    if risk_amplitude is not None:
+        low = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < risk_amplitude
+        cells = np.flatnonzero(low & ~change & (vals[:-1] != 0.0))
+        # One row of 11 points per cell; linspace returns both cell ends
+        # exactly, so their values are reused.
+        sub = np.linspace(xs[cells], xs[cells + 1], 11, axis=1)
+        sub_vals = np.empty_like(sub)
+        sub_vals[:, 0], sub_vals[:, -1] = vals[cells], vals[cells + 1]
+        sub_vals[:, 1:-1] = f.sample(sub[:, 1:-1].ravel()).reshape(-1, 9)
+        rows, cols = np.nonzero(_straddles(sub_vals))
+        brackets.extend((float(sub[r, j]), float(sub[r, j + 1]))
+                        for r, j in zip(rows, cols))
     return brackets
 
 

@@ -126,6 +126,15 @@ def _config(cfg: EvalConfig | None) -> EvalConfig:
     return DEFAULT_CONFIG if cfg is None else cfg
 
 
+def _powers(ns: np.ndarray, p: complex) -> np.ndarray:
+    """ns ** p for positive real ns, as exp(p log ns): one real log and
+    one complex exp per term instead of a general complex power.  glibc's
+    cpow is cexp(p clog x), and clog of a positive integer equals its
+    real log, so for integer ns the two agree bit for bit; non-integer
+    bases near 1 take another clog path and differ by roundoff."""
+    return np.exp(p * np.log(ns))
+
+
 def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
     """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
     sum_{n<terms} (n+a)^{-s} plus the boundary terms at base = terms+a
@@ -146,7 +155,7 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
             f"{abs(s.imag) / TWO_PI:.1f}, Re s > {-2 * EM_ORDER - 1}"
         )
     ns = np.arange(0, terms, dtype=float) + a
-    head = complex(np.sum(ns ** (-s)))
+    head = complex(np.sum(_powers(ns, -s)))
     pw1 = base ** (1.0 - s)
     tail = pw1 / (s - 1.0) + 0.5 * pw1 / base
     inv2 = base ** -2.0
@@ -275,7 +284,7 @@ def dirichlet_partial_sums(s: complex, n_max: int) -> SpiralPath:
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     ns = np.arange(1, n_max + 1, dtype=float)
-    terms = ns ** (-s)
+    terms = _powers(ns, -s)
     points = np.cumsum(terms)
     midpoints = 0.5 * (points[:-1] + points[1:])
     return SpiralPath(points=points, midpoints=midpoints)
@@ -296,7 +305,7 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     lhs = TWO_PI * zeta_em(s) * cmath.exp(-log_gamma(1.0 - s))
     ns = np.arange(1, n_max + 1, dtype=float)
-    series = complex(np.sum(ns ** (s - 1.0)))
+    series = complex(np.sum(_powers(ns, s - 1.0)))
     # (-i)^{s-1} + i^{s-1} with principal powers; constant in n.
     mirror = cmath.exp((s - 1.0) * complex(0.0, -0.5 * math.pi)) + cmath.exp(
         (s - 1.0) * complex(0.0, 0.5 * math.pi)

@@ -149,6 +149,20 @@ class TestCriticalZeros:
         assert len(recs) == 11
         assert len(seen) == len(set(seen))
 
+    def test_risk_rescan_samples_once(self, monkeypatch):
+        # One sample call for the grid, one for every low-amplitude cell.
+        calls = []
+        sample = SampledFunction.sample
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return sample(self, xs)
+
+        monkeypatch.setattr(SampledFunction, "sample", counted)
+        recs = find_critical_zeros(Interval(7000.0, 7010.0), step=0.01)
+        assert len(recs) == 11
+        assert len(calls) == 2
+
     def test_refuses_em_terms_below_default_cutoff(self):
         with pytest.raises(DomainError, match="em_terms=200"):
             find_critical_zeros(Interval(7000.0, 7010.0),

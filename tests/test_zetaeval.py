@@ -122,6 +122,28 @@ class TestHurwitz:
         val = hurwitz_zeta(3.0 + 0.0j, 0.3).real
         assert partial < val < partial + 1.1 * tail_hi
 
+    @pytest.mark.parametrize(
+        "s, a, expected",
+        [
+            # Frozen from mpmath.zeta(s, a) at 40 digits.
+            (0.7 + 9000.0j, 0.4,
+             -0.97869089020372812379 + 0.48634806759215144867j),
+            (0.75 + 300.0j, 0.2,
+             1.4243494606291063338 - 1.2131110905926464715j),
+            (0.51 + 85.0j, 0.8,
+             2.537857077881726955 + 0.13437520600665853965j),
+            (0.5 + 9000.3j, 1.0,
+             -0.29843229534161385484 + 0.19666617749052228563j),
+            (2.5 + 5000.0j, 0.6,
+             -3.3679504579026271092 - 0.18247490317875776656j),
+            (-1.0 + 2000.0j, 0.3,
+             169.12285137849362639 - 5792.4664054594253416j),
+        ],
+    )
+    def test_matches_frozen_high_precision_values(self, s, a, expected):
+        tol = 1e-10 * max(1.0, abs(expected))
+        assert abs(hurwitz_zeta(s, a) - expected) <= tol
+
     def test_domain(self):
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0 + 0.0j, 0.0)
