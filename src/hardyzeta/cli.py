@@ -198,7 +198,7 @@ def _cmd_theta(args, cfg) -> int:
 
 def _cmd_z(args, cfg) -> int:
     if args.method == "rs":
-        value = hardy_z_rs(args.t, cfg)
+        value = hardy_z_rs(args.t)
     else:
         value = generalized_hardy(0.5, args.t, cfg).z
     if args.json:

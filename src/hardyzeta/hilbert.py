@@ -26,6 +26,10 @@ from .zetaeval import EvalConfig, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
 
+#: Gram-Schmidt refuses an input whose residual after orthogonalization
+#: drops below this fraction of its own norm.
+DEPENDENCE_TOL = 1e-10
+
 #: Smallest quadrature order picked by default (oscillation_order, and
 #: polyzero.project for low degrees).
 MIN_QUAD_ORDER = 32
@@ -167,15 +171,16 @@ def _combination(coeffs: np.ndarray,
     return _eval
 
 
-def gram_schmidt(fs: Sequence[SampledFunction], rule: QuadratureRule,
-                 tol: float = 1e-10) -> list[SampledFunction]:
+def gram_schmidt(fs: Sequence[SampledFunction],
+                 rule: QuadratureRule) -> list[SampledFunction]:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     The first output IS the first input (same callback, bit-identical
     values); later outputs are explicit linear combinations of the
     inputs, so they remain evaluable anywhere on the interval.  Outputs
     are not normalized.  Raises DependenceError naming the first index
-    whose residual drops below tol relative to the input's norm.
+    whose residual drops below DEPENDENCE_TOL relative to the input's
+    norm.
     """
     if len(fs) < 1:
         raise DomainError("gram_schmidt needs at least one function")
@@ -197,9 +202,9 @@ def gram_schmidt(fs: Sequence[SampledFunction], rule: QuadratureRule,
                 row -= c * coeff_rows[k]
         orig = math.sqrt(max(_dot(w, samples[i], samples[i]), 0.0))
         resid = math.sqrt(max(_dot(w, vec, vec), 0.0))
-        if resid < tol * orig:
+        if resid < DEPENDENCE_TOL * orig:
             raise DependenceError(index=i, residual=resid / orig if orig else 0.0,
-                                  tol=tol)
+                                  tol=DEPENDENCE_TOL)
         basis_vals.append(vec)
         basis_sq.append(_dot(w, vec, vec))
         coeff_rows.append(row)

@@ -1,22 +1,20 @@
 """Polynomial projection of interval functions and zero extraction.
 
-Functions are expanded in the shifted-Legendre basis of an interval
-(monomials are retained only to demonstrate how badly their normal
-equations condition); real zeros are pulled out of the expansion through
-the colleague/companion eigenvalue problem; and a convergence study
-tracks how the polynomial zeros approach the function's own zeros as
-the degree grows.
+Functions are expanded in the shifted-Legendre basis of an interval,
+real orthogonal polynomials as in the zero theorem the paper's argument
+runs through; real zeros are pulled out of the expansion through the
+colleague-matrix eigenvalue problem; and a convergence study tracks how
+the polynomial zeros approach the function's own zeros as the degree
+grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
 from .errors import DomainError, NumericsError
 from .hilbert import (
@@ -39,23 +37,16 @@ COEFF_TRIM = 1e-14
 IMAG_SNAP = 1e-8
 
 
-class Basis(Enum):
-    LEGENDRE = "legendre"
-    MONOMIAL = "monomial"
-
-
 @dataclass(frozen=True)
 class PolynomialRealCoeffs:
-    """Real polynomial in a basis attached to an interval.
+    """Real polynomial in the Legendre basis of an interval.
 
-    Legendre coefficients refer to P_n(u) with u the affine map of the
-    interval onto [-1, 1]; monomial coefficients refer to raw powers of
-    x (ascending).  Trailing coefficients under COEFF_TRIM * max|c| are
+    Coefficients refer to P_n(u) with u the affine map of the interval
+    onto [-1, 1].  Trailing coefficients under COEFF_TRIM * max|c| are
     dropped at construction.
     """
 
     coeffs: np.ndarray
-    basis: Basis
     interval: Interval
 
     def __post_init__(self):
@@ -79,9 +70,7 @@ class PolynomialRealCoeffs:
         return (2.0 * (np.asarray(x, dtype=float) - iv.a) / iv.width) - 1.0
 
     def evaluate(self, x):
-        if self.basis is Basis.LEGENDRE:
-            return npleg.legval(self._to_unit(x), self.coeffs)
-        return nppoly.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return npleg.legval(self._to_unit(x), self.coeffs)
 
     __call__ = evaluate
 
@@ -116,42 +105,25 @@ class ZeroComparison:
         return max(d for _, _, d in self.matched_pairs)
 
 
-def project(f: SampledFunction, interval: Interval, degree: int,
-            basis: Basis = Basis.LEGENDRE,
-            order: int | None = None) -> ProjectionResult:
+def project(f: SampledFunction, interval: Interval,
+            degree: int) -> ProjectionResult:
     """L2 projection of f onto polynomials of the given degree.
 
-    Legendre route: c_n = (2n+1)/(b-a) * <f, P_n(u(x))>, which is the
-    orthogonal projection.  Monomial route: solves the weighted normal
-    equations, whose Gram matrix is Hilbert-matrix-like and collapses
-    past degree ~12 (kept as a conditioning demonstration).  The
-    quadrature order defaults to max(2*degree, MIN_QUAD_ORDER).
+    c_n = (2n+1)/(b-a) * <f, P_n(u(x))>, the orthogonal projection, with
+    the inner products taken by the Gauss-Legendre rule of order
+    max(2*degree, MIN_QUAD_ORDER).
     """
     if not 1 <= degree <= MAX_PROJECT_DEGREE:
         raise DomainError(
             f"degree must be in [1, {MAX_PROJECT_DEGREE}], got {degree}"
         )
-    if order is None:
-        order = max(2 * degree, MIN_QUAD_ORDER)
-    if order < 2 * degree:
-        raise DomainError(
-            f"quadrature order {order} under-resolves degree {degree}; "
-            f"need >= {2 * degree}"
-        )
-    rule = gauss_legendre_rule(order, interval)
+    rule = gauss_legendre_rule(max(2 * degree, MIN_QUAD_ORDER), interval)
     fv = f.sample(rule.nodes)
     u = (2.0 * (rule.nodes - interval.a) / interval.width) - 1.0
-    if basis is Basis.LEGENDRE:
-        vander = npleg.legvander(u, degree)
-        scale = (2.0 * np.arange(degree + 1) + 1.0) / interval.width
-        coeffs = scale * (vander.T @ (rule.weights * fv))
-    else:
-        vander = nppoly.polyvander(rule.nodes, degree)
-        wv = vander * rule.weights[:, None]
-        gram = wv.T @ vander
-        rhs = wv.T @ fv
-        coeffs = np.linalg.solve(gram, rhs)
-    poly = PolynomialRealCoeffs(coeffs=coeffs, basis=basis, interval=interval)
+    vander = npleg.legvander(u, degree)
+    scale = (2.0 * np.arange(degree + 1) + 1.0) / interval.width
+    coeffs = scale * (vander.T @ (rule.weights * fv))
+    poly = PolynomialRealCoeffs(coeffs=coeffs, interval=interval)
     resid = fv - poly.evaluate(rule.nodes)
     l2_error = math.sqrt(max(float(np.sum(rule.weights * resid * resid)), 0.0))
     return ProjectionResult(poly=poly, l2_error=l2_error)
@@ -160,28 +132,20 @@ def project(f: SampledFunction, interval: Interval, degree: int,
 def poly_real_zeros(p: PolynomialRealCoeffs) -> list[float]:
     """All real zeros strictly inside the interval, ascending.
 
-    Legendre expansions go through the colleague-matrix eigenproblem,
-    monomials through the companion matrix; near-real eigenvalue pairs
-    are snapped onto the axis, the rest are discarded.
+    The roots come from the colleague-matrix eigenproblem; near-real
+    eigenvalue pairs are snapped onto the axis, the rest are discarded.
     """
     if p.degree < 1:
         raise DomainError("zero extraction needs degree >= 1")
     try:
-        if p.basis is Basis.LEGENDRE:
-            roots_u = np.atleast_1d(npleg.legroots(p.coeffs))
-        else:
-            roots_x = np.atleast_1d(np.roots(p.coeffs[::-1]))
+        roots_u = np.atleast_1d(npleg.legroots(p.coeffs))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigenvalue solver failed on degree "
                             f"{p.degree} polynomial: {exc}") from exc
     iv = p.interval
-    if p.basis is Basis.LEGENDRE:
-        roots_x = iv.a + 0.5 * iv.width * (roots_u + 1.0)
-        snap_scale = np.maximum(1.0, np.abs(np.real(roots_u)))
-        imag = np.abs(np.imag(np.atleast_1d(roots_u)))
-    else:
-        snap_scale = np.maximum(1.0, np.abs(np.real(roots_x)))
-        imag = np.abs(np.imag(roots_x))
+    roots_x = iv.a + 0.5 * iv.width * (roots_u + 1.0)
+    snap_scale = np.maximum(1.0, np.abs(np.real(roots_u)))
+    imag = np.abs(np.imag(roots_u))
     xs = np.real(roots_x)[imag <= IMAG_SNAP * snap_scale]
     return sorted(float(x) for x in xs if iv.a < x < iv.b)
 
@@ -231,7 +195,7 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
 
     The reference zeros come from a sign-change scan of f itself at
     step width/1000 plus bracketed refinement to 1e-12; for each degree
-    (ascending) the real zeros of the default-order projection are
+    (ascending) the real zeros of the degree-d projection are
     matched against them.  Raises if the zero counts still disagree at
     the largest degree.
     """

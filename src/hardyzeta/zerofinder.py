@@ -170,9 +170,11 @@ def zero_count_estimate(T: float) -> float:
     return theta(T, ThetaMode.EXACT) / math.pi + 1.0
 
 
-def hardy_rs_function(cfg: EvalConfig | None = None) -> SampledFunction:
+def hardy_rs_function() -> SampledFunction:
     """Z(t) via the Riemann-Siegel sum; the fast scanning route."""
-    return SampledFunction(eval=lambda t: hardy_z_rs(t, cfg), label="Z_rs")
+    # The lambda looks hardy_z_rs up at call time, so a wrapper set on
+    # this module's global after construction is still called.
+    return SampledFunction(eval=lambda t: hardy_z_rs(t), label="Z_rs")
 
 
 def hardy_em_function(cfg: EvalConfig | None = None) -> SampledFunction:
@@ -206,7 +208,7 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         raise DomainError(
             f"interval exceeds the validated height {MAX_SCAN_HEIGHT:g}"
         )
-    z_rs = hardy_rs_function(cfg)
+    z_rs = hardy_rs_function()
     z_em = hardy_em_function(cfg)
     brackets = _scan(z_rs, interval, step, RISK_AMPLITUDE)
     brackets.sort()
@@ -246,7 +248,7 @@ def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
     records = find_critical_zeros(interval, step=step, cfg=cfg)
-    z_rs = hardy_rs_function(cfg)
+    z_rs = hardy_rs_function()
     pairs: list[LehmerPair] = []
     for r0, r1 in zip(records[:-1], records[1:]):
         gap = r1.location - r0.location

@@ -49,8 +49,12 @@ EM_ORDER = 8
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
 EM_TOL = 1e-8
 
-#: Most terms one Euler-Maclaurin or Riemann-Siegel evaluation sums.
+#: Most terms one Euler-Maclaurin or Riemann-Siegel evaluation, or one
+#: Dirichlet partial-sum series, sums.
 MAX_TERMS = 10**6
+
+#: Machine epsilon of a double, for the head-sum rounding estimate.
+_EPS = 2.0**-52
 
 #: Mixing constant of the Davenport-Heilbronn combination,
 #: (sqrt(10 - 2 sqrt 5) - 2) / (sqrt 5 - 1) ~= 0.2840790438.
@@ -58,7 +62,6 @@ KAPPA = (math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) - 2.0) / (math.sqrt(5.0) - 1.0)
 
 # Odd Dirichlet character mod 5 fixed by chi(2) = i.
 _CHI5 = {1: 1.0 + 0.0j, 2: 1.0j, 3: -1.0j, 4: -1.0 + 0.0j}
-_CHI5_BAR = {a: ch.conjugate() for a, ch in _CHI5.items()}
 
 # Davenport-Heilbronn coefficients on the residues 1..4 mod 5.
 _DH_COEF = {1: 1.0, 2: KAPPA, 3: -KAPPA, 4: -1.0}
@@ -66,28 +69,19 @@ _DH_COEF = {1: 1.0, 2: KAPPA, 3: -KAPPA, 4: -1.0}
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation knobs for the evaluation kernels.
+    """Truncation knob of the Euler-Maclaurin kernels.
 
     em_terms: Euler-Maclaurin cutoff N; None picks max(50, ceil(2|t|/pi)),
         which keeps the truncation error near 1e-12 throughout the
         validated range t <= 1e4.  Either way, values that Backlund's
         bound does not certify raise DomainError (see _em_sum).
-    rs_remainder_order: -1 drops the Riemann-Siegel remainder, 0 adds the
-        leading (t/2pi)^(-1/4) correction term.  Higher orders are not
-        implemented.
     """
 
     em_terms: int | None = None
-    rs_remainder_order: int = 0
 
     def __post_init__(self):
         if self.em_terms is not None and self.em_terms < 1:
             raise DomainError(f"em_terms must be >= 1, got {self.em_terms}")
-        if self.rs_remainder_order not in (-1, 0):
-            raise DomainError(
-                "rs_remainder_order must be -1 (no remainder) or 0 "
-                f"(leading term), got {self.rs_remainder_order}"
-            )
 
     def cutoff(self, t: float) -> int:
         if self.em_terms is not None:
@@ -143,7 +137,9 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
     premises base > |t|/2pi and sigma+2m+1 > 0 fail, or if his bound
     |s+2m+1|/(sigma+2m+1) |T_{m+1}| on the truncation error (T_{m+1} the
     first omitted term) exceeds EM_TOL max(1, |value|).  The bound does
-    not cover rounding in the head sum."""
+    not cover rounding in the head sum; left of the critical strip, where
+    the head terms grow, it also raises when the rounding estimate
+    eps (base^{1-sigma}/(1-sigma) + 1) exceeds EM_TOL max(1, |value|)."""
     base = terms + a
     edge = 2 * EM_ORDER + 1 + s.real
     if em_terms > MAX_TERMS:
@@ -168,11 +164,20 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
     value = head + tail
     bound = abs(s + (2 * EM_ORDER + 1)) / edge * abs(
         _EM_COEF[EM_ORDER] * poch * pw)
-    if bound > EM_TOL * max(1.0, abs(value)):
+    limit = EM_TOL * max(1.0, abs(value))
+    if bound > limit:
         raise DomainError(
             f"em_terms={em_terms} leaves an Euler-Maclaurin truncation bound "
             f"of {bound:.1e} at s={s}, above EM_TOL={EM_TOL:g} relative"
         )
+    if s.real < 0.0:
+        sigma1 = 1.0 - s.real
+        rounding = _EPS * (base ** sigma1 / sigma1 + 1.0)
+        if rounding > limit:
+            raise DomainError(
+                f"Euler-Maclaurin head sum at s={s} carries rounding error "
+                f"up to {rounding:.1e}, above EM_TOL={EM_TOL:g} relative"
+            )
     return value
 
 
@@ -228,16 +233,15 @@ def _rs_psi(p: float) -> float:
     return math.cos(TWO_PI * (p * p - p - 0.0625)) / math.cos(TWO_PI * p)
 
 
-def hardy_z_rs(t: float, cfg: EvalConfig | None = None) -> float:
+def hardy_z_rs(t: float) -> float:
     """Hardy Z(t) by the Riemann-Siegel main sum, real by construction.
 
     2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n) with N = floor
-    sqrt(t/2pi), plus the leading remainder term when
-    rs_remainder_order >= 0.  Requires 1 <= N <= MAX_TERMS.  Uses
-    the asymptotic theta (exact theta below t=10), keeping this route
-    fully independent of the Euler-Maclaurin one.
+    sqrt(t/2pi), plus the leading remainder term C0 (t/2pi)^(-1/4).
+    Requires 1 <= N <= MAX_TERMS.  Uses the asymptotic theta (exact
+    theta below t=10), keeping this route fully independent of the
+    Euler-Maclaurin one.
     """
-    cfg = _config(cfg)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if t < TWO_PI:
@@ -253,11 +257,8 @@ def hardy_z_rs(t: float, cfg: EvalConfig | None = None) -> float:
     acc = 0.0
     for n in range(1, n_main + 1):
         acc += math.cos(th - t * math.log(n)) / math.sqrt(n)
-    value = 2.0 * acc
-    if cfg.rs_remainder_order >= 0:
-        p = root - n_main
-        value += (-1.0) ** (n_main - 1) * root ** -0.5 * _rs_psi(p)
-    return value
+    c0 = (-1.0) ** (n_main - 1) * root ** -0.5 * _rs_psi(root - n_main)
+    return 2.0 * acc + c0
 
 
 def generalized_hardy(sigma: float, t: float,
@@ -274,6 +275,13 @@ def generalized_hardy(sigma: float, t: float,
     return GeneralizedHardyValue(z=val.real, y=val.imag)
 
 
+def _check_n_max(n_max: int) -> None:
+    if not 1 <= n_max <= MAX_TERMS:
+        raise DomainError(
+            f"n_max must be in [1, MAX_TERMS={MAX_TERMS}], got {n_max}"
+        )
+
+
 def dirichlet_partial_sums(s: complex, n_max: int) -> SpiralPath:
     """Partial sums of the Dirichlet series sum n^{-s} and their midpoints.
 
@@ -281,8 +289,7 @@ def dirichlet_partial_sums(s: complex, n_max: int) -> SpiralPath:
     (k+1)^{-sigma}; midpoints trace the inverse spiral.
     """
     s = _require_finite(s, "s")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_n_max(n_max)
     ns = np.arange(1, n_max + 1, dtype=float)
     terms = _powers(ns, -s)
     points = np.cumsum(terms)
@@ -301,8 +308,7 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     s = _require_finite(s, "s")
     if s.real >= 0.0:
         raise DomainError(f"residue identity series needs Re s < 0, got {s}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_n_max(n_max)
     lhs = TWO_PI * zeta_em(s) * cmath.exp(-log_gamma(1.0 - s))
     ns = np.arange(1, n_max + 1, dtype=float)
     series = complex(np.sum(_powers(ns, s - 1.0)))
@@ -324,13 +330,13 @@ def _mod5_series(s: complex, coeffs: dict[int, complex | float],
     return cmath.exp(-s * math.log(5.0)) * total
 
 
-def dirichlet_l_mod5(s: complex, cfg: EvalConfig | None = None,
-                     conjugate: bool = False) -> complex:
-    """Dirichlet L for the odd mod-5 character with chi(2)=i (or its bar).
+def dirichlet_l_mod5(s: complex, cfg: EvalConfig | None = None) -> complex:
+    """Dirichlet L for the odd mod-5 character with chi(2)=i.
 
-    L(s, chi) = 5^{-s} sum_{a=1..4} chi(a) zeta(s, a/5).
+    L(s, chi) = 5^{-s} sum_{a=1..4} chi(a) zeta(s, a/5).  The conjugate
+    character's L-function follows as L(s, chi-bar) = conj(L(conj(s), chi)).
     """
-    return _mod5_series(s, _CHI5_BAR if conjugate else _CHI5, cfg)
+    return _mod5_series(s, _CHI5, cfg)
 
 
 def davenport_heilbronn(s: complex, cfg: EvalConfig | None = None) -> complex:

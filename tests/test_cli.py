@@ -1,10 +1,12 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from hardyzeta import hilbert, polyzero, report
+from hardyzeta import cli, hilbert, polyzero, report
 from hardyzeta.cli import main
 from hardyzeta.errors import DomainError
 from hardyzeta.report import RunConfig, load_schema, report_json, run_report
@@ -47,9 +49,13 @@ class TestExitCodes:
         (("--em-terms", "20", "dh-scan", "--box", "0.51:1:80:90"),
          "em_terms"),
         (("gz", "--sigma", "-20", "--t", "1"), "em_terms"),
+        (("gz", "--sigma", "-10", "--t", "1"), "rounding"),
+        (("spiral", "--sigma", "0.5", "--t", "30", "--n", "1000001"),
+         "MAX_TERMS"),
     ], ids=["em-terms-0", "em-terms-200", "step-nan", "threshold-nan",
             "threshold-0", "z-em-terms-200", "z-em-terms-2000",
-            "dh-scan-em-terms-20", "gz-sigma-minus-20"])
+            "dh-scan-em-terms-20", "gz-sigma-minus-20", "gz-sigma-minus-10",
+            "spiral-n-above-max-terms"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -263,7 +269,6 @@ class TestReport:
     def test_config_dict_is_flat(self):
         assert RunConfig().as_dict() == {
             "em_terms": None,
-            "rs_remainder_order": 0,
             "quad_order": 256,
             "interval": [10.0, 50.0],
         }
@@ -295,3 +300,20 @@ class TestReport:
     def test_config_rejects_unreportable_values(self, kwargs):
         with pytest.raises(DomainError):
             RunConfig(**kwargs)
+
+
+def test_readme_cli_examples_parse():
+    # Every `hardyzeta ...` line in README's command block must still
+    # parse, and together they must cover every subcommand.  Nothing runs.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text(encoding="utf-8").splitlines()
+             if ln.startswith("hardyzeta ")]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example no longer parses: {line}")
+        commands.add(args.command)
+    assert commands == set(cli._COMMANDS)

@@ -6,7 +6,6 @@ import pytest
 from hardyzeta.errors import DomainError
 from hardyzeta.hilbert import Interval, SampledFunction, hardy_function
 from hardyzeta.polyzero import (
-    Basis,
     PolynomialRealCoeffs,
     _match_sorted,
     poly_real_zeros,
@@ -46,30 +45,12 @@ class TestProject:
             project(f, Interval(0.0, 1.0), 0)
         with pytest.raises(DomainError):
             project(f, Interval(0.0, 1.0), 513)
-        with pytest.raises(DomainError):
-            project(f, Interval(0.0, 1.0), 8, order=10)
-
-    def test_monomial_normal_equations_collapse(self):
-        # same smooth target, same degree: the monomial route's
-        # Hilbert-like Gram matrix wrecks the fit, the Legendre route
-        # nails it.
-        f = SampledFunction(lambda x: math.sin(3.0 * x) * math.exp(-x), "s3e")
-        iv = Interval(0.0, 2.0)
-        leg = project(f, iv, 25, basis=Basis.LEGENDRE)
-        mono = project(f, iv, 25, basis=Basis.MONOMIAL)
-        assert leg.l2_error < 1e-12
-        assert mono.l2_error > 1e6 * leg.l2_error
 
 
 class TestPolyRealZeros:
-    def test_monomial_quadratic(self):
-        p = PolynomialRealCoeffs(np.array([-1.0, 0.0, 1.0]), Basis.MONOMIAL,
-                                 Interval(-2.0, 2.0))
-        assert poly_real_zeros(p) == pytest.approx([-1.0, 1.0], abs=1e-12)
-
     def test_legendre_p3(self):
         p = PolynomialRealCoeffs(np.array([0.0, 0.0, 0.0, 1.0]),
-                                 Basis.LEGENDRE, Interval(-1.0, 1.0))
+                                 Interval(-1.0, 1.0))
         r = math.sqrt(3.0 / 5.0)
         assert poly_real_zeros(p) == pytest.approx([-r, 0.0, r], abs=1e-12)
 
@@ -93,13 +74,12 @@ class TestPolyRealZeros:
             assert abs(res.poly.evaluate(z)) < 1e-8 * scale
 
     def test_degree_zero_rejected(self):
-        p = PolynomialRealCoeffs(np.array([2.0]), Basis.MONOMIAL,
-                                 Interval(0.0, 1.0))
+        p = PolynomialRealCoeffs(np.array([2.0]), Interval(0.0, 1.0))
         with pytest.raises(DomainError):
             poly_real_zeros(p)
 
     def test_trailing_trim(self):
-        p = PolynomialRealCoeffs(np.array([1.0, 1.0, 1e-20]), Basis.MONOMIAL,
+        p = PolynomialRealCoeffs(np.array([1.0, 1.0, 1e-20]),
                                  Interval(0.0, 1.0))
         assert p.degree == 1
 

@@ -140,9 +140,9 @@ class TestCriticalZeros:
     def test_scan_evaluates_each_height_once(self, monkeypatch):
         seen = []
 
-        def counted(t, cfg=None):
+        def counted(t):
             seen.append(t)
-            return hardy_z_rs(t, cfg)
+            return hardy_z_rs(t)
 
         monkeypatch.setattr(zerofinder, "hardy_z_rs", counted)
         recs = find_critical_zeros(Interval(7000.0, 7010.0), step=0.01)
