@@ -155,15 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=_list_arg(int, "integers"),
                    required=True)
 
+    step_help = ("grid step of the sign-change scan (default 0.01); at most "
+                 f"{zerofinder.MAX_SCAN_STEP:g}, below the smallest zero gap "
+                 "up to t = 1e4")
     p = sub.add_parser("zeros", parents=[common],
                        help="scan and refine critical-line zeros")
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=float, default=0.01, help=step_help)
 
     p = sub.add_parser("lehmer", parents=[common], help="close-pair scan")
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=float, default=0.01, help=step_help)
 
     p = sub.add_parser("dh-scan", parents=[common],
                        help="off-line zero count for the "

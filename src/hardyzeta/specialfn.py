@@ -124,6 +124,12 @@ def theta(t: float, mode: ThetaMode = ThetaMode.EXACT) -> float:
             "truncation error may exceed 1e-9",
             stacklevel=2,
         )
+    return _theta_asymptotic(t)
+
+
+def _theta_asymptotic(t: float) -> float:
+    """The six-term asymptotic theta expansion, without theta's checks:
+    t must be finite and positive."""
     return (
         0.5 * t * math.log(t / TWO_PI)
         - 0.5 * t

@@ -9,6 +9,8 @@ in the complex plane.
 Critical-line work runs on two routes: the Riemann-Siegel sum does the
 cheap scanning, the Euler-Maclaurin route refines and re-verifies every
 zero, so a defect in either route cannot silently plant or move zeros.
+The scan step is capped below the smallest zero gap up to
+MAX_SCAN_HEIGHT, so no two zeros can share a grid cell.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, ContourError, DomainError
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, ThetaMode, theta, theta_derivative
-from .zetaeval import EvalConfig, generalized_hardy, hardy_z_rs
+from .zetaeval import MAX_TERMS, EvalConfig, generalized_hardy, hardy_z_rs
 
 #: Largest height validated for double-precision scanning.
 MAX_SCAN_HEIGHT = 1.0e4
@@ -65,28 +67,22 @@ class LehmerPair:
 #: of f is unreliable that close to a zero.
 CONTOUR_MIN_ABS = 1e-8
 
-#: Grid cells whose endpoint |Z| both stay above this are considered
-#: safe from a hidden (Lehmer-style) pair of zeros inside the cell.
-RISK_AMPLITUDE = 0.2
+#: Largest scan step find_critical_zeros accepts.  Up to MAX_SCAN_HEIGHT
+#: consecutive zeros lie at least 0.0377 apart (the Lehmer pair near
+#: 7005; the next-closest gaps are 0.0433 at 5229.20 and 0.0908 at
+#: 4292.73), so a grid finer than that gap puts a point between any two
+#: zeros; 0.02 leaves a margin of 1.9x.  If MAX_SCAN_HEIGHT ever rises,
+#: the smallest gap must be measured again.
+MAX_SCAN_STEP = 0.02
 
 
-def _straddles(vals: np.ndarray) -> np.ndarray:
-    """The bracket rule along the last axis: True at i when vals[..., i],
-    vals[..., i+1] strictly change sign."""
-    v0, v1 = vals[..., :-1], vals[..., 1:]
-    return ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
-
-
-def _scan(f: SampledFunction, interval: Interval, step: float,
-          risk_amplitude: float | None) -> list[tuple[float, float]]:
-    """Sign-change scan of f on the grid a, a+step, ..., b.
+def scan_sign_changes(f: SampledFunction, interval: Interval,
+                      step: float) -> list[tuple[float, float]]:
+    """All consecutive grid pairs of f with a strict sign change, in
+    ascending order, from one sample call on the grid a, a+step, ..., b.
 
     Grid points where f lands exactly on zero are expanded into a
-    bracket of +/- step/10 around the point.  When risk_amplitude is
-    set, cells without a sign change whose smaller endpoint |f| dips
-    under it are rescanned at step/10, since a pair of zeros hiding
-    inside one cell forces the neighbouring grid values down; all
-    rescan points go to f in one sample call, after the grid's.
+    bracket of +/- step/10 around the point.
     """
     if not 0.0 < step < interval.width:
         raise DomainError(
@@ -97,7 +93,8 @@ def _scan(f: SampledFunction, interval: Interval, step: float,
     if xs[-1] < interval.b - 1e-12 * max(1.0, abs(interval.b)):
         xs = np.append(xs, interval.b)
     vals = f.sample(xs)
-    change = _straddles(vals)
+    v0, v1 = vals[:-1], vals[1:]
+    change = ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
     brackets: list[tuple[float, float]] = []
     for i in range(len(xs) - 1):
         if vals[i] == 0.0:
@@ -108,29 +105,7 @@ def _scan(f: SampledFunction, interval: Interval, step: float,
             brackets.append((float(xs[i]), float(xs[i + 1])))
     if vals[-1] == 0.0:
         brackets.append((max(interval.a, xs[-1] - 0.1 * step), float(xs[-1])))
-    if risk_amplitude is not None:
-        low = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < risk_amplitude
-        cells = np.flatnonzero(low & ~change & (vals[:-1] != 0.0))
-        # One row of 11 points per cell; linspace returns both cell ends
-        # exactly, so their values are reused.
-        sub = np.linspace(xs[cells], xs[cells + 1], 11, axis=1)
-        sub_vals = np.empty_like(sub)
-        sub_vals[:, 0], sub_vals[:, -1] = vals[cells], vals[cells + 1]
-        sub_vals[:, 1:-1] = f.sample(sub[:, 1:-1].ravel()).reshape(-1, 9)
-        rows, cols = np.nonzero(_straddles(sub_vals))
-        brackets.extend((float(sub[r, j]), float(sub[r, j + 1]))
-                        for r, j in zip(rows, cols))
     return brackets
-
-
-def scan_sign_changes(f: SampledFunction, interval: Interval,
-                      step: float) -> list[tuple[float, float]]:
-    """All consecutive grid pairs of f with a strict sign change.
-
-    Grid points where f lands exactly on zero are expanded into a
-    bracket of +/- step/10 around the point.
-    """
-    return _scan(f, interval, step, None)
 
 
 def refine_zero(f: SampledFunction, bracket: tuple[float, float],
@@ -188,9 +163,9 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
                         tol: float = 1e-10) -> list[ZeroRecord]:
     """Scan-then-refine all Hardy-function zeros on an interval.
 
-    Brackets come from the Riemann-Siegel route at the given step (with
-    low-amplitude cells rescanned at step/10, where close pairs could
-    hide inside one cell).  Each bracket is then refined on the
+    Brackets come from one Riemann-Siegel scan at the given step, which
+    must not exceed MAX_SCAN_STEP so that no two zeros share a grid
+    cell (DomainError otherwise).  Each bracket is then refined on the
     Euler-Maclaurin route: the two routes differ by up to the
     leading-remainder error, so the bracket is grown by factors 1, 2, 4
     and 8 about its centre (never past its neighbours) and the first
@@ -208,10 +183,12 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         raise DomainError(
             f"interval exceeds the validated height {MAX_SCAN_HEIGHT:g}"
         )
-    z_rs = hardy_rs_function()
+    if not step <= MAX_SCAN_STEP:
+        raise DomainError(
+            f"step must not exceed MAX_SCAN_STEP={MAX_SCAN_STEP:g}, got {step}"
+        )
     z_em = hardy_em_function(cfg)
-    brackets = _scan(z_rs, interval, step, RISK_AMPLITUDE)
-    brackets.sort()
+    brackets = scan_sign_changes(hardy_rs_function(), interval, step)
     records = []
     for k, (lo, hi) in enumerate(brackets):
         # Expansion room: never cross the neighbouring brackets.
@@ -239,8 +216,8 @@ def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,
                 cfg: EvalConfig | None = None) -> list[LehmerPair]:
     """Consecutive Hardy-function zeros closer than `threshold` mean gaps.
 
-    Refines all zeros in the interval (Riemann-Siegel scan,
-    Euler-Maclaurin refinement), normalizes consecutive gaps by
+    Refines all zeros in the interval with find_critical_zeros (so step
+    must not exceed MAX_SCAN_STEP), normalizes consecutive gaps by
     theta'(midpoint)/pi, and returns pairs under the threshold together
     with the extremal |Z| between them.  Pass threshold=inf to obtain
     every consecutive pair (useful for gap statistics).
@@ -294,13 +271,17 @@ def argument_principle_count(f: Callable[[complex], complex],
     n_per_side points per side and each step's argument increment is
     adaptively subdivided below pi/2, so once the sampling resolves the
     phase the count is exact and invariant under refinement.  Raises
-    ContourError when |f| on the contour drops under CONTOUR_MIN_ABS.
+    ContourError when |f| on the contour drops under CONTOUR_MIN_ABS,
+    and DomainError before any evaluation when the 4*n_per_side contour
+    points would exceed MAX_TERMS.
     """
     s1, s2, t1, t2 = box
     if not (s1 < s2 and t1 < t2):
         raise DomainError(f"degenerate box {box}")
-    if n_per_side < 2:
-        raise DomainError("n_per_side must be >= 2")
+    if not 2 <= n_per_side <= MAX_TERMS // 4:
+        raise DomainError(
+            f"n_per_side must lie in [2, {MAX_TERMS // 4}], got {n_per_side}"
+        )
     corners = [complex(s1, t1), complex(s2, t1), complex(s2, t2),
                complex(s1, t2), complex(s1, t1)]
     zs: list[complex] = []

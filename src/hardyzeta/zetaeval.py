@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .specialfn import TWO_PI, ThetaMode, _require_finite, log_gamma, theta
+from .specialfn import (TWO_PI, ThetaMode, _require_finite, _theta_asymptotic,
+                        log_gamma, theta)
 
 # Bernoulli numbers B_2 .. B_18 as exact rationals: the EM_ORDER
 # correction coefficients B_{2k}/(2k)! and the first omitted one.
@@ -238,9 +239,10 @@ def hardy_z_rs(t: float) -> float:
 
     2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n) with N = floor
     sqrt(t/2pi), plus the leading remainder term C0 (t/2pi)^(-1/4).
-    Requires 1 <= N <= MAX_TERMS.  Uses the asymptotic theta (exact
-    theta below t=10), keeping this route fully independent of the
-    Euler-Maclaurin one.
+    Requires 1 <= N <= MAX_TERMS.  Uses the asymptotic theta at every
+    t >= 2pi (no log-gamma), keeping this route fully independent of the
+    Euler-Maclaurin one; below t=10 the expansion's truncation error
+    stays under 3e-9, far below the sum's own error of ~1e-2 there.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
@@ -250,10 +252,7 @@ def hardy_z_rs(t: float) -> float:
     n_main = int(math.floor(root))
     if n_main > MAX_TERMS:
         raise DomainError(f"riemann-siegel sum at t={t:g} exceeds MAX_TERMS")
-    if t >= 10.0:
-        th = theta(t, ThetaMode.ASYMPTOTIC)
-    else:
-        th = theta(t, ThetaMode.EXACT)
+    th = _theta_asymptotic(t)
     acc = 0.0
     for n in range(1, n_main + 1):
         acc += math.cos(th - t * math.log(n)) / math.sqrt(n)

@@ -40,6 +40,10 @@ class TestExitCodes:
         (("--em-terms", "200", "zeros", "--interval", "7000:7010"),
          "em_terms"),
         (("zeros", "--interval", "10:20", "--step", "nan"), "step"),
+        (("zeros", "--interval", "7000:7010", "--step", "0.5"), "step"),
+        (("lehmer", "--interval", "7000:7010", "--step", "0.2"), "step"),
+        (("dh-scan", "--box", "0.51:1:80:90", "--n-per-side", "250001"),
+         "n_per_side"),
         (("lehmer", "--interval", "10:20", "--threshold", "nan"), "threshold"),
         (("lehmer", "--interval", "10:20", "--threshold", "0"), "threshold"),
         (("--em-terms", "200", "z", "--method", "em", "--t", "7005"),
@@ -52,7 +56,8 @@ class TestExitCodes:
         (("gz", "--sigma", "-10", "--t", "1"), "rounding"),
         (("spiral", "--sigma", "0.5", "--t", "30", "--n", "1000001"),
          "MAX_TERMS"),
-    ], ids=["em-terms-0", "em-terms-200", "step-nan", "threshold-nan",
+    ], ids=["em-terms-0", "em-terms-200", "step-nan", "zeros-step-0.5",
+            "lehmer-step-0.2", "dh-scan-n-per-side-250001", "threshold-nan",
             "threshold-0", "z-em-terms-200", "z-em-terms-2000",
             "dh-scan-em-terms-20", "gz-sigma-minus-20", "gz-sigma-minus-10",
             "spiral-n-above-max-terms"])

@@ -127,14 +127,25 @@ class TestCriticalZeros:
         assert len(a) == len(b) == 10
         assert max(abs(x.location - y.location) for x, y in zip(a, b)) < 1e-9
 
-    @pytest.mark.parametrize("step", [0.2, 0.5])
-    def test_coarse_steps_keep_close_pairs(self, step):
-        # [7000, 7010] holds the Lehmer pair near 7005; only the
-        # low-amplitude rescan finds all 11 zeros at these coarse steps.
-        iv = Interval(7000.0, 7010.0)
+    @pytest.mark.parametrize("step", [
+        0.2, 0.5, zerofinder.MAX_SCAN_STEP * (1.0 + 1e-9), math.nan],
+        ids=["0.2", "0.5", "just-above-ceiling", "nan"])
+    def test_steps_above_ceiling_refused(self, step, monkeypatch):
+        # Refused before any evaluation: a step above the smallest zero
+        # gap could merge the Lehmer pair near 7005 into one cell.
+        monkeypatch.setattr(zerofinder, "hardy_z_rs", None)
+        with pytest.raises(DomainError, match="step"):
+            find_critical_zeros(Interval(7000.0, 7010.0), step=step)
+
+    @pytest.mark.parametrize("a", [7000.0, 5225.0])
+    def test_ceiling_step_keeps_closest_pairs(self, a):
+        # The two closest zero pairs below 1e4 (gaps 0.0377 near 7005 and
+        # 0.0433 near 5229.20) are both found at the ceiling step.
+        iv = Interval(a, a + 10.0)
         fine = [r.location for r in find_critical_zeros(iv, step=0.01)]
-        coarse = [r.location for r in find_critical_zeros(iv, step=step)]
-        assert len(fine) == len(coarse) == 11
+        coarse = [r.location for r in
+                  find_critical_zeros(iv, step=zerofinder.MAX_SCAN_STEP)]
+        assert len(fine) == len(coarse)
         assert max(abs(x - y) for x, y in zip(fine, coarse)) < 1e-9
 
     def test_scan_evaluates_each_height_once(self, monkeypatch):
@@ -149,8 +160,7 @@ class TestCriticalZeros:
         assert len(recs) == 11
         assert len(seen) == len(set(seen))
 
-    def test_risk_rescan_samples_once(self, monkeypatch):
-        # One sample call for the grid, one for every low-amplitude cell.
+    def test_scan_samples_once(self, monkeypatch):
         calls = []
         sample = SampledFunction.sample
 
@@ -161,7 +171,7 @@ class TestCriticalZeros:
         monkeypatch.setattr(SampledFunction, "sample", counted)
         recs = find_critical_zeros(Interval(7000.0, 7010.0), step=0.01)
         assert len(recs) == 11
-        assert len(calls) == 2
+        assert calls == [1001]
 
     def test_refuses_em_terms_below_default_cutoff(self):
         with pytest.raises(DomainError, match="em_terms=200"):
@@ -259,3 +269,14 @@ class TestArgumentPrinciple:
     def test_degenerate_box(self):
         with pytest.raises(DomainError):
             argument_principle_count(zeta_em, (0.9, 0.6, 10.0, 50.0), 64)
+
+    def test_n_per_side_above_max_terms_refused(self):
+        seen = []
+
+        def f(z):
+            seen.append(z)
+            return z - complex(0.7, 85.0)
+
+        with pytest.raises(DomainError, match="n_per_side"):
+            argument_principle_count(f, (0.5, 1.0, 80.0, 90.0), 250001)
+        assert seen == []

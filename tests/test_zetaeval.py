@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyzeta import specialfn
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
 from hardyzeta.zetaeval import (
@@ -176,6 +177,17 @@ class TestHardyZ:
 
     def test_first_zero_bracketed(self):
         assert hardy_z_rs(14.0) < 0.0 < hardy_z_rs(14.2)
+
+    @pytest.mark.parametrize("t", [2 * math.pi, 8.0, 9.99, 10.0, 100.0,
+                                   5000.3])
+    def test_never_calls_log_gamma(self, t, monkeypatch):
+        # The RS route keeps its own (asymptotic) theta at every height,
+        # so it shares no log-gamma with the Euler-Maclaurin route.
+        def refuse(z):
+            raise AssertionError("hardy_z_rs reached log-gamma")
+
+        monkeypatch.setattr(specialfn, "loggamma", refuse)
+        assert math.isfinite(hardy_z_rs(t))
 
     def test_agrees_with_em_route_at_30(self):
         assert abs(hardy_z_rs(30.0) - generalized_hardy(0.5, 30.0).z) < 5e-3
