@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
+_GLOBAL_DEFAULTS = {"em_terms": None, "quad_order": 256, "json": False,
+                   "out": None}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this tool reserves 2
@@ -85,30 +88,23 @@ def _box_arg(text: str) -> tuple[float, float, float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hardyzeta",
-                     description="Critical-line numerics toolbox")
-    parser.add_argument("--em-terms", type=int, default=None,
+    # The root parser and every subparser take the global flags from
+    # `common`.  SUPPRESS keeps a subparser from clobbering a value given
+    # before it; main supplies _GLOBAL_DEFAULTS for flags given nowhere.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS,
                         help="Euler-Maclaurin cutoff N (default: adaptive)")
-    parser.add_argument("--quad-order", type=int, default=256,
-                        help="Gauss-Legendre order for inner products")
-    parser.add_argument("--json", action="store_true",
+    common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS,
+                        help="Gauss-Legendre order for inner products "
+                             "(default 256)")
+    common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
                         help="emit JSON instead of plain text")
-    parser.add_argument("--out", type=str, default=None,
+    common.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write primary output to this path "
                              "(path prefix for ortho)")
-    # The global flags are accepted after the subcommand too; SUPPRESS
-    # keeps the subparser from clobbering values given before it.  They
-    # are declared twice on purpose: argparse parents share their action
-    # objects, so if the root parser took `common` as a parent too, giving
-    # it real defaults (a root set_defaults) would also overwrite the
-    # subparsers' SUPPRESS defaults and drop flags given before the
-    # subcommand.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS)
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS)
+    parser = _Parser(prog="hardyzeta", parents=[common],
+                     description="Critical-line numerics toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta", parents=[common],
@@ -384,7 +380,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

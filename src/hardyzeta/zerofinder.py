@@ -39,7 +39,7 @@ SIMPLE_DERIVATIVE_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A refined zero with its bracket and simplicity diagnostics."""
+    """A refined zero, the bracket refine_zero accepted, and diagnostics."""
 
     location: float
     bracket: tuple[float, float]
@@ -82,13 +82,19 @@ def scan_sign_changes(f: SampledFunction, interval: Interval,
     ascending order, from one sample call on the grid a, a+step, ..., b.
 
     Grid points where f lands exactly on zero are expanded into a
-    bracket of +/- step/10 around the point.
+    bracket of +/- step/10 around the point.  A step whose grid could
+    exceed MAX_TERMS points raises DomainError before f is evaluated.
     """
     if not 0.0 < step < interval.width:
         raise DomainError(
             f"step must lie in (0, {interval.width}), got {step}"
         )
     n = int(math.floor(interval.width / step))
+    if n + 2 > MAX_TERMS:
+        raise DomainError(
+            f"step={step} gives a grid of over MAX_TERMS={MAX_TERMS} "
+            f"points on {interval}"
+        )
     xs = interval.a + step * np.arange(n + 1)
     if xs[-1] < interval.b - 1e-12 * max(1.0, abs(interval.b)):
         xs = np.append(xs, interval.b)
@@ -166,12 +172,14 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     Brackets come from one Riemann-Siegel scan at the given step, which
     must not exceed MAX_SCAN_STEP so that no two zeros share a grid
     cell (DomainError otherwise).  Each bracket is then refined on the
-    Euler-Maclaurin route: the two routes differ by up to the
-    leading-remainder error, so the bracket is grown by factors 1, 2, 4
-    and 8 about its centre (never past its neighbours) and the first
-    growth that refine_zero accepts gives the record.  Brackets that
-    refine_zero rejects at every growth, because their sign change never
-    survives on the accurate route, are discarded as scanning artifacts.
+    Euler-Maclaurin route on its grid cell.  The routes place a zero up
+    to 7.5e-3 apart (near t = 25.01), many cells at a small step, so a
+    cell without an Euler-Maclaurin sign change is refined once more on
+    its span, from midway to the previous bracket (or interval.a) to
+    midway to the next (or interval.b).  Spans are disjoint and ordered,
+    so records come out ascending and distinct.  A span without a sign
+    change drops the bracket: a Riemann-Siegel-only pair of sign
+    changes, or a zero just outside the interval.
     An em_terms too short for the interval raises DomainError at the
     first Euler-Maclaurin refinement (see zetaeval._em_sum).
     """
@@ -189,27 +197,17 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         )
     z_em = hardy_em_function(cfg)
     brackets = scan_sign_changes(hardy_rs_function(), interval, step)
+    mids = [0.5 * (p[1] + q[0]) for p, q in zip(brackets, brackets[1:])]
+    splits = [interval.a, *mids, interval.b]
     records = []
-    for k, (lo, hi) in enumerate(brackets):
-        # Expansion room: never cross the neighbouring brackets.
-        lo_cap = brackets[k - 1][1] if k > 0 else interval.a
-        hi_cap = brackets[k + 1][0] if k + 1 < len(brackets) else interval.b
-        c = 0.5 * (lo + hi)
-        w = 0.5 * (hi - lo)
-        for grow in (1.0, 2.0, 4.0, 8.0):
-            grown = (max(lo_cap, c - grow * w), min(hi_cap, c + grow * w))
+    for k, cell in enumerate(brackets):
+        for bracket in (cell, (splits[k], splits[k + 1])):
             try:
-                records.append(refine_zero(z_em, grown, tol))
+                records.append(refine_zero(z_em, bracket, tol))
                 break
             except BracketError:
                 pass
-    records.sort(key=lambda r: r.location)
-    deduped: list[ZeroRecord] = []
-    for r in records:
-        if deduped and abs(r.location - deduped[-1].location) <= max(10.0 * tol, 1e-9):
-            continue
-        deduped.append(r)
-    return deduped
+    return records
 
 
 def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,

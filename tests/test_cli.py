@@ -56,11 +56,12 @@ class TestExitCodes:
         (("gz", "--sigma", "-10", "--t", "1"), "rounding"),
         (("spiral", "--sigma", "0.5", "--t", "30", "--n", "1000001"),
          "MAX_TERMS"),
+        (("zeros", "--interval", "10:20", "--step", "1e-9"), "MAX_TERMS"),
     ], ids=["em-terms-0", "em-terms-200", "step-nan", "zeros-step-0.5",
             "lehmer-step-0.2", "dh-scan-n-per-side-250001", "threshold-nan",
             "threshold-0", "z-em-terms-200", "z-em-terms-2000",
             "dh-scan-em-terms-20", "gz-sigma-minus-20", "gz-sigma-minus-10",
-            "spiral-n-above-max-terms"])
+            "spiral-n-above-max-terms", "zeros-step-1e-9"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -99,6 +100,12 @@ class TestValueCommands:
         _, after, _ = run_cli(capsys, "z", "--t", "30", "--method", "em",
                               "--em-terms", "200")
         assert before == after
+
+    def test_subcommand_help_describes_global_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "zeros", "--help")
+        assert code == 0
+        assert "Euler-Maclaurin cutoff" in out
+        assert "emit JSON" in out
 
 
 class TestFileCommands:

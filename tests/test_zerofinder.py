@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ class TestScan:
             scan_sign_changes(SIN, Interval(0.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             scan_sign_changes(SIN, Interval(0.0, 1.0), math.nan)
+
+    def test_grid_over_max_terms_refused(self):
+        seen = []
+        f = SampledFunction(lambda x: seen.append(x) or math.sin(x), "sin")
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            scan_sign_changes(f, Interval(10.0, 20.0), 1e-9)
+        assert seen == []
 
     def test_hardy_brackets_up_to_50(self):
         from hardyzeta.zerofinder import hardy_rs_function
@@ -137,6 +145,41 @@ class TestCriticalZeros:
         with pytest.raises(DomainError, match="step"):
             find_critical_zeros(Interval(7000.0, 7010.0), step=step)
 
+    @pytest.mark.parametrize("step", [0.02, 0.01, 0.004, 0.002, 0.001])
+    @pytest.mark.parametrize("a,b,count", [
+        (20.0, 30.0, 2), (2 * math.pi + 1e-9, 100.0, 29)],
+        ids=["20-30", "2pi-100"])
+    def test_every_step_up_to_ceiling_gives_full_census(self, a, b, count,
+                                                        step):
+        # Frozen counts from mpmath.nzeros.  The Riemann-Siegel and
+        # Euler-Maclaurin zeros differ by up to 7.5e-3 (near 25.01), many
+        # cells at small steps, so this fails without the span fallback.
+        iv = Interval(a, b)
+        ref = [r.location for r in find_critical_zeros(iv, step=0.01)]
+        got = [r.location for r in find_critical_zeros(iv, step=step)]
+        assert len(ref) == len(got) == count
+        assert max(abs(x - y) for x, y in zip(ref, got)) < 1e-9
+
+    def test_span_fallback_beyond_cell(self, monkeypatch):
+        # Each Riemann-Siegel zero sits 5.5 to 7.5 cells from its
+        # Euler-Maclaurin zero, and RS alone changes sign twice near 10.655.
+        em_zeros = (10.2, 10.5, 10.8)
+        rs_zeros = (10.2075, 10.4945, 10.6515, 10.6585, 10.8055)
+
+        def poly(roots, t):
+            return math.prod(t - r for r in roots)
+
+        monkeypatch.setattr(zerofinder, "hardy_z_rs",
+                            lambda t: poly(rs_zeros, t))
+        monkeypatch.setattr(
+            zerofinder, "generalized_hardy",
+            lambda sigma, t, cfg=None: SimpleNamespace(z=poly(em_zeros, t)))
+        recs = find_critical_zeros(Interval(10.0, 11.0), step=0.001)
+        got = [r.location for r in recs]
+        assert len(got) == len(em_zeros)
+        assert max(abs(x - y) for x, y in zip(got, em_zeros)) < 1e-10
+        assert all(x < y for x, y in zip(got[:-1], got[1:]))
+
     @pytest.mark.parametrize("a", [7000.0, 5225.0])
     def test_ceiling_step_keeps_closest_pairs(self, a):
         # The two closest zero pairs below 1e4 (gaps 0.0377 near 7005 and
@@ -147,6 +190,14 @@ class TestCriticalZeros:
                   find_critical_zeros(iv, step=zerofinder.MAX_SCAN_STEP)]
         assert len(fine) == len(coarse)
         assert max(abs(x - y) for x, y in zip(fine, coarse)) < 1e-9
+
+    def test_tiny_step_refused_before_evaluation(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(zerofinder, "hardy_z_rs",
+                            lambda t: seen.append(t) or hardy_z_rs(t))
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            find_critical_zeros(Interval(10.0, 20.0), step=1e-9)
+        assert seen == []
 
     def test_scan_evaluates_each_height_once(self, monkeypatch):
         seen = []
