@@ -79,14 +79,19 @@ class SampledFunction:
         return self.eval(t)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(xs), dtype=float)
-        for i, x in enumerate(xs):
+        """The callback at each point of xs (any float sequence), called
+        with built-in floats in order.  The first point where it raises,
+        or returns a value float() rejects (a complex, None), raises
+        EvaluationError with that point."""
+        points = np.asarray(xs, dtype=float).tolist()
+        out = np.empty(len(points), dtype=float)
+        for i, x in enumerate(points):
             try:
-                out[i] = self.eval(float(x))
+                out[i] = float(self.eval(x))
             except Exception as exc:
                 raise EvaluationError(
-                    f"{self.label or 'function'} failed at t={float(x)!r}: {exc}",
-                    point=float(x),
+                    f"{self.label or 'function'} failed at t={x!r}: {exc}",
+                    point=x,
                 ) from exc
         return out
 

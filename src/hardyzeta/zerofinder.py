@@ -102,15 +102,16 @@ def scan_sign_changes(f: SampledFunction, interval: Interval,
     v0, v1 = vals[:-1], vals[1:]
     change = ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
     brackets: list[tuple[float, float]] = []
-    for i in range(len(xs) - 1):
+    for i in np.flatnonzero(change | (v0 == 0.0)).tolist():
+        x = float(xs[i])
         if vals[i] == 0.0:
-            lo = max(interval.a, xs[i] - 0.1 * step)
-            hi = min(interval.b, xs[i] + 0.1 * step)
-            brackets.append((lo, hi))
-        elif change[i]:
-            brackets.append((float(xs[i]), float(xs[i + 1])))
+            brackets.append((max(interval.a, x - 0.1 * step),
+                             min(interval.b, x + 0.1 * step)))
+        else:
+            brackets.append((x, float(xs[i + 1])))
     if vals[-1] == 0.0:
-        brackets.append((max(interval.a, xs[-1] - 0.1 * step), float(xs[-1])))
+        x = float(xs[-1])
+        brackets.append((max(interval.a, x - 0.1 * step), x))
     return brackets
 
 

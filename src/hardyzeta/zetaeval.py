@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,6 +235,27 @@ def _rs_psi(p: float) -> float:
     return math.cos(TWO_PI * (p * p - p - 0.0625)) / math.cos(TWO_PI * p)
 
 
+# (log n, sqrt n) for n = 1, 2, ..., read only by hardy_z_rs.  Grown by
+# _rs_terms, which rebinds a longer tuple and never mutates one, so a
+# reader always holds a complete table.
+_RS_TERMS: tuple[tuple[float, float], ...] = ()
+_RS_TERMS_LOCK = threading.Lock()
+
+
+def _rs_terms(n_main: int) -> tuple[tuple[float, float], ...]:
+    """The Riemann-Siegel term table, grown to at least n_main entries
+    by computing only the missing ones.  Growth holds a lock, so two
+    threads cannot rebind a shorter table over a longer one."""
+    global _RS_TERMS
+    with _RS_TERMS_LOCK:
+        terms = _RS_TERMS
+        if len(terms) < n_main:
+            terms += tuple((math.log(n), math.sqrt(n))
+                           for n in range(len(terms) + 1, n_main + 1))
+            _RS_TERMS = terms
+    return terms
+
+
 def hardy_z_rs(t: float) -> float:
     """Hardy Z(t) by the Riemann-Siegel main sum, real by construction.
 
@@ -243,6 +265,11 @@ def hardy_z_rs(t: float) -> float:
     t >= 2pi (no log-gamma), keeping this route fully independent of the
     Euler-Maclaurin one; below t=10 the expansion's truncation error
     stays under 3e-9, far below the sum's own error of ~1e-2 there.
+
+    log n and sqrt n come from a module table of the largest N seen so
+    far, which the Euler-Maclaurin route never reads.  It keeps 112 B
+    per term: about 4.4 KB up to t = 1e4 (N = 39), and 112 MB only at
+    N = MAX_TERMS (t ~ 6.3e12).
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
@@ -252,10 +279,13 @@ def hardy_z_rs(t: float) -> float:
     n_main = int(math.floor(root))
     if n_main > MAX_TERMS:
         raise DomainError(f"riemann-siegel sum at t={t:g} exceeds MAX_TERMS")
+    terms = _RS_TERMS
+    if len(terms) < n_main:
+        terms = _rs_terms(n_main)
     th = _theta_asymptotic(t)
     acc = 0.0
-    for n in range(1, n_main + 1):
-        acc += math.cos(th - t * math.log(n)) / math.sqrt(n)
+    for log_n, sqrt_n in terms[:n_main]:
+        acc += math.cos(th - t * log_n) / sqrt_n
     c0 = (-1.0) ** (n_main - 1) * root ** -0.5 * _rs_psi(root - n_main)
     return 2.0 * acc + c0
 

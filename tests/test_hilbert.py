@@ -25,6 +25,47 @@ SIN = SampledFunction(math.sin, "sin")
 COS = SampledFunction(math.cos, "cos")
 
 
+class TestSample:
+    @pytest.mark.parametrize("xs", [[0.5, 1, np.float32(0.25)],
+                                    np.array([0.5, 1.0, 0.25])])
+    def test_points_reach_the_callback_as_floats(self, xs):
+        seen = []
+        f = SampledFunction(lambda x: seen.append(x) or 2.0 * x, "2x")
+        out = f.sample(xs)
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0, 2.0, 0.5]
+        assert seen == [0.5, 1.0, 0.25]
+        assert [type(x) for x in seen] == [float, float, float]
+
+    @pytest.mark.parametrize("xs", [[], np.empty(0), ()])
+    def test_empty_input(self, xs):
+        out = SIN.sample(xs)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_error_carries_first_failing_point(self):
+        calls = []
+
+        def bad(t):
+            calls.append(t)
+            if t > 0.5:
+                raise ValueError("boom")
+            return t
+
+        xs = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(EvaluationError, match="boom") as err:
+            SampledFunction(bad, "bad").sample(xs)
+        assert err.value.point == 0.6000000000000001 == xs[6]
+        assert type(err.value.point) is float
+        assert calls == xs[:7].tolist()
+
+    @pytest.mark.parametrize("value", [1j, complex(2.0, 0.0), None])
+    def test_non_real_result_raises(self, value):
+        f = SampledFunction(lambda x: value if x > 1.0 else x, "odd")
+        with pytest.raises(EvaluationError) as err:
+            f.sample([0.5, 1.5, 2.5])
+        assert err.value.point == 1.5
+
+
 class TestInterval:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -86,7 +127,8 @@ class TestInnerProduct:
         f = SampledFunction(bad, "bad")
         with pytest.raises(EvaluationError) as err:
             inner_product(f, ONE, rule)
-        assert err.value.point is not None and err.value.point > 0.5
+        first_bad = rule.nodes[np.flatnonzero(rule.nodes > 0.5)[0]]
+        assert err.value.point == first_bad
 
 
 class TestNorm:

@@ -63,6 +63,17 @@ class TestScan:
             scan_sign_changes(f, Interval(10.0, 20.0), 1e-9)
         assert seen == []
 
+    def test_bracket_list_frozen(self):
+        # Exact zeros at the first, an interior and the last grid point
+        # (the last one appended at b), each next to strict sign changes.
+        values = {0.0: 0.0, 0.25: 1.0, 0.5: -1.0, 0.75: 0.0, 1.0: 1.0,
+                  1.25: -1.0, 1.5: -2.0, 1.75: 3.0, 2.0: 0.5, 2.1: 0.0}
+        f = SampledFunction(lambda x: values[x], "table")
+        brackets = scan_sign_changes(f, Interval(0.0, 2.1), 0.25)
+        assert brackets == [(0.0, 0.025), (0.25, 0.5), (0.725, 0.775),
+                            (1.0, 1.25), (1.5, 1.75), (2.075, 2.1)]
+        assert all(type(x) is float for b in brackets for x in b)
+
     def test_hardy_brackets_up_to_50(self):
         from hardyzeta.zerofinder import hardy_rs_function
 
@@ -210,6 +221,18 @@ class TestCriticalZeros:
         recs = find_critical_zeros(Interval(7000.0, 7010.0), step=0.01)
         assert len(recs) == 11
         assert len(seen) == len(set(seen))
+
+    def test_rs_route_called_with_builtin_floats(self, monkeypatch):
+        # The benchmark's oracle passes each recorded argument to
+        # mpmath.siegelz, which takes scalars only.
+        seen = []
+        monkeypatch.setattr(zerofinder, "hardy_z_rs",
+                            lambda t: seen.append(t) or hardy_z_rs(t))
+        assert len(find_critical_zeros(Interval(100.0, 110.0))) == 4
+        n_scan = len(seen)
+        assert len(lehmer_scan(Interval(7000.0, 7010.0), 0.2)) == 1
+        assert n_scan == 1001 and len(seen) == 2 * n_scan + 64
+        assert {type(t) for t in seen} == {float}
 
     def test_scan_samples_once(self, monkeypatch):
         calls = []

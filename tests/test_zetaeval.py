@@ -1,10 +1,13 @@
 import cmath
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hardyzeta import specialfn
+from hardyzeta import specialfn, zetaeval
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
 from hardyzeta.zetaeval import (
@@ -201,6 +204,144 @@ class TestHardyZ:
         # N = floor(sqrt(t/2pi)) = 56 here, beyond every N of the
         # validated range t <= 1e4.
         assert abs(hardy_z_rs(2e4) - generalized_hardy(0.5, 2e4).z) < 1e-3
+
+
+# hardy_z_rs bit for bit, frozen before its log n and sqrt n moved into
+# a table.  N = floor(sqrt(t/2pi)) steps from 3 to 4 at 2pi*16 and from
+# 38 to 39 at 2pi*39^2; p = sqrt(t/2pi) - N near 1/4 and 3/4 takes
+# _rs_psi's local rewrite (|p - p0| < 0.05), and p = 0.8 does not.
+RS_FROZEN = [
+    (6.283185307179586, "-0x1.da52867e1c14cp-1"),  # 2pi: N=1, p=0
+    (14.134725, "-0x1.01855a54c4f00p-9"),  # N=1
+    (100.5309, "0x1.1ae06f1983315p+1"),  # N=3, p=1-1.3e-6
+    (100.53096491487338, "0x1.1adee7c2300f7p+1"),  # 2pi*16: N=4, p=0
+    (100.531, "0x1.1adcad6763240p+1"),  # N=4, p=7.0e-7
+    (1000.7, "0x1.388e607736dd9p+1"),  # N=12
+    (7005.06, "-0x1.565ca24ee1200p-10"),  # N=33
+    (9556.72, "-0x1.9d2a3d9d98ec4p+1"),  # N=38, p=1-9.9e-6
+    (9556.73, "-0x1.914c10584d5d2p+1"),  # N=39, p=1.1e-5
+    (173.18029502913734, "-0x1.d8fc2d76b7e7ep-1"),  # N=5, p=0.25
+    (173.1868924365417, "-0x1.ca0cfcd546a26p-1"),  # N=5, p=0.2501
+    (173.8406578049219, "0x1.fcaf107a39378p-1"),  # N=5, p=0.26
+    (169.89733070613602, "0x1.c2ec4258aec60p-6"),  # N=5, p=0.2+1.8e-16
+    (1021.4103114983815, "-0x1.fecc45c463dd5p-3"),  # N=12, p=0.75
+    (1021.39428943868, "-0x1.13fde76b56444p-2"),  # N=12, p=0.7499
+    (1019.8087275635814, "-0x1.5414547de8e3dp-2"),  # N=12, p=0.74
+    (1029.4370807283035, "0x1.fd82eaf364e32p-1"),  # N=12, p=0.8+7e-16
+]
+
+# Heights whose Riemann-Siegel N runs over 1..TABLE_N.
+TABLE_N = 200
+TABLE_HEIGHTS = [2.0 * math.pi * (n + 0.5) ** 2 for n in range(1, TABLE_N + 1)]
+
+
+def _table_bytes(table) -> int:
+    return sys.getsizeof(table) + sum(
+        sys.getsizeof(entry) + sum(map(sys.getsizeof, entry))
+        for entry in table)
+
+
+class TestHardyZFrozen:
+    @pytest.mark.parametrize("t, expected", RS_FROZEN)
+    def test_bit_identical(self, t, expected):
+        assert hardy_z_rs(t).hex() == expected
+
+
+class TestRsTermTable:
+    def _serial(self, monkeypatch):
+        """Values at TABLE_HEIGHTS in rising order from an empty table,
+        which is left empty again."""
+        monkeypatch.setattr(zetaeval, "_RS_TERMS", ())
+        values = [hardy_z_rs(t) for t in TABLE_HEIGHTS]
+        monkeypatch.setattr(zetaeval, "_RS_TERMS", ())
+        return values
+
+    def _check_table(self):
+        table = zetaeval._RS_TERMS
+        assert len(table) == TABLE_N
+        assert table == tuple((math.log(n), math.sqrt(n))
+                              for n in range(1, TABLE_N + 1))
+
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_one_table_of_the_largest_n(self, order, monkeypatch):
+        expected = [v.hex() for v in self._serial(monkeypatch)]
+        ks = list(range(TABLE_N))
+        if order == "falling":
+            ks.reverse()
+        tracemalloc.start()
+        try:
+            # Kept as strings, so the only live objects made in zetaeval
+            # are the table's.
+            values = {k: hardy_z_rs(TABLE_HEIGHTS[k]).hex() for k in ks}
+            retained = sum(
+                stat.size for stat in tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, zetaeval.__file__)]
+                ).statistics("filename"))
+        finally:
+            tracemalloc.stop()
+        self._check_table()
+        assert [values[k] for k in range(TABLE_N)] == expected
+        # 112 B per term, as the docstring states.  The slack covers
+        # interpreter free lists; keeping the 199 smaller tables grown on
+        # the way up would add over 160 KB.
+        one_table = _table_bytes(zetaeval._RS_TERMS)
+        assert one_table <= 112 * TABLE_N + 64
+        assert retained <= one_table + 4096
+
+    def test_two_threads_on_interleaved_heights(self, monkeypatch):
+        expected = self._serial(monkeypatch)
+
+        def work(ks, start, values, errors):
+            try:
+                start.wait(timeout=30.0)
+                for k in ks:
+                    values[k] = hardy_z_rs(TABLE_HEIGHTS[k])
+            except Exception as exc:
+                errors.append(exc)
+
+        # Two threads (never more) take the even and the odd heights, so
+        # both grow the table against each other; the short switch
+        # interval lets them interleave inside the growth.  Going down,
+        # both first grow the empty table to N = 200 and N = 199 at once,
+        # and the table must end at 200 whichever finishes last.  A race
+        # shows only in some rounds, so each order runs twenty times.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for order in (1, -1) * 20:
+                zetaeval._RS_TERMS = ()
+                start = threading.Barrier(2)
+                values: dict[int, float] = {}
+                errors: list[Exception] = []
+                threads = [
+                    threading.Thread(target=work, args=(
+                        range(j, TABLE_N, 2)[::order], start, values, errors))
+                    for j in (0, 1)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30.0)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+                self._check_table()
+                assert [values[k] for k in range(TABLE_N)] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_em_route_never_reads_it(self, monkeypatch):
+        class Untouchable(tuple):
+            def __len__(self):
+                raise AssertionError("read the RS term table")
+
+            __getitem__ = __iter__ = __len__
+
+        monkeypatch.setattr(zetaeval, "_RS_TERMS", Untouchable())
+        zeta_em(0.5 + 100.0j)
+        hurwitz_zeta(0.5 + 100.0j, 0.2)
+        generalized_hardy(0.5, 1000.7)
+        davenport_heilbronn(0.75 + 50.0j)
+        with pytest.raises(AssertionError, match="RS term table"):
+            hardy_z_rs(100.0)
 
 
 class TestGeneralizedHardy:
