@@ -25,7 +25,7 @@ from .output import (
     write_spiral_csv,
 )
 from .report import RunConfig, render_summary, report_json, run_report
-from .specialfn import ThetaMode, theta
+from .specialfn import theta, theta_asymptotic
 from .zetaeval import (
     EvalConfig,
     davenport_heilbronn,
@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", parents=[common],
                        help="Riemann-Siegel theta phase")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--mode", choices=["exact", "asym"], default="exact")
+    p.add_argument("--mode", choices=["exact", "asym"], default="exact",
+                   help="exact: log-gamma form, any finite t; asym: six-term "
+                        "asymptotic form, 2*pi <= t <= 1e50 (default exact)")
 
     p = sub.add_parser("z", parents=[common], help="Hardy Z(t)")
     p.add_argument("--t", type=float, required=True)
@@ -185,8 +187,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_theta(args, cfg) -> int:
-    mode = ThetaMode.EXACT if args.mode == "exact" else ThetaMode.ASYMPTOTIC
-    value = theta(args.t, mode)
+    value = (theta if args.mode == "exact" else theta_asymptotic)(args.t)
     if args.json:
         _emit(json.dumps({"t": args.t, "mode": args.mode,
                           "theta": sig(value, 15)}), args.out)

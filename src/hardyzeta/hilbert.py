@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import DependenceError, DomainError, EvaluationError
-from .specialfn import DEFAULT_T_MIN, theta_derivative
+from .specialfn import TWO_PI, theta_derivative
 from .zetaeval import EvalConfig, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
@@ -81,13 +81,19 @@ class SampledFunction:
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """The callback at each point of xs (any float sequence), called
         with built-in floats in order.  The first point where it raises,
-        or returns a value float() rejects (a complex, None), raises
-        EvaluationError with that point."""
+        or returns a complex of any type or a value float() rejects
+        (None), raises EvaluationError with that point."""
         points = np.asarray(xs, dtype=float).tolist()
         out = np.empty(len(points), dtype=float)
         for i, x in enumerate(points):
             try:
-                out[i] = float(self.eval(x))
+                value = self.eval(x)
+                if type(value) is not float:
+                    # float() of a numpy complex keeps the real part.
+                    if np.iscomplexobj(value):
+                        raise TypeError(f"returned a complex value {value!r}")
+                    value = float(value)
+                out[i] = value
             except Exception as exc:
                 raise EvaluationError(
                     f"{self.label or 'function'} failed at t={x!r}: {exc}",
@@ -247,10 +253,12 @@ def oscillation_order(interval: Interval) -> int:
     """Quadrature order resolving the fastest oscillation of Z(sigma, .).
 
     At least MIN_QUAD_ORDER and 4 * width * max|theta'| over the
-    interval (theta' is monotone increasing past its minimum at
-    t = 2*pi, so the endpoint maximum suffices).
+    interval, with theta' taken at the largest |endpoint| floored at
+    2*pi (theta' is monotone increasing past its minimum at t = 2*pi,
+    so that suffices).  theta_derivative raises DomainError when that
+    height exceeds 1e50.
     """
-    hi = max(abs(interval.a), abs(interval.b), DEFAULT_T_MIN)
+    hi = max(abs(interval.a), abs(interval.b), TWO_PI)
     rate = abs(theta_derivative(hi))
     return max(MIN_QUAD_ORDER, math.ceil(4.0 * interval.width * rate))
 

@@ -2,17 +2,16 @@
 
 Provides a complex log-gamma (scipy.special.loggamma), the reflection
 factor chi(s) = 2^(s-1) pi^s / (cos(pi s/2) Gamma(s)), and the
-Riemann-Siegel theta phase in two independent forms: an exact one built
-on log-gamma and the classical asymptotic expansion.  Having both forms
-lets each serve as an oracle for the other.
+Riemann-Siegel theta phase in two independent forms, one per route: the
+exact one built on log-gamma (Euler-Maclaurin route) and the classical
+asymptotic expansion (Riemann-Siegel route).  Having both forms lets
+each serve as an oracle for the other.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from enum import Enum
 
 from scipy.special import loggamma
 
@@ -22,22 +21,11 @@ TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
 
-#: Smallest t at which the asymptotic theta expansion is trusted; below this
-#: the truncated tail is no longer negligible and a warning is emitted.
-DEFAULT_T_MIN = 10.0
-
 # Asymptotic theta: t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3)
 # + 31/(80640t^5).  Exactly these six terms, nothing more.
 _THETA_C1 = 1.0 / 48.0
 _THETA_C3 = 7.0 / 5760.0
 _THETA_C5 = 31.0 / 80640.0
-
-
-class ThetaMode(Enum):
-    """Which evaluation route the theta phase should take."""
-
-    EXACT = "exact"
-    ASYMPTOTIC = "asym"
 
 
 def _require_finite(z: complex, name: str = "argument") -> complex:
@@ -103,33 +91,34 @@ def chi(s: complex) -> complex:
     return cmath.exp(log_chi)
 
 
-def theta(t: float, mode: ThetaMode = ThetaMode.EXACT) -> float:
-    """Riemann-Siegel theta phase.
-
-    EXACT mode evaluates Im log Gamma(1/4 + it/2) - (t/2) log pi and is
-    valid for any real t.  ASYMPTOTIC mode sums the six-term expansion
-    t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760 t^3) + 31/(80640 t^5),
-    requires t > 0, and warns below DEFAULT_T_MIN where the truncated
-    tail starts to matter.
-    """
+def theta(t: float) -> float:
+    """Riemann-Siegel theta phase, exactly: Im log Gamma(1/4 + it/2)
+    - (t/2) log pi, valid for any finite real t."""
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    if mode is ThetaMode.EXACT:
-        return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LOG_PI
-    if t <= 0.0:
-        raise DomainError(f"asymptotic theta requires t > 0, got t={t}")
-    if t < DEFAULT_T_MIN:
-        warnings.warn(
-            f"asymptotic theta at t={t} below t_min={DEFAULT_T_MIN}; "
-            "truncation error may exceed 1e-9",
-            stacklevel=2,
-        )
-    return _theta_asymptotic(t)
+    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LOG_PI
 
 
-def _theta_asymptotic(t: float) -> float:
-    """The six-term asymptotic theta expansion, without theta's checks:
-    t must be finite and positive."""
+def _check_asymptotic(t: float) -> None:
+    """The one domain of theta_asymptotic and theta_derivative, NaN
+    excluded.  1e50 is a round ceiling under the first overflow: t**6
+    in theta_derivative above 2.4e51, t**5 in theta_asymptotic above
+    4.5e61."""
+    if not TWO_PI <= t <= 1e50:
+        raise DomainError(
+            f"asymptotic theta needs 2*pi <= t <= 1e50, got t={t!r}")
+
+
+def theta_asymptotic(t: float) -> float:
+    """Riemann-Siegel theta by the six-term asymptotic expansion
+    t/2 log(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760 t^3) + 31/(80640 t^5)
+    (Edwards, Riemann's Zeta Function, 6.5).
+
+    Raises DomainError unless 2*pi <= t <= 1e50.  Against mpmath's
+    siegeltheta the error stays within 2.2e-9 at t = 2*pi, 3.1e-11 at 10
+    and 2.4e-13 at 20; below 2*pi it grows fast (7.9e-8 at t = 5).
+    """
+    _check_asymptotic(t)
     return (
         0.5 * t * math.log(t / TWO_PI)
         - 0.5 * t
@@ -144,17 +133,10 @@ def theta_derivative(t: float) -> float:
     """Termwise derivative of the asymptotic theta expansion.
 
     theta'(t) = (1/2) log(t/2pi) - 1/(48 t^2) - 21/(5760 t^4)
-    - 155/(80640 t^6).  Warns below DEFAULT_T_MIN, rejects t <= 0.
+    - 155/(80640 t^6), on theta_asymptotic's domain
+    2*pi <= t <= 1e50 (DomainError elsewhere).
     """
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    if t <= 0.0:
-        raise DomainError(f"theta_derivative requires t > 0, got t={t}")
-    if t < DEFAULT_T_MIN:
-        warnings.warn(
-            f"theta_derivative at t={t} below t_min={DEFAULT_T_MIN}",
-            stacklevel=2,
-        )
+    _check_asymptotic(t)
     return (
         0.5 * math.log(t / TWO_PI)
         - _THETA_C1 / t**2

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .errors import BracketError, ContourError, DomainError
 from .hilbert import Interval, SampledFunction
-from .specialfn import TWO_PI, ThetaMode, theta, theta_derivative
+from .specialfn import TWO_PI, theta, theta_derivative
 from .zetaeval import MAX_TERMS, EvalConfig, generalized_hardy, hardy_z_rs
 
 #: Largest height validated for double-precision scanning.
@@ -149,7 +149,7 @@ def zero_count_estimate(T: float) -> float:
     """Smooth estimate theta(T)/pi + 1 of the zero count up to height T."""
     if not T > TWO_PI:
         raise DomainError(f"count estimate needs T > 2*pi, got {T}")
-    return theta(T, ThetaMode.EXACT) / math.pi + 1.0
+    return theta(T) / math.pi + 1.0
 
 
 def hardy_rs_function() -> SampledFunction:

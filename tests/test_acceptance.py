@@ -21,7 +21,7 @@ from hardyzeta.hilbert import (
 )
 from hardyzeta.polyzero import zero_convergence_study
 from hardyzeta.report import RunConfig, report_json, run_report
-from hardyzeta.specialfn import ThetaMode, chi, theta
+from hardyzeta.specialfn import chi, theta, theta_asymptotic
 from hardyzeta.zerofinder import (
     argument_principle_count,
     find_critical_zeros,
@@ -76,7 +76,7 @@ def test_01_sin_theta_identity():
 
 def test_02_theta_cross_validation():
     worst = max(
-        abs(theta(float(t), ThetaMode.ASYMPTOTIC) - theta(float(t), ThetaMode.EXACT))
+        abs(theta_asymptotic(float(t)) - theta(float(t)))
         for t in range(20, 1001)
     )
     _verdict(2, worst < THETA_XVAL_TOL,

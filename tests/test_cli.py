@@ -57,11 +57,17 @@ class TestExitCodes:
         (("spiral", "--sigma", "0.5", "--t", "30", "--n", "1000001"),
          "MAX_TERMS"),
         (("zeros", "--interval", "10:20", "--step", "1e-9"), "MAX_TERMS"),
+        (("theta", "--mode", "asym", "--t", "0.5"), "2*pi"),
+        (("theta", "--mode", "asym", "--t", "1e70"), "2*pi"),
+        (("gram", "--sigmas", "0.3,0.5", "--interval", "1e60:1.0000001e60"),
+         "2*pi"),
     ], ids=["em-terms-0", "em-terms-200", "step-nan", "zeros-step-0.5",
             "lehmer-step-0.2", "dh-scan-n-per-side-250001", "threshold-nan",
             "threshold-0", "z-em-terms-200", "z-em-terms-2000",
             "dh-scan-em-terms-20", "gz-sigma-minus-20", "gz-sigma-minus-10",
-            "spiral-n-above-max-terms", "zeros-step-1e-9"])
+            "spiral-n-above-max-terms", "zeros-step-1e-9",
+            "theta-asym-below-2pi", "theta-asym-above-1e50",
+            "gram-above-1e50"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -65,6 +65,17 @@ class TestSample:
             f.sample([0.5, 1.5, 2.5])
         assert err.value.point == 1.5
 
+    # float() of a numpy complex scalar only warns and keeps the real
+    # part, so the warning is ignored here: the refusal must not rely on
+    # warnings being errors.
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize("kind", [complex, np.complex128, np.complex64])
+    def test_complex_result_of_any_type_raises(self, kind):
+        f = SampledFunction(lambda x: kind(x) if x > 1.0 else x, "odd")
+        with pytest.raises(EvaluationError, match="complex") as err:
+            f.sample([0.5, 1.5, 2.5])
+        assert err.value.point == 1.5
+
 
 class TestInterval:
     def test_ordering_enforced(self):

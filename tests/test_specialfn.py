@@ -6,13 +6,42 @@ import pytest
 from scipy.special import loggamma as scipy_loggamma
 
 from hardyzeta.errors import DomainError, PoleError
-from hardyzeta.specialfn import ThetaMode, chi, log_gamma, theta, theta_derivative
+from hardyzeta.specialfn import (chi, log_gamma, theta, theta_asymptotic,
+                                 theta_derivative)
 
 # Frozen from termwise evaluation of the six-term expansion at t = 2*pi:
 # -pi - pi/8 + 1/(96 pi) + 7/(5760 (2 pi)^3) + 31/(80640 (2 pi)^5).
 THETA_ASYM_AT_2PI = -3.5309710687292757
 # Frozen from termwise differentiation at t = 2*pi (main log term vanishes).
 THETA_DERIV_AT_2PI = -0.0005300849912547103
+
+# (t, theta_asymptotic(t), theta(t)) bit for bit, as float.hex, frozen
+# before the asymptotic form left theta(mode=) for its own function.
+THETA_FROZEN = [
+    (2.0 * math.pi, "-0x1.c3f6dc27a83e8p+1", "-0x1.c3f6dc2314dbbp+1"),
+    (10.0, "-0x1.8895e4d14bdfcp+1", "-0x1.8895e4d13b65cp+1"),
+    (14.134725, "-0x1.ba8a2315c2eb9p+0", "-0x1.ba8a2315c004cp+0"),
+    (1000.7, "0x1.fd148b649715ep+10", "0x1.fd148b649715dp+10"),
+    (7005.06, "0x1.4942783f227a0p+14", "0x1.4942783f2279ep+14"),
+    (9999.5, "0x1.f1d052a89808fp+14", "0x1.f1d052a89808ep+14"),
+]
+# theta_derivative(t) bit for bit, frozen at the same time.
+THETA_DERIV_FROZEN = [
+    (2.0 * math.pi, "-0x1.15eacd9cc0b3fp-11"),
+    (100.0, "0x1.6236863f835cep+0"),
+]
+# mpmath.siegeltheta(t) at 40 digits, rounded to double, with the bound
+# on |theta_asymptotic - siegeltheta| that theta_asymptotic's docstring
+# states.  mpmath is not a test dependency, so the values are frozen.
+SIEGELTHETA = [
+    (2.0 * math.pi, -3.530971066598538, 2.2e-9),
+    (10.0, -3.0670743962898954, 3.1e-11),
+    (20.0, 1.1868948084444841, 2.4e-13),
+]
+# Outside 2*pi <= t <= 1e50: not finite, below 2*pi (the expansion is
+# off by 7.9e-8 at t = 5), or past the ceiling under the first overflow.
+OUTSIDE_ASYMPTOTIC = [math.nan, math.inf, -math.inf, 0.0, 5.0,
+                      2.0 * math.pi - 1e-9, 1e51, 1e200]
 
 
 class TestLogGamma:
@@ -99,46 +128,62 @@ class TestChi:
 
 class TestTheta:
     def test_exact_at_zero(self):
-        assert abs(theta(0.0, ThetaMode.EXACT)) < 1e-14
+        assert abs(theta(0.0)) < 1e-14
 
     def test_asymptotic_at_2pi(self):
-        with pytest.warns(UserWarning):
-            value = theta(2.0 * math.pi, ThetaMode.ASYMPTOTIC)
+        value = theta_asymptotic(2.0 * math.pi)
         assert value == pytest.approx(THETA_ASYM_AT_2PI, abs=1e-14)
         assert value == pytest.approx(-3.530971, abs=1e-6)
 
     def test_modes_agree_at_50(self):
-        d = abs(theta(50.0, ThetaMode.EXACT) - theta(50.0, ThetaMode.ASYMPTOTIC))
+        d = abs(theta(50.0) - theta_asymptotic(50.0))
         assert d < 1e-12
 
     def test_modes_agree_20_to_1000(self):
         worst = max(
-            abs(theta(float(t), ThetaMode.EXACT) - theta(float(t), ThetaMode.ASYMPTOTIC))
+            abs(theta(float(t)) - theta_asymptotic(float(t)))
             for t in range(20, 1001)
         )
         assert worst < 1e-9
 
-    def test_asymptotic_domain(self):
-        with pytest.raises(DomainError):
-            theta(-3.0, ThetaMode.ASYMPTOTIC)
-        with pytest.raises(DomainError):
-            theta(0.0, ThetaMode.ASYMPTOTIC)
+    @pytest.mark.parametrize("t, asym, exact", THETA_FROZEN)
+    def test_bit_identical(self, t, asym, exact):
+        assert theta_asymptotic(t).hex() == asym
+        assert theta(t).hex() == exact
 
-    def test_warns_below_t_min(self):
-        with pytest.warns(UserWarning):
-            theta(5.0, ThetaMode.ASYMPTOTIC)
+    @pytest.mark.parametrize("t, reference, bound", SIEGELTHETA)
+    def test_asymptotic_error_against_siegeltheta(self, t, reference, bound):
+        assert abs(theta_asymptotic(t) - reference) <= bound
+
+    def test_asymptotic_domain(self):
+        for t in OUTSIDE_ASYMPTOTIC + [-3.0]:
+            with pytest.raises(DomainError, match=r"2\*pi"):
+                theta_asymptotic(t)
+
+    def test_refused_below_2pi(self):
+        # Where the expansion used to warn, it now refuses.
+        for t in (5.0, 2.0 * math.pi - 1e-9):
+            with pytest.raises(DomainError, match=r"2\*pi"):
+                theta_asymptotic(t)
+
+    def test_asymptotic_domain_ends_are_inside(self):
+        assert math.isfinite(theta_asymptotic(2.0 * math.pi))
+        assert math.isfinite(theta_asymptotic(1e50))
 
     def test_exact_any_real_t(self):
-        assert math.isfinite(theta(-42.0, ThetaMode.EXACT))
+        assert math.isfinite(theta(-42.0))
         assert theta(-42.0) == pytest.approx(-theta(42.0), abs=1e-11)
 
 
 class TestThetaDerivative:
     def test_frozen_value_at_2pi(self):
-        with pytest.warns(UserWarning):
-            d = theta_derivative(2.0 * math.pi)
+        d = theta_derivative(2.0 * math.pi)
         assert d == pytest.approx(THETA_DERIV_AT_2PI, abs=1e-15)
         assert d == pytest.approx(-0.000527, abs=5e-6)
+
+    @pytest.mark.parametrize("t, expected", THETA_DERIV_FROZEN)
+    def test_bit_identical(self, t, expected):
+        assert theta_derivative(t).hex() == expected
 
     def test_main_term_unity(self):
         # log(t/2pi)/2 = 1 at t = 2 pi e^2; corrections are ~1e-5 there.
@@ -149,14 +194,11 @@ class TestThetaDerivative:
     @pytest.mark.parametrize("t", [12.0, 30.0, 100.0, 555.5, 2000.0])
     def test_matches_finite_difference(self, t):
         h = 1e-5 * t
-        fd = (
-            theta(t + h, ThetaMode.ASYMPTOTIC) - theta(t - h, ThetaMode.ASYMPTOTIC)
-        ) / (2.0 * h)
+        fd = (theta_asymptotic(t + h) - theta_asymptotic(t - h)) / (2.0 * h)
         d = theta_derivative(t)
         assert abs(d - fd) <= 1e-8 * max(1.0, abs(d))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            theta_derivative(0.0)
-        with pytest.raises(DomainError):
-            theta_derivative(-5.0)
+        for t in OUTSIDE_ASYMPTOTIC + [-5.0]:
+            with pytest.raises(DomainError, match=r"2\*pi"):
+                theta_derivative(t)

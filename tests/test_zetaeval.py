@@ -178,6 +178,13 @@ class TestHardyZ:
         with pytest.raises(DomainError):
             hardy_z_rs(6.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, 5.0,
+                                   2.0 * math.pi - 1e-9, 1e51, 1e200])
+    def test_domain_of_asymptotic_theta(self, t):
+        # One check, in theta_asymptotic: never OverflowError or ValueError.
+        with pytest.raises(DomainError, match=r"2\*pi"):
+            hardy_z_rs(t)
+
     def test_first_zero_bracketed(self):
         assert hardy_z_rs(14.0) < 0.0 < hardy_z_rs(14.2)
 
@@ -191,6 +198,19 @@ class TestHardyZ:
 
         monkeypatch.setattr(specialfn, "loggamma", refuse)
         assert math.isfinite(hardy_z_rs(t))
+
+    @pytest.mark.parametrize("t", [2 * math.pi, 10.0, 100.0, 5000.3])
+    @pytest.mark.parametrize("sigma", [0.5, 0.3])
+    def test_em_route_never_calls_asymptotic_theta(self, sigma, t,
+                                                   monkeypatch):
+        # The Euler-Maclaurin route keeps the exact theta, so it shares
+        # no theta with the Riemann-Siegel route.
+        def refuse(t):
+            raise AssertionError("generalized_hardy reached theta_asymptotic")
+
+        monkeypatch.setattr(specialfn, "theta_asymptotic", refuse)
+        monkeypatch.setattr(zetaeval, "theta_asymptotic", refuse)
+        assert math.isfinite(generalized_hardy(sigma, t).z)
 
     def test_agrees_with_em_route_at_30(self):
         assert abs(hardy_z_rs(30.0) - generalized_hardy(0.5, 30.0).z) < 5e-3
