@@ -93,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     # before it; main supplies _GLOBAL_DEFAULTS for flags given nowhere.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS,
-                        help="Euler-Maclaurin cutoff N (default: adaptive)")
+                        help="Euler-Maclaurin cutoff N, summed with 8 "
+                             "Bernoulli terms (default: N and the number "
+                             "of terms chosen from Backlund's bound)")
     common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS,
                         help="Gauss-Legendre order for inner products "
                              "(default 256)")

@@ -93,10 +93,14 @@ def chi(s: complex) -> complex:
 
 def theta(t: float) -> float:
     """Riemann-Siegel theta phase, exactly: Im log Gamma(1/4 + it/2)
-    - (t/2) log pi, valid for any finite real t."""
+    - (t/2) log pi.  Raises DomainError for non-finite t and where the
+    phase itself overflows (|t| above about 5e305)."""
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LOG_PI
+    phase = log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LOG_PI
+    if not math.isfinite(phase):
+        raise DomainError(f"theta overflows at t={t!r}")
+    return phase
 
 
 def _check_asymptotic(t: float) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +27,9 @@ from .errors import DomainError, PoleError
 from .specialfn import (TWO_PI, _require_finite, log_gamma, theta,
                         theta_asymptotic)
 
-# Bernoulli numbers B_2 .. B_18 as exact rationals: the EM_ORDER
-# correction coefficients B_{2k}/(2k)! and the first omitted one.
+# Bernoulli numbers B_2 .. B_42 as exact rationals: the correction
+# coefficients B_{2k}/(2k)! for up to EM_ORDER_MAX terms and the first
+# omitted one.
 _BERNOULLI_EVEN = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -38,6 +40,18 @@ _BERNOULLI_EVEN = (
     Fraction(7, 6),
     Fraction(-3617, 510),
     Fraction(43867, 798),
+    Fraction(-174611, 330),
+    Fraction(854513, 138),
+    Fraction(-236364091, 2730),
+    Fraction(8553103, 6),
+    Fraction(-23749461029, 870),
+    Fraction(8615841276005, 14322),
+    Fraction(-7709321041217, 510),
+    Fraction(2577687858367, 6),
+    Fraction(-26315271553053477373, 1919190),
+    Fraction(2929993913841559, 6),
+    Fraction(-261082718496449122051, 13530),
+    Fraction(1520097643918070802691, 1806),
 )
 
 _EM_COEF = tuple(
@@ -45,8 +59,27 @@ _EM_COEF = tuple(
     for k, b in enumerate(_BERNOULLI_EVEN)
 )
 
-#: Bernoulli correction terms m in every Euler-Maclaurin sum.
+#: Bernoulli correction terms m of an explicit em_terms, and of the
+#: default cutoff wherever that pair is the cheaper one.
 EM_ORDER = 8
+
+#: Bernoulli correction terms m of the default cutoff's other pair.
+EM_ORDER_MAX = 20
+
+#: Backlund bound, absolute, that the EM_ORDER_MAX pair is sized to meet.
+EM_TARGET = 1e-11
+
+# One Bernoulli correction (complex products in the interpreter) costs
+# about as much as this many head terms (one numpy log and exp each):
+# 0.5-0.7 us against 30-40 ns, timed in process on a 2-vCPU Xeon.
+_BERNOULLI_COST = 17
+
+# Head terms the EM_ORDER_MAX pair must save to pay for its extra
+# Bernoulli terms.  Its N is above |t|/2pi, so it cannot save them while
+# 2|t|/pi + 1 <= |t|/2pi + _EXTRA_COST, that is for every
+# |t| <= _T_FIXED = (_EXTRA_COST - 1) 2pi/3 ~ 425.
+_EXTRA_COST = _BERNOULLI_COST * (EM_ORDER_MAX - EM_ORDER)
+_T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
 EM_TOL = 1e-8
@@ -54,6 +87,13 @@ EM_TOL = 1e-8
 #: Most terms one Euler-Maclaurin or Riemann-Siegel evaluation, or one
 #: Dirichlet partial-sum series, sums.
 MAX_TERMS = 10**6
+
+# Constants of _backlund_cutoff: edge = sigma + _EDGE_SHIFT, and logs it
+# compares against and sums.
+_EDGE_SHIFT = 2 * EM_ORDER_MAX + 1
+_LOG_MAX_TERMS = math.log(MAX_TERMS)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_COEF_OVER_TARGET = math.log(abs(_EM_COEF[EM_ORDER_MAX]) / EM_TARGET)
 
 #: Machine epsilon of a double, for the head-sum rounding estimate.
 _EPS = 2.0**-52
@@ -73,10 +113,10 @@ _DH_COEF = {1: 1.0, 2: KAPPA, 3: -KAPPA, 4: -1.0}
 class EvalConfig:
     """Truncation knob of the Euler-Maclaurin kernels.
 
-    em_terms: Euler-Maclaurin cutoff N; None picks max(50, ceil(2|t|/pi)),
-        which keeps the truncation error near 1e-12 throughout the
-        validated range t <= 1e4.  Either way, values that Backlund's
-        bound does not certify raise DomainError (see _em_sum).
+    em_terms: Euler-Maclaurin cutoff N, summed with m = EM_ORDER
+        Bernoulli terms.  None lets pair() choose N and m together from
+        Backlund's bound.  Either way, values that Backlund's bound does
+        not certify raise DomainError (see _em_sum).
     """
 
     em_terms: int | None = None
@@ -85,10 +125,48 @@ class EvalConfig:
         if self.em_terms is not None and self.em_terms < 1:
             raise DomainError(f"em_terms must be >= 1, got {self.em_terms}")
 
-    def cutoff(self, t: float) -> int:
+    def pair(self, s: complex) -> tuple[int, int]:
+        """Cutoff N and Bernoulli order m of an Euler-Maclaurin sum at s.
+
+        An explicit em_terms gives (em_terms, EM_ORDER).  The default is
+        the cheaper, counting a Bernoulli term as _BERNOULLI_COST head
+        terms, of (max(50, ceil(2|t|/pi)), EM_ORDER) and
+        (_backlund_cutoff(s), EM_ORDER_MAX).  Up to |t| = _T_FIXED the
+        first pair wins whatever the second's N, since that N exceeds
+        |t|/2pi, so it is taken without computing that N.
+        """
         if self.em_terms is not None:
-            return self.em_terms
-        return max(50, math.ceil(2.0 * abs(t) / math.pi))
+            return self.em_terms, EM_ORDER
+        t = abs(s.imag)
+        n_fixed = max(50, math.ceil(2.0 * t / math.pi))
+        if t <= _T_FIXED:
+            return n_fixed, EM_ORDER
+        n_b = _backlund_cutoff(s, int(t / TWO_PI) + 1)
+        if n_b is None or n_fixed <= n_b + _EXTRA_COST:
+            return n_fixed, EM_ORDER
+        return n_b, EM_ORDER_MAX
+
+
+def _backlund_cutoff(s: complex, n_min: int) -> int | None:
+    """Smallest N >= n_min at which Backlund's bound with m = EM_ORDER_MAX
+    is at most EM_TARGET, or None where Backlund's premise sigma+2m+1 > 0
+    fails, where that N would exceed MAX_TERMS, or where the tail's
+    Pochhammer product s(s+1)...(s+2m) could overflow a double.
+
+    With edge = sigma+2m+1 and base >= N, the bound is at most
+    |B_{2m+2}/(2m+2)!| (|s|+2m+1)^{2m+2} N^{-edge} / edge, since each of
+    the 2m+2 factors |s+j| in |s+2m+1| prod_{j<=2m} |s+j| is at most
+    |s|+2m+1.  Solving for N in logs takes O(1), and the exp is taken
+    only below log MAX_TERMS, so nothing here can overflow.
+    """
+    edge = s.real + _EDGE_SHIFT
+    log_poch = (_EDGE_SHIFT + 1) * math.log(abs(s) + _EDGE_SHIFT)
+    if edge <= 0.0 or log_poch > _LOG_FLOAT_MAX:
+        return None
+    log_n = (log_poch + _LOG_COEF_OVER_TARGET - math.log(edge)) / edge
+    if log_n > _LOG_MAX_TERMS:
+        return None
+    return max(n_min, math.ceil(math.exp(log_n)))
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -131,10 +209,11 @@ def _powers(ns: np.ndarray, p: complex) -> np.ndarray:
     return np.exp(p * np.log(ns))
 
 
-def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
+def _em_sum(s: complex, a: float, terms: int, em_terms: int,
+            m: int) -> complex:
     """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
     sum_{n<terms} (n+a)^{-s} plus the boundary terms at base = terms+a
-    with m = EM_ORDER Bernoulli corrections.  Raises DomainError, naming
+    with m <= EM_ORDER_MAX Bernoulli corrections.  Raises DomainError, naming
     the caller's cutoff em_terms, if em_terms > MAX_TERMS, if Backlund's
     premises base > |t|/2pi and sigma+2m+1 > 0 fail, or if his bound
     |s+2m+1|/(sigma+2m+1) |T_{m+1}| on the truncation error (T_{m+1} the
@@ -143,14 +222,14 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
     the head terms grow, it also raises when the rounding estimate
     eps (base^{1-sigma}/(1-sigma) + 1) exceeds EM_TOL max(1, |value|)."""
     base = terms + a
-    edge = 2 * EM_ORDER + 1 + s.real
+    edge = 2 * m + 1 + s.real
     if em_terms > MAX_TERMS:
         raise DomainError(f"em_terms={em_terms} exceeds MAX_TERMS={MAX_TERMS}")
     if base <= abs(s.imag) / TWO_PI or edge <= 0.0:
         raise DomainError(
             f"em_terms={em_terms} at s={s} fails the premises of the "
             f"Backlund bound: cutoff above |Im s|/2pi="
-            f"{abs(s.imag) / TWO_PI:.1f}, Re s > {-2 * EM_ORDER - 1}"
+            f"{abs(s.imag) / TWO_PI:.1f}, Re s > {-2 * m - 1}"
         )
     ns = np.arange(0, terms, dtype=float) + a
     head = complex(np.sum(_powers(ns, -s)))
@@ -159,13 +238,12 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int) -> complex:
     inv2 = base ** -2.0
     poch = s
     pw = pw1 * inv2
-    for k in range(EM_ORDER):
+    for k in range(m):
         tail += _EM_COEF[k] * poch * pw
         pw *= inv2
         poch *= (s + (2 * k + 1)) * (s + (2 * k + 2))
     value = head + tail
-    bound = abs(s + (2 * EM_ORDER + 1)) / edge * abs(
-        _EM_COEF[EM_ORDER] * poch * pw)
+    bound = abs(s + (2 * m + 1)) / edge * abs(_EM_COEF[m] * poch * pw)
     limit = EM_TOL * max(1.0, abs(value))
     if bound > limit:
         raise DomainError(
@@ -194,8 +272,8 @@ def zeta_em(s: complex, cfg: EvalConfig | None = None) -> complex:
     cfg = _config(cfg)
     if s == 1.0:
         raise PoleError("zeta has a pole at s=1")
-    n_cut = cfg.cutoff(s.imag)
-    return _em_sum(s, 1.0, n_cut - 1, n_cut)
+    n_cut, m = cfg.pair(s)
+    return _em_sum(s, 1.0, n_cut - 1, n_cut, m)
 
 
 def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex:
@@ -210,8 +288,8 @@ def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex
         raise DomainError(f"hurwitz offset a must lie in (0, 1], got {a}")
     if s == 1.0:
         raise PoleError("hurwitz zeta has a pole at s=1")
-    n_cut = cfg.cutoff(s.imag)
-    return _em_sum(s, a, n_cut, n_cut)
+    n_cut, m = cfg.pair(s)
+    return _em_sum(s, a, n_cut, n_cut, m)
 
 
 def _rs_psi(p: float) -> float:

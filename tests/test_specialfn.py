@@ -174,6 +174,14 @@ class TestTheta:
         assert math.isfinite(theta(-42.0))
         assert theta(-42.0) == pytest.approx(-theta(42.0), abs=1e-11)
 
+    def test_exact_refuses_overflowing_phase(self):
+        # log-gamma's phase at 1/4 + it/2 overflows between 5e305 and
+        # 6e305; it used to come back as inf.
+        assert math.isfinite(theta(5e305))
+        for t in (6e305, 1e306, -1e306, 1e308):
+            with pytest.raises(DomainError, match="overflows"):
+                theta(t)
+
 
 class TestThetaDerivative:
     def test_frozen_value_at_2pi(self):

@@ -1,8 +1,10 @@
 import cmath
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from hardyzeta import specialfn, zetaeval
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
 from hardyzeta.zetaeval import (
+    DEFAULT_CONFIG,
+    EM_ORDER,
+    EM_ORDER_MAX,
+    EM_TARGET,
     EM_TOL,
     KAPPA,
     MAX_TERMS,
@@ -76,11 +82,13 @@ class TestZetaEm:
         assert abs(value - oracle) <= EM_TOL * max(1.0, abs(value))
 
     def test_default_cutoff_always_certified(self):
+        # The grid README states: sigma in [-2, 3], |t| <= 2e4.
         for sigma in np.linspace(-2.0, 3.0, 6):
-            for t in (-1e4, -2500.0, -30.0, 0.5, 14.1, 700.0, 5000.0, 1e4):
+            for t in (-2e4, -1e4, -2500.0, -30.0, 0.5, 14.1, 405.0, 700.0,
+                      5000.0, 1e4, 1.96e4, 2e4):
                 s = complex(sigma, t)
                 zeta_em(s)
-                for a in (1.0, 0.5, 0.05):
+                for a in (1.0, 0.5, 0.05, 0.001):
                     hurwitz_zeta(s, a)
 
     def test_refuses_head_sum_rounding_left_of_strip(self):
@@ -123,6 +131,88 @@ class TestZetaEm:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EvalConfig(em_terms=0)
+
+
+def _backlund_bound(s: complex, base: float, m: int) -> float:
+    """Backlund's bound |s+2m+1|/(sigma+2m+1) |T_{m+1}| at base, with the
+    Pochhammer product taken factor by factor."""
+    edge = s.real + 2 * m + 1
+    poch = math.prod(abs(s + j) for j in range(2 * m + 1))
+    return (abs(s + 2 * m + 1) / edge * abs(zetaeval._EM_COEF[m]) * poch
+            * base ** -edge)
+
+
+class TestDefaultPair:
+    def test_bernoulli_table_from_recurrence(self):
+        # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, B_0 = 1.
+        b = [Fraction(1)]
+        for n in range(1, 2 * EM_ORDER_MAX + 3):
+            b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n))
+                     / (n + 1))
+        assert zetaeval._BERNOULLI_EVEN == tuple(b[2:2 * EM_ORDER_MAX + 3:2])
+        assert zetaeval._EM_COEF == tuple(
+            float(b[2 * k] / math.factorial(2 * k))
+            for k in range(1, EM_ORDER_MAX + 2))
+
+    def test_unchanged_up_to_405(self):
+        for sigma in np.linspace(-2.0, 3.0, 6):
+            for t in np.linspace(-405.0, 405.0, 163):
+                assert DEFAULT_CONFIG.pair(complex(sigma, t)) == (
+                    max(50, math.ceil(2.0 * abs(t) / math.pi)), EM_ORDER)
+
+    def test_half_the_head_terms_at_9000(self):
+        s = complex(0.5, 9000.0)
+        n, m = DEFAULT_CONFIG.pair(s)
+        assert m == EM_ORDER_MAX
+        assert n <= 0.35 * 9000.0
+        # zeta_em sums to base = n; hurwitz_zeta to n + a.
+        assert _backlund_bound(s, n, m) <= EM_TARGET
+
+    def test_higher_order_pair_meets_target(self):
+        # Wherever the EM_ORDER_MAX pair is taken, its exact bound is
+        # within EM_TARGET, though its N came from an upper bound.  Above
+        # |t| = 1018 it is taken at every sigma of the grid.
+        for sigma in np.linspace(-2.0, 3.0, 11):
+            for t in np.linspace(-2e4, 2e4, 81):
+                s = complex(sigma, t)
+                n, m = DEFAULT_CONFIG.pair(s)
+                if m == EM_ORDER_MAX:
+                    assert n > abs(t) / (2.0 * math.pi)
+                    assert _backlund_bound(s, n, m) <= EM_TARGET
+                else:
+                    assert abs(t) < 1018.0
+                    assert n == max(50, math.ceil(2.0 * abs(t) / math.pi))
+
+    def test_explicit_cutoff_keeps_em_order(self):
+        for t in (10.0, 9000.0):
+            assert EvalConfig(em_terms=7000).pair(complex(0.5, t)) == (
+                7000, EM_ORDER)
+
+    def test_matches_mpmath_on_seeded_points(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2015)
+        with mpmath.workdps(30):
+            for i in range(200):
+                sigma = rng.uniform(-2.0, 3.0)
+                t = rng.uniform(-1e4, 1e4)
+                a = (1.0, 0.2, 0.8)[i % 3]
+                s = complex(sigma, t)
+                got = zeta_em(s) if a == 1.0 else hurwitz_zeta(s, a)
+                ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), a))
+                # Left of sigma = 0 the head terms grow like (n+a)^{-sigma},
+                # each with a phase rounding of about eps |t| log(n+a), and
+                # that rounding, not truncation, sets the error: up to
+                # 3.4e-11 relative on these points (8.2e-11 with the
+                # fixed m = 8 pair).
+                rel = 2e-11 if sigma >= 0.0 else 1e-10
+                assert abs(got - ref) <= rel * max(1.0, abs(ref)), (s, a)
+
+    def test_extreme_inputs_fall_back(self):
+        # Backlund's premise fails for the higher order, or its
+        # Pochhammer product would overflow: the EM_ORDER pair is taken.
+        for s in (complex(-41.0, 1000.0), complex(1e306, 1000.0),
+                  complex(0.5, 1e300)):
+            assert DEFAULT_CONFIG.pair(s)[1] == EM_ORDER
 
 
 class TestHurwitz:
@@ -293,6 +383,12 @@ class TestRsTermTable:
             # Kept as strings, so the only live objects made in zetaeval
             # are the table's.
             values = {k: hardy_z_rs(TABLE_HEIGHTS[k]).hex() for k in ks}
+            # Freed floats and short tuples (the tables of fewer than 20
+            # terms grown on the way up) park in the interpreter's free
+            # lists, where tracemalloc still counts them, so what it
+            # counted depended on the tests run before.  A full
+            # collection empties the free lists.
+            gc.collect()
             retained = sum(
                 stat.size for stat in tracemalloc.take_snapshot().filter_traces(
                     [tracemalloc.Filter(True, zetaeval.__file__)]
