@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from .output import (
 from .report import RunConfig, render_summary, report_json, run_report
 from .specialfn import theta, theta_asymptotic
 from .zetaeval import (
-    EvalConfig,
     davenport_heilbronn,
     dirichlet_partial_sums,
     generalized_hardy,
@@ -38,8 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-_GLOBAL_DEFAULTS = {"em_terms": None, "quad_order": 256, "json": False,
-                   "out": None}
+_GLOBAL_DEFAULTS = {"quad_order": 256, "json": False, "out": None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     # `common`.  SUPPRESS keeps a subparser from clobbering a value given
     # before it; main supplies _GLOBAL_DEFAULTS for flags given nowhere.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS,
-                        help="Euler-Maclaurin cutoff N, summed with 8 "
-                             "Bernoulli terms (default: N and the number "
-                             "of terms chosen from Backlund's bound)")
     common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS,
                         help="Gauss-Legendre order for inner products "
                              "(default 256)")
@@ -188,7 +181,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_theta(args, cfg) -> int:
+def _cmd_theta(args) -> int:
     value = (theta if args.mode == "exact" else theta_asymptotic)(args.t)
     if args.json:
         _emit(json.dumps({"t": args.t, "mode": args.mode,
@@ -198,11 +191,11 @@ def _cmd_theta(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_z(args, cfg) -> int:
+def _cmd_z(args) -> int:
     if args.method == "rs":
         value = hardy_z_rs(args.t)
     else:
-        value = generalized_hardy(0.5, args.t, cfg).z
+        value = generalized_hardy(0.5, args.t).z
     if args.json:
         _emit(json.dumps({"t": args.t, "method": args.method,
                           "z": sig(value, 15)}), args.out)
@@ -211,8 +204,8 @@ def _cmd_z(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_gz(args, cfg) -> int:
-    v = generalized_hardy(args.sigma, args.t, cfg)
+def _cmd_gz(args) -> int:
+    v = generalized_hardy(args.sigma, args.t)
     if args.json:
         _emit(json.dumps({"sigma": args.sigma, "t": args.t,
                           "z": sig(v.z, 15), "y": sig(v.y, 15)}), args.out)
@@ -221,7 +214,7 @@ def _cmd_gz(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_spiral(args, cfg) -> int:
+def _cmd_spiral(args) -> int:
     path = dirichlet_partial_sums(complex(args.sigma, args.t), args.n)
     wrote = []
     if args.csv:
@@ -244,9 +237,9 @@ def _family_order(args) -> int:
     return order
 
 
-def _cmd_gram(args, cfg) -> int:
+def _cmd_gram(args) -> int:
     order = _family_order(args)
-    rep = hilbert.independence_report(args.sigmas, args.interval, order, cfg)
+    rep = hilbert.independence_report(args.sigmas, args.interval, order)
     eigenvalues = np.linalg.eigvalsh(rep.correlations)
     payload = {
         "sigmas": args.sigmas,
@@ -263,13 +256,13 @@ def _cmd_gram(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_ortho(args, cfg) -> int:
+def _cmd_ortho(args) -> int:
     if not args.out:
         print("hardyzeta ortho: --out PREFIX is required", file=sys.stderr)
         return EXIT_USAGE
     order = _family_order(args)
     rule = hilbert.gauss_legendre_rule(order, args.interval)
-    family = [hilbert.hardy_function(s, cfg) for s in args.sigmas]
+    family = [hilbert.hardy_function(s) for s in args.sigmas]
     outs = hilbert.gram_schmidt(family, rule)
     samples = [g.sample(rule.nodes) for g in outs]
     header = "t," + ",".join(f"g{i + 1}" for i in range(len(outs)))
@@ -284,8 +277,8 @@ def _cmd_ortho(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_polyfit(args, cfg) -> int:
-    f = hilbert.hardy_function(args.sigma, cfg)
+def _cmd_polyfit(args) -> int:
+    f = hilbert.hardy_function(args.sigma)
     studies = polyzero.zero_convergence_study(f, args.interval, args.degrees)
     payload = []
     for comp in studies:
@@ -300,9 +293,8 @@ def _cmd_polyfit(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_zeros(args, cfg) -> int:
-    records = zerofinder.find_critical_zeros(args.interval, step=args.step,
-                                             cfg=cfg)
+def _cmd_zeros(args) -> int:
+    records = zerofinder.find_critical_zeros(args.interval, step=args.step)
     if args.json or args.out:
         payload = [
             {
@@ -321,9 +313,9 @@ def _cmd_zeros(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_lehmer(args, cfg) -> int:
+def _cmd_lehmer(args) -> int:
     pairs = zerofinder.lehmer_scan(args.interval, threshold=args.threshold,
-                                   step=args.step, cfg=cfg)
+                                   step=args.step)
     payload = [
         {
             "t_low": sig(p.t_low),
@@ -337,23 +329,19 @@ def _cmd_lehmer(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_dh_scan(args, cfg) -> int:
+def _cmd_dh_scan(args) -> int:
     count = zerofinder.argument_principle_count(
-        partial(davenport_heilbronn, cfg=cfg), args.box,
-        n_per_side=args.n_per_side)
+        davenport_heilbronn, args.box, n_per_side=args.n_per_side)
     payload = {"box": list(args.box), "n_per_side": args.n_per_side,
                "count": count}
     _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
 
-def _cmd_report(args, cfg) -> int:
+def _cmd_report(args) -> int:
     interval = args.interval or hilbert.Interval(*RunConfig.interval)
-    config = RunConfig(
-        evaluation=cfg,
-        quad_order=args.quad_order,
-        interval=(interval.a, interval.b),
-    )
+    config = RunConfig(quad_order=args.quad_order,
+                       interval=(interval.a, interval.b))
     entries = run_report(config)
     text = report_json(config, entries)
     if args.out:
@@ -387,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = EvalConfig(em_terms=args.em_terms)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except (NumericsError, OSError) as exc:
         print(f"hardyzeta: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

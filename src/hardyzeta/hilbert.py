@@ -22,7 +22,7 @@ from scipy.special import roots_legendre
 
 from .errors import DependenceError, DomainError, EvaluationError
 from .specialfn import TWO_PI, theta_derivative
-from .zetaeval import EvalConfig, generalized_hardy
+from .zetaeval import generalized_hardy
 
 MAX_QUAD_ORDER = 4096
 
@@ -240,11 +240,11 @@ def correlation_matrix(gram: GramMatrix) -> np.ndarray:
     return gram.entries / np.outer(d, d)
 
 
-def hardy_function(sigma: float, cfg: EvalConfig | None = None) -> SampledFunction:
+def hardy_function(sigma: float) -> SampledFunction:
     """Generalized Hardy function Z(sigma, .) as a SampledFunction."""
 
     def _eval(t: float) -> float:
-        return generalized_hardy(sigma, t, cfg).z
+        return generalized_hardy(sigma, t).z
 
     return SampledFunction(eval=_eval, label=f"Z({sigma:g},.)")
 
@@ -290,12 +290,11 @@ class IndependenceReport:
 
 
 def independence_report(sigmas: Sequence[float], interval: Interval,
-                        order: int,
-                        cfg: EvalConfig | None = None) -> IndependenceReport:
+                        order: int) -> IndependenceReport:
     """Conditioning evidence for {Z(sigma_k, .)} on an interval."""
     if len(sigmas) < 2:
         raise DomainError("independence_report needs at least two sigmas")
-    fs = [hardy_function(s, cfg) for s in sigmas]
+    fs = [hardy_function(s) for s in sigmas]
     rule = gauss_legendre_rule(order, interval)
     gram = gram_matrix(fs, rule)
     corr = correlation_matrix(gram)

@@ -16,8 +16,8 @@ time-, platform- or path-dependent is written.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -26,12 +26,7 @@ from . import hilbert, polyzero, zerofinder
 from .errors import DomainError
 from .output import sig
 from .specialfn import chi
-from .zetaeval import (
-    EvalConfig,
-    davenport_heilbronn,
-    generalized_hardy,
-    zeta_em,
-)
+from .zetaeval import davenport_heilbronn, generalized_hardy, zeta_em
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -42,7 +37,6 @@ class RunConfig:
     so a report never records a config its schema rejects.
     """
 
-    evaluation: EvalConfig = EvalConfig()
     quad_order: int = 256
     interval: tuple[float, float] = (10.0, 50.0)
 
@@ -55,9 +49,8 @@ class RunConfig:
         hilbert.Interval(*self.interval)
 
     def as_dict(self) -> dict:
-        """Flat config: the EvalConfig fields, quad_order and interval."""
+        """Flat config: quad_order and interval."""
         return {
-            **asdict(self.evaluation),
             "quad_order": self.quad_order,
             "interval": [self.interval[0], self.interval[1]],
         }
@@ -84,7 +77,7 @@ class ReportEntry:
 
 def _entry_sin_theta(config: RunConfig) -> ReportEntry:
     ts = np.arange(10.0, 200.0001, 0.1)
-    worst = max(abs(generalized_hardy(0.5, float(t), config.evaluation).y)
+    worst = max(abs(generalized_hardy(0.5, float(t)).y)
                 for t in ts)
     ok = worst < 1e-8
     return ReportEntry(
@@ -96,12 +89,11 @@ def _entry_sin_theta(config: RunConfig) -> ReportEntry:
 
 
 def _entry_functional_equation(config: RunConfig) -> ReportEntry:
-    cfg = config.evaluation
     worst = 0.0
     for sigma in np.linspace(-1.0, 2.0, 20):
         for t in np.linspace(5.0, 60.0, 20):
             s = complex(sigma, t)
-            r = abs(zeta_em(s, cfg) - chi(s) * zeta_em(1.0 - s, cfg))
+            r = abs(zeta_em(s) - chi(s) * zeta_em(1.0 - s))
             worst = max(worst, r)
     ok = worst < 1e-8
     return ReportEntry(
@@ -130,8 +122,7 @@ def _entry_chi_modulus(config: RunConfig) -> ReportEntry:
 def _entry_gs_first(config: RunConfig) -> ReportEntry:
     iv = hilbert.Interval(*config.interval)
     rule = hilbert.gauss_legendre_rule(config.quad_order, iv)
-    family = [hilbert.hardy_function(s, config.evaluation)
-              for s in (0.5, 0.3, 0.4)]
+    family = [hilbert.hardy_function(s) for s in (0.5, 0.3, 0.4)]
     outs = hilbert.gram_schmidt(family, rule)
     first_dev = float(np.max(np.abs(outs[0].sample(rule.nodes)
                                     - family[0].sample(rule.nodes))))
@@ -154,8 +145,7 @@ def _entry_independence(config: RunConfig) -> ReportEntry:
     for tag, sigmas in (("pair_0.3_0.7", (0.3, 0.7)),
                         ("pair_0.3_0.6", (0.3, 0.6)),
                         ("triple_0.5_0.3_0.4", (0.5, 0.3, 0.4))):
-        rep = hilbert.independence_report(sigmas, iv, config.quad_order,
-                                          config.evaluation)
+        rep = hilbert.independence_report(sigmas, iv, config.quad_order)
         metrics[f"{tag}_det"] = rep.correlation_det
         metrics[f"{tag}_min_eig"] = rep.min_eigenvalue
         for s1, s2, c in rep.pairwise():
@@ -171,7 +161,7 @@ def _entry_independence(config: RunConfig) -> ReportEntry:
 
 def _entry_zero_convergence(config: RunConfig) -> ReportEntry:
     iv = hilbert.Interval(10.0, 30.0)
-    f = hilbert.hardy_function(0.5, config.evaluation)
+    f = hilbert.hardy_function(0.5)
     studies = polyzero.zero_convergence_study(f, iv, [20, 30, 40])
     devs = {c.degree: c.max_deviation for c in studies}
     ok = devs[40] < 1e-6 and devs[40] < devs[20]
@@ -184,13 +174,12 @@ def _entry_zero_convergence(config: RunConfig) -> ReportEntry:
 
 
 def _entry_lehmer(config: RunConfig) -> ReportEntry:
-    cfg = config.evaluation
     pairs = zerofinder.lehmer_scan(hilbert.Interval(7000.0, 7010.0),
-                                   threshold=0.2, step=0.01, cfg=cfg)
+                                   threshold=0.2, step=0.01)
     if not pairs:
         return ReportEntry("lehmer-7005", "Fail", {},
                            "no close pair found in [7000, 7010]")
-    z_em = zerofinder.hardy_em_function(cfg)
+    z_em = zerofinder.hardy_em_function()
     p = min(pairs, key=lambda q: q.normalized_gap)
     res_lo = abs(z_em.eval(p.t_low))
     res_hi = abs(z_em.eval(p.t_high))
@@ -214,7 +203,7 @@ def _entry_lehmer(config: RunConfig) -> ReportEntry:
 def _entry_dh_offline(config: RunConfig) -> ReportEntry:
     # The 512-point contour contains every point of the 256-point one
     # bit for bit (k/256 == 2k/512), so the recount reuses those values.
-    f = cache(partial(davenport_heilbronn, cfg=config.evaluation))
+    f = cache(davenport_heilbronn)
     box = (0.51, 1.0, 80.0, 90.0)
     count = zerofinder.argument_principle_count(f, box, n_per_side=256)
     count2 = zerofinder.argument_principle_count(f, box, n_per_side=512)

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, ContourError, DomainError
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, theta, theta_derivative
-from .zetaeval import MAX_TERMS, EvalConfig, generalized_hardy, hardy_z_rs
+from .zetaeval import MAX_TERMS, generalized_hardy, hardy_z_rs
 
 #: Largest height validated for double-precision scanning.
 MAX_SCAN_HEIGHT = 1.0e4
@@ -159,14 +159,13 @@ def hardy_rs_function() -> SampledFunction:
     return SampledFunction(eval=lambda t: hardy_z_rs(t), label="Z_rs")
 
 
-def hardy_em_function(cfg: EvalConfig | None = None) -> SampledFunction:
+def hardy_em_function() -> SampledFunction:
     """Z(t) via Euler-Maclaurin; the accurate refinement route."""
-    return SampledFunction(eval=lambda t: generalized_hardy(0.5, t, cfg).z,
+    return SampledFunction(eval=lambda t: generalized_hardy(0.5, t).z,
                            label="Z_em")
 
 
 def find_critical_zeros(interval: Interval, step: float = 0.01,
-                        cfg: EvalConfig | None = None,
                         tol: float = 1e-10) -> list[ZeroRecord]:
     """Scan-then-refine all Hardy-function zeros on an interval.
 
@@ -181,8 +180,6 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     so records come out ascending and distinct.  A span without a sign
     change drops the bracket: a Riemann-Siegel-only pair of sign
     changes, or a zero just outside the interval.
-    An em_terms too short for the interval raises DomainError at the
-    first Euler-Maclaurin refinement (see zetaeval._em_sum).
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -196,7 +193,7 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         raise DomainError(
             f"step must not exceed MAX_SCAN_STEP={MAX_SCAN_STEP:g}, got {step}"
         )
-    z_em = hardy_em_function(cfg)
+    z_em = hardy_em_function()
     brackets = scan_sign_changes(hardy_rs_function(), interval, step)
     mids = [0.5 * (p[1] + q[0]) for p, q in zip(brackets, brackets[1:])]
     splits = [interval.a, *mids, interval.b]
@@ -211,8 +208,8 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     return records
 
 
-def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,
-                cfg: EvalConfig | None = None) -> list[LehmerPair]:
+def lehmer_scan(interval: Interval, threshold: float,
+                step: float = 0.01) -> list[LehmerPair]:
     """Consecutive Hardy-function zeros closer than `threshold` mean gaps.
 
     Refines all zeros in the interval with find_critical_zeros (so step
@@ -223,7 +220,7 @@ def lehmer_scan(interval: Interval, threshold: float, step: float = 0.01,
     """
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    records = find_critical_zeros(interval, step=step, cfg=cfg)
+    records = find_critical_zeros(interval, step=step)
     z_rs = hardy_rs_function()
     pairs: list[LehmerPair] = []
     for r0, r1 in zip(records[:-1], records[1:]):

@@ -59,11 +59,11 @@ _EM_COEF = tuple(
     for k, b in enumerate(_BERNOULLI_EVEN)
 )
 
-#: Bernoulli correction terms m of an explicit em_terms, and of the
-#: default cutoff wherever that pair is the cheaper one.
+#: Bernoulli correction terms m of the Euler-Maclaurin pair up to
+#: |t| = _T_FIXED, and above it wherever that pair is the cheaper one.
 EM_ORDER = 8
 
-#: Bernoulli correction terms m of the default cutoff's other pair.
+#: Bernoulli correction terms m of the other Euler-Maclaurin pair.
 EM_ORDER_MAX = 20
 
 #: Backlund bound, absolute, that the EM_ORDER_MAX pair is sized to meet.
@@ -95,6 +95,10 @@ _LOG_MAX_TERMS = math.log(MAX_TERMS)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_COEF_OVER_TARGET = math.log(abs(_EM_COEF[EM_ORDER_MAX]) / EM_TARGET)
 
+# As a >= 5e-324, the head term a^-sigma can overflow only above this
+# sigma (~0.95).
+_SIGMA_HEAD_SAFE = _LOG_FLOAT_MAX / -math.log(5e-324)
+
 #: Machine epsilon of a double, for the head-sum rounding estimate.
 _EPS = 2.0**-52
 
@@ -109,42 +113,30 @@ _CHI5 = {1: 1.0 + 0.0j, 2: 1.0j, 3: -1.0j, 4: -1.0 + 0.0j}
 _DH_COEF = {1: 1.0, 2: KAPPA, 3: -KAPPA, 4: -1.0}
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Truncation knob of the Euler-Maclaurin kernels.
+def _em_pair(s: complex) -> tuple[int, int]:
+    """Cutoff N and Bernoulli order m of the Euler-Maclaurin sum at s.
 
-    em_terms: Euler-Maclaurin cutoff N, summed with m = EM_ORDER
-        Bernoulli terms.  None lets pair() choose N and m together from
-        Backlund's bound.  Either way, values that Backlund's bound does
-        not certify raise DomainError (see _em_sum).
+    The cheaper, counting a Bernoulli term as _BERNOULLI_COST head terms,
+    of (max(50, ceil(2|t|/pi)), EM_ORDER) and (_backlund_cutoff(s),
+    EM_ORDER_MAX).  Up to |t| = _T_FIXED the first pair wins whatever the
+    second's N, since that N exceeds |t|/2pi, so it is taken without
+    computing that N.  Raises DomainError where |t|/2pi >= MAX_TERMS:
+    Backlund's premise then needs N > MAX_TERMS, and 2|t| may overflow.
     """
-
-    em_terms: int | None = None
-
-    def __post_init__(self):
-        if self.em_terms is not None and self.em_terms < 1:
-            raise DomainError(f"em_terms must be >= 1, got {self.em_terms}")
-
-    def pair(self, s: complex) -> tuple[int, int]:
-        """Cutoff N and Bernoulli order m of an Euler-Maclaurin sum at s.
-
-        An explicit em_terms gives (em_terms, EM_ORDER).  The default is
-        the cheaper, counting a Bernoulli term as _BERNOULLI_COST head
-        terms, of (max(50, ceil(2|t|/pi)), EM_ORDER) and
-        (_backlund_cutoff(s), EM_ORDER_MAX).  Up to |t| = _T_FIXED the
-        first pair wins whatever the second's N, since that N exceeds
-        |t|/2pi, so it is taken without computing that N.
-        """
-        if self.em_terms is not None:
-            return self.em_terms, EM_ORDER
-        t = abs(s.imag)
-        n_fixed = max(50, math.ceil(2.0 * t / math.pi))
-        if t <= _T_FIXED:
-            return n_fixed, EM_ORDER
-        n_b = _backlund_cutoff(s, int(t / TWO_PI) + 1)
-        if n_b is None or n_fixed <= n_b + _EXTRA_COST:
-            return n_fixed, EM_ORDER
-        return n_b, EM_ORDER_MAX
+    t = abs(s.imag)
+    if t / TWO_PI >= MAX_TERMS:
+        raise DomainError(
+            f"no Euler-Maclaurin cutoff within MAX_TERMS={MAX_TERMS} at "
+            f"s={s}: Backlund's bound needs N above |Im s|/2pi="
+            f"{t / TWO_PI:.3g}"
+        )
+    n_fixed = max(50, math.ceil(2.0 * t / math.pi))
+    if t <= _T_FIXED:
+        return n_fixed, EM_ORDER
+    n_b = _backlund_cutoff(s, int(t / TWO_PI) + 1)
+    if n_b is None or n_fixed <= n_b + _EXTRA_COST:
+        return n_fixed, EM_ORDER
+    return n_b, EM_ORDER_MAX
 
 
 def _backlund_cutoff(s: complex, n_min: int) -> int | None:
@@ -167,9 +159,6 @@ def _backlund_cutoff(s: complex, n_min: int) -> int | None:
     if log_n > _LOG_MAX_TERMS:
         return None
     return max(n_min, math.ceil(math.exp(log_n)))
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -196,10 +185,6 @@ class SpiralPath:
     midpoints: np.ndarray
 
 
-def _config(cfg: EvalConfig | None) -> EvalConfig:
-    return DEFAULT_CONFIG if cfg is None else cfg
-
-
 def _powers(ns: np.ndarray, p: complex) -> np.ndarray:
     """ns ** p for positive real ns, as exp(p log ns): one real log and
     one complex exp per term instead of a general complex power.  glibc's
@@ -209,30 +194,30 @@ def _powers(ns: np.ndarray, p: complex) -> np.ndarray:
     return np.exp(p * np.log(ns))
 
 
-def _em_sum(s: complex, a: float, terms: int, em_terms: int,
+def _em_sum(s: complex, a: float, terms: int, n_cut: int,
             m: int) -> complex:
     """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
     sum_{n<terms} (n+a)^{-s} plus the boundary terms at base = terms+a
-    with m <= EM_ORDER_MAX Bernoulli corrections.  Raises DomainError, naming
-    the caller's cutoff em_terms, if em_terms > MAX_TERMS, if Backlund's
-    premises base > |t|/2pi and sigma+2m+1 > 0 fail, or if his bound
-    |s+2m+1|/(sigma+2m+1) |T_{m+1}| on the truncation error (T_{m+1} the
-    first omitted term) exceeds EM_TOL max(1, |value|).  The bound does
-    not cover rounding in the head sum; left of the critical strip, where
-    the head terms grow, it also raises when the rounding estimate
-    eps (base^{1-sigma}/(1-sigma) + 1) exceeds EM_TOL max(1, |value|)."""
+    with m <= EM_ORDER_MAX Bernoulli corrections.  Raises DomainError,
+    naming the caller's cutoff as N=n_cut, if n_cut > MAX_TERMS, if
+    Backlund's premises base > |t|/2pi and sigma+2m+1 > 0 fail, if the
+    sum overflows a double, or if his bound |s+2m+1|/(sigma+2m+1)
+    |T_{m+1}| on the truncation error (T_{m+1} the first omitted term)
+    exceeds EM_TOL max(1, |value|).  The bound does not cover rounding in
+    the head sum; left of the critical strip, where the head terms grow,
+    it also raises when the rounding estimate eps (base^{1-sigma}/(1-sigma)
+    + 1) exceeds EM_TOL max(1, |value|).  s is finite, so only the value
+    and what is computed from it can be NaN; those checks fail on a NaN."""
     base = terms + a
     edge = 2 * m + 1 + s.real
-    if em_terms > MAX_TERMS:
-        raise DomainError(f"em_terms={em_terms} exceeds MAX_TERMS={MAX_TERMS}")
+    if n_cut > MAX_TERMS:
+        raise DomainError(f"N={n_cut} exceeds MAX_TERMS={MAX_TERMS}")
     if base <= abs(s.imag) / TWO_PI or edge <= 0.0:
         raise DomainError(
-            f"em_terms={em_terms} at s={s} fails the premises of the "
-            f"Backlund bound: cutoff above |Im s|/2pi="
-            f"{abs(s.imag) / TWO_PI:.1f}, Re s > {-2 * m - 1}"
+            f"N={n_cut} at s={s} fails the premises of the Backlund bound: "
+            f"cutoff above |Im s|/2pi={abs(s.imag) / TWO_PI:.1f}, "
+            f"Re s > {-2 * m - 1}"
         )
-    ns = np.arange(0, terms, dtype=float) + a
-    head = complex(np.sum(_powers(ns, -s)))
     pw1 = base ** (1.0 - s)
     tail = pw1 / (s - 1.0) + 0.5 * pw1 / base
     inv2 = base ** -2.0
@@ -242,18 +227,28 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int,
         tail += _EM_COEF[k] * poch * pw
         pw *= inv2
         poch *= (s + (2 * k + 1)) * (s + (2 * k + 2))
-    value = head + tail
+    # Checked before numpy sums the head, where an overflow would warn.
+    # The Pochhammer product overflows, leaving a NaN tail, long before
+    # sigma log(n+a) can; right of sigma = 0 the largest head term is
+    # a^-s.  Past both checks head and tail are finite, and so is their sum.
+    if not cmath.isfinite(tail) or (
+            s.real > _SIGMA_HEAD_SAFE
+            and -s.real * math.log(a) > _LOG_FLOAT_MAX):
+        raise DomainError(
+            f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
+    ns = np.arange(0, terms, dtype=float) + a
+    value = complex(np.sum(_powers(ns, -s))) + tail
     bound = abs(s + (2 * m + 1)) / edge * abs(_EM_COEF[m] * poch * pw)
     limit = EM_TOL * max(1.0, abs(value))
-    if bound > limit:
+    if not bound <= limit:
         raise DomainError(
-            f"em_terms={em_terms} leaves an Euler-Maclaurin truncation bound "
-            f"of {bound:.1e} at s={s}, above EM_TOL={EM_TOL:g} relative"
+            f"N={n_cut} leaves an Euler-Maclaurin truncation bound of "
+            f"{bound:.1e} at s={s}, above EM_TOL={EM_TOL:g} relative"
         )
     if s.real < 0.0:
         sigma1 = 1.0 - s.real
         rounding = _EPS * (base ** sigma1 / sigma1 + 1.0)
-        if rounding > limit:
+        if not rounding <= limit:
             raise DomainError(
                 f"Euler-Maclaurin head sum at s={s} carries rounding error "
                 f"up to {rounding:.1e}, above EM_TOL={EM_TOL:g} relative"
@@ -261,34 +256,33 @@ def _em_sum(s: complex, a: float, terms: int, em_terms: int,
     return value
 
 
-def zeta_em(s: complex, cfg: EvalConfig | None = None) -> complex:
+def zeta_em(s: complex) -> complex:
     """Riemann zeta via Euler-Maclaurin summation, valid on C minus {1}.
 
     zeta(s) = sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2 + Bernoulli
-    corrections.  Raises DomainError where Backlund's bound does not
-    certify the value (see _em_sum).
+    corrections, with N and their number m from _em_pair.  Raises
+    DomainError where Backlund's bound does not certify the value (see
+    _em_sum).
     """
     s = _require_finite(s, "s")
-    cfg = _config(cfg)
     if s == 1.0:
         raise PoleError("zeta has a pole at s=1")
-    n_cut, m = cfg.pair(s)
+    n_cut, m = _em_pair(s)
     return _em_sum(s, 1.0, n_cut - 1, n_cut, m)
 
 
-def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig | None = None) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """Hurwitz zeta(s, a) = sum_{n>=0} (n+a)^{-s} for a in (0, 1].
 
     Same Euler-Maclaurin continuation as zeta_em with the cutoff shifted
     by a; hurwitz_zeta(s, 1) reduces to zeta_em(s).
     """
     s = _require_finite(s, "s")
-    cfg = _config(cfg)
     if not 0.0 < a <= 1.0:
         raise DomainError(f"hurwitz offset a must lie in (0, 1], got {a}")
     if s == 1.0:
         raise PoleError("hurwitz zeta has a pole at s=1")
-    n_cut, m = cfg.pair(s)
+    n_cut, m = _em_pair(s)
     return _em_sum(s, a, n_cut, n_cut, m)
 
 
@@ -365,8 +359,7 @@ def hardy_z_rs(t: float) -> float:
     return 2.0 * acc + c0
 
 
-def generalized_hardy(sigma: float, t: float,
-                      cfg: EvalConfig | None = None) -> GeneralizedHardyValue:
+def generalized_hardy(sigma: float, t: float) -> GeneralizedHardyValue:
     """Generalized Hardy function Z(sigma, t) and its perpendicular part.
 
     z = Re zeta(sigma+it) e^{i theta(t)}, y = Im of the same product,
@@ -375,7 +368,7 @@ def generalized_hardy(sigma: float, t: float,
     """
     if sigma == 1.0 and t == 0.0:
         raise PoleError("zeta pole at sigma=1, t=0")
-    val = zeta_em(complex(sigma, t), cfg) * cmath.exp(1j * theta(t))
+    val = zeta_em(complex(sigma, t)) * cmath.exp(1j * theta(t))
     return GeneralizedHardyValue(z=val.real, y=val.imag)
 
 
@@ -424,26 +417,25 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     return abs(lhs - rhs)
 
 
-def _mod5_series(s: complex, coeffs: dict[int, complex | float],
-                 cfg: EvalConfig | None) -> complex:
+def _mod5_series(s: complex, coeffs: dict[int, complex | float]) -> complex:
     """5^{-s} sum_{a=1..4} coeffs[a] zeta(s, a/5): the Dirichlet series
     whose coefficients repeat with period 5 as coeffs[1..4], 0."""
     total = 0.0 + 0.0j
     for a, c in coeffs.items():
-        total += c * hurwitz_zeta(s, a / 5.0, cfg)
+        total += c * hurwitz_zeta(s, a / 5.0)
     return cmath.exp(-s * math.log(5.0)) * total
 
 
-def dirichlet_l_mod5(s: complex, cfg: EvalConfig | None = None) -> complex:
+def dirichlet_l_mod5(s: complex) -> complex:
     """Dirichlet L for the odd mod-5 character with chi(2)=i.
 
     L(s, chi) = 5^{-s} sum_{a=1..4} chi(a) zeta(s, a/5).  The conjugate
     character's L-function follows as L(s, chi-bar) = conj(L(conj(s), chi)).
     """
-    return _mod5_series(s, _CHI5, cfg)
+    return _mod5_series(s, _CHI5)
 
 
-def davenport_heilbronn(s: complex, cfg: EvalConfig | None = None) -> complex:
+def davenport_heilbronn(s: complex) -> complex:
     """Davenport-Heilbronn function: a period-5 Dirichlet series with a
     Riemann-type functional equation but zeros off the critical line.
 
@@ -457,4 +449,4 @@ def davenport_heilbronn(s: complex, cfg: EvalConfig | None = None) -> complex:
     with constant exactly 1 (the Gauss-sum phase of chi cancels against
     (1-i kappa)^2 only this way round).
     """
-    return _mod5_series(s, _DH_COEF, cfg)
+    return _mod5_series(s, _DH_COEF)

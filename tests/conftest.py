@@ -1,7 +1,40 @@
+import cmath
+
 import numpy as np
 import pytest
+
+from hardyzeta.hilbert import SampledFunction
+from hardyzeta.specialfn import theta
+from hardyzeta.zetaeval import EM_ORDER, _em_sum
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def _zeta_at_cutoff(s: complex, n: int) -> complex:
+    """zeta(s) by the Euler-Maclaurin kernel at cutoff N = n with
+    EM_ORDER Bernoulli terms, as zeta_em sums it (head n^{-s}, n < N)."""
+    return _em_sum(complex(s), 1.0, n - 1, n, EM_ORDER)
+
+
+def _hardy_at_cutoff(n: int) -> SampledFunction:
+    """Z(t) = Re zeta(1/2+it) e^{i theta(t)} on the kernel at cutoff n."""
+
+    def z(t: float) -> float:
+        return (_zeta_at_cutoff(complex(0.5, t), n)
+                * cmath.exp(1j * theta(t))).real
+
+    return SampledFunction(eval=z, label=f"Z_em(N={n})")
+
+
+@pytest.fixture
+def zeta_at_cutoff():
+    """An explicit-cutoff zeta, the high-cutoff oracle of several tests."""
+    return _zeta_at_cutoff
+
+
+@pytest.fixture
+def hardy_at_cutoff():
+    return _hardy_at_cutoff

@@ -32,7 +32,6 @@ from hardyzeta.zerofinder import (
     zero_count_estimate,
 )
 from hardyzeta.zetaeval import (
-    EvalConfig,
     davenport_heilbronn,
     generalized_hardy,
     hardy_z_rs,
@@ -100,10 +99,10 @@ def test_03_chi_factor():
                     f"{mod_defect:.2e}, functional-eq residual {worst_fe:.2e}")
 
 
-def test_04_known_values():
+def test_04_known_values(zeta_at_cutoff):
     d2 = abs(zeta_em(2.0 + 0.0j) - math.pi**2 / 6.0)
     d0 = abs(zeta_em(0.0 + 0.0j) + 0.5)
-    oracle = zeta_em(0.5 + 0.0j, EvalConfig(em_terms=10**4))
+    oracle = zeta_at_cutoff(0.5, 10**4)
     dh = abs(zeta_em(0.5 + 0.0j) - oracle)
     ok = d2 < ZETA_KNOWN_TOL and d0 < ZETA_KNOWN_TOL and dh < ZETA_HALF_TOL
     _verdict(4, ok, f"zeta(2) {d2:.2e}, zeta(0) {d0:.2e}, "
@@ -123,7 +122,7 @@ def test_05_riemann_siegel_vs_euler_maclaurin():
                     f"{RS_EM_COEFF}*t^-3/4 bound, {elapsed:.2f}s (< 60s)")
 
 
-def test_06_zero_census_and_first_zero():
+def test_06_zero_census_and_first_zero(hardy_at_cutoff):
     iv = Interval(2.0 * math.pi + 1e-9, 100.0)
     recs = find_critical_zeros(iv, step=0.01)
     recs_half = find_critical_zeros(iv, step=0.005)
@@ -132,8 +131,7 @@ def test_06_zero_census_and_first_zero():
     step_shift = max(abs(a.location - b.location)
                      for a, b in zip(recs, recs_half))
     z_first = recs[0].location
-    oracle = refine_zero(hardy_em_function(EvalConfig(em_terms=10**4)),
-                         (14.0, 14.2), 1e-12)
+    oracle = refine_zero(hardy_at_cutoff(10**4), (14.0, 14.2), 1e-12)
     config_shift = abs(z_first - oracle.location)
     digits_ok = abs(z_first - 14.134725) < 5e-7
     # Cross-path agreement at the leading-remainder tolerance: the RS

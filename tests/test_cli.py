@@ -36,9 +36,6 @@ class TestExitCodes:
         assert "2*pi" in err
 
     @pytest.mark.parametrize("argv,name", [
-        (("--em-terms", "0", "theta", "--t", "1"), "em_terms"),
-        (("--em-terms", "200", "zeros", "--interval", "7000:7010"),
-         "em_terms"),
         (("zeros", "--interval", "10:20", "--step", "nan"), "step"),
         (("zeros", "--interval", "7000:7010", "--step", "0.5"), "step"),
         (("lehmer", "--interval", "7000:7010", "--step", "0.2"), "step"),
@@ -46,13 +43,7 @@ class TestExitCodes:
          "n_per_side"),
         (("lehmer", "--interval", "10:20", "--threshold", "nan"), "threshold"),
         (("lehmer", "--interval", "10:20", "--threshold", "0"), "threshold"),
-        (("--em-terms", "200", "z", "--method", "em", "--t", "7005"),
-         "em_terms"),
-        (("--em-terms", "2000", "z", "--method", "em", "--t", "7005"),
-         "em_terms"),
-        (("--em-terms", "20", "dh-scan", "--box", "0.51:1:80:90"),
-         "em_terms"),
-        (("gz", "--sigma", "-20", "--t", "1"), "em_terms"),
+        (("gz", "--sigma", "-20", "--t", "1"), "N="),
         (("gz", "--sigma", "-10", "--t", "1"), "rounding"),
         (("spiral", "--sigma", "0.5", "--t", "30", "--n", "1000001"),
          "MAX_TERMS"),
@@ -62,13 +53,15 @@ class TestExitCodes:
         (("gram", "--sigmas", "0.3,0.5", "--interval", "1e60:1.0000001e60"),
          "2*pi"),
         (("theta", "--t", "1e308"), "overflows"),
-    ], ids=["em-terms-0", "em-terms-200", "step-nan", "zeros-step-0.5",
+        (("z", "--method", "em", "--t", "1e308"), "MAX_TERMS"),
+        (("gz", "--sigma", "1e306", "--t", "1000"), "overflows a double"),
+    ], ids=["step-nan", "zeros-step-0.5",
             "lehmer-step-0.2", "dh-scan-n-per-side-250001", "threshold-nan",
-            "threshold-0", "z-em-terms-200", "z-em-terms-2000",
-            "dh-scan-em-terms-20", "gz-sigma-minus-20", "gz-sigma-minus-10",
+            "threshold-0", "gz-sigma-minus-20", "gz-sigma-minus-10",
             "spiral-n-above-max-terms", "zeros-step-1e-9",
             "theta-asym-below-2pi", "theta-asym-above-1e50",
-            "gram-above-1e50", "theta-exact-overflow"])
+            "gram-above-1e50", "theta-exact-overflow", "z-em-above-max-terms",
+            "gz-sigma-1e306"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -102,16 +95,16 @@ class TestValueCommands:
         assert abs(payload["y"]) < 1e-9
 
     def test_global_flag_positions(self, capsys):
-        _, before, _ = run_cli(capsys, "--em-terms", "200", "z", "--t", "30",
-                               "--method", "em")
-        _, after, _ = run_cli(capsys, "z", "--t", "30", "--method", "em",
-                              "--em-terms", "200")
+        argv = ("gram", "--sigmas", "0.3,0.5", "--interval", "10:20")
+        _, before, _ = run_cli(capsys, "--quad-order", "300", *argv)
+        _, after, _ = run_cli(capsys, *argv, "--quad-order", "300")
         assert before == after
+        assert json.loads(before)["order"] == 300
 
     def test_subcommand_help_describes_global_flags(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--help")
         assert code == 0
-        assert "Euler-Maclaurin cutoff" in out
+        assert "Gauss-Legendre order" in out
         assert "emit JSON" in out
 
 
@@ -195,9 +188,9 @@ class TestJsonCommands:
         calls = []
         real = hilbert.generalized_hardy
 
-        def counted(sigma, t, cfg=None):
+        def counted(sigma, t):
             calls.append(t)
-            return real(sigma, t, cfg)
+            return real(sigma, t)
 
         monkeypatch.setattr(hilbert, "generalized_hardy", counted)
         code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
@@ -241,9 +234,9 @@ class TestReport:
     def test_dh_recount_reuses_the_coarse_contour(self, monkeypatch):
         seen = []
 
-        def counted(s, cfg=None):
+        def counted(s):
             seen.append(s)
-            return davenport_heilbronn(s, cfg)
+            return davenport_heilbronn(s)
 
         monkeypatch.setattr(report, "davenport_heilbronn", counted)
         entry = report._entry_dh_offline(RunConfig())
@@ -287,17 +280,9 @@ class TestReport:
 
     def test_config_dict_is_flat(self):
         assert RunConfig().as_dict() == {
-            "em_terms": None,
             "quad_order": 256,
             "interval": [10.0, 50.0],
         }
-
-    def test_cli_report_embeds_em_terms(self, capsys, tmp_path):
-        out = tmp_path / "r.json"
-        code, _, _ = run_cli(capsys, "--em-terms", "200", "report",
-                             "--out", str(out))
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["em_terms"] == 200
 
     @pytest.mark.parametrize("order", ["0", "5000"])
     def test_cli_report_rejects_quad_order(self, capsys, tmp_path, order):

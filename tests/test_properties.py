@@ -1,7 +1,8 @@
 """Randomized property suites under a fixed-seed harness.
 
 Case counts per suite are chosen so the whole harness runs well over a
-thousand cases: 250 + 200 + 150 + 120 + 120 + 120 + 100 + 60 = 1120.
+thousand cases: 250 + 200 + 150 + 120 + 120 + 120 + 100 + 60 = 1120.  The
+float-range suite adds a grid of 20 x 20 (sigma, t) points.
 """
 
 import math
@@ -20,8 +21,19 @@ from hardyzeta.hilbert import (
     inner_product,
     norm,
 )
+from hardyzeta.errors import NumericsError
 from hardyzeta.polyzero import PolynomialRealCoeffs, poly_real_zeros, project
-from hardyzeta.zetaeval import _rs_psi, zeta_em
+from hardyzeta.specialfn import theta, theta_asymptotic
+from hardyzeta.zetaeval import (
+    MAX_TERMS,
+    GeneralizedHardyValue,
+    _rs_psi,
+    davenport_heilbronn,
+    generalized_hardy,
+    hardy_z_rs,
+    hurwitz_zeta,
+    zeta_em,
+)
 
 SEED = 20260808
 
@@ -181,3 +193,60 @@ def test_rs_remainder_coefficient_continuous_at_switch():
                 assert _rs_psi(p) == pytest.approx(direct, abs=1e-9)
     assert _rs_psi(0.25) == pytest.approx(0.5, abs=1e-12)
     assert _rs_psi(0.75) == pytest.approx(0.5, abs=1e-12)
+
+
+# Ends of the float range, subnormals, and points where a sum or a phase
+# overflows (sigma = 1e306 made the Euler-Maclaurin sum NaN; |t| = 1e308
+# overflowed 2|t|/pi; the exact theta overflows above |t| ~ 5e305).
+_FLOAT_EDGES = (1e308, -1e308, 1e306, -1e306, 6e305, 5e-324, -5e-324,
+                2.2e-308, 0.0)
+_ORDINARY = (0.5, -1.5, 2.0, 14.134725, 1000.0, -7005.1)
+
+# hardy_z_rs keeps a module term table of the largest N it has seen for
+# the life of the process, so heights it accepts above 1e6 (N > 398, up
+# to 112 MB at N = MAX_TERMS) are left out; the heights it refuses there
+# are kept.
+_RS_KEEP_BELOW = 1e6
+
+
+def _float_range_values(rng, n_drawn):
+    """The edges, the ordinary points, and n_drawn log-uniform draws of
+    either sign from 1e-320 to 1e308."""
+    drawn = (rng.choice((-1.0, 1.0), size=n_drawn)
+             * 10.0 ** rng.uniform(-320.0, 308.0, size=n_drawn))
+    return [*_FLOAT_EDGES, *_ORDINARY, *map(float, drawn)]
+
+
+def _finite_or_refused(fn, *args):
+    """fn(*args) as a tuple of floats, or None if it raised NumericsError;
+    any other exception propagates."""
+    try:
+        value = fn(*args)
+    except NumericsError:
+        return None
+    if isinstance(value, GeneralizedHardyValue):
+        return (value.z, value.y)
+    value = complex(value)
+    return (value.real, value.imag)
+
+
+def test_kernels_finite_or_refused_across_float_range():
+    # 20 x 20 (sigma, t) points for the four Euler-Maclaurin functions,
+    # and the 20 heights for theta, theta_asymptotic and hardy_z_rs.
+    rng = np.random.default_rng(SEED)
+    sigmas = _float_range_values(rng, 5)
+    ts = _float_range_values(rng, 5)
+    rs_accepted = 2.0 * math.pi * (MAX_TERMS + 1) ** 2
+    for t in ts:
+        calls = [(theta, t), (theta_asymptotic, t)]
+        if not _RS_KEEP_BELOW < t < rs_accepted:
+            calls.append((hardy_z_rs, t))
+        for sigma in sigmas:
+            s = complex(sigma, t)
+            calls += [(zeta_em, s), (hurwitz_zeta, s, 0.2),
+                      (generalized_hardy, sigma, t),
+                      (davenport_heilbronn, s)]
+        for fn, *args in calls:
+            parts = _finite_or_refused(fn, *args)
+            assert parts is None or all(map(math.isfinite, parts)), (
+                fn.__name__, args, parts)

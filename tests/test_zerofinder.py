@@ -17,7 +17,6 @@ from hardyzeta.zerofinder import (
     zero_count_estimate,
 )
 from hardyzeta.zetaeval import (
-    EvalConfig,
     davenport_heilbronn,
     hardy_z_rs,
     zeta_em,
@@ -26,7 +25,7 @@ from hardyzeta.zetaeval import (
 SIN = SampledFunction(math.sin, "sin")
 
 # Frozen: first critical-line zero, refined on the Euler-Maclaurin route
-# at tol 1e-12 and confirmed by the em_terms=1e4 oracle (agreement 1.1e-13).
+# at tol 1e-12 and confirmed by the N = 1e4 oracle (agreement 1.1e-13).
 FIRST_ZERO = 14.134725141734693
 
 
@@ -184,7 +183,7 @@ class TestCriticalZeros:
                             lambda t: poly(rs_zeros, t))
         monkeypatch.setattr(
             zerofinder, "generalized_hardy",
-            lambda sigma, t, cfg=None: SimpleNamespace(z=poly(em_zeros, t)))
+            lambda sigma, t: SimpleNamespace(z=poly(em_zeros, t)))
         recs = find_critical_zeros(Interval(10.0, 11.0), step=0.001)
         got = [r.location for r in recs]
         assert len(got) == len(em_zeros)
@@ -247,15 +246,11 @@ class TestCriticalZeros:
         assert len(recs) == 11
         assert calls == [1001]
 
-    def test_refuses_em_terms_below_default_cutoff(self):
-        with pytest.raises(DomainError, match="em_terms=200"):
-            find_critical_zeros(Interval(7000.0, 7010.0),
-                                cfg=EvalConfig(em_terms=200))
-        # A cutoff below the default that the bound certifies is accepted.
-        iv = Interval(10.0, 20.0)
-        (short,) = find_critical_zeros(iv, cfg=EvalConfig(em_terms=49))
-        (default,) = find_critical_zeros(iv)
-        assert abs(short.location - default.location) < 1e-10
+    def test_refuses_em_terms_below_default_cutoff(self, hardy_at_cutoff):
+        # N = 200 is below |t|/2pi ~ 1114 at t = 7000, and refinement
+        # there stops at the kernel's refusal, which names the cutoff.
+        with pytest.raises(DomainError, match="N=200"):
+            refine_zero(hardy_at_cutoff(200), (7005.0, 7005.1))
 
     def test_residuals_tiny_relative_to_local_scale(self):
         recs = find_critical_zeros(Interval(10.0, 60.0), step=0.01, tol=1e-12)
@@ -266,10 +261,9 @@ class TestCriticalZeros:
                         abs(z.eval(r.bracket[0])), abs(z.eval(r.bracket[1])))
             assert r.residual < 1e-8 * local
 
-    def test_em_config_stability(self):
-        hi = EvalConfig(em_terms=10**4)
+    def test_em_config_stability(self, hardy_at_cutoff):
         a = refine_zero(hardy_em_function(), (14.0, 14.2), 1e-12)
-        b = refine_zero(hardy_em_function(hi), (14.0, 14.2), 1e-12)
+        b = refine_zero(hardy_at_cutoff(10**4), (14.0, 14.2), 1e-12)
         assert abs(a.location - b.location) < 1e-9
         assert abs(a.location - FIRST_ZERO) < 1e-9
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +14,12 @@ from hardyzeta import specialfn, zetaeval
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
 from hardyzeta.zetaeval import (
-    DEFAULT_CONFIG,
     EM_ORDER,
     EM_ORDER_MAX,
     EM_TARGET,
     EM_TOL,
     KAPPA,
     MAX_TERMS,
-    EvalConfig,
     davenport_heilbronn,
     dirichlet_l_mod5,
     dirichlet_partial_sums,
@@ -31,8 +30,8 @@ from hardyzeta.zetaeval import (
     zeta_em,
 )
 
-# zeta(1/2), frozen from the em_terms=1e4 oracle (test_half_matches_oracle
-# recomputes it); agrees with the default config to 2e-15.
+# zeta(1/2), frozen from the N = 1e4 oracle (test_half_matches_oracle
+# recomputes it); agrees with the default cutoff to 2e-15.
 ZETA_HALF = -1.4603545088095868
 
 # Closed form (sqrt(10 - 2 sqrt 5) - 2)/(sqrt 5 - 1), re-derived in
@@ -50,8 +49,8 @@ class TestZetaEm:
     def test_zeta_half_frozen(self):
         assert zeta_em(0.5 + 0.0j).real == pytest.approx(ZETA_HALF, abs=1e-10)
 
-    def test_half_matches_oracle(self):
-        oracle = zeta_em(0.5 + 0.0j, EvalConfig(em_terms=10**4))
+    def test_half_matches_oracle(self, zeta_at_cutoff):
+        oracle = zeta_at_cutoff(0.5, 10**4)
         assert oracle.real == pytest.approx(ZETA_HALF, abs=1e-13)
         assert abs(zeta_em(0.5 + 0.0j) - oracle) < 1e-12
 
@@ -65,20 +64,21 @@ class TestZetaEm:
         with pytest.raises(DomainError):
             zeta_em(complex(0.5, float("inf")))
 
-    def test_refuses_uncertified_cutoff(self):
-        with pytest.raises(DomainError, match="em_terms=20"):
-            zeta_em(complex(0.5, 400.0), EvalConfig(em_terms=20))
+    def test_refuses_uncertified_cutoff(self, zeta_at_cutoff):
+        with pytest.raises(DomainError, match="N=20"):
+            zeta_at_cutoff(complex(0.5, 400.0), 20)
 
     @pytest.mark.parametrize("s", [0.5 + 300j, 0.5 + 1000j, 2 + 500j, -1 + 200j])
-    def test_smallest_certified_cutoff_meets_tolerance(self, s):
+    def test_smallest_certified_cutoff_meets_tolerance(self, s,
+                                                       zeta_at_cutoff):
         n = math.ceil(s.imag / (2.0 * math.pi))
         while True:
             try:
-                value = zeta_em(s, EvalConfig(em_terms=n))
+                value = zeta_at_cutoff(s, n)
                 break
             except DomainError:
                 n += 1
-        oracle = zeta_em(s, EvalConfig(em_terms=10**4))
+        oracle = zeta_at_cutoff(s, 10**4)
         assert abs(value - oracle) <= EM_TOL * max(1.0, abs(value))
 
     def test_default_cutoff_always_certified(self):
@@ -109,9 +109,9 @@ class TestZetaEm:
                 for a in (1.0, 0.05):
                     hurwitz_zeta(s, a)
 
-    def test_refuses_more_than_max_terms(self):
+    def test_refuses_more_than_max_terms(self, zeta_at_cutoff):
         with pytest.raises(DomainError, match="MAX_TERMS"):
-            zeta_em(complex(0.5, 10.0), EvalConfig(em_terms=MAX_TERMS + 1))
+            zeta_at_cutoff(complex(0.5, 10.0), MAX_TERMS + 1)
         with pytest.raises(DomainError, match="MAX_TERMS"):
             hardy_z_rs(1.3e13)
 
@@ -128,9 +128,36 @@ class TestZetaEm:
                 s = complex(sigma, t)
                 assert abs(zeta_em(s) - chi(s) * zeta_em(1.0 - s)) < 1e-8
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            EvalConfig(em_terms=0)
+    @pytest.mark.parametrize("t", [2.0 * math.pi * MAX_TERMS, -1e12, 1e308,
+                                   -sys.float_info.max])
+    def test_refuses_heights_beyond_max_terms(self, t):
+        # Backlund's premise needs N > |t|/2pi >= MAX_TERMS: refused in
+        # _em_pair, before 2|t|/pi can overflow.
+        s = complex(0.5, t)
+        for call in (lambda: zetaeval._em_pair(s), lambda: zeta_em(s),
+                     lambda: hurwitz_zeta(s, 0.2),
+                     lambda: generalized_hardy(0.5, t)):
+            with pytest.raises(DomainError, match="MAX_TERMS"):
+                call()
+
+    @pytest.mark.parametrize("s, a", [
+        # The Pochhammer product overflows, leaving a NaN tail; at 1e308
+        # sigma log n would overflow in the head too.
+        (complex(1e306, 1000.0), 1.0),
+        (complex(1e308, 1.0), 1.0),
+        (complex(2000.0, 5.0), 0.2),  # 0.2^-2000 in the head
+        (complex(2.0, 5.0), 5e-324),  # (5e-324)^-2
+    ])
+    def test_refuses_overflowing_sum(self, s, a):
+        with pytest.raises(DomainError, match="overflows a double"):
+            hurwitz_zeta(s, a)
+
+    def test_large_sigma_still_one(self):
+        # The head is 1 + 0 and the tail underflows to 0 well before the
+        # Pochhammer product overflows.
+        assert zeta_em(complex(1e15, 1000.0)) == 1.0
+        assert hurwitz_zeta(complex(400.0, 3.0), 0.2) == pytest.approx(
+            cmath.exp(-complex(400.0, 3.0) * math.log(0.2)), rel=1e-12)
 
 
 def _backlund_bound(s: complex, base: float, m: int) -> float:
@@ -157,12 +184,12 @@ class TestDefaultPair:
     def test_unchanged_up_to_405(self):
         for sigma in np.linspace(-2.0, 3.0, 6):
             for t in np.linspace(-405.0, 405.0, 163):
-                assert DEFAULT_CONFIG.pair(complex(sigma, t)) == (
+                assert zetaeval._em_pair(complex(sigma, t)) == (
                     max(50, math.ceil(2.0 * abs(t) / math.pi)), EM_ORDER)
 
     def test_half_the_head_terms_at_9000(self):
         s = complex(0.5, 9000.0)
-        n, m = DEFAULT_CONFIG.pair(s)
+        n, m = zetaeval._em_pair(s)
         assert m == EM_ORDER_MAX
         assert n <= 0.35 * 9000.0
         # zeta_em sums to base = n; hurwitz_zeta to n + a.
@@ -175,18 +202,13 @@ class TestDefaultPair:
         for sigma in np.linspace(-2.0, 3.0, 11):
             for t in np.linspace(-2e4, 2e4, 81):
                 s = complex(sigma, t)
-                n, m = DEFAULT_CONFIG.pair(s)
+                n, m = zetaeval._em_pair(s)
                 if m == EM_ORDER_MAX:
                     assert n > abs(t) / (2.0 * math.pi)
                     assert _backlund_bound(s, n, m) <= EM_TARGET
                 else:
                     assert abs(t) < 1018.0
                     assert n == max(50, math.ceil(2.0 * abs(t) / math.pi))
-
-    def test_explicit_cutoff_keeps_em_order(self):
-        for t in (10.0, 9000.0):
-            assert EvalConfig(em_terms=7000).pair(complex(0.5, t)) == (
-                7000, EM_ORDER)
 
     def test_matches_mpmath_on_seeded_points(self):
         mpmath = pytest.importorskip("mpmath")
@@ -207,12 +229,34 @@ class TestDefaultPair:
                 rel = 2e-11 if sigma >= 0.0 else 1e-10
                 assert abs(got - ref) <= rel * max(1.0, abs(ref)), (s, a)
 
+    def test_matches_frozen_mpmath_references(self):
+        # The same 200 points and tolerances as the test above, against
+        # its mpmath values frozen by tests/data/make_zeta_references.py,
+        # so they are checked where mpmath is not installed.
+        path = Path(__file__).with_name("data") / "zeta_references.txt"
+        rows = [[float.fromhex(x) for x in line.split()]
+                for line in path.read_text(encoding="ascii").splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 200
+        rng = np.random.default_rng(2015)
+        for i, (sigma, t, a, re, im) in enumerate(rows):
+            assert (sigma, t, a) == (rng.uniform(-2.0, 3.0),
+                                     rng.uniform(-1e4, 1e4),
+                                     (1.0, 0.2, 0.8)[i % 3])
+            s = complex(sigma, t)
+            got = zeta_em(s) if a == 1.0 else hurwitz_zeta(s, a)
+            ref = complex(re, im)
+            rel = 2e-11 if sigma >= 0.0 else 1e-10
+            assert abs(got - ref) <= rel * max(1.0, abs(ref)), (s, a)
+
     def test_extreme_inputs_fall_back(self):
-        # Backlund's premise fails for the higher order, or its
-        # Pochhammer product would overflow: the EM_ORDER pair is taken.
+        # Backlund's premise fails for the higher order, its Pochhammer
+        # product would overflow, or its N would exceed MAX_TERMS: the
+        # EM_ORDER pair is taken.  (|t| = 1e300, once here, is now refused
+        # in _em_pair; see test_refuses_heights_beyond_max_terms.)
         for s in (complex(-41.0, 1000.0), complex(1e306, 1000.0),
-                  complex(0.5, 1e300)):
-            assert DEFAULT_CONFIG.pair(s)[1] == EM_ORDER
+                  complex(0.5, 6e6)):
+            assert zetaeval._em_pair(s)[1] == EM_ORDER
 
 
 class TestHurwitz:
