@@ -69,11 +69,16 @@ class QuadratureRule:
 class SampledFunction:
     """A real function of one real variable plus a label for messages.
 
-    The callback must be deterministic.
+    The callback must be deterministic.  scan_route, when set, is an
+    independent and cheaper route to the same function, valid for
+    2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
+    sign-change brackets on it there, and refine and report every zero
+    on eval.
     """
 
     eval: Callable[[float], float]
     label: str = ""
+    scan_route: SampledFunction | None = None
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -221,7 +226,8 @@ def gram_schmidt(fs: Sequence[SampledFunction],
         coeff_rows.append(row)
         if i == 0:
             outputs.append(SampledFunction(eval=fs[0].eval,
-                                           label=fs[0].label))
+                                           label=fs[0].label,
+                                           scan_route=fs[0].scan_route))
         else:
             outputs.append(
                 SampledFunction(
@@ -241,12 +247,20 @@ def correlation_matrix(gram: GramMatrix) -> np.ndarray:
 
 
 def hardy_function(sigma: float) -> SampledFunction:
-    """Generalized Hardy function Z(sigma, .) as a SampledFunction."""
+    """Generalized Hardy function Z(sigma, .) as a SampledFunction, on
+    the Euler-Maclaurin route.  On the critical line its scan route is
+    the Riemann-Siegel sum, which exists only there."""
 
     def _eval(t: float) -> float:
         return generalized_hardy(sigma, t).z
 
-    return SampledFunction(eval=_eval, label=f"Z({sigma:g},.)")
+    scan_route = None
+    if sigma == 0.5:
+        # Imported here: zerofinder imports this module.
+        from .zerofinder import hardy_rs_function
+        scan_route = hardy_rs_function()
+    return SampledFunction(eval=_eval, label=f"Z({sigma:g},.)",
+                           scan_route=scan_route)
 
 
 def oscillation_order(interval: Interval) -> int:

@@ -5,7 +5,10 @@ real orthogonal polynomials as in the zero theorem the paper's argument
 runs through; real zeros are pulled out of the expansion through the
 colleague-matrix eigenvalue problem; and a convergence study tracks how
 the polynomial zeros approach the function's own zeros as the degree
-grows.
+grows.  The reference zeros come from zerofinder.scan_and_refine: for
+Z(1/2, .) on an interval inside [2*pi, 1e4] a Riemann-Siegel scan with
+Euler-Maclaurin refinement, elsewhere (and for every other function) a
+scan of the function itself.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .hilbert import (
     SampledFunction,
     gauss_legendre_rule,
 )
-from .zerofinder import refine_zero, scan_sign_changes
+# refine_zero stays bound here: the benchmark tracer wraps
+# polyzero.refine_zero as well as zerofinder.refine_zero.
+from .zerofinder import refine_zero, scan_and_refine
 
 MAX_PROJECT_DEGREE = 512
 
@@ -193,17 +198,22 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
                            degrees: list[int]) -> list[ZeroComparison]:
     """Track polynomial zeros converging onto the function's zeros.
 
-    The reference zeros come from a sign-change scan of f itself at
-    step width/1000 plus bracketed refinement to 1e-12; for each degree
-    (ascending) the real zeros of the degree-d projection are
+    The reference zeros come from zerofinder.scan_and_refine at step
+    width/1000 and tol 1e-12: every zero is refined and reported on f,
+    and the scan runs on f.scan_route where f has one and the interval
+    lies inside [2*pi, MAX_SCAN_HEIGHT], on f itself otherwise.  So
+    hardy_function(0.5) is scanned on Riemann-Siegel and refined on
+    Euler-Maclaurin inside [2*pi, 1e4], and scanned on Euler-Maclaurin
+    elsewhere, as Z(sigma, .) for sigma != 1/2 is everywhere.  For each
+    degree (ascending) the real zeros of the degree-d projection are
     matched against them.  Raises if the zero counts still disagree at
     the largest degree.
     """
     if not degrees:
         raise DomainError("need at least one degree")
     degrees = sorted(degrees)
-    brackets = scan_sign_changes(f, interval, interval.width / 1000.0)
-    alpha = [refine_zero(f, br, 1e-12).location for br in brackets]
+    alpha = [r.location for r in
+             scan_and_refine(f, interval, interval.width / 1000.0, 1e-12)]
     out = []
     for deg in degrees:
         proj = project(f, interval, deg)

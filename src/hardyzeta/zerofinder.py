@@ -9,6 +9,9 @@ in the complex plane.
 Critical-line work runs on two routes: the Riemann-Siegel sum does the
 cheap scanning, the Euler-Maclaurin route refines and re-verifies every
 zero, so a defect in either route cannot silently plant or move zeros.
+scan_and_refine is the one scan-then-refine loop: it scans on a
+function's scan route (SampledFunction.scan_route) where that route is
+valid, and refines every zero on the function itself.
 The scan step is capped below the smallest zero gap up to
 MAX_SCAN_HEIGHT, so no two zeros can share a grid cell.
 """
@@ -160,26 +163,54 @@ def hardy_rs_function() -> SampledFunction:
 
 
 def hardy_em_function() -> SampledFunction:
-    """Z(t) via Euler-Maclaurin; the accurate refinement route."""
+    """Z(t) via Euler-Maclaurin, the accurate refinement route, with the
+    Riemann-Siegel route as its scan route."""
     return SampledFunction(eval=lambda t: generalized_hardy(0.5, t).z,
-                           label="Z_em")
+                           label="Z_em", scan_route=hardy_rs_function())
+
+
+def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
+                    tol: float) -> list[ZeroRecord]:
+    """Scan-then-refine the zeros of f on an interval, ascending.
+
+    Brackets come from one scan at the given step: on f.scan_route when
+    f has one and the interval lies inside its validated range
+    [2*pi, MAX_SCAN_HEIGHT], on f itself otherwise.  Each bracket is
+    refined on f, first on its grid cell.  The Riemann-Siegel and
+    Euler-Maclaurin routes place a zero up to 7.5e-3 apart (near
+    t = 25.01), many cells at a small step, so a cell without a sign
+    change of f is refined once more on its span, from midway to the
+    previous bracket (or interval.a) to midway to the next (or
+    interval.b).  Spans are disjoint and ordered, so records come out
+    ascending and distinct.  A span without a sign change drops the
+    bracket: a scan-route-only pair of sign changes, or a zero just
+    outside the interval.
+    """
+    in_range = TWO_PI <= interval.a and interval.b <= MAX_SCAN_HEIGHT
+    scan = f.scan_route if f.scan_route is not None and in_range else f
+    brackets = scan_sign_changes(scan, interval, step)
+    mids = [0.5 * (p[1] + q[0]) for p, q in zip(brackets, brackets[1:])]
+    splits = [interval.a, *mids, interval.b]
+    records = []
+    for k, cell in enumerate(brackets):
+        for bracket in (cell, (splits[k], splits[k + 1])):
+            try:
+                records.append(refine_zero(f, bracket, tol))
+                break
+            except BracketError:
+                pass
+    return records
 
 
 def find_critical_zeros(interval: Interval, step: float = 0.01,
                         tol: float = 1e-10) -> list[ZeroRecord]:
-    """Scan-then-refine all Hardy-function zeros on an interval.
+    """All Hardy-function zeros on an interval: scan_and_refine of
+    hardy_em_function(), so brackets come from a Riemann-Siegel scan and
+    every zero is refined on the Euler-Maclaurin route.
 
-    Brackets come from one Riemann-Siegel scan at the given step, which
-    must not exceed MAX_SCAN_STEP so that no two zeros share a grid
-    cell (DomainError otherwise).  Each bracket is then refined on the
-    Euler-Maclaurin route on its grid cell.  The routes place a zero up
-    to 7.5e-3 apart (near t = 25.01), many cells at a small step, so a
-    cell without an Euler-Maclaurin sign change is refined once more on
-    its span, from midway to the previous bracket (or interval.a) to
-    midway to the next (or interval.b).  Spans are disjoint and ordered,
-    so records come out ascending and distinct.  A span without a sign
-    change drops the bracket: a Riemann-Siegel-only pair of sign
-    changes, or a zero just outside the interval.
+    The interval must lie in [2*pi, MAX_SCAN_HEIGHT] and the step must
+    not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell
+    (DomainError otherwise, before anything is evaluated).
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -193,19 +224,7 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         raise DomainError(
             f"step must not exceed MAX_SCAN_STEP={MAX_SCAN_STEP:g}, got {step}"
         )
-    z_em = hardy_em_function()
-    brackets = scan_sign_changes(hardy_rs_function(), interval, step)
-    mids = [0.5 * (p[1] + q[0]) for p, q in zip(brackets, brackets[1:])]
-    splits = [interval.a, *mids, interval.b]
-    records = []
-    for k, cell in enumerate(brackets):
-        for bracket in (cell, (splits[k], splits[k + 1])):
-            try:
-                records.append(refine_zero(z_em, bracket, tol))
-                break
-            except BracketError:
-                pass
-    return records
+    return scan_and_refine(hardy_em_function(), interval, step, tol)
 
 
 def lehmer_scan(interval: Interval, threshold: float,

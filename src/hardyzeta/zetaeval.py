@@ -237,7 +237,7 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
         raise DomainError(
             f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
     ns = np.arange(0, terms, dtype=float) + a
-    value = complex(np.sum(_powers(ns, -s))) + tail
+    value = complex(_powers(ns, -s).sum()) + tail
     bound = abs(s + (2 * m + 1)) / edge * abs(_EM_COEF[m] * poch * pw)
     limit = EM_TOL * max(1.0, abs(value))
     if not bound <= limit:

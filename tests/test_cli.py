@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hardyzeta import cli, hilbert, polyzero, report
+from hardyzeta import cli, hilbert, polyzero, report, zerofinder
 from hardyzeta.cli import main
 from hardyzeta.errors import DomainError
 from hardyzeta.report import RunConfig, load_schema, report_json, run_report
@@ -205,6 +205,26 @@ class TestJsonCommands:
         payload = json.loads(out)
         assert [p["l2_error"] for p in payload] == [
             pytest.approx(c.l2_error, rel=1e-11) for c in study]
+
+    def test_polyfit_below_scan_range_output_frozen(self, capsys,
+                                                     monkeypatch):
+        # [5, 15] crosses 2*pi, below which the Riemann-Siegel route is
+        # not valid, so the study scans Z(1/2, .) on Euler-Maclaurin and
+        # prints these frozen bytes.
+        monkeypatch.setattr(zerofinder, "hardy_z_rs", None)
+        code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
+                               "--interval", "5:15", "--degrees", "20,30")
+        assert code == 0
+        zero = 14.1347251417
+        frozen = [
+            {"degree": 20, "l2_error": 2.06784038981e-13,
+             "max_deviation": 7.28306304154e-14,
+             "pairs": [[zero, zero, 7.28306304154e-14]]},
+            {"degree": 30, "l2_error": 1.06209338348e-13,
+             "max_deviation": 1.24344978758e-14,
+             "pairs": [[zero, zero, 1.24344978758e-14]]},
+        ]
+        assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
 
     def test_polyfit(self, capsys):
         code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hardyzeta import hilbert, zerofinder
 from hardyzeta.errors import DomainError
-from hardyzeta.hilbert import Interval, SampledFunction, hardy_function
+from hardyzeta.hilbert import (
+    MIN_QUAD_ORDER,
+    Interval,
+    SampledFunction,
+    hardy_function,
+)
 from hardyzeta.polyzero import (
     PolynomialRealCoeffs,
     _match_sorted,
@@ -12,6 +18,8 @@ from hardyzeta.polyzero import (
     project,
     zero_convergence_study,
 )
+from hardyzeta.zerofinder import find_critical_zeros
+from hardyzeta.zetaeval import generalized_hardy, hardy_z_rs
 
 
 class TestProject:
@@ -136,3 +144,82 @@ class TestZeroConvergence:
         comps = zero_convergence_study(f, iv, [15, 20, 25])
         for c in comps:
             assert c.l2_error == project(f, iv, c.degree).l2_error
+
+
+class TestReferenceZeros:
+    """The study's reference zeros come from zerofinder.scan_and_refine."""
+
+    DEGREES = [16, 24, 32, 48]
+    WINDOW = Interval(990.0, 1000.0)
+
+    @staticmethod
+    def _traced(monkeypatch):
+        """Record Euler-Maclaurin heights, Riemann-Siegel heights and
+        (label, record) of every bracket refine_zero accepts."""
+        em, rs, records = [], [], []
+        refine = zerofinder.refine_zero
+
+        def refine_traced(f, bracket, tol):
+            record = refine(f, bracket, tol)
+            records.append((f.label, record))
+            return record
+
+        monkeypatch.setattr(hilbert, "generalized_hardy",
+                            lambda s, t: em.append(t) or generalized_hardy(s, t))
+        monkeypatch.setattr(zerofinder, "hardy_z_rs",
+                            lambda t: rs.append(t) or hardy_z_rs(t))
+        monkeypatch.setattr(zerofinder, "refine_zero", refine_traced)
+        return em, rs, records
+
+    @pytest.mark.parametrize("a,b,degrees", [
+        (10.0, 30.0, [20, 30, 40]), (990.0, 1000.0, DEGREES)],
+        ids=["10-30", "990-1000"])
+    def test_half_line_equals_find_critical_zeros(self, a, b, degrees):
+        iv = Interval(a, b)
+        comps = zero_convergence_study(hardy_function(0.5), iv, degrees)
+        ref = find_critical_zeros(iv, step=iv.width / 1000.0, tol=1e-12)
+        assert len(ref) > 0
+        for c in comps:
+            assert c.function_zeros == [r.location for r in ref]
+
+    def test_half_line_scans_on_riemann_siegel(self, monkeypatch):
+        em, rs, records = self._traced(monkeypatch)
+        comps = zero_convergence_study(hardy_function(0.5), self.WINDOW,
+                                       self.DEGREES)
+        zeros = comps[-1].function_zeros
+        # One Riemann-Siegel scan of the width/1000 grid ...
+        grid = set(rs)
+        assert len(rs) == len(grid) == 1001
+        # ... and every reference zero is a record refine_zero placed on
+        # the Euler-Maclaurin function, never a grid point.
+        assert [r.location for _, r in records] == zeros
+        assert {label for label, _ in records} == {"Z(0.5,.)"}
+        assert not grid & set(zeros)
+        # Euler-Maclaurin evaluations: projection nodes and 72 for
+        # refinement, none for the scan.  The only grid points among
+        # them are the ends of the cells refine_zero accepted.  A scan on
+        # Euler-Maclaurin would add the 1001 grid points, 1313 in all, as
+        # the sigma = 0.3 study below makes.
+        nodes = sum(max(2 * d, MIN_QUAD_ORDER) for d in self.DEGREES)
+        cells = {t for _, r in records for t in r.bracket}
+        assert grid & set(em) <= cells
+        assert len(em) == nodes + 72 == 312
+
+    def test_off_line_scans_on_euler_maclaurin(self, monkeypatch):
+        em, rs, records = self._traced(monkeypatch)
+        zero_convergence_study(hardy_function(0.3), self.WINDOW, self.DEGREES)
+        # Z(0.3, .) has no scan route: the 1001-point grid is sampled on
+        # Euler-Maclaurin.  1313 = 240 projection nodes + 1001 + 72.
+        assert rs == []
+        assert len(em) == 1313
+        assert {label for label, _ in records} == {"Z(0.3,.)"}
+
+    def test_outside_scan_range_scans_on_euler_maclaurin(self, monkeypatch):
+        # [5, 15] reaches below 2*pi, where the Riemann-Siegel route is
+        # not valid, so even Z(1/2, .) is scanned on Euler-Maclaurin.
+        em, rs, records = self._traced(monkeypatch)
+        comps = zero_convergence_study(hardy_function(0.5),
+                                       Interval(5.0, 15.0), [20, 30])
+        assert rs == []
+        assert [r.location for _, r in records] == comps[-1].function_zeros
+        assert len(records) == 1

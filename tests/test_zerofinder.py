@@ -6,13 +6,14 @@ import pytest
 
 from hardyzeta import zerofinder
 from hardyzeta.errors import BracketError, ContourError, DomainError
-from hardyzeta.hilbert import Interval, SampledFunction
+from hardyzeta.hilbert import Interval, SampledFunction, hardy_function
 from hardyzeta.zerofinder import (
     argument_principle_count,
     find_critical_zeros,
     hardy_em_function,
     lehmer_scan,
     refine_zero,
+    scan_and_refine,
     scan_sign_changes,
     zero_count_estimate,
 )
@@ -128,6 +129,49 @@ class TestCountEstimate:
                                          (100.0, 29)])
     def test_within_one_of_scan(self, T, count):
         assert abs(zero_count_estimate(T) - count) <= 1.0
+
+
+class TestScanAndRefine:
+    @staticmethod
+    def _routed(seen):
+        """sin, with a scan route whose zeros sit 0.003 to the right."""
+        route = SampledFunction(
+            lambda t: seen.append(t) or math.sin(t - 0.003), "sin_shifted")
+        return SampledFunction(math.sin, "sin", scan_route=route)
+
+    def test_scans_on_the_route_inside_its_range(self):
+        # At step 0.001 each route zero is three cells from sin's, so
+        # every zero is found through its span.
+        seen = []
+        recs = scan_and_refine(self._routed(seen), Interval(7.0, 20.0),
+                               0.001, 1e-12)
+        assert len(seen) == 13001
+        assert [r.location for r in recs] == pytest.approx(
+            [k * math.pi for k in (3, 4, 5, 6)], abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 10.0), (9990.0, 10010.0)],
+                             ids=["below-2pi", "above-max-height"])
+    def test_scans_on_f_outside_the_route_range(self, a, b):
+        seen = []
+        recs = scan_and_refine(self._routed(seen), Interval(a, b), 0.01,
+                               1e-12)
+        assert seen == []
+        zeros = [k * math.pi for k in range(math.ceil(a / math.pi),
+                                            math.floor(b / math.pi) + 1)]
+        assert [r.location for r in recs] == pytest.approx(zeros, abs=1e-9)
+
+    def test_find_critical_zeros_is_the_pipeline_on_z_em(self):
+        iv = Interval(100.0, 110.0)
+        assert find_critical_zeros(iv) == scan_and_refine(
+            hardy_em_function(), iv, 0.01, 1e-10)
+
+    def test_hardy_function_scan_route_is_rs_on_the_line(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(zerofinder, "hardy_z_rs",
+                            lambda t: seen.append(t) or 1.0)
+        assert hardy_function(0.5).scan_route.eval(100.0) == 1.0
+        assert seen == [100.0]
+        assert hardy_function(0.3).scan_route is None
 
 
 class TestCriticalZeros:
