@@ -28,7 +28,7 @@ from .hilbert import (
 )
 # refine_zero stays bound here: the benchmark tracer wraps
 # polyzero.refine_zero as well as zerofinder.refine_zero.
-from .zerofinder import refine_zero, scan_and_refine
+from .zerofinder import MAX_SCAN_STEP, refine_zero, scan_and_refine
 
 MAX_PROJECT_DEGREE = 512
 
@@ -139,9 +139,12 @@ def poly_real_zeros(p: PolynomialRealCoeffs) -> list[float]:
 
     The roots come from the colleague-matrix eigenproblem; near-real
     eigenvalue pairs are snapped onto the axis, the rest are discarded.
+    A nonzero constant has none; the zero polynomial raises DomainError.
     """
-    if p.degree < 1:
-        raise DomainError("zero extraction needs degree >= 1")
+    if not np.any(p.coeffs):
+        raise DomainError("the zero polynomial has no isolated zeros")
+    if p.degree == 0:
+        return []
     try:
         roots_u = np.atleast_1d(npleg.legroots(p.coeffs))
     except np.linalg.LinAlgError as exc:
@@ -199,21 +202,22 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
     """Track polynomial zeros converging onto the function's zeros.
 
     The reference zeros come from zerofinder.scan_and_refine at step
-    width/1000 and tol 1e-12: every zero is refined and reported on f,
-    and the scan runs on f.scan_route where f has one and the interval
-    lies inside [2*pi, MAX_SCAN_HEIGHT], on f itself otherwise.  So
-    hardy_function(0.5) is scanned on Riemann-Siegel and refined on
-    Euler-Maclaurin inside [2*pi, 1e4], and scanned on Euler-Maclaurin
-    elsewhere, as Z(sigma, .) for sigma != 1/2 is everywhere.  For each
-    degree (ascending) the real zeros of the degree-d projection are
-    matched against them.  Raises if the zero counts still disagree at
-    the largest degree.
+    min(width/1000, MAX_SCAN_STEP) (the cap keeps the zeros of Z(1/2, .)
+    up to MAX_SCAN_HEIGHT in separate cells) and tol 1e-12: every zero
+    is refined and reported on f, and the scan runs on f.scan_route
+    where f has one and the interval lies inside [2*pi, MAX_SCAN_HEIGHT],
+    on f itself otherwise.  So hardy_function(0.5) is scanned on
+    Riemann-Siegel and refined on Euler-Maclaurin inside [2*pi, 1e4],
+    and scanned on Euler-Maclaurin elsewhere, as Z(sigma, .) for
+    sigma != 1/2 is everywhere.  For each degree (ascending) the real
+    zeros of the degree-d projection are matched against them.  Raises
+    if the zero counts still disagree at the largest degree.
     """
     if not degrees:
         raise DomainError("need at least one degree")
     degrees = sorted(degrees)
-    alpha = [r.location for r in
-             scan_and_refine(f, interval, interval.width / 1000.0, 1e-12)]
+    step = min(interval.width / 1000.0, MAX_SCAN_STEP)
+    alpha = [r.location for r in scan_and_refine(f, interval, step, 1e-12)]
     out = []
     for deg in degrees:
         proj = project(f, interval, deg)

@@ -1,10 +1,10 @@
 """Zero location, simplicity diagnostics, and gap statistics.
 
-Sign-change scanning with Brent refinement for real interval functions,
-the smooth zero-count estimate theta(T)/pi + 1 used to cross-check
-scans, a Lehmer-pair detector (abnormally close consecutive zeros of
-the Hardy function), and a winding-number zero counter for rectangles
-in the complex plane.
+Sign-change scanning with Brent refinement (a port of scipy's brentq)
+for real interval functions, the smooth zero-count estimate
+theta(T)/pi + 1 used to cross-check scans, a Lehmer-pair detector
+(abnormally close consecutive zeros of the Hardy function), and a
+winding-number zero counter for rectangles in the complex plane.
 
 Critical-line work runs on two routes: the Riemann-Siegel sum does the
 cheap scanning, the Euler-Maclaurin route refines and re-verifies every
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketError, ContourError, DomainError
+from .errors import BracketError, ContourError, DomainError, NumericsError
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, theta, theta_derivative
 from .zetaeval import MAX_TERMS, generalized_hardy, hardy_z_rs
@@ -118,18 +117,98 @@ def scan_sign_changes(f: SampledFunction, interval: Interval,
     return brackets
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
+
+
+def _brent(f: Callable[[float], float], xa: float, xb: float,
+           xtol: float) -> float:
+    """A root of f on [xa, xb] where f(xa) and f(xb) differ in sign:
+    Brent's zeroin (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), step for step as scipy.optimize.brentq's
+    C loop with rtol = 1e-15 and 100 iterations.  It stops when f is
+    exactly 0 or the bracket's half-width falls under
+    (xtol + rtol |x|)/2, and returns the end of the bracket with the
+    smaller |f|.  rtol is 4.5 ulps, above the 4 ulps under which the
+    step can stall on roundoff; bisection alone shrinks a bracket below
+    1e-15 of its width in 50 iterations.
+
+    Raises BracketError when f(xa) and f(xb) share a sign, and
+    NumericsError when f returns NaN or 100 iterations do not converge.
+    """
+    rtol = 1e-15
+    maxiter = 100
+
+    def at(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericsError(f"f is NaN at x={x!r}; Brent cannot continue")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change on ({xa}, {xb})")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = at(xcur)
+    raise NumericsError(f"Brent did not converge on ({xa}, {xb}) in "
+                        f"{maxiter} iterations")
+
+
 def refine_zero(f: SampledFunction, bracket: tuple[float, float],
                 tol: float = 1e-10) -> ZeroRecord:
-    """Brent refinement of a bracketed sign change.
+    """Brent refinement of a bracketed sign change, to within
+    tol + 1e-15 |root|.
 
     The derivative estimate is a central difference at
     h = max(1e-6, tol); the zero is flagged simple when |f'| clears
-    SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude.
+    SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude.  A tol that
+    is not a positive finite number raises DomainError before f is
+    evaluated.
     """
+    _check_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must be ordered, got ({lo}, {hi})")
-    # One cache for this call: brentq re-evaluates both ends and returns
+    # One cache for this call: Brent re-evaluates both ends and returns
     # a point it has evaluated (an end, when f is exactly 0 there).
     f_at = functools.cache(f.eval)
     flo, fhi = f_at(lo), f_at(hi)
@@ -138,7 +217,7 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
             f"no sign change on ({lo}, {hi}): f={flo:.3e}, {fhi:.3e} "
             "(bracket lost, likely evaluation noise)"
         )
-    root = float(brentq(f_at, lo, hi, xtol=tol, rtol=1e-15))
+    root = _brent(f_at, lo, hi, tol)
     h = max(1e-6, tol)
     deriv = (f_at(root + h) - f_at(root - h)) / (2.0 * h)
     residual = abs(f_at(root))
@@ -184,8 +263,10 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
     interval.b).  Spans are disjoint and ordered, so records come out
     ascending and distinct.  A span without a sign change drops the
     bracket: a scan-route-only pair of sign changes, or a zero just
-    outside the interval.
+    outside the interval.  A tol that is not a positive finite number
+    raises DomainError before anything is evaluated.
     """
+    _check_tol(tol)
     in_range = TWO_PI <= interval.a and interval.b <= MAX_SCAN_HEIGHT
     scan = f.scan_route if f.scan_route is not None and in_range else f
     brackets = scan_sign_changes(scan, interval, step)
@@ -208,9 +289,10 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
     hardy_em_function(), so brackets come from a Riemann-Siegel scan and
     every zero is refined on the Euler-Maclaurin route.
 
-    The interval must lie in [2*pi, MAX_SCAN_HEIGHT] and the step must
-    not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell
-    (DomainError otherwise, before anything is evaluated).
+    The interval must lie in [2*pi, MAX_SCAN_HEIGHT], the step must
+    not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell,
+    and tol must be a positive finite number (DomainError otherwise,
+    before anything is evaluated).
     """
     if interval.a < TWO_PI:
         raise DomainError(

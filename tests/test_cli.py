@@ -217,12 +217,12 @@ class TestJsonCommands:
         assert code == 0
         zero = 14.1347251417
         frozen = [
-            {"degree": 20, "l2_error": 2.06784038981e-13,
-             "max_deviation": 7.28306304154e-14,
-             "pairs": [[zero, zero, 7.28306304154e-14]]},
-            {"degree": 30, "l2_error": 1.06209338348e-13,
-             "max_deviation": 1.24344978758e-14,
-             "pairs": [[zero, zero, 1.24344978758e-14]]},
+            {"degree": 20, "l2_error": 2.008828576e-13,
+             "max_deviation": 7.63833440942e-14,
+             "pairs": [[zero, zero, 7.63833440942e-14]]},
+            {"degree": 30, "l2_error": 1.17305195359e-14,
+             "max_deviation": 1.7763568394e-15,
+             "pairs": [[zero, zero, 1.7763568394e-15]]},
         ]
         assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
 

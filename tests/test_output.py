@@ -95,3 +95,28 @@ def test_package_import_does_not_load_mpmath():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_and_its_kernels_load_no_scipy():
+    # numpy is the only runtime dependency: the zero pipeline, the
+    # Hilbert machinery and the Davenport-Heilbronn kernel run without
+    # importing scipy, which only tests and the benchmark use.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "\n".join([
+        "import sys",
+        "import hardyzeta as hz",
+        "hz.find_critical_zeros(hz.Interval(100.0, 102.0))",
+        "iv = hz.Interval(10.0, 20.0)",
+        "rule = hz.gauss_legendre_rule(48, iv)",
+        "hz.gram_schmidt([hz.hardy_function(0.5), hz.hardy_function(0.3)],"
+        " rule)",
+        "hz.zero_convergence_study(hz.hardy_function(0.5), iv, [16])",
+        "hz.davenport_heilbronn(complex(0.7, 85.0))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

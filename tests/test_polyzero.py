@@ -81,10 +81,15 @@ class TestPolyRealZeros:
             assert iv.a < z < iv.b
             assert abs(res.poly.evaluate(z)) < 1e-8 * scale
 
-    def test_degree_zero_rejected(self):
+    def test_nonzero_constant_has_no_zeros(self):
         p = PolynomialRealCoeffs(np.array([2.0]), Interval(0.0, 1.0))
-        with pytest.raises(DomainError):
-            poly_real_zeros(p)
+        assert poly_real_zeros(p) == []
+
+    def test_zero_polynomial_rejected(self):
+        for coeffs in ([0.0], [0.0, 0.0, 0.0]):
+            p = PolynomialRealCoeffs(np.array(coeffs), Interval(0.0, 1.0))
+            with pytest.raises(DomainError):
+                poly_real_zeros(p)
 
     def test_trailing_trim(self):
         p = PolynomialRealCoeffs(np.array([1.0, 1.0, 1e-20]),
@@ -223,3 +228,19 @@ class TestReferenceZeros:
         assert rs == []
         assert [r.location for _, r in records] == comps[-1].function_zeros
         assert len(records) == 1
+
+    def test_wide_window_scan_step_capped(self, monkeypatch):
+        # Width 50: width/1000 = 0.05 would put the pair near
+        # 7005.06/7005.10 into one cell and lose both; the study scans at
+        # MAX_SCAN_STEP instead, so its reference zeros are the full
+        # census and the degree-240 projection matches them.
+        em, rs, records = self._traced(monkeypatch)
+        iv = Interval(6990.005, 7040.005)
+        comps = zero_convergence_study(hardy_function(0.5), iv, [240])
+        assert len(rs) == 2501
+        ref = find_critical_zeros(iv, step=zerofinder.MAX_SCAN_STEP,
+                                  tol=1e-12)
+        zeros = comps[-1].function_zeros
+        assert zeros == [r.location for r in ref]
+        assert len(zeros) == len(comps[-1].polynomial_zeros) == 57
+        assert sum(7005.0 < t < 7005.2 for t in zeros) == 2

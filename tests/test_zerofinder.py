@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hardyzeta import zerofinder
-from hardyzeta.errors import BracketError, ContourError, DomainError
+from hardyzeta.errors import (BracketError, ContourError, DomainError,
+                              NumericsError)
 from hardyzeta.hilbert import Interval, SampledFunction, hardy_function
 from hardyzeta.zerofinder import (
     argument_principle_count,
@@ -113,6 +114,82 @@ class TestRefine:
         assert r.location == 2.0
         assert r.residual == 0.0
         assert r.derivative == pytest.approx(1.0)
+
+
+BAD_TOLS = [0.0, -1e-10, math.nan, math.inf, -math.inf]
+
+
+class TestBadTol:
+    """A tol that is not a positive finite number is refused before any
+    evaluation, at each entry point that takes one."""
+
+    @staticmethod
+    def _refusing():
+        def refuse(t):
+            raise AssertionError(f"evaluated at t={t}")
+        return SampledFunction(refuse, "refuse",
+                               scan_route=SampledFunction(refuse, "refuse"))
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_refine_zero(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            refine_zero(self._refusing(), (3.0, 3.3), tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_scan_and_refine(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            scan_and_refine(self._refusing(), Interval(10.0, 20.0), 0.01, tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_find_critical_zeros(self, tol, monkeypatch):
+        refuse = self._refusing().eval
+        monkeypatch.setattr(zerofinder, "hardy_z_rs", refuse)
+        monkeypatch.setattr(zerofinder, "generalized_hardy",
+                            lambda sigma, t: refuse(t))
+        with pytest.raises(DomainError, match="tol"):
+            find_critical_zeros(Interval(100.0, 110.0), tol=tol)
+
+
+class TestBrent:
+    def test_same_signs_refused(self):
+        with pytest.raises(BracketError):
+            zerofinder._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_nan_refused(self):
+        with pytest.raises(NumericsError, match="NaN"):
+            zerofinder._brent(lambda x: math.nan if x > 0.0 else x - 0.5,
+                              -1.0, 1.0, 1e-12)
+
+    def test_discontinuity_converges_to_the_jump(self):
+        # No root, only a sign change: Brent still closes the bracket.
+        root = zerofinder._brent(lambda x: 1.0 if x > 0.3 else -1.0,
+                                 0.0, 1.0, 1e-12)
+        assert abs(root - 0.3) < 1e-12
+
+    @pytest.mark.parametrize("interval", [(100.0, 110.0), (9000.0, 9005.0)])
+    def test_bit_identical_to_scipy_brentq(self, interval, monkeypatch):
+        # Same root bits and the same number of evaluations as scipy's
+        # brentq, on every bracket the zero pipeline refines.
+        optimize = pytest.importorskip("scipy.optimize")
+        accepted = []
+        real_refine = zerofinder.refine_zero
+
+        def recording(f, bracket, tol):
+            record = real_refine(f, bracket, tol)
+            accepted.append((f, bracket, tol))
+            return record
+
+        monkeypatch.setattr(zerofinder, "refine_zero", recording)
+        records = find_critical_zeros(Interval(*interval))
+        assert len(accepted) == len(records) >= 4
+        for f, (lo, hi), tol in accepted:
+            ours, theirs = [], []
+            root = zerofinder._brent(
+                lambda x: ours.append(x) or f.eval(x), lo, hi, tol)
+            ref = optimize.brentq(lambda x: theirs.append(x) or f.eval(x),
+                                  lo, hi, xtol=tol, rtol=1e-15)
+            assert root.hex() == float(ref).hex()
+            assert ours == theirs
 
 
 class TestCountEstimate:
