@@ -81,6 +81,16 @@ _BERNOULLI_COST = 17
 _EXTRA_COST = _BERNOULLI_COST * (EM_ORDER_MAX - EM_ORDER)
 _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 
+# Riemann zeta heads of at least this many terms are summed over the
+# integers coprime to 30 (_factored_head), below it term by term.  Head
+# times, factored against term by term, best of 20 rounds of 100 calls
+# at s = 1/2 + 9000i, in process on a 2-vCPU shared Xeon: 61 against
+# 115 us at 2688 terms, 46 against 71 at 1500, 35 against 41 at 800,
+# 33 against 33 at 600 and 31 against 27 at 450.  At sigma = 1/2 the
+# head reaches 800 terms at t = 2690; the EM_ORDER pair's heads (at
+# most 648 terms on sigma >= -2) stay term by term.
+_SMOOTH_MIN_TERMS = 800
+
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
 EM_TOL = 1e-8
 
@@ -194,6 +204,97 @@ def _powers(ns: np.ndarray, p: complex) -> np.ndarray:
     return np.exp(p * np.log(ns))
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+_EMPTY = _frozen(np.zeros(0))
+
+# (limit, c, log c, m, log m): the integers c <= limit coprime to 30 and
+# the 5-smooth integers m <= limit (no prime factor above 5), each
+# ascending, read only by _factored_head.  Grown by _factor_table, which
+# rebinds a new tuple of read-only arrays and never mutates one, so a
+# reader always holds a complete table.
+_FACTOR_TABLE: tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray] = (
+    0, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+_FACTOR_TABLE_LOCK = threading.Lock()
+
+
+def _smooth_numbers(limit: int) -> np.ndarray:
+    """The 5-smooth integers 1 <= m <= limit, ascending: 1 times each
+    power of 2, those times each power of 3, all of those times each
+    power of 5."""
+    smooth = [1]
+    for p in (2, 3, 5):
+        for m in smooth[:]:
+            m *= p
+            while m <= limit:
+                smooth.append(m)
+                m *= p
+    return np.array(sorted(smooth), dtype=float)
+
+
+def _factor_table(limit: int) -> tuple[int, np.ndarray, np.ndarray,
+                                       np.ndarray, np.ndarray]:
+    """The factor table, grown to at least `limit`, taking logs of only
+    the new entries.  Growth holds a lock, so two threads cannot rebind
+    a shorter table over a longer one.  The smooth numbers up to the old
+    limit are a prefix of the new ones, so their logs are kept."""
+    global _FACTOR_TABLE
+    with _FACTOR_TABLE_LOCK:
+        table = _FACTOR_TABLE
+        old, coprime, coprime_log, smooth, smooth_log = table
+        if old < limit:
+            new = np.array([n for n in range(old + 1, limit + 1)
+                            if n % 2 and n % 3 and n % 5], dtype=float)
+            smooth_all = _smooth_numbers(limit)
+            table = (
+                limit,
+                _frozen(np.concatenate((coprime, new))),
+                _frozen(np.concatenate((coprime_log, np.log(new)))),
+                _frozen(smooth_all),
+                _frozen(np.concatenate(
+                    (smooth_log, np.log(smooth_all[len(smooth):])))),
+            )
+            _FACTOR_TABLE = table
+    return table
+
+
+def _factor_split(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log c for the c <= terms coprime to 30, log m for the 5-smooth
+    m <= terms, and for each c the index of the largest m <= terms / c.
+    Every n <= terms is m c for exactly one such pair, so the m of c are
+    those up to its index."""
+    table = _FACTOR_TABLE
+    if table[0] < terms:
+        table = _factor_table(terms)
+    _, coprime, coprime_log, smooth, smooth_log = table
+    n_c = np.searchsorted(coprime, terms, "right")
+    n_m = np.searchsorted(smooth, terms, "right")
+    # Exact in floats: m c <= terms gives fl(terms / c) >= m, and
+    # m c > terms puts terms / c at least 1/c >= 1/MAX_TERMS below m,
+    # far more than its rounding error below MAX_TERMS.
+    last = np.searchsorted(smooth[:n_m], terms / coprime[:n_c], "right") - 1
+    return coprime_log[:n_c], smooth_log[:n_m], last
+
+
+def _factored_head(s: complex, terms: int) -> complex:
+    """sum_{n<=terms} n^{-s}, factored by complete multiplicativity as
+    sum_c c^{-s} W(terms / c) over the c <= terms coprime to 30, where
+    W(x) is the sum of m^{-s} over the 5-smooth m <= x, read from their
+    cumulative sum.  Takes one complex exp for each c, about 27% of the
+    terms, and one for each m, 123 up to 3000 terms, where the plain
+    head takes one per term.
+
+    The tables behind it keep 16 B per entry: about 15 KB at 3000 terms
+    (800 c and 123 m), enough for sigma = 1/2 up to t = 1e4, and 4.3 MB
+    only at MAX_TERMS (266666 c and 507 m)."""
+    coprime_log, smooth_log, last = _factor_split(terms)
+    partial = np.cumsum(np.exp(-s * smooth_log))
+    return complex((np.exp(-s * coprime_log) * partial[last]).sum())
+
+
 def _em_sum(s: complex, a: float, terms: int, n_cut: int,
             m: int) -> complex:
     """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
@@ -203,11 +304,23 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
     Backlund's premises base > |t|/2pi and sigma+2m+1 > 0 fail, if the
     sum overflows a double, or if his bound |s+2m+1|/(sigma+2m+1)
     |T_{m+1}| on the truncation error (T_{m+1} the first omitted term)
-    exceeds EM_TOL max(1, |value|).  The bound does not cover rounding in
-    the head sum; left of the critical strip, where the head terms grow,
-    it also raises when the rounding estimate eps (base^{1-sigma}/(1-sigma)
-    + 1) exceeds EM_TOL max(1, |value|).  s is finite, so only the value
-    and what is computed from it can be NaN; those checks fail on a NaN."""
+    exceeds EM_TOL max(1, |value|).  s is finite, so only the value and
+    what is computed from it can be NaN; those checks fail on a NaN.
+
+    For a = 1 and at least _SMOOTH_MIN_TERMS terms, the head is summed
+    over the integers coprime to 30 (_factored_head), with about a
+    quarter of the complex exps.  The two sums differ by roundoff only:
+    1.1e-11 max(1, |head|) at 2688 terms and s = 1/2 + 9000i, 2.4e-11 at
+    -2 + 8000i.  Shorter heads and a != 1 sum term by term.
+
+    The bound does not cover rounding in the head sum.  Left of the
+    critical strip, where the head terms grow, this also raises when
+    the rounding estimate eps (base^{1-sigma}/(1-sigma) + 1) exceeds
+    EM_TOL max(1, |value|).  That estimate is not a bound: it leaves out
+    each term's phase rounding, about eps |t| log(n+a) relative, and
+    under-reports the true error about 300-fold left of sigma = 0
+    (6.6e-14 against 2.3e-11 relative at s = -1.882 + 8349.1i, a = 0.2).
+    It catches gross cancellation, as at s = -10 + i."""
     base = terms + a
     edge = 2 * m + 1 + s.real
     if n_cut > MAX_TERMS:
@@ -236,8 +349,12 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
             and -s.real * math.log(a) > _LOG_FLOAT_MAX):
         raise DomainError(
             f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
-    ns = np.arange(0, terms, dtype=float) + a
-    value = complex(_powers(ns, -s).sum()) + tail
+    if a == 1.0 and terms >= _SMOOTH_MIN_TERMS:
+        head = _factored_head(s, terms)
+    else:
+        ns = np.arange(0, terms, dtype=float) + a
+        head = complex(_powers(ns, -s).sum())
+    value = head + tail
     bound = abs(s + (2 * m + 1)) / edge * abs(_EM_COEF[m] * poch * pw)
     limit = EM_TOL * max(1.0, abs(value))
     if not bound <= limit:

@@ -249,6 +249,31 @@ class TestDefaultPair:
             rel = 2e-11 if sigma >= 0.0 else 1e-10
             assert abs(got - ref) <= rel * max(1.0, abs(ref)), (s, a)
 
+    def test_matches_frozen_high_references(self):
+        # 300 Riemann zeta values at |t| in [3000, 1e4], where the head is
+        # summed over the integers coprime to 30, frozen from mpmath by
+        # tests/data/make_zeta_references.py; same tolerances as above.
+        path = Path(__file__).with_name("data") / "zeta_references_high.txt"
+        rows = [[float.fromhex(x) for x in line.split()]
+                for line in path.read_text(encoding="ascii").splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 300
+        rng = np.random.default_rng(2020)
+        factored = 0
+        for i, (sigma, t, a, re, im) in enumerate(rows):
+            seeded_sigma = rng.uniform(-2.0, 3.0)
+            seeded_t = rng.uniform(3000.0, 1e4)
+            assert (sigma, t, a) == (
+                seeded_sigma, seeded_t if i % 2 == 0 else -seeded_t, 1.0)
+            s = complex(sigma, t)
+            factored += (zetaeval._em_pair(s)[0] - 1
+                         >= zetaeval._SMOOTH_MIN_TERMS)
+            got = zeta_em(s)
+            ref = complex(re, im)
+            rel = 2e-11 if sigma >= 0.0 else 1e-10
+            assert abs(got - ref) <= rel * max(1.0, abs(ref)), s
+        assert factored >= 250
+
     def test_extreme_inputs_fall_back(self):
         # Backlund's premise fails for the higher order, its Pochhammer
         # product would overflow, or its N would exceed MAX_TERMS: the
@@ -502,6 +527,149 @@ class TestRsTermTable:
         davenport_heilbronn(0.75 + 50.0j)
         with pytest.raises(AssertionError, match="RS term table"):
             hardy_z_rs(100.0)
+
+
+def _empty_factor_table():
+    return (0,) + (zetaeval._EMPTY,) * 4
+
+
+def _table_bytes_of(table) -> int:
+    return sum(values.nbytes for values in table[1:])
+
+
+class TestFactoredHead:
+    # Head lengths from the threshold up, grown in the race test.
+    KS = list(range(zetaeval._SMOOTH_MIN_TERMS,
+                    zetaeval._SMOOTH_MIN_TERMS + 200))
+    S = complex(0.5, 9000.0)
+
+    def _check_table(self, limit):
+        table = zetaeval._FACTOR_TABLE
+        ns = np.arange(1, limit + 1)
+        coprime = ns[np.gcd(ns, 30) == 1]
+        # n <= limit < 2**20 is 5-smooth when it divides 30**20.
+        smooth = np.array([n for n in range(1, limit + 1)
+                           if 30**20 % n == 0])
+        assert table[0] == limit
+        for got, want in zip(table[1:], (coprime, np.log(coprime),
+                                         smooth, np.log(smooth))):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("terms", [
+        1, 2, 29, 30, 31, 255, zetaeval._SMOOTH_MIN_TERMS - 1,
+        zetaeval._SMOOTH_MIN_TERMS, 2688, 2989, 3000])
+    def test_products_cover_each_n_once(self, terms, monkeypatch):
+        # Grown past terms first, so the split also reads a longer table.
+        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", _empty_factor_table())
+        zetaeval._factor_table(3001)
+        coprime_log, smooth_log, last = zetaeval._factor_split(terms)
+        coprime = np.rint(np.exp(coprime_log)).astype(int)
+        smooth = np.rint(np.exp(smooth_log)).astype(int)
+        products = sorted(int(c) * int(m) for c, k in zip(coprime, last)
+                          for m in smooth[:k + 1])
+        assert products == list(range(1, terms + 1))
+
+    @pytest.mark.parametrize("terms", [
+        zetaeval._SMOOTH_MIN_TERMS - 1, zetaeval._SMOOTH_MIN_TERMS,
+        2688, 2989])
+    @pytest.mark.parametrize("s", [
+        0.5 + 9000.0j, 0.5 - 9000.0j, 0.0 + 8000.0j, 3.0 + 3000.0j,
+        -2.0 + 8000.0j, 1.0 + 1.0j])
+    def test_agrees_with_plain_head(self, s, terms):
+        head = zetaeval._factored_head(s, terms)
+        plain = complex(zetaeval._powers(
+            np.arange(1, terms + 1, dtype=float), -s).sum())
+        # The tolerances of the mpmath tests: left of sigma = 0 each
+        # term's phase rounding grows with n^{-sigma} (3.3e-11 apart at
+        # -2 + 8000i, 3000 terms).
+        rel = 2e-11 if s.real >= 0.0 else 1e-10
+        assert abs(head - plain) <= rel * max(1.0, abs(head))
+
+    def test_only_riemann_heads_from_the_threshold(self, monkeypatch):
+        class Untouchable(tuple):
+            def __getitem__(self, key):
+                raise AssertionError("read the factor table")
+
+            __iter__ = __len__ = __getitem__
+
+        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", Untouchable())
+        # At sigma = 1/2 the head first reaches 800 terms at t = 2690.
+        zeta_em(complex(0.5, 2600.0))
+        zeta_em(complex(-2.0, 1000.0))
+        hurwitz_zeta(complex(0.5, 9000.0), 0.2)
+        hardy_z_rs(9000.0)
+        with pytest.raises(AssertionError, match="factor table"):
+            zeta_em(complex(0.5, 9000.0))
+        with pytest.raises(AssertionError, match="factor table"):
+            hurwitz_zeta(complex(0.5, 9000.0), 1.0)
+
+    def test_table_memory(self, monkeypatch):
+        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", _empty_factor_table())
+        tracemalloc.start()
+        try:
+            for terms in range(100, 3001, 100):
+                zetaeval._factored_head(self.S, terms)
+            gc.collect()
+            retained = sum(
+                stat.size for stat in tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, zetaeval.__file__)]
+                ).statistics("filename"))
+        finally:
+            tracemalloc.stop()
+        self._check_table(3000)
+        # About 15 KB up to t = 1e4, as the docstring states, and only the
+        # last of the 30 tables grown on the way up is kept.
+        one_table = _table_bytes_of(zetaeval._FACTOR_TABLE)
+        assert len(zetaeval._FACTOR_TABLE[1]) == 800
+        assert len(zetaeval._FACTOR_TABLE[3]) == 123
+        assert one_table <= 15_000
+        assert retained <= one_table + 4096
+        # About 4.3 MB at MAX_TERMS.
+        table = zetaeval._factor_table(MAX_TERMS)
+        assert (len(table[1]), len(table[3])) == (266666, 507)
+        assert _table_bytes_of(table) <= 4.3e6
+
+    def test_two_threads_on_interleaved_lengths(self, monkeypatch):
+        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", _empty_factor_table())
+        expected = [zetaeval._factored_head(self.S, k) for k in self.KS]
+
+        def work(ks, start, values, errors):
+            try:
+                start.wait(timeout=30.0)
+                for k in ks:
+                    values[k] = zetaeval._factored_head(self.S, self.KS[k])
+            except Exception as exc:
+                errors.append(exc)
+
+        # As in TestRsTermTable: two threads (never more) take the even
+        # and the odd lengths, and the short switch interval lets them
+        # interleave inside the growth.  Going down, both first grow the
+        # empty table at once, and it must end at the longest whichever
+        # finishes last.
+        n = len(self.KS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for order in (1, -1) * 20:
+                zetaeval._FACTOR_TABLE = _empty_factor_table()
+                start = threading.Barrier(2)
+                values: dict[int, complex] = {}
+                errors: list[Exception] = []
+                threads = [
+                    threading.Thread(target=work, args=(
+                        range(j, n, 2)[::order], start, values, errors))
+                    for j in (0, 1)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30.0)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+                self._check_table(self.KS[-1])
+                assert [values[k] for k in range(n)] == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGeneralizedHardy:
