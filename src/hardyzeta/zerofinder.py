@@ -359,7 +359,8 @@ def _phase_steps(f: Callable[[complex], complex], z0: complex, z1: complex,
             + _phase_steps(f, zm, z1, vm, v1, depth + 1))
 
 
-def argument_principle_count(f: Callable[[complex], complex],
+def argument_principle_count(f: Callable[[np.ndarray | complex],
+                                         np.ndarray | complex],
                              box: Sequence[float],
                              n_per_side: int = 256) -> int:
     """Number of zeros of f inside a rectangle, by winding number.
@@ -371,6 +372,12 @@ def argument_principle_count(f: Callable[[complex], complex],
     ContourError when |f| on the contour drops under CONTOUR_MIN_ABS,
     and DomainError before any evaluation when the 4*n_per_side contour
     points would exceed MAX_TERMS.
+
+    f maps points to values numpy-style: it is called once on the
+    complex ndarray of the 4*n_per_side+1 grid points, and must return
+    an array of their values, then once on each subdivision midpoint, a
+    complex, one at a time.  A grid result of another shape raises
+    TypeError.
     """
     s1, s2, t1, t2 = box
     if not (s1 < s2 and t1 < t2):
@@ -381,15 +388,18 @@ def argument_principle_count(f: Callable[[complex], complex],
         )
     corners = [complex(s1, t1), complex(s2, t1), complex(s2, t2),
                complex(s1, t2), complex(s1, t1)]
-    zs: list[complex] = []
-    for a, b in zip(corners[:-1], corners[1:]):
-        for k in range(n_per_side):
-            zs.append(a + (b - a) * (k / n_per_side))
-    zs.append(corners[0])
-    vals = [f(z) for z in zs]
+    frac = np.arange(n_per_side, dtype=float) / n_per_side
+    grid = np.concatenate(
+        [a + (b - a) * frac for a, b in zip(corners[:-1], corners[1:])]
+        + [corners[:1]])
+    vals = np.asarray(f(grid), dtype=complex)
+    if vals.shape != grid.shape:
+        raise TypeError(f"f must map the {grid.size} contour points to as "
+                        f"many values, got an array of shape {vals.shape}")
+    zs, vs = grid.tolist(), vals.tolist()
     total = 0.0
     for i in range(len(zs) - 1):
-        total += _phase_steps(f, zs[i], zs[i + 1], vals[i], vals[i + 1])
+        total += _phase_steps(f, zs[i], zs[i + 1], vs[i], vs[i + 1])
     winding = total / TWO_PI
     count = round(winding)
     if abs(winding - count) > 0.25:

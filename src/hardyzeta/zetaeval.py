@@ -91,6 +91,10 @@ _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 # most 648 terms on sigma >= -2) stay term by term.
 _SMOOTH_MIN_TERMS = 800
 
+# Complex elements in one row block of _em_sum_many's head (256 KB), so
+# a batched head holds no more memory than a scalar head of 2^14 terms.
+_HEAD_BLOCK = 2**14
+
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
 EM_TOL = 1e-8
 
@@ -147,6 +151,37 @@ def _em_pair(s: complex) -> tuple[int, int]:
     if n_b is None or n_fixed <= n_b + _EXTRA_COST:
         return n_fixed, EM_ORDER
     return n_b, EM_ORDER_MAX
+
+
+def _em_pairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_em_pair at every point of a 1-D complex array, in numpy: the
+    cutoffs N and orders m as two int arrays.  The same float operations
+    in the same order as the scalar rule, so the pairs agree point for
+    point.  Raises the scalar's DomainError, naming the first point
+    where |t|/2pi >= MAX_TERMS."""
+    t = np.abs(s.imag)
+    over = np.flatnonzero(t / TWO_PI >= MAX_TERMS)
+    if over.size:
+        _em_pair(complex(s[over[0]]))
+    n = np.maximum(50.0, np.ceil(2.0 * t / math.pi))
+    m = np.full(s.shape, EM_ORDER)
+    high = np.flatnonzero(t > _T_FIXED)
+    if high.size:
+        # _backlund_cutoff on the points above _T_FIXED; where it gives
+        # None the NaN or oversized log_n fails the comparisons below.
+        sh = s[high]
+        edge = sh.real + _EDGE_SHIFT
+        log_poch = (_EDGE_SHIFT + 1) * np.log(np.abs(sh) + _EDGE_SHIFT)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_n = (log_poch + _LOG_COEF_OVER_TARGET - np.log(edge)) / edge
+        valid = ((edge > 0.0) & (log_poch <= _LOG_FLOAT_MAX)
+                 & (log_n <= _LOG_MAX_TERMS))
+        n_b = np.maximum(np.floor(t[high] / TWO_PI) + 1.0,
+                         np.ceil(np.exp(np.where(valid, log_n, 0.0))))
+        backlund = valid & (n[high] > n_b + _EXTRA_COST)
+        n[high[backlund]] = n_b[backlund]
+        m[high[backlund]] = EM_ORDER_MAX
+    return n.astype(np.int64), m
 
 
 def _backlund_cutoff(s: complex, n_min: int) -> int | None:
@@ -373,6 +408,149 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
     return value
 
 
+def _c_prod(ar, ai, br, bi):
+    """Complex product on real and imaginary float arrays, as CPython
+    computes it: (ar br - ai bi, ar bi + ai br).  numpy's complex
+    multiply fuses some of these operations and differs in the last
+    bit."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(ar, ai, br, bi):
+    """Complex quotient for b != 0 on real and imaginary float arrays,
+    as CPython computes it: Smith's method, dividing by the denominator
+    where numpy's complex division multiplies by its reciprocal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wide = np.abs(br) >= np.abs(bi)
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        return (np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    """Flat index of the first True of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
+                 m: int) -> np.ndarray:
+    """_em_sum at every point of the 1-D complex array s for each offset
+    of the 1-D float array a: row k of the result holds the values for
+    a[k].  Point i sums terms[i] head terms with m Bernoulli
+    corrections, and n_cut = terms[i], as hurwitz_zeta passes it.  The
+    same premises, the same overflow, Backlund-bound and left-of-strip
+    rounding refusals, and the same messages, naming the first point
+    that fails.
+
+    The tail is elementwise numpy over the points in the scalar's
+    operations and order: base^(1-s) is Python's complex power at each
+    point, and complex products and quotients follow CPython's formulas
+    (_c_prod, _c_quot).  The Pochhammer products, which do not depend on
+    a, are formed once.  The head takes the points of each N together:
+    exp(-s (x) log(n+a)) summed along each row, in row blocks of at most
+    _HEAD_BLOCK complex elements (256 KB; a row longer than that is a
+    block of its own, as large as the scalar head).  Each row's terms
+    and their sum are the scalar head's.  The head is always summed term
+    by term, never factored as _em_sum does for zeta, so this serves
+    Hurwitz offsets a != 1."""
+    counts = terms.tolist()
+    i = _first_true(terms > MAX_TERMS)
+    if i is not None:
+        raise DomainError(f"N={counts[i]} exceeds MAX_TERMS={MAX_TERMS}")
+    sr, si = s.real, s.imag
+    edge = 2 * m + 1 + sr
+    i = _first_true((terms + min(a.tolist()) <= np.abs(si) / TWO_PI)
+                    | (edge <= 0.0))
+    if i is not None:
+        p = complex(s[i])
+        raise DomainError(
+            f"N={counts[i]} at s={p} fails the premises of the Backlund "
+            f"bound: cutoff above |Im s|/2pi={abs(p.imag) / TWO_PI:.1f}, "
+            f"Re s > {-2 * m - 1}"
+        )
+    base = terms + a[:, None]
+    rows = base.tolist()
+    expo = (1.0 - s).tolist()
+    pw1 = np.array([[b ** e for b, e in zip(row, expo)] for row in rows],
+                   dtype=complex).reshape(base.shape)
+    inv2 = np.array([[b ** -2.0 for b in row] for row in rows]
+                    ).reshape(base.shape)
+    # What overflows here leaves a non-finite tail, refused below as the
+    # scalar refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr, ti = _c_quot(pw1.real, pw1.imag, sr - 1.0, si)
+        tr = tr + 0.5 * pw1.real / base
+        ti = ti + 0.5 * pw1.imag / base
+        wr, wi = pw1.real * inv2, pw1.imag * inv2
+        cr, ci = sr, si
+        for k in range(m):
+            ur, ui = _c_prod(_EM_COEF[k] * cr, _EM_COEF[k] * ci, wr, wi)
+            tr, ti = tr + ur, ti + ui
+            wr, wi = wr * inv2, wi * inv2
+            cr, ci = _c_prod(cr, ci, *_c_prod(sr + (2 * k + 1), si,
+                                               sr + (2 * k + 2), si))
+        # The tail now, the head is added below.
+        value = np.empty(base.shape, dtype=complex)
+        value.real, value.imag = tr, ti
+        omitted = np.empty(base.shape, dtype=complex)
+        omitted.real, omitted.imag = _c_prod(
+            _EM_COEF[m] * cr, _EM_COEF[m] * ci, wr, wi)
+        bound = np.abs(s + (2 * m + 1)) / edge * np.abs(omitted)
+    j = _first_true(~np.isfinite(value) | (
+        (sr > _SIGMA_HEAD_SAFE) & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX)))
+    if j is not None:
+        k, i = divmod(j, len(s))
+        raise DomainError(
+            f"Euler-Maclaurin sum at s={complex(s[i])}, a={a[k]} "
+            "overflows a double")
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(counts):
+        groups.setdefault(n, []).append(i)
+    for n, members in groups.items():
+        idx = np.array(members)
+        _add_heads(value, idx, sr[idx], si[idx], a, n)
+    limit = EM_TOL * np.maximum(1.0, np.abs(value))
+    j = _first_true(~(bound <= limit))
+    if j is not None:
+        k, i = divmod(j, len(s))
+        raise DomainError(
+            f"N={counts[i]} leaves an Euler-Maclaurin truncation bound of "
+            f"{bound[k, i]:.1e} at s={complex(s[i])}, above "
+            f"EM_TOL={EM_TOL:g} relative"
+        )
+    for i in np.flatnonzero(sr < 0.0).tolist():
+        sigma1 = 1.0 - sr[i]
+        for k, row in enumerate(rows):
+            rounding = _EPS * (row[i] ** sigma1 / sigma1 + 1.0)
+            if not rounding <= limit[k, i]:
+                raise DomainError(
+                    f"Euler-Maclaurin head sum at s={complex(s[i])} carries "
+                    f"rounding error up to {rounding:.1e}, above "
+                    f"EM_TOL={EM_TOL:g} relative"
+                )
+    return value
+
+
+def _add_heads(value: np.ndarray, idx: np.ndarray, sr: np.ndarray,
+               si: np.ndarray, a: np.ndarray, terms: int) -> None:
+    """Add sum_{n<terms} (n+a[k])^{-s} to value[k, idx] for the points
+    s = sr + i si.  -s (x) log(n+a) is formed as two real outer
+    products, equal to numpy's complex-by-real product (a factor with
+    zero imaginary part adds only exact zeros) at a quarter of its
+    cost, so each row is the scalar head term for term."""
+    rows = max(1, _HEAD_BLOCK // terms)
+    block = np.empty((min(rows, len(idx)), terms), dtype=complex)
+    for k in range(len(a)):
+        logs = np.log(np.arange(0, terms, dtype=float) + a[k])
+        for i in range(0, len(idx), rows):
+            part = block[:len(idx[i:i + rows])]
+            np.multiply.outer(-sr[i:i + rows], logs, out=part.real)
+            np.multiply.outer(-si[i:i + rows], logs, out=part.imag)
+            value[k, idx[i:i + rows]] += np.exp(part, out=part).sum(axis=1)
+
+
 def zeta_em(s: complex) -> complex:
     """Riemann zeta via Euler-Maclaurin summation, valid on C minus {1}.
 
@@ -534,25 +712,66 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     return abs(lhs - rhs)
 
 
-def _mod5_series(s: complex, coeffs: dict[int, complex | float]) -> complex:
+def _mod5_series(s: complex | np.ndarray,
+                 coeffs: dict[int, complex | float]) -> complex | np.ndarray:
     """5^{-s} sum_{a=1..4} coeffs[a] zeta(s, a/5): the Dirichlet series
-    whose coefficients repeat with period 5 as coeffs[1..4], 0."""
-    total = 0.0 + 0.0j
-    for a, c in coeffs.items():
-        total += c * hurwitz_zeta(s, a / 5.0)
-    return cmath.exp(-s * math.log(5.0)) * total
+    whose coefficients repeat with period 5 as coeffs[1..4], 0.
+
+    A scalar s takes four hurwitz_zeta calls and returns a complex.  An
+    ndarray s returns a complex array of its shape, with no hurwitz_zeta
+    call: _em_pairs picks every point's (N, m), and one batched
+    Euler-Maclaurin pass (_em_sum_many) over the four offsets takes the
+    points of each m, their heads grouped by N.  It repeats the scalar's
+    operations in the scalar's order, so each value is the scalar's bit
+    for bit where numpy's complex exp agrees with cmath.exp and
+    CPython's complex arithmetic is unfused, as with glibc on x86-64;
+    elsewhere they differ by roundoff.  It refuses what the scalar
+    refuses, with the scalar's error for a point that fails: a NaN or
+    infinity, the pole s = 1, |t|/2pi >= MAX_TERMS, and every _em_sum
+    refusal.  Its heads take row blocks of at most _HEAD_BLOCK complex
+    elements (256 KB) however many points there are; the tails and the
+    values hold about 1 KB a point (tracemalloc peak)."""
+    if not isinstance(s, np.ndarray):
+        total = 0.0 + 0.0j
+        for a, c in coeffs.items():
+            total += c * hurwitz_zeta(s, a / 5.0)
+        return cmath.exp(-s * math.log(5.0)) * total
+    points = s.astype(complex).ravel()
+    for z in points.tolist():
+        _require_finite(z, "s")
+        if z == 1.0:
+            raise PoleError("hurwitz zeta has a pole at s=1")
+    offsets = np.array([a / 5.0 for a in coeffs])
+    total = np.zeros(points.shape, dtype=complex)
+    n, m = _em_pairs(points)
+    for order in (EM_ORDER, EM_ORDER_MAX):
+        idx = np.flatnonzero(m == order)
+        if not idx.size:
+            continue
+        values = _em_sum_many(points[idx], offsets, n[idx], order)
+        acc = 0.0 + 0.0j
+        for c, h in zip(coeffs.values(), values):
+            acc = acc + c * h
+        total[idx] = acc
+    scale = np.exp(-points * math.log(5.0))
+    out = np.empty(points.shape, dtype=complex)
+    out.real, out.imag = _c_prod(scale.real, scale.imag, total.real,
+                                 total.imag)
+    return out.reshape(s.shape)
 
 
-def dirichlet_l_mod5(s: complex) -> complex:
+def dirichlet_l_mod5(s: complex | np.ndarray) -> complex | np.ndarray:
     """Dirichlet L for the odd mod-5 character with chi(2)=i.
 
     L(s, chi) = 5^{-s} sum_{a=1..4} chi(a) zeta(s, a/5).  The conjugate
     character's L-function follows as L(s, chi-bar) = conj(L(conj(s), chi)).
+    Takes a complex, or an ndarray of points and returns an array of
+    their values, as davenport_heilbronn does (see _mod5_series).
     """
     return _mod5_series(s, _CHI5)
 
 
-def davenport_heilbronn(s: complex) -> complex:
+def davenport_heilbronn(s: complex | np.ndarray) -> complex | np.ndarray:
     """Davenport-Heilbronn function: a period-5 Dirichlet series with a
     Riemann-type functional equation but zeros off the critical line.
 
@@ -565,5 +784,15 @@ def davenport_heilbronn(s: complex) -> complex:
     f(s) = (5/pi)^{(1-2s)/2} (Gamma((2-s)/2)/Gamma((s+1)/2)) f(1-s)
     with constant exactly 1 (the Gauss-sum phase of chi cancels against
     (1-i kappa)^2 only this way round).
+
+    A complex s returns a complex through four hurwitz_zeta calls.  An
+    ndarray of points returns a complex array of the same shape from
+    batched Euler-Maclaurin sums, without calling hurwitz_zeta.  Each
+    value equals the scalar call's to roundoff (bit for bit with glibc
+    on x86-64; the tests allow 1e-15 max(1, |value|)), and a point the
+    scalar call refuses makes the whole call raise the scalar's error.
+    The heads take row blocks of at most 2^14 complex elements
+    (256 KB).  argument_principle_count evaluates its whole contour grid
+    in one such call.
     """
     return _mod5_series(s, _DH_COEF)

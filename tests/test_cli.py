@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hardyzeta import cli, hilbert, polyzero, report, zerofinder
@@ -251,17 +252,25 @@ class TestReport:
             assert run_cli(capsys, "report", "--out", str(path))[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_dh_recount_reuses_the_coarse_contour(self, monkeypatch):
-        seen = []
+    def test_dh_counts_make_one_grid_call_each(self, monkeypatch):
+        # Each count evaluates its whole contour in one array call, of
+        # 4 * 256 + 1 and 4 * 512 + 1 points, and then only the scalar
+        # midpoints of its subdivided steps.
+        grids, midpoints = [], []
 
         def counted(s):
-            seen.append(s)
+            if isinstance(s, np.ndarray):
+                grids.append(s.size)
+            else:
+                midpoints.append(s)
             return davenport_heilbronn(s)
 
         monkeypatch.setattr(report, "davenport_heilbronn", counted)
         entry = report._entry_dh_offline(RunConfig())
         assert entry.status == "Pass"
-        assert len(seen) == len(set(seen))
+        assert grids == [1025, 2049]
+        assert all(type(z) is complex for z in midpoints)
+        assert len(midpoints) == 5
 
     def test_config_matches_schema(self):
         config_schema = load_schema()["properties"]["config"]

@@ -2,7 +2,7 @@
 
 Case counts per suite are chosen so the whole harness runs well over a
 thousand cases: 250 + 200 + 150 + 120 + 120 + 120 + 100 + 60 = 1120.  The
-float-range suite adds a grid of 20 x 20 (sigma, t) points.
+two float-range suites each add a grid of 20 x 20 (sigma, t) points.
 """
 
 import math
@@ -250,3 +250,26 @@ def test_kernels_finite_or_refused_across_float_range():
             parts = _finite_or_refused(fn, *args)
             assert parts is None or all(map(math.isfinite, parts)), (
                 fn.__name__, args, parts)
+
+
+def test_dh_array_agrees_with_scalar_across_float_range():
+    # davenport_heilbronn on an array of the float-range grid raises a
+    # refused point's error with the scalar call's message, and on the
+    # accepted points returns the scalar calls' values.
+    rng = np.random.default_rng(SEED)
+    values = _float_range_values(rng, 5)
+    want, accepted, refused = [], [], []
+    for s in (complex(sigma, t) for t in values for sigma in values):
+        try:
+            want.append(davenport_heilbronn(s))
+            accepted.append(s)
+        except NumericsError as err:
+            refused.append((type(err), str(err), s))
+    assert refused and accepted
+    with pytest.raises(NumericsError) as batched:
+        davenport_heilbronn(np.array([*accepted, *(s for *_, s in refused)]))
+    assert (type(batched.value), str(batched.value)) in [
+        (kind, message) for kind, message, _ in refused]
+    got = davenport_heilbronn(np.array(accepted))
+    assert np.all(np.abs(got - np.array(want))
+                  <= 1e-15 * np.maximum(1.0, np.abs(want)))

@@ -439,8 +439,56 @@ class TestArgumentPrinciple:
         assert argument_principle_count(f, (0.5, 1.0, 80.0, 90.0), 64) == 1
 
     def test_zeta_box_empty(self):
-        assert argument_principle_count(zeta_em, (0.6, 0.9, 10.0, 50.0),
-                                        256) == 0
+        # zeta_em takes one point at a time, so it is vectorized to meet
+        # the contour contract.
+        f = np.vectorize(zeta_em, otypes=[complex])
+        assert argument_principle_count(f, (0.6, 0.9, 10.0, 50.0), 256) == 0
+
+    def test_one_grid_call_then_scalar_midpoints(self):
+        # Near the left side, so the step past it turns by about pi.
+        z0 = complex(0.51, 80.2)
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return z - z0
+
+        assert argument_principle_count(f, (0.5, 1.0, 80.0, 90.0), 2) == 1
+        grid, *midpoints = calls
+        assert isinstance(grid, np.ndarray) and grid.shape == (9,)
+        assert midpoints
+        assert all(type(z) is complex for z in midpoints)
+
+    @pytest.mark.parametrize("box, n", [
+        ((0.5, 1.0, 80.0, 90.0), 2),
+        ((0.51, 1.0, 80.0, 90.0), 256),
+        ((-1.3, 2.7, -413.9, -101.2), 97),
+        ((-0.1, 0.3, 1e-3, 7.77), 301),
+    ])
+    def test_grid_is_the_scalar_loops_bit_for_bit(self, box, n):
+        s1, s2, t1, t2 = box
+        corners = [complex(s1, t1), complex(s2, t1), complex(s2, t2),
+                   complex(s1, t2), complex(s1, t1)]
+        expected = [a + (b - a) * (k / n)
+                    for a, b in zip(corners[:-1], corners[1:])
+                    for k in range(n)] + [corners[0]]
+        seen = []
+
+        def f(z):
+            if isinstance(z, np.ndarray):
+                seen.append(z.tolist())
+            # No zero near the box, so the count is 0.
+            return z - complex(50.0, 1e4)
+
+        assert argument_principle_count(f, box, n) == 0
+        hexes = [[(z.real.hex(), z.imag.hex()) for z in zs]
+                 for zs in (seen[0], expected)]
+        assert hexes[0] == hexes[1]
+
+    def test_grid_result_of_another_shape_refused(self):
+        with pytest.raises(TypeError, match="9 contour points"):
+            argument_principle_count(lambda z: 1.0 + 0.0j,
+                                     (0.5, 1.0, 80.0, 90.0), 2)
 
     def test_dh_box_has_offline_zero(self):
         c1 = argument_principle_count(davenport_heilbronn,

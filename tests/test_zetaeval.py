@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,6 +284,31 @@ class TestDefaultPair:
                   complex(0.5, 6e6)):
             assert zetaeval._em_pair(s)[1] == EM_ORDER
 
+    def test_array_rule_picks_the_scalar_pair_everywhere(self):
+        # _em_pairs against _em_pair point for point: log-uniform |t| up
+        # to 3.2e6 on both sides of _T_FIXED, where either pair wins,
+        # and the points where the Backlund cutoff is None.
+        rng = np.random.default_rng(2121)
+        sigma = rng.uniform(-3.0, 4.0, 4000)
+        t = (rng.choice((-1.0, 1.0), 4000)
+             * 10.0 ** rng.uniform(0.0, 6.5, 4000))
+        edges = [complex(-41.0, 1000.0), complex(-45.0, 1000.0),
+                 complex(1e306, 1000.0), complex(0.5, 6e6),
+                 complex(0.5, zetaeval._T_FIXED), 0j, complex(-2.0, -1018.0)]
+        s = np.concatenate([sigma + 1j * t, edges])
+        n, m = zetaeval._em_pairs(s)
+        assert list(zip(n.tolist(), m.tolist())) == [
+            zetaeval._em_pair(z) for z in s.tolist()]
+        assert {EM_ORDER, EM_ORDER_MAX} == set(m.tolist())
+
+    def test_array_rule_refuses_beyond_max_terms(self):
+        bad = complex(0.5, 1.01 * 2.0 * math.pi * MAX_TERMS)
+        with pytest.raises(DomainError) as scalar:
+            zetaeval._em_pair(bad)
+        with pytest.raises(DomainError) as batched:
+            zetaeval._em_pairs(np.array([0.5 + 10.0j, bad]))
+        assert str(batched.value) == str(scalar.value)
+
 
 class TestHurwitz:
     def test_reduces_to_zeta_at_a_one(self):
@@ -527,6 +553,80 @@ class TestRsTermTable:
         davenport_heilbronn(0.75 + 50.0j)
         with pytest.raises(AssertionError, match="RS term table"):
             hardy_z_rs(100.0)
+
+
+def _batch_points():
+    """Seeded points with sigma in [-1, 3] and |t| up to 1e4, half of
+    them below _T_FIXED, and two segments of 300 points whose points
+    mostly share one (N, m), so that a group runs over several row
+    blocks of the head."""
+    rng = np.random.default_rng(2718)
+    sigma = rng.uniform(-1.0, 3.0, 240)
+    t = rng.choice((-1.0, 1.0), 240) * np.concatenate(
+        [rng.uniform(0.0, zetaeval._T_FIXED, 120),
+         rng.uniform(zetaeval._T_FIXED, 1e4, 120)])
+    # A horizontal segment on the EM_ORDER pair, and a short vertical
+    # one on the EM_ORDER_MAX pair, whose N moves with sigma.
+    return np.concatenate([
+        sigma + 1j * t, np.linspace(-1.0, 3.0, 300) + 200.0j,
+        0.5 - 1j * np.linspace(4999.95, 5000.05, 300), [0.0, 2.0, 1e-9j]])
+
+
+class TestBatchedModFive:
+    """davenport_heilbronn and dirichlet_l_mod5 on ndarrays."""
+
+    def test_groups_span_several_row_blocks(self):
+        n, m = zetaeval._em_pairs(_batch_points())
+        for order in (EM_ORDER, EM_ORDER_MAX):
+            sizes = Counter(n[m == order].tolist())
+            assert max(k * terms for terms, k in sizes.items()) > 2 * (
+                zetaeval._HEAD_BLOCK)
+
+    @pytest.mark.parametrize("fn", [davenport_heilbronn, dirichlet_l_mod5])
+    def test_array_matches_scalar_calls(self, fn):
+        s = _batch_points()
+        got = fn(s)
+        want = np.array([fn(z) for z in s.tolist()])
+        assert got.dtype == complex and got.shape == s.shape
+        assert np.all(np.abs(got - want)
+                      <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    def test_shape_is_kept(self):
+        s = _batch_points()[:12].reshape(3, 4)
+        got = davenport_heilbronn(s)
+        assert got.shape == (3, 4)
+        assert np.all(got.ravel() == davenport_heilbronn(s.ravel()))
+        empty = davenport_heilbronn(np.zeros((0, 3), dtype=complex))
+        assert empty.shape == (0, 3) and empty.dtype == complex
+        assert dirichlet_l_mod5(np.array([])).shape == (0,)
+
+    def test_python_complex_stays_scalar(self):
+        assert type(davenport_heilbronn(0.7 + 85.0j)) is complex
+        assert type(dirichlet_l_mod5(0.7 + 85.0j)) is complex
+
+    @pytest.mark.parametrize("bad", [
+        complex(1.0, 0.0),
+        complex(math.nan, 80.0),
+        complex(0.7, math.inf),
+        complex(-math.inf, 80.0),
+        complex(0.5, 1.01 * 2.0 * math.pi * MAX_TERMS),
+        complex(0.5, 5e6),
+        complex(-45.0, 10.0),
+        complex(-20.0, 3000.0),
+        complex(500.0, 80.0),
+        complex(-5.0, 100.0),
+        complex(-3.0, 9000.0),
+        complex(-10.0, 1.0),
+    ], ids=["pole", "nan", "inf", "minus-inf", "beyond-max-terms",
+            "n-above-max-terms", "premise", "premise-high", "overflow",
+            "bound", "bound-high", "rounding"])
+    def test_array_refuses_what_the_scalar_refuses(self, bad):
+        with pytest.raises(DomainError) as scalar:
+            davenport_heilbronn(bad)
+        with pytest.raises(DomainError) as batched:
+            davenport_heilbronn(np.array([0.7 + 85.0j, bad, 2.0 + 3.0j]))
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
 
 
 def _empty_factor_table():
