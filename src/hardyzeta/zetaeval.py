@@ -95,6 +95,12 @@ _SMOOTH_MIN_TERMS = 800
 # a batched head holds no more memory than a scalar head of 2^14 terms.
 _HEAD_BLOCK = 2**14
 
+# Most points one batched mod-5 evaluation (_mod5_block) takes at once.
+# Its tails and values hold under 1 KB a point (tracemalloc peak, 14.5 MB
+# at 2^14 points), so a grid of MAX_TERMS points taken whole would need
+# some 900 MB.
+_POINT_BLOCK = 2**14
+
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
 EM_TOL = 1e-8
 
@@ -151,37 +157,6 @@ def _em_pair(s: complex) -> tuple[int, int]:
     if n_b is None or n_fixed <= n_b + _EXTRA_COST:
         return n_fixed, EM_ORDER
     return n_b, EM_ORDER_MAX
-
-
-def _em_pairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_em_pair at every point of a 1-D complex array, in numpy: the
-    cutoffs N and orders m as two int arrays.  The same float operations
-    in the same order as the scalar rule, so the pairs agree point for
-    point.  Raises the scalar's DomainError, naming the first point
-    where |t|/2pi >= MAX_TERMS."""
-    t = np.abs(s.imag)
-    over = np.flatnonzero(t / TWO_PI >= MAX_TERMS)
-    if over.size:
-        _em_pair(complex(s[over[0]]))
-    n = np.maximum(50.0, np.ceil(2.0 * t / math.pi))
-    m = np.full(s.shape, EM_ORDER)
-    high = np.flatnonzero(t > _T_FIXED)
-    if high.size:
-        # _backlund_cutoff on the points above _T_FIXED; where it gives
-        # None the NaN or oversized log_n fails the comparisons below.
-        sh = s[high]
-        edge = sh.real + _EDGE_SHIFT
-        log_poch = (_EDGE_SHIFT + 1) * np.log(np.abs(sh) + _EDGE_SHIFT)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_n = (log_poch + _LOG_COEF_OVER_TARGET - np.log(edge)) / edge
-        valid = ((edge > 0.0) & (log_poch <= _LOG_FLOAT_MAX)
-                 & (log_n <= _LOG_MAX_TERMS))
-        n_b = np.maximum(np.floor(t[high] / TWO_PI) + 1.0,
-                         np.ceil(np.exp(np.where(valid, log_n, 0.0))))
-        backlund = valid & (n[high] > n_b + _EXTRA_COST)
-        n[high[backlund]] = n_b[backlund]
-        m[high[backlund]] = EM_ORDER_MAX
-    return n.astype(np.int64), m
 
 
 def _backlund_cutoff(s: complex, n_min: int) -> int | None:
@@ -428,21 +403,17 @@ def _c_quot(ar, ai, br, bi):
                 np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-def _first_true(mask: np.ndarray) -> int | None:
-    """Flat index of the first True of a boolean array, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
-                 m: int) -> np.ndarray:
+                 m: int) -> np.ndarray | None:
     """_em_sum at every point of the 1-D complex array s for each offset
     of the 1-D float array a: row k of the result holds the values for
     a[k].  Point i sums terms[i] head terms with m Bernoulli
-    corrections, and n_cut = terms[i], as hurwitz_zeta passes it.  The
-    same premises, the same overflow, Backlund-bound and left-of-strip
-    rounding refusals, and the same messages, naming the first point
-    that fails.
+    corrections, and n_cut = terms[i], as hurwitz_zeta passes it.
+    Returns None where _em_sum would raise at any point: N above
+    MAX_TERMS, Backlund's premises failed, an overflow, or a Backlund
+    bound or left-of-strip rounding estimate above EM_TOL.  The caller
+    then takes the points one at a time through _em_sum, which raises
+    its own error.
 
     The tail is elementwise numpy over the points in the scalar's
     operations and order: base^(1-s) is Python's complex power at each
@@ -455,22 +426,13 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
     and their sum are the scalar head's.  The head is always summed term
     by term, never factored as _em_sum does for zeta, so this serves
     Hurwitz offsets a != 1."""
-    counts = terms.tolist()
-    i = _first_true(terms > MAX_TERMS)
-    if i is not None:
-        raise DomainError(f"N={counts[i]} exceeds MAX_TERMS={MAX_TERMS}")
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
-    i = _first_true((terms + min(a.tolist()) <= np.abs(si) / TWO_PI)
-                    | (edge <= 0.0))
-    if i is not None:
-        p = complex(s[i])
-        raise DomainError(
-            f"N={counts[i]} at s={p} fails the premises of the Backlund "
-            f"bound: cutoff above |Im s|/2pi={abs(p.imag) / TWO_PI:.1f}, "
-            f"Re s > {-2 * m - 1}"
-        )
     base = terms + a[:, None]
+    # Before the complex powers, which a failed premise could overflow.
+    if (np.any(terms > MAX_TERMS) or np.any(edge <= 0.0)
+            or np.any(base <= np.abs(si) / TWO_PI)):
+        return None
     rows = base.tolist()
     expo = (1.0 - s).tolist()
     pw1 = np.array([[b ** e for b, e in zip(row, expo)] for row in rows],
@@ -498,38 +460,22 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
         omitted.real, omitted.imag = _c_prod(
             _EM_COEF[m] * cr, _EM_COEF[m] * ci, wr, wi)
         bound = np.abs(s + (2 * m + 1)) / edge * np.abs(omitted)
-    j = _first_true(~np.isfinite(value) | (
-        (sr > _SIGMA_HEAD_SAFE) & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX)))
-    if j is not None:
-        k, i = divmod(j, len(s))
-        raise DomainError(
-            f"Euler-Maclaurin sum at s={complex(s[i])}, a={a[k]} "
-            "overflows a double")
+    head_over = ((sr > _SIGMA_HEAD_SAFE)
+                 & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX))
+    if not np.isfinite(value).all() or np.any(head_over):
+        return None
     groups: dict[int, list[int]] = {}
-    for i, n in enumerate(counts):
+    for i, n in enumerate(terms.tolist()):
         groups.setdefault(n, []).append(i)
     for n, members in groups.items():
         idx = np.array(members)
         _add_heads(value, idx, sr[idx], si[idx], a, n)
     limit = EM_TOL * np.maximum(1.0, np.abs(value))
-    j = _first_true(~(bound <= limit))
-    if j is not None:
-        k, i = divmod(j, len(s))
-        raise DomainError(
-            f"N={counts[i]} leaves an Euler-Maclaurin truncation bound of "
-            f"{bound[k, i]:.1e} at s={complex(s[i])}, above "
-            f"EM_TOL={EM_TOL:g} relative"
-        )
-    for i in np.flatnonzero(sr < 0.0).tolist():
-        sigma1 = 1.0 - sr[i]
-        for k, row in enumerate(rows):
-            rounding = _EPS * (row[i] ** sigma1 / sigma1 + 1.0)
-            if not rounding <= limit[k, i]:
-                raise DomainError(
-                    f"Euler-Maclaurin head sum at s={complex(s[i])} carries "
-                    f"rounding error up to {rounding:.1e}, above "
-                    f"EM_TOL={EM_TOL:g} relative"
-                )
+    left = sr < 0.0
+    sigma1 = 1.0 - sr[left]
+    rounding = _EPS * (base[:, left] ** sigma1 / sigma1 + 1.0)
+    if not (np.all(bound <= limit) and np.all(rounding <= limit[:, left])):
+        return None
     return value
 
 
@@ -718,37 +664,56 @@ def _mod5_series(s: complex | np.ndarray,
     whose coefficients repeat with period 5 as coeffs[1..4], 0.
 
     A scalar s takes four hurwitz_zeta calls and returns a complex.  An
-    ndarray s returns a complex array of its shape, with no hurwitz_zeta
-    call: _em_pairs picks every point's (N, m), and one batched
-    Euler-Maclaurin pass (_em_sum_many) over the four offsets takes the
-    points of each m, their heads grouped by N.  It repeats the scalar's
-    operations in the scalar's order, so each value is the scalar's bit
-    for bit where numpy's complex exp agrees with cmath.exp and
-    CPython's complex arithmetic is unfused, as with glibc on x86-64;
-    elsewhere they differ by roundoff.  It refuses what the scalar
-    refuses, with the scalar's error for a point that fails: a NaN or
-    infinity, the pole s = 1, |t|/2pi >= MAX_TERMS, and every _em_sum
-    refusal.  Its heads take row blocks of at most _HEAD_BLOCK complex
-    elements (256 KB) however many points there are; the tails and the
-    values hold about 1 KB a point (tracemalloc peak)."""
+    ndarray s returns a complex array of its shape, evaluated in blocks
+    of at most _POINT_BLOCK points by _mod5_block, with no hurwitz_zeta
+    call.  Where a block holds a NaN or infinity, the pole s = 1 or any
+    other point hurwitz_zeta would refuse, _mod5_block refuses it, and
+    the block's points are evaluated one at a time through the scalar
+    branch, which raises the scalar's error for the first refused point.
+    A block holds under 1 KB a point (tracemalloc peak), so the memory
+    of a call stays near 15 MB however many points it takes."""
     if not isinstance(s, np.ndarray):
         total = 0.0 + 0.0j
         for a, c in coeffs.items():
             total += c * hurwitz_zeta(s, a / 5.0)
         return cmath.exp(-s * math.log(5.0)) * total
     points = s.astype(complex).ravel()
-    for z in points.tolist():
-        _require_finite(z, "s")
-        if z == 1.0:
-            raise PoleError("hurwitz zeta has a pole at s=1")
+    out = np.empty(points.shape, dtype=complex)
+    for i in range(0, points.size, _POINT_BLOCK):
+        block = points[i:i + _POINT_BLOCK]
+        values = _mod5_block(block, coeffs)
+        if values is None:
+            values = [_mod5_series(z, coeffs) for z in block.tolist()]
+        out[i:i + _POINT_BLOCK] = values
+    return out.reshape(s.shape)
+
+
+def _mod5_block(points: np.ndarray,
+                coeffs: dict[int, complex | float]) -> np.ndarray | None:
+    """_mod5_series at every point of the 1-D complex array points, or
+    None if the scalar branch would refuse any of them.  _em_pair picks
+    each point's (N, m), and one batched Euler-Maclaurin pass
+    (_em_sum_many) over the four offsets takes the points of each m,
+    their heads grouped by N.  It repeats the scalar's operations in the
+    scalar's order, so each value is the scalar's bit for bit where
+    numpy's complex exp agrees with cmath.exp and CPython's complex
+    arithmetic is unfused, as with glibc on x86-64; elsewhere they
+    differ by roundoff."""
+    if not np.isfinite(points).all() or np.any(points == 1.0):
+        return None
+    try:
+        n, m = map(np.array, zip(*[_em_pair(z) for z in points.tolist()]))
+    except DomainError:
+        return None
     offsets = np.array([a / 5.0 for a in coeffs])
     total = np.zeros(points.shape, dtype=complex)
-    n, m = _em_pairs(points)
     for order in (EM_ORDER, EM_ORDER_MAX):
         idx = np.flatnonzero(m == order)
         if not idx.size:
             continue
         values = _em_sum_many(points[idx], offsets, n[idx], order)
+        if values is None:
+            return None
         acc = 0.0 + 0.0j
         for c, h in zip(coeffs.values(), values):
             acc = acc + c * h
@@ -757,7 +722,7 @@ def _mod5_series(s: complex | np.ndarray,
     out = np.empty(points.shape, dtype=complex)
     out.real, out.imag = _c_prod(scale.real, scale.imag, total.real,
                                  total.imag)
-    return out.reshape(s.shape)
+    return out
 
 
 def dirichlet_l_mod5(s: complex | np.ndarray) -> complex | np.ndarray:
@@ -766,7 +731,8 @@ def dirichlet_l_mod5(s: complex | np.ndarray) -> complex | np.ndarray:
     L(s, chi) = 5^{-s} sum_{a=1..4} chi(a) zeta(s, a/5).  The conjugate
     character's L-function follows as L(s, chi-bar) = conj(L(conj(s), chi)).
     Takes a complex, or an ndarray of points and returns an array of
-    their values, as davenport_heilbronn does (see _mod5_series).
+    their values, with the refusals and the point blocks of
+    davenport_heilbronn (see _mod5_series).
     """
     return _mod5_series(s, _CHI5)
 
@@ -787,12 +753,14 @@ def davenport_heilbronn(s: complex | np.ndarray) -> complex | np.ndarray:
 
     A complex s returns a complex through four hurwitz_zeta calls.  An
     ndarray of points returns a complex array of the same shape from
-    batched Euler-Maclaurin sums, without calling hurwitz_zeta.  Each
-    value equals the scalar call's to roundoff (bit for bit with glibc
-    on x86-64; the tests allow 1e-15 max(1, |value|)), and a point the
-    scalar call refuses makes the whole call raise the scalar's error.
-    The heads take row blocks of at most 2^14 complex elements
-    (256 KB).  argument_principle_count evaluates its whole contour grid
-    in one such call.
+    batched Euler-Maclaurin sums over blocks of at most 2^14 points,
+    without calling hurwitz_zeta.  Each value equals the scalar call's
+    to roundoff (bit for bit with glibc on x86-64; the tests allow 1e-15
+    max(1, |value|)).  A block with a point the scalar call refuses is
+    evaluated point by point through the scalar call, so the array call
+    raises the scalar's error for the first refused point.  The heads
+    take row blocks of at most 2^14 complex elements (256 KB).
+    argument_principle_count evaluates its whole contour grid in one
+    such call.
     """
     return _mod5_series(s, _DH_COEF)

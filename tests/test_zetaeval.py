@@ -14,6 +14,7 @@ import pytest
 from hardyzeta import specialfn, zetaeval
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
+from hardyzeta.zerofinder import argument_principle_count
 from hardyzeta.zetaeval import (
     EM_ORDER,
     EM_ORDER_MAX,
@@ -284,31 +285,6 @@ class TestDefaultPair:
                   complex(0.5, 6e6)):
             assert zetaeval._em_pair(s)[1] == EM_ORDER
 
-    def test_array_rule_picks_the_scalar_pair_everywhere(self):
-        # _em_pairs against _em_pair point for point: log-uniform |t| up
-        # to 3.2e6 on both sides of _T_FIXED, where either pair wins,
-        # and the points where the Backlund cutoff is None.
-        rng = np.random.default_rng(2121)
-        sigma = rng.uniform(-3.0, 4.0, 4000)
-        t = (rng.choice((-1.0, 1.0), 4000)
-             * 10.0 ** rng.uniform(0.0, 6.5, 4000))
-        edges = [complex(-41.0, 1000.0), complex(-45.0, 1000.0),
-                 complex(1e306, 1000.0), complex(0.5, 6e6),
-                 complex(0.5, zetaeval._T_FIXED), 0j, complex(-2.0, -1018.0)]
-        s = np.concatenate([sigma + 1j * t, edges])
-        n, m = zetaeval._em_pairs(s)
-        assert list(zip(n.tolist(), m.tolist())) == [
-            zetaeval._em_pair(z) for z in s.tolist()]
-        assert {EM_ORDER, EM_ORDER_MAX} == set(m.tolist())
-
-    def test_array_rule_refuses_beyond_max_terms(self):
-        bad = complex(0.5, 1.01 * 2.0 * math.pi * MAX_TERMS)
-        with pytest.raises(DomainError) as scalar:
-            zetaeval._em_pair(bad)
-        with pytest.raises(DomainError) as batched:
-            zetaeval._em_pairs(np.array([0.5 + 10.0j, bad]))
-        assert str(batched.value) == str(scalar.value)
-
 
 class TestHurwitz:
     def test_reduces_to_zeta_at_a_one(self):
@@ -576,11 +552,10 @@ class TestBatchedModFive:
     """davenport_heilbronn and dirichlet_l_mod5 on ndarrays."""
 
     def test_groups_span_several_row_blocks(self):
-        n, m = zetaeval._em_pairs(_batch_points())
+        pairs = Counter(zetaeval._em_pair(z) for z in _batch_points().tolist())
         for order in (EM_ORDER, EM_ORDER_MAX):
-            sizes = Counter(n[m == order].tolist())
-            assert max(k * terms for terms, k in sizes.items()) > 2 * (
-                zetaeval._HEAD_BLOCK)
+            assert max(k * terms for (terms, m), k in pairs.items()
+                       if m == order) > 2 * zetaeval._HEAD_BLOCK
 
     @pytest.mark.parametrize("fn", [davenport_heilbronn, dirichlet_l_mod5])
     def test_array_matches_scalar_calls(self, fn):
@@ -627,6 +602,67 @@ class TestBatchedModFive:
             davenport_heilbronn(np.array([0.7 + 85.0j, bad, 2.0 + 3.0j]))
         assert type(batched.value) is type(scalar.value)
         assert str(batched.value) == str(scalar.value)
+
+    def test_first_refused_point_decides_the_error(self):
+        # A bound refusal before a premise refusal: the array raises the
+        # bound's error, as a loop of scalar calls does.
+        s = [0.7 + 85.0j, complex(-5.0, 100.0), complex(-45.0, 10.0),
+             2.0 + 3.0j]
+        with pytest.raises(DomainError) as scalar:
+            [davenport_heilbronn(z) for z in s]
+        with pytest.raises(DomainError) as batched:
+            davenport_heilbronn(np.array(s))
+        assert "truncation bound" in str(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_no_scalar_fallback_on_accepted_points(self, monkeypatch):
+        # A fallback to the scalar branch gives the same values, only
+        # slower, so no value test sees it: count hurwitz_zeta calls.
+        calls = []
+        hurwitz = zetaeval.hurwitz_zeta
+        monkeypatch.setattr(zetaeval, "hurwitz_zeta",
+                            lambda s, a: calls.append(s) or hurwitz(s, a))
+        grids, midpoints = [], []
+
+        def dh(s):
+            before = len(calls)
+            value = davenport_heilbronn(s)
+            if isinstance(s, np.ndarray):
+                grids.append(s)
+                assert len(calls) == before
+            else:
+                midpoints.append(s)
+            return value
+
+        # dh-winding boxes, 128 points a side.
+        for t1 in (60.0, 85.0, 230.0, 395.0):
+            argument_principle_count(dh, (0.51, 1.0, t1, t1 + 5.0), 128)
+        assert [g.size for g in grids] == [513] * 4 and midpoints
+        assert len(calls) == 4 * len(midpoints)
+        calls.clear()
+        for fn in (davenport_heilbronn, dirichlet_l_mod5):
+            fn(_batch_points())
+            fn(grids[0])
+        assert calls == []
+
+    def test_memory_is_one_point_block(self):
+        # Under 1 KB a point, as the docstrings state, so a grid of
+        # MAX_TERMS points taken at once would need some 900 MB.  Three
+        # blocks of points peak hardly above one: only the input copy and
+        # the output grow.
+        def peak(n):
+            s = 0.6 + 1j * np.linspace(10.0, 20.0, n)
+            tracemalloc.start()
+            try:
+                davenport_heilbronn(s)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = zetaeval._POINT_BLOCK
+        one = peak(block)
+        assert one <= 1024 * block
+        assert peak(3 * block) <= 1.2 * one
 
 
 def _empty_factor_table():
