@@ -15,9 +15,9 @@ Riemann-Siegel route (fast, used for scanning).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,16 +219,8 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-_EMPTY = _frozen(np.zeros(0))
-
-# (limit, c, log c, m, log m): the integers c <= limit coprime to 30 and
-# the 5-smooth integers m <= limit (no prime factor above 5), each
-# ascending, read only by _factored_head.  Grown by _factor_table, which
-# rebinds a new tuple of read-only arrays and never mutates one, so a
-# reader always holds a complete table.
-_FACTOR_TABLE: tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray] = (
-    0, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
-_FACTOR_TABLE_LOCK = threading.Lock()
+# The residues mod 30 of the integers coprime to 30.
+_WHEEL = np.array([1.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0])
 
 
 def _smooth_numbers(limit: int) -> np.ndarray:
@@ -245,48 +237,27 @@ def _smooth_numbers(limit: int) -> np.ndarray:
     return np.array(sorted(smooth), dtype=float)
 
 
-def _factor_table(limit: int) -> tuple[int, np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]:
-    """The factor table, grown to at least `limit`, taking logs of only
-    the new entries.  Growth holds a lock, so two threads cannot rebind
-    a shorter table over a longer one.  The smooth numbers up to the old
-    limit are a prefix of the new ones, so their logs are kept."""
-    global _FACTOR_TABLE
-    with _FACTOR_TABLE_LOCK:
-        table = _FACTOR_TABLE
-        old, coprime, coprime_log, smooth, smooth_log = table
-        if old < limit:
-            new = np.array([n for n in range(old + 1, limit + 1)
-                            if n % 2 and n % 3 and n % 5], dtype=float)
-            smooth_all = _smooth_numbers(limit)
-            table = (
-                limit,
-                _frozen(np.concatenate((coprime, new))),
-                _frozen(np.concatenate((coprime_log, np.log(new)))),
-                _frozen(smooth_all),
-                _frozen(np.concatenate(
-                    (smooth_log, np.log(smooth_all[len(smooth):])))),
-            )
-            _FACTOR_TABLE = table
-    return table
-
-
+@functools.lru_cache(maxsize=1)
 def _factor_split(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log c for the c <= terms coprime to 30, log m for the 5-smooth
-    m <= terms, and for each c the index of the largest m <= terms / c.
-    Every n <= terms is m c for exactly one such pair, so the m of c are
-    those up to its index."""
-    table = _FACTOR_TABLE
-    if table[0] < terms:
-        table = _factor_table(terms)
-    _, coprime, coprime_log, smooth, smooth_log = table
-    n_c = np.searchsorted(coprime, terms, "right")
-    n_m = np.searchsorted(smooth, terms, "right")
+    m <= terms, and for each c the index of the largest m <= terms / c,
+    all read-only.  Every n <= terms is m c for exactly one such pair,
+    so the m of c are those up to its index.
+
+    Memoized by length, one entry: the heads of one window arrive with
+    rising lengths, so a longer cache misses no less, and the entry of
+    the last length is all that stays live."""
+    # The wheel in floats and one cut: int64 % and a boolean mask would
+    # load numpy code pages no other kernel loads.
+    wheel = (30.0 * np.arange(terms // 30 + 1, dtype=float)[:, None]
+             + _WHEEL).ravel()
+    coprime = wheel[:np.searchsorted(wheel, terms, "right")]
+    smooth = _smooth_numbers(terms)
     # Exact in floats: m c <= terms gives fl(terms / c) >= m, and
     # m c > terms puts terms / c at least 1/c >= 1/MAX_TERMS below m,
     # far more than its rounding error below MAX_TERMS.
-    last = np.searchsorted(smooth[:n_m], terms / coprime[:n_c], "right") - 1
-    return coprime_log[:n_c], smooth_log[:n_m], last
+    last = np.searchsorted(smooth, terms / coprime, "right") - 1
+    return _frozen(np.log(coprime)), _frozen(np.log(smooth)), _frozen(last)
 
 
 def _factored_head(s: complex, terms: int) -> complex:
@@ -297,9 +268,10 @@ def _factored_head(s: complex, terms: int) -> complex:
     terms, and one for each m, 123 up to 3000 terms, where the plain
     head takes one per term.
 
-    The tables behind it keep 16 B per entry: about 15 KB at 3000 terms
-    (800 c and 123 m), enough for sigma = 1/2 up to t = 1e4, and 4.3 MB
-    only at MAX_TERMS (266666 c and 507 m)."""
+    The split behind it is memoized by length, one entry, and keeps
+    16 B per c and 8 B per m: 13784 B at 3000 terms (800 c and 123 m),
+    enough for sigma = 1/2 up to t = 1e4, and 4.3 MB only at MAX_TERMS
+    (266666 c and 507 m)."""
     coprime_log, smooth_log, last = _factor_split(terms)
     partial = np.cumsum(np.exp(-s * smooth_log))
     return complex((np.exp(-s * coprime_log) * partial[last]).sum())
@@ -548,25 +520,12 @@ def _rs_psi(p: float) -> float:
     return math.cos(TWO_PI * (p * p - p - 0.0625)) / math.cos(TWO_PI * p)
 
 
-# (log n, sqrt n) for n = 1, 2, ..., read only by hardy_z_rs.  Grown by
-# _rs_terms, which rebinds a longer tuple and never mutates one, so a
-# reader always holds a complete table.
-_RS_TERMS: tuple[tuple[float, float], ...] = ()
-_RS_TERMS_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=1)
 def _rs_terms(n_main: int) -> tuple[tuple[float, float], ...]:
-    """The Riemann-Siegel term table, grown to at least n_main entries
-    by computing only the missing ones.  Growth holds a lock, so two
-    threads cannot rebind a shorter table over a longer one."""
-    global _RS_TERMS
-    with _RS_TERMS_LOCK:
-        terms = _RS_TERMS
-        if len(terms) < n_main:
-            terms += tuple((math.log(n), math.sqrt(n))
-                           for n in range(len(terms) + 1, n_main + 1))
-            _RS_TERMS = terms
-    return terms
+    """(log n, sqrt n) for n = 1, ..., n_main, read only by hardy_z_rs.
+    Memoized by length, one entry: a scan keeps one N over long runs of
+    heights."""
+    return tuple((math.log(n), math.sqrt(n)) for n in range(1, n_main + 1))
 
 
 def hardy_z_rs(t: float) -> float:
@@ -580,9 +539,9 @@ def hardy_z_rs(t: float) -> float:
     Raises DomainError through theta_asymptotic's one domain check
     unless 2*pi <= t <= 1e50, and when N exceeds MAX_TERMS.
 
-    log n and sqrt n come from a module table of the largest N seen so
-    far, which the Euler-Maclaurin route never reads.  It keeps 112 B
-    per term: about 4.4 KB up to t = 1e4 (N = 39), and 112 MB only at
+    log n and sqrt n come from _rs_terms, memoized by length, one entry,
+    which the Euler-Maclaurin route never reads.  It keeps 112 B per
+    term: about 4.4 KB up to t = 1e4 (N = 39), and 112 MB only at
     N = MAX_TERMS (t ~ 6.3e12).
     """
     th = theta_asymptotic(t)
@@ -590,11 +549,8 @@ def hardy_z_rs(t: float) -> float:
     n_main = int(math.floor(root))
     if n_main > MAX_TERMS:
         raise DomainError(f"riemann-siegel sum at t={t:g} exceeds MAX_TERMS")
-    terms = _RS_TERMS
-    if len(terms) < n_main:
-        terms = _rs_terms(n_main)
     acc = 0.0
-    for log_n, sqrt_n in terms[:n_main]:
+    for log_n, sqrt_n in _rs_terms(n_main):
         acc += math.cos(th - t * log_n) / sqrt_n
     c0 = (-1.0) ** (n_main - 1) * root ** -0.5 * _rs_psi(root - n_main)
     return 2.0 * acc + c0

@@ -1,9 +1,9 @@
 """Regenerate the frozen mpmath references of zeta(s, a), as float.hex.
 
-- zeta_references.txt: the 200 seeded points of TestDefaultPair, as in
-  test_matches_mpmath_on_seeded_points: numpy's default_rng(2015), sigma
-  uniform in [-2, 3], t uniform in [-1e4, 1e4], a cycling through 1, 0.2,
-  0.8.
+- zeta_references.txt: the 200 seeded points of
+  TestDefaultPair.test_matches_frozen_mpmath_references: numpy's
+  default_rng(2015), sigma uniform in [-2, 3], t uniform in [-1e4, 1e4],
+  a cycling through 1, 0.2, 0.8.
 - zeta_references_high.txt: 300 points of the Riemann zeta (a = 1) where
   the head is summed over the integers coprime to 30: default_rng(2020),
   sigma uniform in [-2, 3], |t| uniform in [3000, 1e4], the sign of t

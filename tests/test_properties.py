@@ -202,10 +202,9 @@ _FLOAT_EDGES = (1e308, -1e308, 1e306, -1e306, 6e305, 5e-324, -5e-324,
                 2.2e-308, 0.0)
 _ORDINARY = (0.5, -1.5, 2.0, 14.134725, 1000.0, -7005.1)
 
-# hardy_z_rs keeps a module term table of the largest N it has seen for
-# the life of the process, so heights it accepts above 1e6 (N > 398, up
-# to 112 MB at N = MAX_TERMS) are left out; the heights it refuses there
-# are kept.
+# hardy_z_rs builds a term table of N entries for each new N, so heights
+# it accepts above 1e6 (N > 398, up to 112 MB at N = MAX_TERMS) are left
+# out; the heights it refuses there are kept.
 _RS_KEEP_BELOW = 1e6
 
 

@@ -14,7 +14,9 @@ import pytest
 from hardyzeta import specialfn, zetaeval
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
-from hardyzeta.zerofinder import argument_principle_count
+from hardyzeta.hilbert import Interval
+from hardyzeta.zerofinder import (argument_principle_count,
+                                  find_critical_zeros)
 from hardyzeta.zetaeval import (
     EM_ORDER,
     EM_ORDER_MAX,
@@ -212,29 +214,14 @@ class TestDefaultPair:
                     assert abs(t) < 1018.0
                     assert n == max(50, math.ceil(2.0 * abs(t) / math.pi))
 
-    def test_matches_mpmath_on_seeded_points(self):
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(2015)
-        with mpmath.workdps(30):
-            for i in range(200):
-                sigma = rng.uniform(-2.0, 3.0)
-                t = rng.uniform(-1e4, 1e4)
-                a = (1.0, 0.2, 0.8)[i % 3]
-                s = complex(sigma, t)
-                got = zeta_em(s) if a == 1.0 else hurwitz_zeta(s, a)
-                ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), a))
-                # Left of sigma = 0 the head terms grow like (n+a)^{-sigma},
-                # each with a phase rounding of about eps |t| log(n+a), and
-                # that rounding, not truncation, sets the error: up to
-                # 3.4e-11 relative on these points (8.2e-11 with the
-                # fixed m = 8 pair).
-                rel = 2e-11 if sigma >= 0.0 else 1e-10
-                assert abs(got - ref) <= rel * max(1.0, abs(ref)), (s, a)
-
     def test_matches_frozen_mpmath_references(self):
-        # The same 200 points and tolerances as the test above, against
-        # its mpmath values frozen by tests/data/make_zeta_references.py,
-        # so they are checked where mpmath is not installed.
+        # 200 seeded points, against their mpmath values frozen by
+        # tests/data/make_zeta_references.py, so they are checked where
+        # mpmath is not installed; CI's --check recomputes them.  Left of
+        # sigma = 0 the head terms grow like (n+a)^{-sigma}, each with a
+        # phase rounding of about eps |t| log(n+a), and that rounding,
+        # not truncation, sets the error: up to 3.4e-11 relative on
+        # these points (8.2e-11 with the fixed m = 8 pair).
         path = Path(__file__).with_name("data") / "zeta_references.txt"
         rows = [[float.fromhex(x) for x in line.split()]
                 for line in path.read_text(encoding="ascii").splitlines()
@@ -428,55 +415,68 @@ class TestHardyZFrozen:
         assert hardy_z_rs(t).hex() == expected
 
 
-class TestRsTermTable:
-    def _serial(self, monkeypatch):
-        """Values at TABLE_HEIGHTS in rising order from an empty table,
-        which is left empty again."""
-        monkeypatch.setattr(zetaeval, "_RS_TERMS", ())
-        values = [hardy_z_rs(t) for t in TABLE_HEIGHTS]
-        monkeypatch.setattr(zetaeval, "_RS_TERMS", ())
-        return values
+def _retained_in_zetaeval(sweep) -> int:
+    """Bytes allocated in zetaeval.py by sweep() and still live after a
+    full collection."""
+    tracemalloc.start()
+    try:
+        sweep()
+        # Freed floats and short tuples park in the interpreter's free
+        # lists, where tracemalloc still counts them, so what it counted
+        # depended on the tests run before.  A full collection empties
+        # the free lists.
+        gc.collect()
+        return sum(
+            stat.size for stat in tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, zetaeval.__file__)]
+            ).statistics("filename"))
+    finally:
+        tracemalloc.stop()
 
-    def _check_table(self):
-        table = zetaeval._RS_TERMS
-        assert len(table) == TABLE_N
-        assert table == tuple((math.log(n), math.sqrt(n))
-                              for n in range(1, TABLE_N + 1))
+
+def _cached_entry(memo, *args):
+    """memo(*args), which must be its one cached entry."""
+    info = memo.cache_info()
+    entry = memo(*args)
+    assert memo.cache_info().hits == info.hits + 1
+    assert memo.cache_info().currsize == 1
+    return entry
+
+
+class TestRsTermTable:
+    def _serial(self):
+        """Values at TABLE_HEIGHTS in rising order from an empty memo."""
+        zetaeval._rs_terms.cache_clear()
+        return [hardy_z_rs(t) for t in TABLE_HEIGHTS]
 
     @pytest.mark.parametrize("order", ["rising", "falling"])
-    def test_one_table_of_the_largest_n(self, order, monkeypatch):
-        expected = [v.hex() for v in self._serial(monkeypatch)]
+    def test_one_table_of_the_largest_n(self, order):
+        # One entry stays after a sweep either way: the table of the last
+        # N, and never one larger than the largest N.
+        expected = [v.hex() for v in self._serial()]
+        zetaeval._rs_terms.cache_clear()
         ks = list(range(TABLE_N))
         if order == "falling":
             ks.reverse()
-        tracemalloc.start()
-        try:
-            # Kept as strings, so the only live objects made in zetaeval
-            # are the table's.
-            values = {k: hardy_z_rs(TABLE_HEIGHTS[k]).hex() for k in ks}
-            # Freed floats and short tuples (the tables of fewer than 20
-            # terms grown on the way up) park in the interpreter's free
-            # lists, where tracemalloc still counts them, so what it
-            # counted depended on the tests run before.  A full
-            # collection empties the free lists.
-            gc.collect()
-            retained = sum(
-                stat.size for stat in tracemalloc.take_snapshot().filter_traces(
-                    [tracemalloc.Filter(True, zetaeval.__file__)]
-                ).statistics("filename"))
-        finally:
-            tracemalloc.stop()
-        self._check_table()
+        # Kept as strings, so the only live objects made in zetaeval are
+        # the table's.
+        values = {}
+        retained = _retained_in_zetaeval(lambda: values.update(
+            (k, hardy_z_rs(TABLE_HEIGHTS[k]).hex()) for k in ks))
         assert [values[k] for k in range(TABLE_N)] == expected
+        n_last = ks[-1] + 1
+        table = _cached_entry(zetaeval._rs_terms, n_last)
+        assert table == tuple((math.log(n), math.sqrt(n))
+                              for n in range(1, n_last + 1))
         # 112 B per term, as the docstring states.  The slack covers
-        # interpreter free lists; keeping the 199 smaller tables grown on
-        # the way up would add over 160 KB.
-        one_table = _table_bytes(zetaeval._RS_TERMS)
-        assert one_table <= 112 * TABLE_N + 64
+        # interpreter free lists; keeping the 199 other tables of the
+        # sweep would add over 160 KB.
+        one_table = _table_bytes(table)
+        assert one_table <= 112 * n_last + 64
         assert retained <= one_table + 4096
 
-    def test_two_threads_on_interleaved_heights(self, monkeypatch):
-        expected = self._serial(monkeypatch)
+    def test_two_threads_on_interleaved_heights(self):
+        expected = self._serial()
 
         def work(ks, start, values, errors):
             try:
@@ -487,16 +487,14 @@ class TestRsTermTable:
                 errors.append(exc)
 
         # Two threads (never more) take the even and the odd heights, so
-        # both grow the table against each other; the short switch
-        # interval lets them interleave inside the growth.  Going down,
-        # both first grow the empty table to N = 200 and N = 199 at once,
-        # and the table must end at 200 whichever finishes last.  A race
-        # shows only in some rounds, so each order runs twenty times.
+        # each replaces the memo's entry under the other; the short
+        # switch interval lets them interleave inside a computation.  A
+        # race shows only in some rounds, so each order runs twenty times.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for order in (1, -1) * 20:
-                zetaeval._RS_TERMS = ()
+                zetaeval._rs_terms.cache_clear()
                 start = threading.Barrier(2)
                 values: dict[int, float] = {}
                 errors: list[Exception] = []
@@ -510,23 +508,22 @@ class TestRsTermTable:
                     th.join(timeout=30.0)
                 assert not any(th.is_alive() for th in threads)
                 assert errors == []
-                self._check_table()
+                assert zetaeval._rs_terms.cache_info().currsize == 1
                 assert [values[k] for k in range(TABLE_N)] == expected
         finally:
             sys.setswitchinterval(interval)
 
     def test_em_route_never_reads_it(self, monkeypatch):
-        class Untouchable(tuple):
-            def __len__(self):
-                raise AssertionError("read the RS term table")
+        def untouchable(n_main):
+            raise AssertionError("read the RS term table")
 
-            __getitem__ = __iter__ = __len__
-
-        monkeypatch.setattr(zetaeval, "_RS_TERMS", Untouchable())
+        monkeypatch.setattr(zetaeval, "_rs_terms", untouchable)
         zeta_em(0.5 + 100.0j)
+        zeta_em(0.5 + 9000.0j)
         hurwitz_zeta(0.5 + 100.0j, 0.2)
         generalized_hardy(0.5, 1000.7)
         davenport_heilbronn(0.75 + 50.0j)
+        davenport_heilbronn(0.75 + 50.0j + np.linspace(0.0, 1.0, 5))
         with pytest.raises(AssertionError, match="RS term table"):
             hardy_z_rs(100.0)
 
@@ -665,41 +662,37 @@ class TestBatchedModFive:
         assert peak(3 * block) <= 1.2 * one
 
 
-def _empty_factor_table():
-    return (0,) + (zetaeval._EMPTY,) * 4
-
-
-def _table_bytes_of(table) -> int:
-    return sum(values.nbytes for values in table[1:])
+def _table_bytes_of(split) -> int:
+    return sum(values.nbytes for values in split)
 
 
 class TestFactoredHead:
-    # Head lengths from the threshold up, grown in the race test.
+    # Head lengths from the threshold up, in the race test.
     KS = list(range(zetaeval._SMOOTH_MIN_TERMS,
                     zetaeval._SMOOTH_MIN_TERMS + 200))
     S = complex(0.5, 9000.0)
 
-    def _check_table(self, limit):
-        table = zetaeval._FACTOR_TABLE
-        ns = np.arange(1, limit + 1)
-        coprime = ns[np.gcd(ns, 30) == 1]
-        # n <= limit < 2**20 is 5-smooth when it divides 30**20.
-        smooth = np.array([n for n in range(1, limit + 1)
-                           if 30**20 % n == 0])
-        assert table[0] == limit
-        for got, want in zip(table[1:], (coprime, np.log(coprime),
-                                         smooth, np.log(smooth))):
+    def _check_split(self, split, terms):
+        """The split equals one computed afresh in integers, and none of
+        its arrays can be written."""
+        coprime = [n for n in range(1, terms + 1) if math.gcd(n, 30) == 1]
+        # n <= terms < 2**20 is 5-smooth when it divides 30**20.
+        smooth = [n for n in range(1, terms + 1) if 30**20 % n == 0]
+        last = [sum(m <= terms // c for m in smooth) - 1 for c in coprime]
+        for got, want in zip(split, (np.log(coprime), np.log(smooth),
+                                     np.array(last))):
+            assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert not got.flags.writeable
 
     @pytest.mark.parametrize("terms", [
         1, 2, 29, 30, 31, 255, zetaeval._SMOOTH_MIN_TERMS - 1,
         zetaeval._SMOOTH_MIN_TERMS, 2688, 2989, 3000])
-    def test_products_cover_each_n_once(self, terms, monkeypatch):
-        # Grown past terms first, so the split also reads a longer table.
-        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", _empty_factor_table())
-        zetaeval._factor_table(3001)
-        coprime_log, smooth_log, last = zetaeval._factor_split(terms)
+    def test_products_cover_each_n_once(self, terms):
+        zetaeval._factor_split.cache_clear()
+        split = zetaeval._factor_split(terms)
+        self._check_split(split, terms)
+        coprime_log, smooth_log, last = split
         coprime = np.rint(np.exp(coprime_log)).astype(int)
         smooth = np.rint(np.exp(smooth_log)).astype(int)
         products = sorted(int(c) * int(m) for c, k in zip(coprime, last)
@@ -723,51 +716,43 @@ class TestFactoredHead:
         assert abs(head - plain) <= rel * max(1.0, abs(head))
 
     def test_only_riemann_heads_from_the_threshold(self, monkeypatch):
-        class Untouchable(tuple):
-            def __getitem__(self, key):
-                raise AssertionError("read the factor table")
+        def untouchable(terms):
+            raise AssertionError("read the factor split")
 
-            __iter__ = __len__ = __getitem__
-
-        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", Untouchable())
+        monkeypatch.setattr(zetaeval, "_factor_split", untouchable)
         # At sigma = 1/2 the head first reaches 800 terms at t = 2690.
         zeta_em(complex(0.5, 2600.0))
         zeta_em(complex(-2.0, 1000.0))
         hurwitz_zeta(complex(0.5, 9000.0), 0.2)
+        davenport_heilbronn(complex(0.75, 9000.0))
         hardy_z_rs(9000.0)
-        with pytest.raises(AssertionError, match="factor table"):
+        with pytest.raises(AssertionError, match="factor split"):
             zeta_em(complex(0.5, 9000.0))
-        with pytest.raises(AssertionError, match="factor table"):
+        with pytest.raises(AssertionError, match="factor split"):
             hurwitz_zeta(complex(0.5, 9000.0), 1.0)
 
-    def test_table_memory(self, monkeypatch):
-        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", _empty_factor_table())
-        tracemalloc.start()
-        try:
-            for terms in range(100, 3001, 100):
-                zetaeval._factored_head(self.S, terms)
-            gc.collect()
-            retained = sum(
-                stat.size for stat in tracemalloc.take_snapshot().filter_traces(
-                    [tracemalloc.Filter(True, zetaeval.__file__)]
-                ).statistics("filename"))
-        finally:
-            tracemalloc.stop()
-        self._check_table(3000)
-        # About 15 KB up to t = 1e4, as the docstring states, and only the
-        # last of the 30 tables grown on the way up is kept.
-        one_table = _table_bytes_of(zetaeval._FACTOR_TABLE)
-        assert len(zetaeval._FACTOR_TABLE[1]) == 800
-        assert len(zetaeval._FACTOR_TABLE[3]) == 123
-        assert one_table <= 15_000
-        assert retained <= one_table + 4096
+    def test_table_memory(self):
+        zetaeval._factor_split.cache_clear()
+        for lengths in (range(100, 3001, 100), range(3000, 99, -100)):
+            retained = _retained_in_zetaeval(lambda: [
+                zetaeval._factored_head(self.S, terms) for terms in lengths])
+            # Only the entry of the last length of the sweep is kept.
+            split = _cached_entry(zetaeval._factor_split, lengths[-1])
+            self._check_split(split, lengths[-1])
+            assert retained <= _table_bytes_of(split) + 4096
+        # 13784 B at 3000 terms, enough for sigma = 1/2 up to t = 1e4, as
+        # the docstring states.
+        split = zetaeval._factor_split(3000)
+        assert (len(split[0]), len(split[1])) == (800, 123)
+        assert _table_bytes_of(split) <= 15_000
         # About 4.3 MB at MAX_TERMS.
-        table = zetaeval._factor_table(MAX_TERMS)
-        assert (len(table[1]), len(table[3])) == (266666, 507)
-        assert _table_bytes_of(table) <= 4.3e6
+        split = zetaeval._factor_split(MAX_TERMS)
+        assert (len(split[0]), len(split[1])) == (266666, 507)
+        assert _table_bytes_of(split) <= 4.3e6
+        zetaeval._factor_split.cache_clear()
 
-    def test_two_threads_on_interleaved_lengths(self, monkeypatch):
-        monkeypatch.setattr(zetaeval, "_FACTOR_TABLE", _empty_factor_table())
+    def test_two_threads_on_interleaved_lengths(self):
+        zetaeval._factor_split.cache_clear()
         expected = [zetaeval._factored_head(self.S, k) for k in self.KS]
 
         def work(ks, start, values, errors):
@@ -780,15 +765,13 @@ class TestFactoredHead:
 
         # As in TestRsTermTable: two threads (never more) take the even
         # and the odd lengths, and the short switch interval lets them
-        # interleave inside the growth.  Going down, both first grow the
-        # empty table at once, and it must end at the longest whichever
-        # finishes last.
+        # interleave inside a computation.
         n = len(self.KS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for order in (1, -1) * 20:
-                zetaeval._FACTOR_TABLE = _empty_factor_table()
+                zetaeval._factor_split.cache_clear()
                 start = threading.Barrier(2)
                 values: dict[int, complex] = {}
                 errors: list[Exception] = []
@@ -802,10 +785,23 @@ class TestFactoredHead:
                     th.join(timeout=30.0)
                 assert not any(th.is_alive() for th in threads)
                 assert errors == []
-                self._check_table(self.KS[-1])
+                assert zetaeval._factor_split.cache_info().currsize == 1
                 assert [values[k] for k in range(n)] == expected
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_a_scan_recomputes_neither_table():
+    # A zero scan at t ~ 9000 keeps one RS length and refines on a few
+    # rising head lengths, so one entry each serves nearly every call:
+    # 1 of ~500 RS calls and 3 of ~50 factored heads miss.
+    zetaeval._rs_terms.cache_clear()
+    zetaeval._factor_split.cache_clear()
+    find_critical_zeros(Interval(9000.0, 9005.0))
+    rs = zetaeval._rs_terms.cache_info()
+    split = zetaeval._factor_split.cache_info()
+    assert rs.misses == 1 and rs.hits >= 400
+    assert split.misses <= 3 and split.hits >= 30
 
 
 class TestGeneralizedHardy:
