@@ -36,9 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-_GLOBAL_DEFAULTS = {"quad_order": 256, "json": False, "out": None}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this tool reserves 2
     # for numeric failures.
@@ -84,92 +81,111 @@ def _box_arg(text: str) -> tuple[float, float, float, float]:
     return s1, s2, t1, t2
 
 
+def _add_json(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true",
+                   help="emit JSON instead of plain text")
+
+
+def _add_out(p: argparse.ArgumentParser,
+             help: str = "write the output to this path instead of "
+                         "stdout") -> None:
+    p.add_argument("--out", type=str, default=None, help=help)
+
+
+def _add_order(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--order", type=int, default=None,
+                   help="Gauss-Legendre order for inner products (default "
+                        "the larger of 256 and the interval's oscillation "
+                        "order)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # The root parser and every subparser take the global flags from
-    # `common`.  SUPPRESS keeps a subparser from clobbering a value given
-    # before it; main supplies _GLOBAL_DEFAULTS for flags given nowhere.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS,
-                        help="Gauss-Legendre order for inner products "
-                             "(default 256)")
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="emit JSON instead of plain text")
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="write primary output to this path "
-                             "(path prefix for ortho)")
-    parser = _Parser(prog="hardyzeta", parents=[common],
+    # Each subcommand takes only the flags it reads; the root parser
+    # takes none but the subcommand.
+    parser = _Parser(prog="hardyzeta",
                      description="Critical-line numerics toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("theta", parents=[common],
-                       help="Riemann-Siegel theta phase")
+    p = sub.add_parser("theta", help="Riemann-Siegel theta phase")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--mode", choices=["exact", "asym"], default="exact",
                    help="exact: log-gamma form, any finite t; asym: six-term "
                         "asymptotic form, 2*pi <= t <= 1e50 (default exact)")
+    _add_json(p)
+    _add_out(p)
 
-    p = sub.add_parser("z", parents=[common], help="Hardy Z(t)")
+    p = sub.add_parser("z", help="Hardy Z(t)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=["rs", "em"], default="rs")
+    _add_json(p)
+    _add_out(p)
 
-    p = sub.add_parser("gz", parents=[common],
-                       help="generalized Hardy Z(sigma, t)")
+    p = sub.add_parser("gz", help="generalized Hardy Z(sigma, t)")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
+    _add_json(p)
+    _add_out(p)
 
-    p = sub.add_parser("spiral", parents=[common],
-                       help="Dirichlet partial-sum spiral")
+    p = sub.add_parser("spiral", help="Dirichlet partial-sum spiral")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--svg", type=str, default=None)
-    p.add_argument("--csv", type=str, default=None)
+    p.add_argument("--csv", type=str, default=None,
+                   help="write the CSV to this path instead of stdout")
 
-    p = sub.add_parser("gram", parents=[common],
-                       help="conditioning of a Z(sigma,.) family")
+    p = sub.add_parser("gram", help="conditioning of a Z(sigma,.) family")
     p.add_argument("--sigmas", type=_list_arg(float, "numbers"),
                    required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--order", type=int, default=None)
+    _add_order(p)
+    _add_out(p)
 
-    p = sub.add_parser("ortho", parents=[common],
-                       help="orthogonalize a Z(sigma,.) family "
-                            "(--out gives the CSV path prefix)")
+    p = sub.add_parser("ortho", help="orthogonalize a Z(sigma,.) family")
     p.add_argument("--sigmas", type=_list_arg(float, "numbers"),
                    required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--order", type=int, default=None)
+    _add_order(p)
+    p.add_argument("--out", type=str, required=True, metavar="PREFIX",
+                   help="write the CSV to PREFIX.csv")
 
-    p = sub.add_parser("polyfit", parents=[common],
-                       help="polynomial zero-convergence study")
+    p = sub.add_parser("polyfit", help="polynomial zero-convergence study")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--degrees", type=_list_arg(int, "integers"),
                    required=True)
+    _add_out(p)
 
     step_help = ("grid step of the sign-change scan (default 0.01); at most "
                  f"{zerofinder.MAX_SCAN_STEP:g}, below the smallest zero gap "
                  "up to t = 1e4")
-    p = sub.add_parser("zeros", parents=[common],
-                       help="scan and refine critical-line zeros")
+    p = sub.add_parser("zeros", help="scan and refine critical-line zeros")
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--step", type=float, default=0.01, help=step_help)
+    _add_json(p)
+    _add_out(p, help="write the JSON records to this path instead of "
+                     "stdout")
 
-    p = sub.add_parser("lehmer", parents=[common], help="close-pair scan")
+    p = sub.add_parser("lehmer", help="close-pair scan")
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--threshold", type=float, default=0.2)
     p.add_argument("--step", type=float, default=0.01, help=step_help)
+    _add_out(p)
 
-    p = sub.add_parser("dh-scan", parents=[common],
-                       help="off-line zero count for the "
-                            "Davenport-Heilbronn function")
+    p = sub.add_parser("dh-scan", help="off-line zero count for the "
+                                       "Davenport-Heilbronn function")
     p.add_argument("--box", type=_box_arg, required=True)
     p.add_argument("--n-per-side", type=int, default=256)
+    _add_out(p)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="run the full verification suite")
+    p = sub.add_parser("report", help="run the full verification suite")
     p.add_argument("--interval", type=_interval_arg, default=None)
+    p.add_argument("--quad-order", type=int,
+                   default=RunConfig.quad_order,
+                   help="Gauss-Legendre order for inner products "
+                        f"(default {RunConfig.quad_order})")
+    _add_out(p, help="write the report JSON to this path; the summary "
+                     "then goes to stdout")
 
     return parser
 
@@ -226,15 +242,14 @@ def _cmd_spiral(args) -> int:
     if wrote:
         print("wrote " + ", ".join(wrote), file=sys.stderr)
     else:
-        _emit(spiral_csv(path), args.out)
+        _emit(spiral_csv(path), None)
     return EXIT_OK
 
 
 def _family_order(args) -> int:
-    order = args.order if args.order is not None else max(
-        args.quad_order, hilbert.oscillation_order(args.interval)
-    )
-    return order
+    if args.order is not None:
+        return args.order
+    return max(RunConfig.quad_order, hilbert.oscillation_order(args.interval))
 
 
 def _cmd_gram(args) -> int:
@@ -257,9 +272,6 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_ortho(args) -> int:
-    if not args.out:
-        print("hardyzeta ortho: --out PREFIX is required", file=sys.stderr)
-        return EXIT_USAGE
     order = _family_order(args)
     rule = hilbert.gauss_legendre_rule(order, args.interval)
     family = [hilbert.hardy_function(s) for s in args.sigmas]
@@ -371,7 +383,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -114,12 +114,6 @@ class GramMatrix:
 
     entries: np.ndarray
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.entries))
-
 
 #: Most Newton steps a node set may take before _unit_rule gives up;
 #: from the asymptotic start the third or fourth is below 1e-15.

@@ -22,7 +22,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +87,13 @@ def scan_sign_changes(f: SampledFunction, interval: Interval,
     bracket of +/- step/10 around the point.  A step whose grid could
     exceed MAX_TERMS points raises DomainError before f is evaluated.
     """
+    xs = _scan_grid(interval, step)
+    return list(_brackets(xs, f.sample(xs), interval, step))
+
+
+def _scan_grid(interval: Interval, step: float) -> np.ndarray:
+    """The grid a, a+step, ..., b of scan_sign_changes, with b appended
+    unless the last step lands on it; DomainError for a bad step."""
     if not 0.0 < step < interval.width:
         raise DomainError(
             f"step must lie in (0, {interval.width}), got {step}"
@@ -100,21 +107,36 @@ def scan_sign_changes(f: SampledFunction, interval: Interval,
     xs = interval.a + step * np.arange(n + 1)
     if xs[-1] < interval.b - 1e-12 * max(1.0, abs(interval.b)):
         xs = np.append(xs, interval.b)
-    vals = f.sample(xs)
-    v0, v1 = vals[:-1], vals[1:]
-    change = ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
-    brackets: list[tuple[float, float]] = []
-    for i in np.flatnonzero(change | (v0 == 0.0)).tolist():
-        x = float(xs[i])
-        if vals[i] == 0.0:
-            brackets.append((max(interval.a, x - 0.1 * step),
-                             min(interval.b, x + 0.1 * step)))
-        else:
-            brackets.append((x, float(xs[i + 1])))
+    return xs
+
+
+def _brackets(xs: np.ndarray, vals: np.ndarray, interval: Interval,
+              step: float, end: Callable[[], float] | None = None
+              ) -> Iterator[tuple[float, float]]:
+    """The sign-change brackets of values vals on the grid xs, ascending,
+    with the exact-zero rule of scan_sign_changes.  When end is given,
+    vals[-1] is set to end() only after every bracket left of the last
+    cell has been taken."""
+
+    def cells(lo: int, hi: int) -> Iterator[tuple[float, float]]:
+        v0, v1 = vals[lo:hi], vals[lo + 1:hi + 1]
+        change = ((v0 < 0.0) & (v1 > 0.0)) | ((v1 < 0.0) & (v0 > 0.0))
+        for i in (lo + np.flatnonzero(change | (v0 == 0.0))).tolist():
+            x = float(xs[i])
+            if vals[i] == 0.0:
+                yield (max(interval.a, x - 0.1 * step),
+                       min(interval.b, x + 0.1 * step))
+            else:
+                yield (x, float(xs[i + 1]))
+
+    last = len(xs) - 2
+    yield from cells(0, last)
+    if end is not None:
+        vals[-1] = end()
+    yield from cells(last, last + 1)
     if vals[-1] == 0.0:
         x = float(xs[-1])
-        brackets.append((max(interval.a, x - 0.1 * step), x))
-    return brackets
+        yield (max(interval.a, x - 0.1 * step), x)
 
 
 def _check_tol(tol: float) -> None:
@@ -254,7 +276,11 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
 
     Brackets come from one scan at the given step: on f.scan_route when
     f has one and the interval lies inside its validated range
-    [2*pi, MAX_SCAN_HEIGHT], on f itself otherwise.  Each bracket is
+    [2*pi, MAX_SCAN_HEIGHT], on f itself otherwise.  A scan on the route
+    samples the whole grid there in one call but takes the signs at
+    interval.a and interval.b from f, at two more evaluations of f: a
+    zero whose two positions straddle a window end is then inside the
+    window exactly when f puts it there, and is found.  Each bracket is
     refined on f, first on its grid cell.  The Riemann-Siegel and
     Euler-Maclaurin routes place a zero up to 7.5e-3 apart (near
     t = 25.01), many cells at a small step, so a cell without a sign
@@ -268,31 +294,47 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
     """
     _check_tol(tol)
     in_range = TWO_PI <= interval.a and interval.b <= MAX_SCAN_HEIGHT
-    scan = f.scan_route if f.scan_route is not None and in_range else f
-    brackets = scan_sign_changes(scan, interval, step)
-    mids = [0.5 * (p[1] + q[0]) for p, q in zip(brackets, brackets[1:])]
-    splits = [interval.a, *mids, interval.b]
+    xs = _scan_grid(interval, step)
+    if f.scan_route is not None and in_range:
+        vals = f.scan_route.sample(xs)
+        # A zero between its two routes' positions at a window end is
+        # inside the window on f or not at all: f signs the ends.
+        vals[0] = f.eval(float(xs[0]))
+        brackets = _brackets(xs, vals, interval, step,
+                             end=lambda: f.eval(float(xs[-1])))
+    else:
+        brackets = _brackets(xs, f.sample(xs), interval, step)
+    # Each span reaches midway to the neighbouring brackets.  The next
+    # bracket is drawn only as this one is refined, so f signs the right
+    # end after the zeros left of it: f meets its heights in rising
+    # order, as the one-entry memos of the Euler-Maclaurin head want.
     records = []
-    for k, cell in enumerate(brackets):
-        for bracket in (cell, (splits[k], splits[k + 1])):
+    lo = interval.a
+    cell = next(brackets, None)
+    while cell is not None:
+        following = next(brackets, None)
+        hi = (interval.b if following is None
+              else 0.5 * (cell[1] + following[0]))
+        for bracket in (cell, (lo, hi)):
             try:
                 records.append(refine_zero(f, bracket, tol))
                 break
             except BracketError:
                 pass
+        lo, cell = hi, following
     return records
 
 
-def find_critical_zeros(interval: Interval, step: float = 0.01,
-                        tol: float = 1e-10) -> list[ZeroRecord]:
+def find_critical_zeros(interval: Interval,
+                        step: float = 0.01) -> list[ZeroRecord]:
     """All Hardy-function zeros on an interval: scan_and_refine of
-    hardy_em_function(), so brackets come from a Riemann-Siegel scan and
-    every zero is refined on the Euler-Maclaurin route.
+    hardy_em_function() at tol 1e-10, so brackets come from a
+    Riemann-Siegel scan with the window ends signed on Euler-Maclaurin,
+    and every zero is refined on the Euler-Maclaurin route.
 
-    The interval must lie in [2*pi, MAX_SCAN_HEIGHT], the step must
-    not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell,
-    and tol must be a positive finite number (DomainError otherwise,
-    before anything is evaluated).
+    The interval must lie in [2*pi, MAX_SCAN_HEIGHT] and the step must
+    not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell
+    (DomainError otherwise, before anything is evaluated).
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -306,7 +348,7 @@ def find_critical_zeros(interval: Interval, step: float = 0.01,
         raise DomainError(
             f"step must not exceed MAX_SCAN_STEP={MAX_SCAN_STEP:g}, got {step}"
         )
-    return scan_and_refine(hardy_em_function(), interval, step, tol)
+    return scan_and_refine(hardy_em_function(), interval, step, 1e-10)
 
 
 def lehmer_scan(interval: Interval, threshold: float,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -95,18 +96,47 @@ class TestValueCommands:
         payload = json.loads(out)
         assert abs(payload["y"]) < 1e-9
 
-    def test_global_flag_positions(self, capsys):
-        argv = ("gram", "--sigmas", "0.3,0.5", "--interval", "10:20")
-        _, before, _ = run_cli(capsys, "--quad-order", "300", *argv)
-        _, after, _ = run_cli(capsys, *argv, "--quad-order", "300")
-        assert before == after
-        assert json.loads(before)["order"] == 300
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--interval", "100:110", "--quad-order", "5"),
+        ("dh-scan", "--box", "0.51:1:80:90", "--json"),
+        ("gram", "--sigmas", "0.3,0.5", "--interval", "10:20",
+         "--quad-order", "300"),
+        ("spiral", "--sigma", "0.5", "--t", "30", "--n", "5", "--out", "x"),
+        ("--json", "theta", "--t", "50"),
+        ("--out", "x", "z", "--t", "30"),
+    ], ids=["zeros-quad-order", "dh-scan-json", "gram-quad-order",
+            "spiral-out", "json-before-command", "out-before-command"])
+    def test_unread_flag_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                        argv):
+        # A flag the command does not read, or one given before the
+        # command, is refused before anything runs or is written.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_subcommand_help_describes_global_flags(self, capsys):
-        code, out, _ = run_cli(capsys, "zeros", "--help")
+    OWN_FLAGS = {
+        "theta": {"--t", "--mode", "--json", "--out"},
+        "z": {"--t", "--method", "--json", "--out"},
+        "gz": {"--sigma", "--t", "--json", "--out"},
+        "spiral": {"--sigma", "--t", "--n", "--svg", "--csv"},
+        "gram": {"--sigmas", "--interval", "--order", "--out"},
+        "ortho": {"--sigmas", "--interval", "--order", "--out"},
+        "polyfit": {"--sigma", "--interval", "--degrees", "--out"},
+        "zeros": {"--interval", "--step", "--json", "--out"},
+        "lehmer": {"--interval", "--threshold", "--step", "--out"},
+        "dh-scan": {"--box", "--n-per-side", "--out"},
+        "report": {"--interval", "--quad-order", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_only_own_flags(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0
-        assert "Gauss-Legendre order" in out
-        assert "emit JSON" in out
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        assert listed == self.OWN_FLAGS[command] | {"--help"}
 
 
 class TestFileCommands:
@@ -149,6 +179,7 @@ class TestFileCommands:
         code, _, err = run_cli(capsys, "ortho", "--sigmas", "0.5,0.3",
                                "--interval", "10:20")
         assert code == 1
+        assert "--out" in err
 
 
 class TestJsonCommands:

@@ -231,7 +231,7 @@ class TestGramMatrix:
         f2 = SampledFunction(lambda x: 2.0 * x, "2x")
         g = gram_matrix([X, f2], rule)
         scale = float(np.max(np.abs(g.entries))) ** 2
-        assert abs(g.determinant()) < 1e-10 * scale
+        assert abs(np.linalg.det(g.entries)) < 1e-10 * scale
 
     def test_exactly_symmetric(self):
         rule = gauss_legendre_rule(128, Interval(10.0, 20.0))
@@ -243,7 +243,8 @@ class TestGramMatrix:
         rule = gauss_legendre_rule(128, Interval(10.0, 30.0))
         fam = [hardy_function(s) for s in (0.3, 0.4, 0.5, 0.6)]
         g = gram_matrix(fam, rule)
-        assert g.min_eigenvalue() >= -1e-10 * float(np.trace(g.entries))
+        assert (np.linalg.eigvalsh(g.entries)[0]
+                >= -1e-10 * float(np.trace(g.entries)))
 
     def test_empty_rejected(self):
         rule = gauss_legendre_rule(8, Interval(0.0, 1.0))

@@ -18,7 +18,7 @@ from hardyzeta.polyzero import (
     project,
     zero_convergence_study,
 )
-from hardyzeta.zerofinder import find_critical_zeros
+from hardyzeta.zerofinder import hardy_em_function, scan_and_refine
 from hardyzeta.zetaeval import generalized_hardy, hardy_z_rs
 
 
@@ -182,7 +182,9 @@ class TestReferenceZeros:
     def test_half_line_equals_find_critical_zeros(self, a, b, degrees):
         iv = Interval(a, b)
         comps = zero_convergence_study(hardy_function(0.5), iv, degrees)
-        ref = find_critical_zeros(iv, step=iv.width / 1000.0, tol=1e-12)
+        # find_critical_zeros' pipeline, at the study's step and tol.
+        ref = scan_and_refine(hardy_em_function(), iv, iv.width / 1000.0,
+                              1e-12)
         assert len(ref) > 0
         for c in comps:
             assert c.function_zeros == [r.location for r in ref]
@@ -200,15 +202,25 @@ class TestReferenceZeros:
         assert [r.location for _, r in records] == zeros
         assert {label for label, _ in records} == {"Z(0.5,.)"}
         assert not grid & set(zeros)
-        # Euler-Maclaurin evaluations: projection nodes and 72 for
-        # refinement, none for the scan.  The only grid points among
-        # them are the ends of the cells refine_zero accepted.  A scan on
+        # Euler-Maclaurin evaluations: projection nodes, the signs of
+        # the two window ends and 72 for refinement, none for the rest of
+        # the scan.  The only grid points among them are the window ends
+        # and the ends of the cells refine_zero accepted.  A scan on
         # Euler-Maclaurin would add the 1001 grid points, 1313 in all, as
         # the sigma = 0.3 study below makes.
         nodes = sum(max(2 * d, MIN_QUAD_ORDER) for d in self.DEGREES)
         cells = {t for _, r in records for t in r.bracket}
-        assert grid & set(em) <= cells
-        assert len(em) == nodes + 72 == 312
+        assert grid & set(em) <= cells | {self.WINDOW.a, self.WINDOW.b}
+        assert len(em) == nodes + 2 + 72 == 314
+
+    def test_zero_at_window_end_kept(self):
+        # The zero near 65.1125 lies between its Riemann-Siegel and
+        # Euler-Maclaurin positions from the window's right end; it is a
+        # reference zero, so the degree-48 projection's four zeros match.
+        iv = Interval(55.11308119788091, 65.11308119788092)
+        comps = zero_convergence_study(hardy_function(0.5), iv, self.DEGREES)
+        assert len(comps[-1].function_zeros) == 4
+        assert len(comps[-1].polynomial_zeros) == 4
 
     def test_off_line_scans_on_euler_maclaurin(self, monkeypatch):
         em, rs, records = self._traced(monkeypatch)
@@ -238,8 +250,8 @@ class TestReferenceZeros:
         iv = Interval(6990.005, 7040.005)
         comps = zero_convergence_study(hardy_function(0.5), iv, [240])
         assert len(rs) == 2501
-        ref = find_critical_zeros(iv, step=zerofinder.MAX_SCAN_STEP,
-                                  tol=1e-12)
+        ref = scan_and_refine(hardy_em_function(), iv,
+                              zerofinder.MAX_SCAN_STEP, 1e-12)
         zeros = comps[-1].function_zeros
         assert zeros == [r.location for r in ref]
         assert len(zeros) == len(comps[-1].polynomial_zeros) == 57

@@ -140,15 +140,6 @@ class TestBadTol:
         with pytest.raises(DomainError, match="tol"):
             scan_and_refine(self._refusing(), Interval(10.0, 20.0), 0.01, tol)
 
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_find_critical_zeros(self, tol, monkeypatch):
-        refuse = self._refusing().eval
-        monkeypatch.setattr(zerofinder, "hardy_z_rs", refuse)
-        monkeypatch.setattr(zerofinder, "generalized_hardy",
-                            lambda sigma, t: refuse(t))
-        with pytest.raises(DomainError, match="tol"):
-            find_critical_zeros(Interval(100.0, 110.0), tol=tol)
-
 
 class TestBrent:
     def test_same_signs_refused(self):
@@ -291,12 +282,10 @@ class TestCriticalZeros:
         assert len(ref) == len(got) == count
         assert max(abs(x - y) for x, y in zip(ref, got)) < 1e-9
 
-    def test_span_fallback_beyond_cell(self, monkeypatch):
-        # Each Riemann-Siegel zero sits 5.5 to 7.5 cells from its
-        # Euler-Maclaurin zero, and RS alone changes sign twice near 10.655.
-        em_zeros = (10.2, 10.5, 10.8)
-        rs_zeros = (10.2075, 10.4945, 10.6515, 10.6585, 10.8055)
-
+    @staticmethod
+    def _polynomial_routes(monkeypatch, em_zeros, rs_zeros):
+        """Monic polynomials with the given zeros as the Euler-Maclaurin
+        and Riemann-Siegel routes of Z."""
         def poly(roots, t):
             return math.prod(t - r for r in roots)
 
@@ -305,11 +294,87 @@ class TestCriticalZeros:
         monkeypatch.setattr(
             zerofinder, "generalized_hardy",
             lambda sigma, t: SimpleNamespace(z=poly(em_zeros, t)))
+
+    def test_span_fallback_beyond_cell(self, monkeypatch):
+        # Each Riemann-Siegel zero sits 5.5 to 7.5 cells from its
+        # Euler-Maclaurin zero, and RS alone changes sign twice near 10.655.
+        em_zeros = (10.2, 10.5, 10.8)
+        rs_zeros = (10.2075, 10.4945, 10.6515, 10.6585, 10.8055)
+        self._polynomial_routes(monkeypatch, em_zeros, rs_zeros)
         recs = find_critical_zeros(Interval(10.0, 11.0), step=0.001)
         got = [r.location for r in recs]
         assert len(got) == len(em_zeros)
         assert max(abs(x - y) for x, y in zip(got, em_zeros)) < 1e-10
         assert all(x < y for x, y in zip(got[:-1], got[1:]))
+
+    @pytest.mark.parametrize("step", [0.01, 0.001])
+    def test_window_ends_signed_on_euler_maclaurin(self, monkeypatch, step):
+        # A zero whose two routes' positions straddle an end of [10, 11]
+        # is in the window exactly when its Euler-Maclaurin position is.
+        inside = (10.003, 10.5, 10.997)
+        outside = (9.997, 10.5, 11.003)
+        self._polynomial_routes(monkeypatch, inside, outside)
+        got = [r.location for r in
+               find_critical_zeros(Interval(10.0, 11.0), step=step)]
+        assert got == pytest.approx(inside, abs=1e-10)
+        self._polynomial_routes(monkeypatch, outside, inside)
+        got = [r.location for r in
+               find_critical_zeros(Interval(10.0, 11.0), step=step)]
+        assert got == pytest.approx([10.5], abs=1e-10)
+
+    @pytest.mark.parametrize("a,b,count", [
+        (112.94699784223978, 122.94699784223978, 5),
+        (55.11308119788091, 65.11308119788092, 4),
+        (20.427167036196167, 30.427167036196167, 3),
+        (399.9850007993147, 409.9850007993147, 7),
+    ], ids=["112.9", "55.1", "20.4", "399.9"])
+    def test_zero_at_window_end_counted(self, a, b, count):
+        # Frozen counts from mpmath.nzeros.  Each window has a zero
+        # between its Riemann-Siegel and Euler-Maclaurin positions at an
+        # end; at 20.4 the span of the zero near 25.011 would also reach
+        # the one at 30.425 and hold two zeros, losing both.
+        assert len(find_critical_zeros(Interval(a, b))) == count
+
+    #: (Euler-Maclaurin, Riemann-Siegel) positions of the 20 zeros in
+    #: [10, 1010] whose two positions lie furthest apart, from
+    #: scan_and_refine on each route at step 0.01 and tol 1e-12.
+    FAR_APART = [
+        (25.010857580145693, 25.01840140059295),
+        (30.424876125859516, 30.42764583308214),
+        (32.935061587739185, 32.93256176179021),
+        (14.134725141734693, 14.137196099328536),
+        (56.446247697063384, 56.4486753269516),
+        (21.022039638771552, 21.024376714164735),
+        (157.5975918175947, 157.59622617841248),
+        (48.00515088116716, 48.00638033220331),
+        (49.77383247767231, 49.77264064549279),
+        (67.07981052949427, 67.0786997148998),
+        (111.87465917699122, 111.87369594534682),
+        (101.31785100573066, 101.31692416330908),
+        (65.11254404808162, 65.11342778422137),
+        (111.02953554316916, 111.03033686535633),
+        (158.8499881714208, 158.8507655082352),
+        (69.54640171117389, 69.54716110683388),
+        (156.1129092942374, 156.11361018638743),
+        (87.42527461312544, 87.42596116923225),
+        (37.586178158825675, 37.586861886239),
+        (59.34704400260235, 59.346408849124444),
+    ]
+
+    @pytest.mark.parametrize("em,rs", FAR_APART,
+                             ids=[f"{em:.3f}" for em, _ in FAR_APART])
+    def test_window_split_between_routes(self, em, rs):
+        # With an end midway between a zero's two positions, a window
+        # reports exactly the zeros a window 2 wider reports inside it.
+        mid = 0.5 * (em + rs)
+        for a, b in ((mid - 1.0, mid), (mid, mid + 1.0)):
+            got = [r.location for r in find_critical_zeros(Interval(a, b))]
+            wide = [r.location for r in
+                    find_critical_zeros(Interval(a - 1.0, b + 1.0))
+                    if a <= r.location <= b]
+            assert len(got) == len(wide)
+            assert got == pytest.approx(wide, abs=1e-9)
+            assert (a <= em <= b) == any(abs(t - em) < 1e-9 for t in got)
 
     @pytest.mark.parametrize("a", [7000.0, 5225.0])
     def test_ceiling_step_keeps_closest_pairs(self, a):
@@ -374,7 +439,8 @@ class TestCriticalZeros:
             refine_zero(hardy_at_cutoff(200), (7005.0, 7005.1))
 
     def test_residuals_tiny_relative_to_local_scale(self):
-        recs = find_critical_zeros(Interval(10.0, 60.0), step=0.01, tol=1e-12)
+        recs = scan_and_refine(hardy_em_function(), Interval(10.0, 60.0),
+                               0.01, 1e-12)
         z = hardy_em_function()
         for r in recs:
             local = max(abs(z.eval(r.location - 0.01)),
