@@ -8,7 +8,9 @@ Hardy functions Z(sigma, .).
 
 Everything is deterministic: rules are cached per order, reductions run
 in index order, and the first Gram-Schmidt output reuses the input
-callback unchanged so it is bit-identical to the input.
+callback unchanged so it is bit-identical to the input.  Z(sigma, .) and
+the Gram-Schmidt combinations of such functions sample a node grid in
+one batched call, bit for bit their point-by-point values.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import (DependenceError, DomainError, EvaluationError,
                      NumericsError)
 from .specialfn import TWO_PI, theta_derivative
-from .zetaeval import generalized_hardy
+from .zetaeval import _hardy_z_many, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
 
@@ -66,13 +68,16 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class SampledFunction:
     """A real function of one real variable plus a label for messages.
 
-    The callback must be deterministic.  scan_route, when set, is an
-    independent and cheaper route to the same function, valid for
-    2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
+    The callback must be deterministic.  many, when set, is its array
+    entry: many(xs) takes a 1-D float ndarray and returns the callback's
+    values at its points as a float ndarray of the same length, bit for
+    bit, or None to leave the points to the callback.  scan_route, when
+    set, is an independent and cheaper route to the same function, valid
+    for 2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
     sign-change brackets on it there, and refine and report every zero
     on eval.
     """
@@ -80,18 +85,31 @@ class SampledFunction:
     eval: Callable[[float], float]
     label: str = ""
     scan_route: SampledFunction | None = None
+    many: Callable[[np.ndarray], np.ndarray | None] | None = None
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        """The callback at each point of xs (any float sequence), called
-        with built-in floats in order.  The first point where it raises,
-        or returns a complex of any type or a value float() rejects
-        (None), raises EvaluationError with that point."""
-        points = np.asarray(xs, dtype=float).tolist()
-        out = np.empty(len(points), dtype=float)
-        for i, x in enumerate(points):
+        """The function at each point of xs, any sequence that
+        np.asarray(xs, float) makes 1-D; any other shape raises
+        DomainError before anything is evaluated.  The points go to many
+        in one call when it is set; where it is not, or returns None, the
+        callback is called with built-in floats in order.  The first
+        point where it raises, or returns a complex of any type or a
+        value float() rejects (None), raises EvaluationError with that
+        point."""
+        points = np.asarray(xs, dtype=float)
+        if points.ndim != 1:
+            raise DomainError(
+                f"{self.label or 'function'} samples a 1-D sequence of "
+                f"points, got shape {points.shape}")
+        if self.many is not None:
+            values = self.many(points)
+            if values is not None:
+                return values
+        out = np.empty(points.size, dtype=float)
+        for i, x in enumerate(points.tolist()):
             try:
                 value = self.eval(x)
                 if type(value) is not float:
@@ -221,14 +239,28 @@ def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatr
     return GramMatrix(entries=g)
 
 
-def _combination(coeffs: np.ndarray,
-                 fs: Sequence[SampledFunction]) -> Callable[[float], float]:
-    active = [(float(c), f) for c, f in zip(coeffs, fs) if c != 0.0]
+class _Combination:
+    """sum_k c_k f_k over the nonzero coefficients, in index order; many
+    adds the inputs' arrays in that order, so its values are the
+    callback's bit for bit, or None where an input has no array entry or
+    leaves its points to the callback."""
 
-    def _eval(t: float) -> float:
-        return sum(c * f.eval(t) for c, f in active)
+    __slots__ = ("terms",)
 
-    return _eval
+    def __init__(self, coeffs: np.ndarray, fs: Sequence[SampledFunction]):
+        self.terms = [(float(c), f) for c, f in zip(coeffs, fs) if c != 0.0]
+
+    def __call__(self, t: float) -> float:
+        return sum(c * f.eval(t) for c, f in self.terms)
+
+    def many(self, xs: np.ndarray) -> np.ndarray | None:
+        total = 0
+        for c, f in self.terms:
+            values = None if f.many is None else f.many(xs)
+            if values is None:
+                return None
+            total = total + c * values
+        return total
 
 
 def gram_schmidt(fs: Sequence[SampledFunction],
@@ -271,12 +303,15 @@ def gram_schmidt(fs: Sequence[SampledFunction],
         if i == 0:
             outputs.append(SampledFunction(eval=fs[0].eval,
                                            label=fs[0].label,
-                                           scan_route=fs[0].scan_route))
+                                           scan_route=fs[0].scan_route,
+                                           many=fs[0].many))
         else:
+            combination = _Combination(row, fs)
             outputs.append(
                 SampledFunction(
-                    eval=_combination(row, fs),
+                    eval=combination,
                     label=f"ortho[{i}]({fs[i].label or i})",
+                    many=combination.many,
                 )
             )
     return outputs
@@ -290,21 +325,41 @@ def correlation_matrix(gram: GramMatrix) -> np.ndarray:
     return gram.entries / np.outer(d, d)
 
 
+class _HardyZ:
+    """Z(sigma, t) = generalized_hardy(sigma, t).z, and its array entry.
+    Both look their kernel up in this module at call time, so a wrapper
+    set on it later is still called."""
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: float):
+        self.sigma = sigma
+
+    def __call__(self, t: float) -> float:
+        return generalized_hardy(self.sigma, t).z
+
+    def many(self, ts: np.ndarray) -> np.ndarray | None:
+        return _hardy_z_many(self.sigma, ts)
+
+
 def hardy_function(sigma: float) -> SampledFunction:
     """Generalized Hardy function Z(sigma, .) as a SampledFunction, on
     the Euler-Maclaurin route.  On the critical line its scan route is
-    the Riemann-Siegel sum, which exists only there."""
+    the Riemann-Siegel sum, which exists only there.
 
-    def _eval(t: float) -> float:
-        return generalized_hardy(sigma, t).z
-
+    Its array entry samples a whole grid in one batched Euler-Maclaurin
+    call (zetaeval._hardy_z_many), bit for bit the callback's values.
+    That call leaves the points to the callback, which raises as it
+    always did, where the callback would raise at any point, and where a
+    zeta head would be factored (t from about 2690 on sigma = 1/2)."""
+    z = _HardyZ(sigma)
     scan_route = None
     if sigma == 0.5:
         # Imported here: zerofinder imports this module.
         from .zerofinder import hardy_rs_function
         scan_route = hardy_rs_function()
-    return SampledFunction(eval=_eval, label=f"Z({sigma:g},.)",
-                           scan_route=scan_route)
+    return SampledFunction(eval=z, label=f"Z({sigma:g},.)",
+                           scan_route=scan_route, many=z.many)
 
 
 def oscillation_order(interval: Interval) -> int:
@@ -321,7 +376,7 @@ def oscillation_order(interval: Interval) -> int:
     return max(MIN_QUAD_ORDER, math.ceil(4.0 * interval.width * rate))
 
 
-@dataclass
+@dataclass(slots=True)
 class IndependenceReport:
     """Raw conditioning evidence for a family {Z(sigma_k, .)}.
 

@@ -88,7 +88,7 @@ class ProjectionResult:
     l2_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroComparison:
     """Zeros of a function versus zeros of its degree-d projection.
 

@@ -39,7 +39,7 @@ MAX_SCAN_HEIGHT = 1.0e4
 SIMPLE_DERIVATIVE_FACTOR = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroRecord:
     """A refined zero, the bracket refine_zero accepted, and diagnostics."""
 

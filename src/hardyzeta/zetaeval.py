@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -95,10 +96,10 @@ _SMOOTH_MIN_TERMS = 800
 # a batched head holds no more memory than a scalar head of 2^14 terms.
 _HEAD_BLOCK = 2**14
 
-# Most points one batched mod-5 evaluation (_mod5_block) takes at once.
-# Its tails and values hold under 1 KB a point (tracemalloc peak, 14.5 MB
-# at 2^14 points), so a grid of MAX_TERMS points taken whole would need
-# some 900 MB.
+# Most points one block of the batched Euler-Maclaurin core (_em_blocks)
+# takes at once.  A mod-5 block's tails and values hold under 1 KB a
+# point (tracemalloc peak, 14.5 MB at 2^14 points), so a grid of
+# MAX_TERMS points taken whole would need some 900 MB.
 _POINT_BLOCK = 2**14
 
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
@@ -385,7 +386,9 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
     MAX_TERMS, Backlund's premises failed, an overflow, or a Backlund
     bound or left-of-strip rounding estimate above EM_TOL.  The caller
     then takes the points one at a time through _em_sum, which raises
-    its own error.
+    its own error.  It also returns None where _em_sum would factor a
+    head (a = 1 and at least _SMOOTH_MIN_TERMS terms), so every value it
+    returns is the scalar's.
 
     The tail is elementwise numpy over the points in the scalar's
     operations and order: base^(1-s) is Python's complex power at each
@@ -396,14 +399,14 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
     _HEAD_BLOCK complex elements (256 KB; a row longer than that is a
     block of its own, as large as the scalar head).  Each row's terms
     and their sum are the scalar head's.  The head is always summed term
-    by term, never factored as _em_sum does for zeta, so this serves
-    Hurwitz offsets a != 1."""
+    by term, never factored."""
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
     base = terms + a[:, None]
     # Before the complex powers, which a failed premise could overflow.
     if (np.any(terms > MAX_TERMS) or np.any(edge <= 0.0)
-            or np.any(base <= np.abs(si) / TWO_PI)):
+            or np.any(base <= np.abs(si) / TWO_PI)
+            or (np.any(a == 1.0) and np.any(terms >= _SMOOTH_MIN_TERMS))):
         return None
     rows = base.tolist()
     expo = (1.0 - s).tolist()
@@ -569,6 +572,30 @@ def generalized_hardy(sigma: float, t: float) -> GeneralizedHardyValue:
     return GeneralizedHardyValue(z=val.real, y=val.imag)
 
 
+def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray | None:
+    """generalized_hardy(sigma, t).z at every point of the 1-D float
+    array ts, bit for bit, or None where generalized_hardy would raise
+    at any point or zeta_em would factor a head (at least
+    _SMOOTH_MIN_TERMS terms, from t ~ 2690 on sigma = 1/2).  The caller
+    then takes the points one at a time through generalized_hardy, which
+    raises its own error.
+
+    zeta comes from _em_blocks, as zeta_em sums it, with no zeta_em
+    call; theta is taken at each point through the scalar theta, and
+    each value is (zeta e^{i theta}).real in CPython's complex
+    arithmetic, as generalized_hardy forms it.  A block of points holds
+    under 1 KB a point (tracemalloc peak)."""
+    points = np.empty(ts.shape, dtype=complex)
+    points.real, points.imag = sigma, ts
+    zetas = np.empty(ts.shape, dtype=complex)
+    for span, values in _em_blocks(points, np.ones(1), 1):
+        if values is None:
+            return None
+        zetas[span] = values[0]
+    return np.array([(z * cmath.exp(1j * theta(t))).real
+                     for z, t in zip(zetas.tolist(), ts.tolist())])
+
+
 def _check_n_max(n_max: int) -> None:
     if not 1 <= n_max <= MAX_TERMS:
         raise DomainError(
@@ -614,66 +641,88 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     return abs(lhs - rhs)
 
 
-def _mod5_series(s: complex | np.ndarray,
-                 coeffs: dict[int, complex | float]) -> complex | np.ndarray:
-    """5^{-s} sum_{a=1..4} coeffs[a] zeta(s, a/5): the Dirichlet series
-    whose coefficients repeat with period 5 as coeffs[1..4], 0.
-
-    A scalar s takes four hurwitz_zeta calls and returns a complex.  An
-    ndarray s returns a complex array of its shape, evaluated in blocks
-    of at most _POINT_BLOCK points by _mod5_block, with no hurwitz_zeta
-    call.  Where a block holds a NaN or infinity, the pole s = 1 or any
-    other point hurwitz_zeta would refuse, _mod5_block refuses it, and
-    the block's points are evaluated one at a time through the scalar
-    branch, which raises the scalar's error for the first refused point.
-    A block holds under 1 KB a point (tracemalloc peak), so the memory
-    of a call stays near 15 MB however many points it takes."""
-    if not isinstance(s, np.ndarray):
-        total = 0.0 + 0.0j
-        for a, c in coeffs.items():
-            total += c * hurwitz_zeta(s, a / 5.0)
-        return cmath.exp(-s * math.log(5.0)) * total
-    points = s.astype(complex).ravel()
-    out = np.empty(points.shape, dtype=complex)
+def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
+               ) -> Iterator[tuple[slice, np.ndarray | None]]:
+    """The batched Euler-Maclaurin core of zeta, the mod-5 L-function and
+    Davenport-Heilbronn.  For each block of at most _POINT_BLOCK points
+    of the 1-D complex array points, yields the block's slice and its
+    _em_sum values, row k for offsets[k]: each point takes its (N, m)
+    from _em_pair and sums N - shift head terms (shift 1 as zeta_em
+    passes them, 0 as hurwitz_zeta does), one _em_sum_many pass over the
+    block's points of each m.  Yields None for a block that holds a NaN
+    or infinity, the pole s = 1, a point where _em_pair or _em_sum would
+    raise, or a head _em_sum would factor; the caller then takes that
+    block through its scalar path.  (The one zeta cutoff N = MAX_TERMS + 1
+    that _em_sum refuses but shift 1 would pass leaves a head _em_sum
+    would factor, so it is declined too.)"""
     for i in range(0, points.size, _POINT_BLOCK):
         block = points[i:i + _POINT_BLOCK]
-        values = _mod5_block(block, coeffs)
-        if values is None:
-            values = [_mod5_series(z, coeffs) for z in block.tolist()]
-        out[i:i + _POINT_BLOCK] = values
-    return out.reshape(s.shape)
+        yield slice(i, i + block.size), _em_block(block, offsets, shift)
 
 
-def _mod5_block(points: np.ndarray,
-                coeffs: dict[int, complex | float]) -> np.ndarray | None:
-    """_mod5_series at every point of the 1-D complex array points, or
-    None if the scalar branch would refuse any of them.  _em_pair picks
-    each point's (N, m), and one batched Euler-Maclaurin pass
-    (_em_sum_many) over the four offsets takes the points of each m,
-    their heads grouped by N.  It repeats the scalar's operations in the
-    scalar's order, so each value is the scalar's bit for bit where
-    numpy's complex exp agrees with cmath.exp and CPython's complex
-    arithmetic is unfused, as with glibc on x86-64; elsewhere they
-    differ by roundoff."""
+def _em_block(points: np.ndarray, offsets: np.ndarray,
+              shift: int) -> np.ndarray | None:
+    """One block of _em_blocks."""
     if not np.isfinite(points).all() or np.any(points == 1.0):
         return None
     try:
         n, m = map(np.array, zip(*[_em_pair(z) for z in points.tolist()]))
     except DomainError:
         return None
-    offsets = np.array([a / 5.0 for a in coeffs])
-    total = np.zeros(points.shape, dtype=complex)
+    values = np.empty((offsets.size, points.size), dtype=complex)
     for order in (EM_ORDER, EM_ORDER_MAX):
         idx = np.flatnonzero(m == order)
         if not idx.size:
             continue
-        values = _em_sum_many(points[idx], offsets, n[idx], order)
-        if values is None:
+        part = _em_sum_many(points[idx], offsets, n[idx] - shift, order)
+        if part is None:
             return None
-        acc = 0.0 + 0.0j
-        for c, h in zip(coeffs.values(), values):
-            acc = acc + c * h
-        total[idx] = acc
+        values[:, idx] = part
+    return values
+
+
+def _mod5_series(s: complex | np.ndarray,
+                 coeffs: dict[int, complex | float]) -> complex | np.ndarray:
+    """5^{-s} sum_{a=1..4} coeffs[a] zeta(s, a/5): the Dirichlet series
+    whose coefficients repeat with period 5 as coeffs[1..4], 0.
+
+    A scalar s takes four hurwitz_zeta calls and returns a complex.  An
+    ndarray s returns a complex array of its shape, from the Hurwitz
+    values of _em_blocks, with no hurwitz_zeta call.  A block that
+    _em_blocks declines (a NaN or infinity, the pole s = 1 or any other
+    point hurwitz_zeta would refuse) is evaluated one point at a time
+    through the scalar branch, which raises the scalar's error for the
+    first refused point.  A block holds under 1 KB a point (tracemalloc
+    peak), so the memory of a call stays near 15 MB however many points
+    it takes."""
+    if not isinstance(s, np.ndarray):
+        total = 0.0 + 0.0j
+        for a, c in coeffs.items():
+            total += c * hurwitz_zeta(s, a / 5.0)
+        return cmath.exp(-s * math.log(5.0)) * total
+    points = s.astype(complex).ravel()
+    offsets = np.array([a / 5.0 for a in coeffs])
+    out = np.empty(points.shape, dtype=complex)
+    for span, values in _em_blocks(points, offsets, 0):
+        if values is None:
+            out[span] = [_mod5_series(z, coeffs)
+                         for z in points[span].tolist()]
+        else:
+            out[span] = _mod5_block(points[span], values, coeffs)
+    return out.reshape(s.shape)
+
+
+def _mod5_block(points: np.ndarray, values: np.ndarray,
+                coeffs: dict[int, complex | float]) -> np.ndarray:
+    """_mod5_series at every point of the 1-D complex array points, from
+    their Hurwitz values at the offsets a/5 (rows, in the order of
+    coeffs).  It repeats the scalar's operations in the scalar's order,
+    so each value is the scalar's bit for bit where numpy's complex exp
+    agrees with cmath.exp and CPython's complex arithmetic is unfused,
+    as with glibc on x86-64; elsewhere they differ by roundoff."""
+    total = 0.0 + 0.0j
+    for c, h in zip(coeffs.values(), values):
+        total = total + c * h
     scale = np.exp(-points * math.log(5.0))
     out = np.empty(points.shape, dtype=complex)
     out.real, out.imag = _c_prod(scale.real, scale.imag, total.real,

@@ -218,13 +218,20 @@ class TestJsonCommands:
 
     def test_polyfit_evaluates_only_the_study(self, capsys, monkeypatch):
         calls = []
-        real = hilbert.generalized_hardy
+        real, real_many = hilbert.generalized_hardy, hilbert._hardy_z_many
 
         def counted(sigma, t):
             calls.append(t)
             return real(sigma, t)
 
+        def counted_many(sigma, ts):
+            values = real_many(sigma, ts)
+            if values is not None:
+                calls.extend(ts.tolist())
+            return values
+
         monkeypatch.setattr(hilbert, "generalized_hardy", counted)
+        monkeypatch.setattr(hilbert, "_hardy_z_many", counted_many)
         code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
                                "--interval", "10:30", "--degrees", "20,40")
         assert code == 0

@@ -1,10 +1,11 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hardyzeta import hilbert
+from hardyzeta import hilbert, zetaeval
 from hardyzeta.errors import DependenceError, DomainError, EvaluationError
 from hardyzeta.hilbert import (
     Interval,
@@ -19,6 +20,8 @@ from hardyzeta.hilbert import (
     norm,
     oscillation_order,
 )
+from hardyzeta.specialfn import TWO_PI
+from hardyzeta.zetaeval import generalized_hardy
 
 ONE = SampledFunction(lambda x: 1.0, "1")
 X = SampledFunction(lambda x: x, "x")
@@ -77,6 +80,104 @@ class TestSample:
         with pytest.raises(EvaluationError, match="complex") as err:
             f.sample([0.5, 1.5, 2.5])
         assert err.value.point == 1.5
+
+    @pytest.mark.parametrize("xs,shape", [
+        (0.5, "()"), (np.array(0.5), "()"),
+        ([[20.0, 21.0], [22.0, 23.0]], r"\(2, 2\)"),
+        (np.ones((2, 0)), r"\(2, 0\)"),
+    ], ids=["float", "0-d", "2-d", "2-d-empty"])
+    @pytest.mark.parametrize("with_many", [False, True])
+    def test_only_one_dimensional_points(self, xs, shape, with_many):
+        # Refused before the callback or the array entry sees a point.
+        calls = []
+        f = SampledFunction(lambda t: calls.append(t) or t, "id",
+                            many=calls.append if with_many else None)
+        with pytest.raises(DomainError, match=f"shape {shape}"):
+            f.sample(xs)
+        assert calls == []
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArraySampling:
+    """hardy_function samples a grid in one batched Euler-Maclaurin call,
+    bit for bit its callback, and leaves a grid the batch cannot take to
+    the callback."""
+
+    # Grids of 10 points in a window of width 40, the first on sigma =
+    # 1/2: below 2*pi the batch takes them all.  Above, it takes a grid
+    # only where all its zeta heads stay term by term, as on sigma = 1/2
+    # below t = 2690, and leaves the others to the callback.
+    @pytest.mark.parametrize("lo,hi,on_half,others", [
+        (-TWO_PI, TWO_PI, True, {True}),
+        (TWO_PI, 2690.0, True, {True, False}),
+        (2690.0, 5000.0, False, {True, False})],
+        ids=["below-2pi", "2pi-2690", "above-2690"])
+    def test_batched_equals_scalar_bit_for_bit(self, lo, hi, on_half,
+                                               others):
+        rng = np.random.default_rng(28)
+        seen = []
+        for sigma in [0.5] + rng.uniform(-2.0, 3.0, 11).tolist():
+            a = float(rng.uniform(lo, max(lo, hi - 40.0)))
+            ts = np.sort(rng.uniform(a, min(hi, a + 40.0), 10))
+            scalar = [generalized_hardy(sigma, t).z for t in ts.tolist()]
+            assert _bits(hardy_function(sigma).sample(ts)) == _bits(scalar)
+            heads = [zetaeval._em_pair(complex(sigma, t))[0] - 1
+                     for t in ts.tolist()]
+            batched = zetaeval._hardy_z_many(sigma, ts) is not None
+            assert batched == (max(heads) < zetaeval._SMOOTH_MIN_TERMS)
+            seen.append(batched)
+        assert seen[0] == on_half and set(seen[1:]) == others
+
+    def test_gram_schmidt_outputs_bit_for_bit(self):
+        rng = np.random.default_rng(2718)
+        iv = Interval(100.0, 110.0)
+        rule = gauss_legendre_rule(oscillation_order(iv), iv)
+        sigmas = rng.uniform(-2.0, 3.0, 3).tolist()
+        fam = [hardy_function(s) for s in sigmas] + [COS]
+        outs = gram_schmidt(fam, rule)
+        ts = np.concatenate((rule.nodes, rng.uniform(iv.a, iv.b, 40)))
+        for k, g in enumerate(outs):
+            scalar = [g.eval(t) for t in ts.tolist()]
+            assert _bits(g.sample(ts)) == _bits(scalar)
+            # The cosine has no array entry, so the last combination
+            # leaves its points to the callback.
+            assert (g.many(ts) is None) == (k == 3)
+
+    @pytest.mark.parametrize("sigma,ts", [
+        (0.5, [20.0, 21.0, math.nan, 22.0, math.nan]),
+        (1.0, [-1.0, -0.5, 0.0, 0.5]),
+        (-20.0, [1.0, 2.0, 3.0]),
+    ], ids=["nan", "pole", "sigma-minus-20"])
+    def test_refusals_raise_the_callbacks_error(self, sigma, ts):
+        f = hardy_function(sigma)
+        scalar = SampledFunction(lambda t: generalized_hardy(sigma, t).z,
+                                 f.label)
+        with pytest.raises(EvaluationError) as want:
+            scalar.sample(ts)
+        with pytest.raises(EvaluationError) as got:
+            f.sample(ts)
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.point) == repr(want.value.point)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+
+    def test_memory_is_one_point_block(self, monkeypatch):
+        # Under 1 KB a point, as for the Davenport-Heilbronn grids: two
+        # blocks of points, both taken by the batch, which never calls
+        # the scalar kernel.
+        n = 2 * zetaeval._POINT_BLOCK
+        ts = np.linspace(10.0, 20.0, n)
+        f = hardy_function(0.6)
+        monkeypatch.setattr(hilbert, "generalized_hardy", None)
+        tracemalloc.start()
+        try:
+            f.sample(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * n
 
 
 class TestInterval:
