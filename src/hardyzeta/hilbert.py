@@ -348,10 +348,10 @@ def hardy_function(sigma: float) -> SampledFunction:
     the Riemann-Siegel sum, which exists only there.
 
     Its array entry samples a whole grid in one batched Euler-Maclaurin
-    call (zetaeval._hardy_z_many), bit for bit the callback's values.
-    That call leaves the points to the callback, which raises as it
-    always did, where the callback would raise at any point, and where a
-    zeta head would be factored (t from about 2690 on sigma = 1/2)."""
+    call (zetaeval._hardy_z_many), bit for bit the callback's values at
+    every height, factored zeta heads included.  That call leaves the
+    points to the callback, which raises as it always did, only where
+    the callback would raise at some point."""
     z = _HardyZ(sigma)
     scan_route = None
     if sigma == 0.5:

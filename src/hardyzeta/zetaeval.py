@@ -83,16 +83,18 @@ _EXTRA_COST = _BERNOULLI_COST * (EM_ORDER_MAX - EM_ORDER)
 _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 
 # Riemann zeta heads of at least this many terms are summed over the
-# integers coprime to 30 (_factored_head), below it term by term.  Head
-# times, factored against term by term, best of 20 rounds of 100 calls
-# at s = 1/2 + 9000i, in process on a 2-vCPU shared Xeon: 61 against
-# 115 us at 2688 terms, 46 against 71 at 1500, 35 against 41 at 800,
-# 33 against 33 at 600 and 31 against 27 at 450.  At sigma = 1/2 the
-# head reaches 800 terms at t = 2690; the EM_ORDER pair's heads (at
-# most 648 terms on sigma >= -2) stay term by term.
-_SMOOTH_MIN_TERMS = 800
+# integers coprime to 30 (_factored_head), below it term by term, by
+# zeta_em and by the batched core (_em_blocks) alike.  Scalar head
+# times with the split memoized, factored against term by term, best of
+# 20 rounds of 100 calls at s = 1/2 + 1000i, in process on a 2-vCPU
+# shared Xeon: 14.3 against 11.7 us at 100 terms, 15.3 against 14.3 at
+# 150, 16.9 against 16.9 at 200, 18.3 against 20.8 at 250, 19.3 against
+# 24.5 at 450, 22.7 against 37.6 at 800 and 46.8 against 115.2 at 2688.
+# At sigma = 1/2 the head reaches 200 terms at t = 314 on the EM_ORDER
+# pair.
+_SMOOTH_MIN_TERMS = 200
 
-# Complex elements in one row block of _em_sum_many's head (256 KB), so
+# Complex elements in one row block of _em_sum_many's heads (256 KB), so
 # a batched head holds no more memory than a scalar head of 2^14 terms.
 _HEAD_BLOCK = 2**14
 
@@ -238,6 +240,38 @@ def _smooth_numbers(limit: int) -> np.ndarray:
     return np.array(sorted(smooth), dtype=float)
 
 
+# Every 5-smooth m a head can hold, 507 of them (4 KB): a split reads its
+# m as a prefix.
+_SMOOTH = _smooth_numbers(MAX_TERMS)
+
+
+def _smooth_prefix(limit: int) -> np.ndarray:
+    """The 5-smooth integers 1 <= m <= limit, ascending."""
+    return _SMOOTH[:np.searchsorted(_SMOOTH, limit, "right")]
+
+
+def _coprime_numbers(limit: int) -> np.ndarray:
+    """The integers 1 <= c <= limit coprime to 30, ascending."""
+    # The wheel in floats and one cut: int64 % and a boolean mask would
+    # load numpy code pages no other kernel loads.
+    wheel = (30.0 * np.arange(limit // 30 + 1, dtype=float)[:, None]
+             + _WHEEL).ravel()
+    return wheel[:np.searchsorted(wheel, limit, "right")]
+
+
+def _last_smooth(smooth: np.ndarray, coprime: np.ndarray,
+                 terms: int | np.ndarray) -> np.ndarray:
+    """For each c of coprime, the index in smooth (the 5-smooth m up to
+    at least terms, ascending) of the largest m <= terms / c: the rule
+    by which _factor_split splits a head of terms terms, and by which
+    the batched head cuts each shorter head's split from a longer one.
+    terms may be a column of head lengths, one row each."""
+    # Exact in floats: m c <= terms gives fl(terms / c) >= m, and
+    # m c > terms puts terms / c at least 1/c >= 1/MAX_TERMS below m,
+    # far more than its rounding error below MAX_TERMS.
+    return np.searchsorted(smooth, terms / coprime, "right") - 1
+
+
 @functools.lru_cache(maxsize=1)
 def _factor_split(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log c for the c <= terms coprime to 30, log m for the 5-smooth
@@ -247,18 +281,28 @@ def _factor_split(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Memoized by length, one entry: the heads of one window arrive with
     rising lengths, so a longer cache misses no less, and the entry of
-    the last length is all that stays live."""
-    # The wheel in floats and one cut: int64 % and a boolean mask would
-    # load numpy code pages no other kernel loads.
-    wheel = (30.0 * np.arange(terms // 30 + 1, dtype=float)[:, None]
-             + _WHEEL).ravel()
-    coprime = wheel[:np.searchsorted(wheel, terms, "right")]
-    smooth = _smooth_numbers(terms)
-    # Exact in floats: m c <= terms gives fl(terms / c) >= m, and
-    # m c > terms puts terms / c at least 1/c >= 1/MAX_TERMS below m,
-    # far more than its rounding error below MAX_TERMS.
-    last = np.searchsorted(smooth, terms / coprime, "right") - 1
+    the last length is all that stays live.  A block of the batched head
+    reads it once, for its longest head (_factor_table)."""
+    coprime, smooth = _coprime_numbers(terms), _smooth_prefix(terms)
+    last = _last_smooth(smooth, coprime, terms)
     return _frozen(np.log(coprime)), _frozen(np.log(smooth)), _frozen(last)
+
+
+def _factor_table(terms: int) -> tuple[np.ndarray, ...]:
+    """c, m, log c and log m for the c <= terms coprime to 30 and the
+    5-smooth m <= terms: the table of one block of points, from which
+    _add_factored_heads cuts the split of each of its factored heads."""
+    coprime_log, smooth_log, _ = _factor_split(terms)
+    return (_coprime_numbers(terms), _smooth_prefix(terms), coprime_log,
+            smooth_log)
+
+
+def _factored(a: float, terms: int | np.ndarray) -> bool | np.ndarray:
+    """Whether _em_sum, and so the batched head, sums a head of terms
+    terms at offset a over the integers coprime to 30 (_factored_head):
+    for a = 1 and at least _SMOOTH_MIN_TERMS terms.  terms may be an
+    array of lengths, which gives an array."""
+    return a == 1.0 and terms >= _SMOOTH_MIN_TERMS
 
 
 def _factored_head(s: complex, terms: int) -> complex:
@@ -267,7 +311,9 @@ def _factored_head(s: complex, terms: int) -> complex:
     W(x) is the sum of m^{-s} over the 5-smooth m <= x, read from their
     cumulative sum.  Takes one complex exp for each c, about 27% of the
     terms, and one for each m, 123 up to 3000 terms, where the plain
-    head takes one per term.
+    head takes one per term.  The batched head (_add_heads) sums each
+    point's head as a row of this expression, so its values are these
+    bit for bit.
 
     The split behind it is memoized by length, one entry, and keeps
     16 B per c and 8 B per m: 13784 B at 3000 terms (800 c and 123 m),
@@ -332,7 +378,7 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
             and -s.real * math.log(a) > _LOG_FLOAT_MAX):
         raise DomainError(
             f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
-    if a == 1.0 and terms >= _SMOOTH_MIN_TERMS:
+    if _factored(a, terms):
         head = _factored_head(s, terms)
     else:
         ns = np.arange(0, terms, dtype=float) + a
@@ -376,37 +422,32 @@ def _c_quot(ar, ai, br, bi):
                 np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
-                 m: int) -> np.ndarray | None:
+def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
+                 table: tuple[np.ndarray, ...] | None) -> np.ndarray | None:
     """_em_sum at every point of the 1-D complex array s for each offset
     of the 1-D float array a: row k of the result holds the values for
     a[k].  Point i sums terms[i] head terms with m Bernoulli
-    corrections, and n_cut = terms[i], as hurwitz_zeta passes it.
-    Returns None where _em_sum would raise at any point: N above
-    MAX_TERMS, Backlund's premises failed, an overflow, or a Backlund
+    corrections.  The caller has refused every cutoff N above MAX_TERMS,
+    as _em_sum does.  Returns None where _em_sum would raise at any
+    other point: Backlund's premises failed, an overflow, or a Backlund
     bound or left-of-strip rounding estimate above EM_TOL.  The caller
     then takes the points one at a time through _em_sum, which raises
-    its own error.  It also returns None where _em_sum would factor a
-    head (a = 1 and at least _SMOOTH_MIN_TERMS terms), so every value it
-    returns is the scalar's.
+    its own error.
 
     The tail is elementwise numpy over the points in the scalar's
     operations and order: base^(1-s) is Python's complex power at each
     point, and complex products and quotients follow CPython's formulas
     (_c_prod, _c_quot).  The Pochhammer products, which do not depend on
-    a, are formed once.  The head takes the points of each N together:
-    exp(-s (x) log(n+a)) summed along each row, in row blocks of at most
-    _HEAD_BLOCK complex elements (256 KB; a row longer than that is a
-    block of its own, as large as the scalar head).  Each row's terms
-    and their sum are the scalar head's.  The head is always summed term
-    by term, never factored."""
+    a, are formed once, from factors formed for every order at once.  The
+    heads (_add_heads) are summed as _em_sum sums them, factored where
+    it factors them, from table: the _factor_table of the caller's
+    longest head of a = 1, or None if none has _SMOOTH_MIN_TERMS terms.
+    Each row's terms and their sum are the scalar head's."""
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
     base = terms + a[:, None]
     # Before the complex powers, which a failed premise could overflow.
-    if (np.any(terms > MAX_TERMS) or np.any(edge <= 0.0)
-            or np.any(base <= np.abs(si) / TWO_PI)
-            or (np.any(a == 1.0) and np.any(terms >= _SMOOTH_MIN_TERMS))):
+    if np.any(edge <= 0.0) or np.any(base <= np.abs(si) / TWO_PI):
         return None
     rows = base.tolist()
     expo = (1.0 - s).tolist()
@@ -422,12 +463,16 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
         ti = ti + 0.5 * pw1.imag / base
         wr, wi = pw1.real * inv2, pw1.imag * inv2
         cr, ci = sr, si
+        # The factors (s+2k+1)(s+2k+2) of the Pochhammer products, row k.
+        odd = np.arange(1.0, 2.0 * m, 2.0)[:, None]
+        fr, fi = _c_prod(sr + odd, si, sr + (odd + 1.0), si)
         for k in range(m):
             ur, ui = _c_prod(_EM_COEF[k] * cr, _EM_COEF[k] * ci, wr, wi)
             tr, ti = tr + ur, ti + ui
             wr, wi = wr * inv2, wi * inv2
-            cr, ci = _c_prod(cr, ci, *_c_prod(sr + (2 * k + 1), si,
-                                               sr + (2 * k + 2), si))
+            cr, ci = _c_prod(cr, ci, fr[k], fi[k])
+        # Freed before the heads, where a point block peaks in memory.
+        del fr, fi
         # The tail now, the head is added below.
         value = np.empty(base.shape, dtype=complex)
         value.real, value.imag = tr, ti
@@ -439,12 +484,7 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
                  & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX))
     if not np.isfinite(value).all() or np.any(head_over):
         return None
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(terms.tolist()):
-        groups.setdefault(n, []).append(i)
-    for n, members in groups.items():
-        idx = np.array(members)
-        _add_heads(value, idx, sr[idx], si[idx], a, n)
+    _add_heads(value, sr, si, a, terms, table)
     limit = EM_TOL * np.maximum(1.0, np.abs(value))
     left = sr < 0.0
     sigma1 = 1.0 - sr[left]
@@ -454,22 +494,91 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray,
     return value
 
 
-def _add_heads(value: np.ndarray, idx: np.ndarray, sr: np.ndarray,
-               si: np.ndarray, a: np.ndarray, terms: int) -> None:
+def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
+               a: np.ndarray, terms: np.ndarray,
+               table: tuple[np.ndarray, ...] | None) -> None:
+    """Add sum_{n<terms[i]} (n+a[k])^{-s} to value[k, i] at the points
+    s = sr[i] + i si[i], each head as _em_sum sums it: factored where
+    _factored says so (_add_factored_heads, from table), otherwise term
+    by term, the points of each length together (_add_plain_heads).
+    Every array holds at most _HEAD_BLOCK complex elements (256 KB), or
+    one row if that is longer, as large as the scalar head."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(terms.tolist()):
+        groups.setdefault(n, []).append(i)
+    for n, members in groups.items():
+        idx = np.array(members)
+        _add_plain_heads(value, idx, sr[idx], si[idx], a, n)
+    for k, offset in enumerate(a.tolist()):
+        factored = _factored(offset, terms)
+        if np.any(factored):
+            _add_factored_heads(value[k], np.flatnonzero(factored), sr, si,
+                                terms, table)
+
+
+def _add_plain_heads(value: np.ndarray, idx: np.ndarray, sr: np.ndarray,
+                     si: np.ndarray, a: np.ndarray, terms: int) -> None:
     """Add sum_{n<terms} (n+a[k])^{-s} to value[k, idx] for the points
-    s = sr + i si.  -s (x) log(n+a) is formed as two real outer
-    products, equal to numpy's complex-by-real product (a factor with
-    zero imaginary part adds only exact zeros) at a quarter of its
-    cost, so each row is the scalar head term for term."""
+    s = sr + i si and each a[k] whose head is summed term by term, as
+    the rows of exp(-s (x) log(n+a[k])) (_exp_outer)."""
+    ks = [k for k, offset in enumerate(a.tolist())
+          if not _factored(offset, terms)]
+    if not ks:
+        return
     rows = max(1, _HEAD_BLOCK // terms)
     block = np.empty((min(rows, len(idx)), terms), dtype=complex)
-    for k in range(len(a)):
+    for k in ks:
         logs = np.log(np.arange(0, terms, dtype=float) + a[k])
         for i in range(0, len(idx), rows):
-            part = block[:len(idx[i:i + rows])]
-            np.multiply.outer(-sr[i:i + rows], logs, out=part.real)
-            np.multiply.outer(-si[i:i + rows], logs, out=part.imag)
-            value[k, idx[i:i + rows]] += np.exp(part, out=part).sum(axis=1)
+            part = _exp_outer(sr[i:i + rows], si[i:i + rows], logs,
+                              block[:len(idx[i:i + rows])])
+            value[k, idx[i:i + rows]] += part.sum(axis=1)
+
+
+def _add_factored_heads(value: np.ndarray, idx: np.ndarray,
+                        sr: np.ndarray, si: np.ndarray, terms: np.ndarray,
+                        table: tuple[np.ndarray, ...]) -> None:
+    """Add _factored_head(s, terms[i]) to value[i] at the points i of idx,
+    bit for bit: each row is its expression, exp(-s log m) cumulatively
+    summed and gathered at last, times exp(-s log c), summed, on the
+    split of the row's own length cut from table (_factor_table of the
+    longest) by _last_smooth.  Rows of every length go together, in
+    order of length: a row block's arrays take the widths of its longest
+    row, and each row sums only its own c."""
+    coprime, smooth, coprime_log, smooth_log = table
+    idx = idx[np.argsort(terms[idx], kind="stable")]
+    lengths = terms[idx]
+    n_c = np.searchsorted(coprime, lengths, "right")
+    n_m = np.searchsorted(smooth, lengths, "right")
+    rows = max(1, _HEAD_BLOCK // int(n_c[-1]))
+    for i in range(0, idx.size, rows):
+        part = slice(i, i + rows)
+        points, widths = idx[part], n_c[part]
+        bsr, bsi = sr[points], si[points]
+        w_c = int(widths[-1])
+        partial = np.cumsum(_exp_outer(bsr, bsi, smooth_log[:n_m[part][-1]]),
+                            axis=1)
+        # A c above a row's length gets index -1, a product no sum reads.
+        last = _last_smooth(smooth, coprime[:w_c], lengths[part, None])
+        row_terms = _exp_outer(bsr, bsi, coprime_log[:w_c])
+        row_terms *= np.take_along_axis(partial, last, axis=1)
+        starts = np.flatnonzero(np.diff(widths, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(points)]):
+            value[points[lo:hi]] += row_terms[lo:hi, :widths[lo]].sum(axis=1)
+
+
+def _exp_outer(sr: np.ndarray, si: np.ndarray, logs: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-s (x) logs) for the points s = sr + i si, row i for s[i], in
+    out if given.  -s (x) logs is formed as two real outer products,
+    equal to numpy's complex-by-real product -s * logs (a factor with
+    zero imaginary part adds only exact zeros) at a quarter of its cost,
+    so each row is the scalar's exp(-s * logs) term for term."""
+    if out is None:
+        out = np.empty((len(sr), len(logs)), dtype=complex)
+    np.multiply.outer(-sr, logs, out=out.real)
+    np.multiply.outer(-si, logs, out=out.imag)
+    return np.exp(out, out=out)
 
 
 def zeta_em(s: complex) -> complex:
@@ -575,15 +684,14 @@ def generalized_hardy(sigma: float, t: float) -> GeneralizedHardyValue:
 def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray | None:
     """generalized_hardy(sigma, t).z at every point of the 1-D float
     array ts, bit for bit, or None where generalized_hardy would raise
-    at any point or zeta_em would factor a head (at least
-    _SMOOTH_MIN_TERMS terms, from t ~ 2690 on sigma = 1/2).  The caller
-    then takes the points one at a time through generalized_hardy, which
-    raises its own error.
+    at any point.  The caller then takes the points one at a time
+    through generalized_hardy, which raises its own error.
 
-    zeta comes from _em_blocks, as zeta_em sums it, with no zeta_em
-    call; theta is taken at each point through the scalar theta, and
-    each value is (zeta e^{i theta}).real in CPython's complex
-    arithmetic, as generalized_hardy forms it.  A block of points holds
+    zeta comes from _em_blocks, as zeta_em sums it, factored heads
+    included (from t ~ 314 on sigma = 1/2), with no zeta_em call; theta
+    is taken at each point through the scalar theta, and each value is
+    (zeta e^{i theta}).real in CPython's complex arithmetic, as
+    generalized_hardy forms it.  A block of points holds
     under 1 KB a point (tracemalloc peak)."""
     points = np.empty(ts.shape, dtype=complex)
     points.real, points.imag = sigma, ts
@@ -649,12 +757,14 @@ def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
     _em_sum values, row k for offsets[k]: each point takes its (N, m)
     from _em_pair and sums N - shift head terms (shift 1 as zeta_em
     passes them, 0 as hurwitz_zeta does), one _em_sum_many pass over the
-    block's points of each m.  Yields None for a block that holds a NaN
-    or infinity, the pole s = 1, a point where _em_pair or _em_sum would
-    raise, or a head _em_sum would factor; the caller then takes that
-    block through its scalar path.  (The one zeta cutoff N = MAX_TERMS + 1
-    that _em_sum refuses but shift 1 would pass leaves a head _em_sum
-    would factor, so it is declined too.)"""
+    block's points of each m.  A block whose heads of a = 1 reach
+    _SMOOTH_MIN_TERMS terms reads _factor_split once, for its longest
+    such head, and cuts the others' splits from it.  Yields None for a
+    block that holds a NaN or infinity, the pole s = 1, or a point where
+    _em_pair or _em_sum would raise; the caller then takes that block
+    through its scalar path.  A cutoff N above MAX_TERMS is refused as
+    _em_sum refuses it, whatever the head length: the zeta cutoff
+    N = MAX_TERMS + 1 sums only MAX_TERMS terms."""
     for i in range(0, points.size, _POINT_BLOCK):
         block = points[i:i + _POINT_BLOCK]
         yield slice(i, i + block.size), _em_block(block, offsets, shift)
@@ -669,12 +779,19 @@ def _em_block(points: np.ndarray, offsets: np.ndarray,
         n, m = map(np.array, zip(*[_em_pair(z) for z in points.tolist()]))
     except DomainError:
         return None
+    # Before a factor table is built for a head that long.
+    if np.any(n > MAX_TERMS):
+        return None
+    terms = n - shift
+    longest = int(terms.max())
+    table = (_factor_table(longest) if any(
+        _factored(a, longest) for a in offsets.tolist()) else None)
     values = np.empty((offsets.size, points.size), dtype=complex)
     for order in (EM_ORDER, EM_ORDER_MAX):
         idx = np.flatnonzero(m == order)
         if not idx.size:
             continue
-        part = _em_sum_many(points[idx], offsets, n[idx] - shift, order)
+        part = _em_sum_many(points[idx], offsets, terms[idx], order, table)
         if part is None:
             return None
         values[:, idx] = part

@@ -7,7 +7,13 @@
 - zeta_references_high.txt: 300 points of the Riemann zeta (a = 1) where
   the head is summed over the integers coprime to 30: default_rng(2020),
   sigma uniform in [-2, 3], |t| uniform in [3000, 1e4], the sign of t
-  alternating, positive first.
+  alternating, positive first.  Then 80 zeta points whose heads lie
+  within 20 terms of 200 (where the head starts to be summed over the
+  integers coprime to 30) and of 800 (where it started before), on both
+  sides: default_rng(2029), sigma uniform in [-2, 3], a head length
+  uniform in [T - 20, T + 20] for T = 200, 800 in turn, and the height
+  where zeta_em's cutoff N is that length plus one (threshold_height),
+  its sign alternating every two points, positive first.
 
 Each value is taken at 30 digits and rounded once to the nearest double
 per component.  Needs mpmath.
@@ -17,6 +23,7 @@ per component.  Needs mpmath.
                                                        # both match
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -42,9 +49,41 @@ def high_points():
         yield float(sigma), float(t if i % 2 == 0 else -t), 1.0
 
 
+def threshold_height(sigma, head):
+    """|t| at which zeta_em sums head terms at sigma: up to 220 terms the
+    cutoff N = ceil(2|t|/pi) of the m = 8 pair; from 780, Backlund's
+    cutoff N = ceil(exp(log n)) of the m = 20 pair, with
+    (sigma+41) log n = 42 log(|s|+41) + log(|B_42/42!| / 1e-11)
+    - log(sigma+41), solved for |s| at n = N - 1/2."""
+    n = head + 1
+    if head <= 220:
+        return (n - 0.5) * math.pi / 2.0
+    edge = sigma + 41.0
+    log_coef = float(mpmath.log(abs(mpmath.bernoulli(42))
+                                / mpmath.factorial(42) / mpmath.mpf("1e-11")))
+    s_abs = math.exp((edge * math.log(n - 0.5) + math.log(edge) - log_coef)
+                     / 42.0) - 41.0
+    return math.sqrt(s_abs * s_abs - sigma * sigma)
+
+
+def threshold_points():
+    rng = np.random.default_rng(2029)
+    for i in range(80):
+        sigma = float(rng.uniform(-2.0, 3.0))
+        threshold = (200, 800)[i % 2]
+        t = threshold_height(sigma, int(rng.integers(threshold - 20,
+                                                     threshold + 21)))
+        yield sigma, (t if i // 2 % 2 == 0 else -t), 1.0
+
+
+def all_high_points():
+    yield from high_points()
+    yield from threshold_points()
+
+
 FILES = {
     "zeta_references.txt": points,
-    "zeta_references_high.txt": high_points,
+    "zeta_references_high.txt": all_high_points,
 }
 
 

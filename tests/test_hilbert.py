@@ -101,35 +101,64 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _heads(sigma, ts) -> list[int]:
+    """Zeta head length at each point of Z(sigma, .) on ts."""
+    return [zetaeval._em_pair(complex(sigma, t))[0] - 1 for t in ts]
+
+
 class TestArraySampling:
     """hardy_function samples a grid in one batched Euler-Maclaurin call,
-    bit for bit its callback, and leaves a grid the batch cannot take to
-    the callback."""
+    bit for bit its callback, and leaves a grid with a point the callback
+    refuses to the callback."""
+
+    def _check_batched(self, sigma, ts):
+        # The batch takes the grid, whatever its heights or head lengths.
+        scalar = [generalized_hardy(sigma, t).z for t in ts.tolist()]
+        assert _bits(zetaeval._hardy_z_many(sigma, ts)) == _bits(scalar)
+        assert _bits(hardy_function(sigma).sample(ts)) == _bits(scalar)
 
     # Grids of 10 points in a window of width 40, the first on sigma =
-    # 1/2: below 2*pi the batch takes them all.  Above, it takes a grid
-    # only where all its zeta heads stay term by term, as on sigma = 1/2
-    # below t = 2690, and leaves the others to the callback.
-    @pytest.mark.parametrize("lo,hi,on_half,others", [
-        (-TWO_PI, TWO_PI, True, {True}),
-        (TWO_PI, 2690.0, True, {True, False}),
-        (2690.0, 5000.0, False, {True, False})],
-        ids=["below-2pi", "2pi-2690", "above-2690"])
-    def test_batched_equals_scalar_bit_for_bit(self, lo, hi, on_half,
-                                               others):
+    # 1/2; above t = 2690 every head on sigma = 1/2 is factored.
+    @pytest.mark.parametrize("lo,hi", [
+        (-TWO_PI, TWO_PI), (TWO_PI, 2690.0), (2690.0, 5000.0),
+        (5000.0, 1e4)],
+        ids=["below-2pi", "2pi-2690", "above-2690", "above-5000"])
+    def test_batched_equals_scalar_bit_for_bit(self, lo, hi):
         rng = np.random.default_rng(28)
-        seen = []
         for sigma in [0.5] + rng.uniform(-2.0, 3.0, 11).tolist():
             a = float(rng.uniform(lo, max(lo, hi - 40.0)))
-            ts = np.sort(rng.uniform(a, min(hi, a + 40.0), 10))
-            scalar = [generalized_hardy(sigma, t).z for t in ts.tolist()]
-            assert _bits(hardy_function(sigma).sample(ts)) == _bits(scalar)
-            heads = [zetaeval._em_pair(complex(sigma, t))[0] - 1
-                     for t in ts.tolist()]
-            batched = zetaeval._hardy_z_many(sigma, ts) is not None
-            assert batched == (max(heads) < zetaeval._SMOOTH_MIN_TERMS)
-            seen.append(batched)
-        assert seen[0] == on_half and set(seen[1:]) == others
+            self._check_batched(
+                sigma, np.sort(rng.uniform(a, min(hi, a + 40.0), 10)))
+
+    @pytest.mark.parametrize("threshold", [zetaeval._SMOOTH_MIN_TERMS, 800])
+    def test_heads_straddling_a_threshold(self, threshold):
+        # Seeded sigma in [-2, 3] and 64 points around the height where
+        # the head reaches the threshold, found by bisection: one block
+        # with heads of at least 5 lengths, on both sides of it.
+        rng = np.random.default_rng(29)
+        for sigma in [0.5] + rng.uniform(-2.0, 3.0, 5).tolist():
+            lo, hi = 10.0, 1e4
+            while hi - lo > 1e-3:
+                mid = 0.5 * (lo + hi)
+                if max(_heads(sigma, [mid])) < threshold:
+                    lo = mid
+                else:
+                    hi = mid
+            ts = np.sort(rng.uniform(lo - 15.0, lo + 15.0, 64))
+            heads = _heads(sigma, ts)
+            assert len(set(heads)) >= 5
+            assert min(heads) < threshold <= max(heads)
+            self._check_batched(sigma, ts)
+
+    def test_rows_beyond_one_head_block(self):
+        # 300 points sharing nearly every head length: one length's
+        # factored rows (c coprime to 30) hold several _HEAD_BLOCKs.
+        ts = np.linspace(9000.0, 9000.5, 300)
+        heads = _heads(0.5, ts)
+        longest = max(set(heads), key=heads.count)
+        coprime = sum(math.gcd(n, 30) == 1 for n in range(1, longest + 1))
+        assert heads.count(longest) * coprime > 2 * zetaeval._HEAD_BLOCK
+        self._check_batched(0.5, ts)
 
     def test_gram_schmidt_outputs_bit_for_bit(self):
         rng = np.random.default_rng(2718)
@@ -146,11 +175,18 @@ class TestArraySampling:
             # leaves its points to the callback.
             assert (g.many(ts) is None) == (k == 3)
 
+    # Above t = 2690 the heads are factored; the last grid's second point
+    # has the cutoff N = MAX_TERMS + 1, which sums MAX_TERMS head terms.
     @pytest.mark.parametrize("sigma,ts", [
         (0.5, [20.0, 21.0, math.nan, 22.0, math.nan]),
         (1.0, [-1.0, -0.5, 0.0, 0.5]),
         (-20.0, [1.0, 2.0, 3.0]),
-    ], ids=["nan", "pole", "sigma-minus-20"])
+        (0.5, [3000.0, 3001.0, math.nan, 9000.0]),
+        (-3.0, [3000.0, 4000.0, 9000.0, 3500.0]),
+        (-20.0, [2990.0, 3000.0]),
+        (-1.7, [3000.0, 0.5 * math.pi * (zetaeval.MAX_TERMS + 0.5), 9000.0]),
+    ], ids=["nan", "pole", "sigma-minus-20", "nan-above-2690",
+            "bound-above-2690", "premise-above-2690", "cutoff-above-max"])
     def test_refusals_raise_the_callbacks_error(self, sigma, ts):
         f = hardy_function(sigma)
         scalar = SampledFunction(lambda t: generalized_hardy(sigma, t).z,
@@ -166,18 +202,19 @@ class TestArraySampling:
     def test_memory_is_one_point_block(self, monkeypatch):
         # Under 1 KB a point, as for the Davenport-Heilbronn grids: two
         # blocks of points, both taken by the batch, which never calls
-        # the scalar kernel.
+        # the scalar kernel; at t = 9000 every head is factored.
         n = 2 * zetaeval._POINT_BLOCK
-        ts = np.linspace(10.0, 20.0, n)
         f = hardy_function(0.6)
         monkeypatch.setattr(hilbert, "generalized_hardy", None)
-        tracemalloc.start()
-        try:
-            f.sample(ts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1024 * n
+        for lo in (10.0, 9000.0):
+            ts = np.linspace(lo, lo + 10.0, n)
+            tracemalloc.start()
+            try:
+                f.sample(ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1024 * n, lo
 
 
 class TestInterval:

@@ -14,7 +14,8 @@ import pytest
 from hardyzeta import specialfn, zetaeval
 from hardyzeta.errors import DomainError, PoleError
 from hardyzeta.specialfn import chi, log_gamma, theta
-from hardyzeta.hilbert import Interval
+from hardyzeta.hilbert import (Interval, gauss_legendre_rule, hardy_function,
+                               oscillation_order)
 from hardyzeta.zerofinder import (argument_principle_count,
                                   find_critical_zeros)
 from hardyzeta.zetaeval import (
@@ -240,28 +241,41 @@ class TestDefaultPair:
 
     def test_matches_frozen_high_references(self):
         # 300 Riemann zeta values at |t| in [3000, 1e4], where the head is
-        # summed over the integers coprime to 30, frozen from mpmath by
-        # tests/data/make_zeta_references.py; same tolerances as above.
+        # summed over the integers coprime to 30, then 80 whose heads lie
+        # within 20 terms of the threshold 200 and of 800, on both
+        # sides; frozen from mpmath by tests/data/make_zeta_references.py,
+        # same tolerances as above.
         path = Path(__file__).with_name("data") / "zeta_references_high.txt"
         rows = [[float.fromhex(x) for x in line.split()]
                 for line in path.read_text(encoding="ascii").splitlines()
                 if not line.startswith("#")]
-        assert len(rows) == 300
+        assert len(rows) == 380
         rng = np.random.default_rng(2020)
         factored = 0
-        for i, (sigma, t, a, re, im) in enumerate(rows):
+        for i, (sigma, t, a, re, im) in enumerate(rows[:300]):
             seeded_sigma = rng.uniform(-2.0, 3.0)
             seeded_t = rng.uniform(3000.0, 1e4)
             assert (sigma, t, a) == (
                 seeded_sigma, seeded_t if i % 2 == 0 else -seeded_t, 1.0)
-            s = complex(sigma, t)
-            factored += (zetaeval._em_pair(s)[0] - 1
+            factored += (zetaeval._em_pair(complex(sigma, t))[0] - 1
                          >= zetaeval._SMOOTH_MIN_TERMS)
+        assert factored == 300
+        rng = np.random.default_rng(2029)
+        sides = Counter()
+        for i, (sigma, t, a, re, im) in enumerate(rows[300:]):
+            threshold = (zetaeval._SMOOTH_MIN_TERMS, 800)[i % 2]
+            assert sigma == rng.uniform(-2.0, 3.0) and a == 1.0
+            assert (t > 0.0) == (i // 2 % 2 == 0)
+            head = int(rng.integers(threshold - 20, threshold + 21))
+            assert zetaeval._em_pair(complex(sigma, t))[0] - 1 == head
+            sides[threshold, head < threshold] += 1
+        assert min(sides.values()) >= 10 and len(sides) == 4
+        for sigma, t, a, re, im in rows:
+            s = complex(sigma, t)
             got = zeta_em(s)
             ref = complex(re, im)
             rel = 2e-11 if sigma >= 0.0 else 1e-10
             assert abs(got - ref) <= rel * max(1.0, abs(ref)), s
-        assert factored >= 250
 
     def test_extreme_inputs_fall_back(self):
         # Backlund's premise fails for the higher order, its Pochhammer
@@ -600,6 +614,27 @@ class TestBatchedModFive:
         assert type(batched.value) is type(scalar.value)
         assert str(batched.value) == str(scalar.value)
 
+    def test_cutoffs_above_max_terms_refused_before_any_head(
+            self, monkeypatch):
+        # _em_sum refuses a cutoff N above MAX_TERMS by N, whatever its
+        # head length: zeta's N = MAX_TERMS + 1 sums MAX_TERMS terms.
+        # The batch declines such a block before it builds a factor
+        # table or sums a head of that length.
+        def untouchable(*args):
+            raise AssertionError("summed a head")
+
+        monkeypatch.setattr(zetaeval, "_add_heads", untouchable)
+        monkeypatch.setattr(zetaeval, "_factor_table", untouchable)
+        t = 0.5 * math.pi * (MAX_TERMS + 0.5)
+        assert zetaeval._em_pair(complex(-1.7, t)) == (MAX_TERMS + 1,
+                                                       EM_ORDER)
+        for points, offsets, shift in (
+                ([complex(-1.7, 3000.0), complex(-1.7, t)], [1.0], 1),
+                ([0.7 + 85.0j, complex(0.5, 5e6)], [0.2, 0.4, 0.6, 0.8], 0)):
+            blocks = zetaeval._em_blocks(np.array(points), np.array(offsets),
+                                         shift)
+            assert [values for _, values in blocks] == [None]
+
     def test_first_refused_point_decides_the_error(self):
         # A bound refusal before a premise refusal: the array raises the
         # bound's error, as a loop of scalar calls does.
@@ -687,7 +722,7 @@ class TestFactoredHead:
 
     @pytest.mark.parametrize("terms", [
         1, 2, 29, 30, 31, 255, zetaeval._SMOOTH_MIN_TERMS - 1,
-        zetaeval._SMOOTH_MIN_TERMS, 2688, 2989, 3000])
+        zetaeval._SMOOTH_MIN_TERMS, 799, 800, 2688, 2989, 3000])
     def test_products_cover_each_n_once(self, terms):
         zetaeval._factor_split.cache_clear()
         split = zetaeval._factor_split(terms)
@@ -700,8 +735,8 @@ class TestFactoredHead:
         assert products == list(range(1, terms + 1))
 
     @pytest.mark.parametrize("terms", [
-        zetaeval._SMOOTH_MIN_TERMS - 1, zetaeval._SMOOTH_MIN_TERMS,
-        2688, 2989])
+        zetaeval._SMOOTH_MIN_TERMS - 1, zetaeval._SMOOTH_MIN_TERMS, 799,
+        800, 2688, 2989])
     @pytest.mark.parametrize("s", [
         0.5 + 9000.0j, 0.5 - 9000.0j, 0.0 + 8000.0j, 3.0 + 3000.0j,
         -2.0 + 8000.0j, 1.0 + 1.0j])
@@ -720,16 +755,46 @@ class TestFactoredHead:
             raise AssertionError("read the factor split")
 
         monkeypatch.setattr(zetaeval, "_factor_split", untouchable)
-        # At sigma = 1/2 the head first reaches 800 terms at t = 2690.
-        zeta_em(complex(0.5, 2600.0))
-        zeta_em(complex(-2.0, 1000.0))
+        # On the EM_ORDER pair (|t| below _T_FIXED) the head has
+        # ceil(2|t|/pi) - 1 terms: one term short of the threshold at
+        # below, one past it at above.
+        below = 0.5 * math.pi * zetaeval._SMOOTH_MIN_TERMS - 0.5
+        above = 0.5 * math.pi * (zetaeval._SMOOTH_MIN_TERMS + 1) + 0.5
+        assert above < zetaeval._T_FIXED
+        for sigma in (0.5, -2.0, 3.0):
+            for t in (below, -below):
+                assert (zetaeval._em_pair(complex(sigma, t))[0] - 1
+                        == zetaeval._SMOOTH_MIN_TERMS - 1)
+                zeta_em(complex(sigma, t))
+                generalized_hardy(sigma, t)
+            zetaeval._hardy_z_many(sigma, np.linspace(-below, below, 9))
         hurwitz_zeta(complex(0.5, 9000.0), 0.2)
         davenport_heilbronn(complex(0.75, 9000.0))
+        davenport_heilbronn(0.75 + 1j * np.linspace(8990.0, 9000.0, 9))
         hardy_z_rs(9000.0)
-        with pytest.raises(AssertionError, match="factor split"):
-            zeta_em(complex(0.5, 9000.0))
-        with pytest.raises(AssertionError, match="factor split"):
-            hurwitz_zeta(complex(0.5, 9000.0), 1.0)
+        for call in (lambda: zeta_em(complex(0.5, above)),
+                     lambda: hurwitz_zeta(complex(0.5, above), 1.0),
+                     lambda: zetaeval._hardy_z_many(
+                         0.5, np.array([10.0, above]))):
+            with pytest.raises(AssertionError, match="factor split"):
+                call()
+
+    def test_cuts_equal_the_split_of_their_length(self):
+        # The batched head cuts each shorter head's split from the table
+        # of a block's longest head, by the rule _factor_split applies.
+        zetaeval._factor_split.cache_clear()
+        coprime, smooth, coprime_log, smooth_log = zetaeval._factor_table(
+            3000)
+        for terms in [1, 29, 30, 31, 199, 200, 201, 799, 800, 2688, 2999,
+                      3000]:
+            n_c = np.searchsorted(coprime, terms, "right")
+            n_m = np.searchsorted(smooth, terms, "right")
+            cut = (coprime_log[:n_c], smooth_log[:n_m],
+                   zetaeval._last_smooth(smooth, coprime[:n_c], terms))
+            zetaeval._factor_split.cache_clear()
+            for got, want in zip(cut, zetaeval._factor_split(terms)):
+                assert np.array_equal(got, want)
+        zetaeval._factor_split.cache_clear()
 
     def test_table_memory(self):
         zetaeval._factor_split.cache_clear()
@@ -802,6 +867,22 @@ def test_a_scan_recomputes_neither_table():
     split = zetaeval._factor_split.cache_info()
     assert rs.misses == 1 and rs.hits >= 400
     assert split.misses <= 3 and split.hits >= 30
+
+
+@pytest.mark.parametrize("lo", [990.0, 9000.0])
+def test_a_sample_builds_one_factor_split(lo):
+    # About 100 Gauss nodes whose factored heads run over several
+    # lengths: the batch builds the split of the longest once and cuts
+    # the others from it.
+    iv = Interval(lo, lo + 10.0)
+    ts = gauss_legendre_rule(oscillation_order(iv), iv).nodes
+    for sigma in (0.5, 0.3, 0.75):
+        heads = {zetaeval._em_pair(complex(sigma, t))[0] - 1
+                 for t in ts.tolist()}
+        assert len(heads) >= 3 and min(heads) >= zetaeval._SMOOTH_MIN_TERMS
+        zetaeval._factor_split.cache_clear()
+        hardy_function(sigma).sample(ts)
+        assert zetaeval._factor_split.cache_info().misses <= 1
 
 
 class TestGeneralizedHardy:
