@@ -16,7 +16,7 @@ one batched call, bit for bit their point-by-point values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -271,8 +271,8 @@ def gram_schmidt(fs: Sequence[SampledFunction],
     values); later outputs are explicit linear combinations of the
     inputs, so they remain evaluable anywhere on the interval.  Outputs
     are not normalized.  Raises DependenceError naming the first index
-    whose residual drops below DEPENDENCE_TOL relative to the input's
-    norm.
+    whose residual is not above DEPENDENCE_TOL relative to the input's
+    norm: a zero input, or a NaN residual, raises too.
     """
     if len(fs) < 1:
         raise DomainError("gram_schmidt needs at least one function")
@@ -294,17 +294,14 @@ def gram_schmidt(fs: Sequence[SampledFunction],
                 row -= c * coeff_rows[k]
         orig = math.sqrt(max(_dot(w, samples[i], samples[i]), 0.0))
         resid = math.sqrt(max(_dot(w, vec, vec), 0.0))
-        if resid < DEPENDENCE_TOL * orig:
+        if not resid > DEPENDENCE_TOL * orig:
             raise DependenceError(index=i, residual=resid / orig if orig else 0.0,
                                   tol=DEPENDENCE_TOL)
         basis_vals.append(vec)
         basis_sq.append(_dot(w, vec, vec))
         coeff_rows.append(row)
         if i == 0:
-            outputs.append(SampledFunction(eval=fs[0].eval,
-                                           label=fs[0].label,
-                                           scan_route=fs[0].scan_route,
-                                           many=fs[0].many))
+            outputs.append(replace(fs[0]))
         else:
             combination = _Combination(row, fs)
             outputs.append(

@@ -94,8 +94,9 @@ _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 # pair.
 _SMOOTH_MIN_TERMS = 200
 
-# Complex elements in one row block of _em_sum_many's heads (256 KB), so
-# a batched head holds no more memory than a scalar head of 2^14 terms.
+# Complex elements in one row block of the batched heads (_add_heads),
+# 256 KB: rows of one head length, so a batched head holds no more
+# memory than a scalar head of 2^14 terms.
 _HEAD_BLOCK = 2**14
 
 # Most points one block of the batched Euler-Maclaurin core (_em_blocks)
@@ -260,12 +261,11 @@ def _coprime_numbers(limit: int) -> np.ndarray:
 
 
 def _last_smooth(smooth: np.ndarray, coprime: np.ndarray,
-                 terms: int | np.ndarray) -> np.ndarray:
+                 terms: int) -> np.ndarray:
     """For each c of coprime, the index in smooth (the 5-smooth m up to
     at least terms, ascending) of the largest m <= terms / c: the rule
     by which _factor_split splits a head of terms terms, and by which
-    the batched head cuts each shorter head's split from a longer one.
-    terms may be a column of head lengths, one row each."""
+    the batched head cuts each shorter head's split from a longer one."""
     # Exact in floats: m c <= terms gives fl(terms / c) >= m, and
     # m c > terms puts terms / c at least 1/c >= 1/MAX_TERMS below m,
     # far more than its rounding error below MAX_TERMS.
@@ -291,17 +291,16 @@ def _factor_split(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _factor_table(terms: int) -> tuple[np.ndarray, ...]:
     """c, m, log c and log m for the c <= terms coprime to 30 and the
     5-smooth m <= terms: the table of one block of points, from which
-    _add_factored_heads cuts the split of each of its factored heads."""
+    _add_heads cuts the split of each factored head length."""
     coprime_log, smooth_log, _ = _factor_split(terms)
     return (_coprime_numbers(terms), _smooth_prefix(terms), coprime_log,
             smooth_log)
 
 
-def _factored(a: float, terms: int | np.ndarray) -> bool | np.ndarray:
+def _factored(a: float, terms: int) -> bool:
     """Whether _em_sum, and so the batched head, sums a head of terms
     terms at offset a over the integers coprime to 30 (_factored_head):
-    for a = 1 and at least _SMOOTH_MIN_TERMS terms.  terms may be an
-    array of lengths, which gives an array."""
+    for a = 1 and at least _SMOOTH_MIN_TERMS terms."""
     return a == 1.0 and terms >= _SMOOTH_MIN_TERMS
 
 
@@ -439,10 +438,11 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
     point, and complex products and quotients follow CPython's formulas
     (_c_prod, _c_quot).  The Pochhammer products, which do not depend on
     a, are formed once, from factors formed for every order at once.  The
-    heads (_add_heads) are summed as _em_sum sums them, factored where
-    it factors them, from table: the _factor_table of the caller's
-    longest head of a = 1, or None if none has _SMOOTH_MIN_TERMS terms.
-    Each row's terms and their sum are the scalar head's."""
+    heads (_add_heads) are summed by head length, as _em_sum sums them,
+    factored where it factors them, from table: the _factor_table of
+    the caller's longest head of a = 1, or None if none has
+    _SMOOTH_MIN_TERMS terms.  Each row's terms and their sum are the
+    scalar head's."""
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
     base = terms + a[:, None]
@@ -498,9 +498,11 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
                a: np.ndarray, terms: np.ndarray,
                table: tuple[np.ndarray, ...] | None) -> None:
     """Add sum_{n<terms[i]} (n+a[k])^{-s} to value[k, i] at the points
-    s = sr[i] + i si[i], each head as _em_sum sums it: factored where
-    _factored says so (_add_factored_heads, from table), otherwise term
-    by term, the points of each length together (_add_plain_heads).
+    s = sr[i] + i si[i], each head as _em_sum sums it, bit for bit.  The
+    points of each head length go together.  A head summed term by term
+    is a row of exp(-s (x) log(n+a[k])); one that _factored factors is
+    a row of _factored_head's expression on the split of its length,
+    cut from table (the _factor_table of the longest) by _last_smooth.
     Every array holds at most _HEAD_BLOCK complex elements (256 KB), or
     one row if that is longer, as large as the scalar head."""
     groups: dict[int, list[int]] = {}
@@ -508,63 +510,26 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
         groups.setdefault(n, []).append(i)
     for n, members in groups.items():
         idx = np.array(members)
-        _add_plain_heads(value, idx, sr[idx], si[idx], a, n)
-    for k, offset in enumerate(a.tolist()):
-        factored = _factored(offset, terms)
-        if np.any(factored):
-            _add_factored_heads(value[k], np.flatnonzero(factored), sr, si,
-                                terms, table)
-
-
-def _add_plain_heads(value: np.ndarray, idx: np.ndarray, sr: np.ndarray,
-                     si: np.ndarray, a: np.ndarray, terms: int) -> None:
-    """Add sum_{n<terms} (n+a[k])^{-s} to value[k, idx] for the points
-    s = sr + i si and each a[k] whose head is summed term by term, as
-    the rows of exp(-s (x) log(n+a[k])) (_exp_outer)."""
-    ks = [k for k, offset in enumerate(a.tolist())
-          if not _factored(offset, terms)]
-    if not ks:
-        return
-    rows = max(1, _HEAD_BLOCK // terms)
-    block = np.empty((min(rows, len(idx)), terms), dtype=complex)
-    for k in ks:
-        logs = np.log(np.arange(0, terms, dtype=float) + a[k])
-        for i in range(0, len(idx), rows):
-            part = _exp_outer(sr[i:i + rows], si[i:i + rows], logs,
-                              block[:len(idx[i:i + rows])])
-            value[k, idx[i:i + rows]] += part.sum(axis=1)
-
-
-def _add_factored_heads(value: np.ndarray, idx: np.ndarray,
-                        sr: np.ndarray, si: np.ndarray, terms: np.ndarray,
-                        table: tuple[np.ndarray, ...]) -> None:
-    """Add _factored_head(s, terms[i]) to value[i] at the points i of idx,
-    bit for bit: each row is its expression, exp(-s log m) cumulatively
-    summed and gathered at last, times exp(-s log c), summed, on the
-    split of the row's own length cut from table (_factor_table of the
-    longest) by _last_smooth.  Rows of every length go together, in
-    order of length: a row block's arrays take the widths of its longest
-    row, and each row sums only its own c."""
-    coprime, smooth, coprime_log, smooth_log = table
-    idx = idx[np.argsort(terms[idx], kind="stable")]
-    lengths = terms[idx]
-    n_c = np.searchsorted(coprime, lengths, "right")
-    n_m = np.searchsorted(smooth, lengths, "right")
-    rows = max(1, _HEAD_BLOCK // int(n_c[-1]))
-    for i in range(0, idx.size, rows):
-        part = slice(i, i + rows)
-        points, widths = idx[part], n_c[part]
-        bsr, bsi = sr[points], si[points]
-        w_c = int(widths[-1])
-        partial = np.cumsum(_exp_outer(bsr, bsi, smooth_log[:n_m[part][-1]]),
-                            axis=1)
-        # A c above a row's length gets index -1, a product no sum reads.
-        last = _last_smooth(smooth, coprime[:w_c], lengths[part, None])
-        row_terms = _exp_outer(bsr, bsi, coprime_log[:w_c])
-        row_terms *= np.take_along_axis(partial, last, axis=1)
-        starts = np.flatnonzero(np.diff(widths, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(points)]):
-            value[points[lo:hi]] += row_terms[lo:hi, :widths[lo]].sum(axis=1)
+        gsr, gsi = sr[idx], si[idx]
+        for k, offset in enumerate(a.tolist()):
+            factored = _factored(offset, n)
+            if factored:
+                coprime, smooth, coprime_log, smooth_log = table
+                n_c = np.searchsorted(coprime, n, "right")
+                n_m = np.searchsorted(smooth, n, "right")
+                last = _last_smooth(smooth[:n_m], coprime[:n_c], n)
+                logs, m_logs = coprime_log[:n_c], smooth_log[:n_m]
+            else:
+                logs = np.log(np.arange(0, n, dtype=float) + offset)
+            rows = max(1, _HEAD_BLOCK // logs.size)
+            block = np.empty((min(rows, idx.size), logs.size), dtype=complex)
+            for i in range(0, idx.size, rows):
+                bsr, bsi = gsr[i:i + rows], gsi[i:i + rows]
+                row_terms = _exp_outer(bsr, bsi, logs, block[:bsr.size])
+                if factored:
+                    partial = np.cumsum(_exp_outer(bsr, bsi, m_logs), axis=1)
+                    row_terms *= partial[:, last]
+                value[k, idx[i:i + rows]] += row_terms.sum(axis=1)
 
 
 def _exp_outer(sr: np.ndarray, si: np.ndarray, logs: np.ndarray,

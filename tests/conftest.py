@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from hardyzeta import zetaeval
 from hardyzeta.hilbert import SampledFunction
 from hardyzeta.specialfn import theta
 from hardyzeta.zetaeval import EM_ORDER, _em_sum
@@ -38,3 +39,24 @@ def zeta_at_cutoff():
 @pytest.fixture
 def hardy_at_cutoff():
     return _hardy_at_cutoff
+
+
+@pytest.fixture
+def head_exps(monkeypatch):
+    """head_exps(call) gives call() and the complex exps the batched heads
+    took in it: the elements of every zetaeval._exp_outer call."""
+
+    def run(call):
+        sizes = []
+        exp_outer = zetaeval._exp_outer
+
+        def counted(sr, si, logs, out=None):
+            sizes.append(len(sr) * len(logs))
+            return exp_outer(sr, si, logs, out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zetaeval, "_exp_outer", counted)
+            result = call()
+        return result, sum(sizes)
+
+    return run

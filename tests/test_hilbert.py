@@ -28,6 +28,8 @@ X = SampledFunction(lambda x: x, "x")
 X2 = SampledFunction(lambda x: x * x, "x^2")
 SIN = SampledFunction(math.sin, "sin")
 COS = SampledFunction(math.cos, "cos")
+ZERO = SampledFunction(lambda x: 0.0, "0")
+NAN = SampledFunction(lambda x: math.nan, "nan")
 
 
 class TestSample:
@@ -106,6 +108,17 @@ def _heads(sigma, ts) -> list[int]:
     return [zetaeval._em_pair(complex(sigma, t))[0] - 1 for t in ts]
 
 
+def _head_exps(n: int) -> int:
+    """Complex exps of a zeta head of n terms: one a term, or, factored,
+    one for each c <= n coprime to 30 and each 5-smooth m <= n (those m
+    divide 30^20, as n < 2^20)."""
+    if n < zetaeval._SMOOTH_MIN_TERMS:
+        return n
+    coprime = sum(math.gcd(j, 30) == 1 for j in range(1, n + 1))
+    smooth = sum(30**20 % j == 0 for j in range(1, n + 1))
+    return coprime + smooth
+
+
 class TestArraySampling:
     """hardy_function samples a grid in one batched Euler-Maclaurin call,
     bit for bit its callback, and leaves a grid with a point the callback
@@ -131,10 +144,11 @@ class TestArraySampling:
                 sigma, np.sort(rng.uniform(a, min(hi, a + 40.0), 10)))
 
     @pytest.mark.parametrize("threshold", [zetaeval._SMOOTH_MIN_TERMS, 800])
-    def test_heads_straddling_a_threshold(self, threshold):
+    def test_heads_straddling_a_threshold(self, threshold, head_exps):
         # Seeded sigma in [-2, 3] and 64 points around the height where
         # the head reaches the threshold, found by bisection: one block
-        # with heads of at least 5 lengths, on both sides of it.
+        # with heads of at least 5 lengths, on both sides of it.  Each
+        # head takes the exps of its own length, none padded.
         rng = np.random.default_rng(29)
         for sigma in [0.5] + rng.uniform(-2.0, 3.0, 5).tolist():
             lo, hi = 10.0, 1e4
@@ -148,6 +162,8 @@ class TestArraySampling:
             heads = _heads(sigma, ts)
             assert len(set(heads)) >= 5
             assert min(heads) < threshold <= max(heads)
+            _, exps = head_exps(lambda: zetaeval._hardy_z_many(sigma, ts))
+            assert exps == sum(_head_exps(n) for n in heads)
             self._check_batched(sigma, ts)
 
     def test_rows_beyond_one_head_block(self):
@@ -429,6 +445,15 @@ class TestGramSchmidt:
         with pytest.raises(DependenceError) as err:
             gram_schmidt([X, f2], rule)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("fs,index", [
+        ([ZERO, X], 0), ([X, ZERO], 1), ([ZERO], 0), ([X, NAN], 1)],
+        ids=["zero-first", "zero-second", "zero-alone", "nan-second"])
+    def test_zero_or_nan_input_raises_at_its_index(self, fs, index):
+        rule = gauss_legendre_rule(32, Interval(0.0, 1.0))
+        with pytest.raises(DependenceError) as err:
+            gram_schmidt(fs, rule)
+        assert err.value.index == index
 
 
 class TestIndependenceReport:

@@ -569,9 +569,11 @@ class TestBatchedModFive:
                        if m == order) > 2 * zetaeval._HEAD_BLOCK
 
     @pytest.mark.parametrize("fn", [davenport_heilbronn, dirichlet_l_mod5])
-    def test_array_matches_scalar_calls(self, fn):
+    def test_array_matches_scalar_calls(self, fn, head_exps):
         s = _batch_points()
-        got = fn(s)
+        got, exps = head_exps(lambda: fn(s))
+        # Four Hurwitz heads of N terms at each point, none padded.
+        assert exps == 4 * sum(zetaeval._em_pair(z)[0] for z in s.tolist())
         want = np.array([fn(z) for z in s.tolist()])
         assert got.dtype == complex and got.shape == s.shape
         assert np.all(np.abs(got - want)
