@@ -73,9 +73,9 @@ class SampledFunction:
     """A real function of one real variable plus a label for messages.
 
     The callback must be deterministic.  many, when set, is its array
-    entry: many(xs) takes a 1-D float ndarray and returns the callback's
-    values at its points as a float ndarray of the same length, bit for
-    bit, or None to leave the points to the callback.  scan_route, when
+    entry: many(xs) takes a 1-D float ndarray and returns a float
+    ndarray of the same length, the callback's values bit for bit, and
+    NaN at the points it leaves to the callback.  scan_route, when
     set, is an independent and cheaper route to the same function, valid
     for 2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
     sign-change brackets on it there, and refine and report every zero
@@ -85,7 +85,7 @@ class SampledFunction:
     eval: Callable[[float], float]
     label: str = ""
     scan_route: SampledFunction | None = None
-    many: Callable[[np.ndarray], np.ndarray | None] | None = None
+    many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -94,22 +94,21 @@ class SampledFunction:
         """The function at each point of xs, any sequence that
         np.asarray(xs, float) makes 1-D; any other shape raises
         DomainError before anything is evaluated.  The points go to many
-        in one call when it is set; where it is not, or returns None, the
-        callback is called with built-in floats in order.  The first
-        point where it raises, or returns a complex of any type or a
-        value float() rejects (None), raises EvaluationError with that
-        point."""
+        in one call when it is set.  The callback is called, with
+        built-in floats in point order, at every point that many left
+        NaN or infinite, or at every point when many is not set.  The
+        first point where it raises, or returns a complex of any type, a
+        value float() rejects (None), a NaN or an infinity, raises
+        EvaluationError with that point."""
         points = np.asarray(xs, dtype=float)
         if points.ndim != 1:
             raise DomainError(
                 f"{self.label or 'function'} samples a 1-D sequence of "
                 f"points, got shape {points.shape}")
-        if self.many is not None:
-            values = self.many(points)
-            if values is not None:
-                return values
-        out = np.empty(points.size, dtype=float)
-        for i, x in enumerate(points.tolist()):
+        out = (np.full(points.size, math.nan) if self.many is None
+               else self.many(points))
+        todo = np.flatnonzero(~np.isfinite(out))
+        for i, x in zip(todo.tolist(), points[todo].tolist()):
             try:
                 value = self.eval(x)
                 if type(value) is not float:
@@ -117,6 +116,8 @@ class SampledFunction:
                     if np.iscomplexobj(value):
                         raise TypeError(f"returned a complex value {value!r}")
                     value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"returned a non-finite value {value!r}")
                 out[i] = value
             except Exception as exc:
                 raise EvaluationError(
@@ -242,8 +243,8 @@ def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatr
 class _Combination:
     """sum_k c_k f_k over the nonzero coefficients, in index order; many
     adds the inputs' arrays in that order, so its values are the
-    callback's bit for bit, or None where an input has no array entry or
-    leaves its points to the callback."""
+    callback's bit for bit, and NaN at each point an input leaves to its
+    callback, everywhere if an input has no array entry."""
 
     __slots__ = ("terms",)
 
@@ -253,12 +254,11 @@ class _Combination:
     def __call__(self, t: float) -> float:
         return sum(c * f.eval(t) for c, f in self.terms)
 
-    def many(self, xs: np.ndarray) -> np.ndarray | None:
+    def many(self, xs: np.ndarray) -> np.ndarray:
         total = 0
         for c, f in self.terms:
-            values = None if f.many is None else f.many(xs)
-            if values is None:
-                return None
+            values = (np.full(xs.size, math.nan) if f.many is None
+                      else f.many(xs))
             total = total + c * values
         return total
 
@@ -335,7 +335,7 @@ class _HardyZ:
     def __call__(self, t: float) -> float:
         return generalized_hardy(self.sigma, t).z
 
-    def many(self, ts: np.ndarray) -> np.ndarray | None:
+    def many(self, ts: np.ndarray) -> np.ndarray:
         return _hardy_z_many(self.sigma, ts)
 
 
@@ -346,9 +346,9 @@ def hardy_function(sigma: float) -> SampledFunction:
 
     Its array entry samples a whole grid in one batched Euler-Maclaurin
     call (zetaeval._hardy_z_many), bit for bit the callback's values at
-    every height, factored zeta heads included.  That call leaves the
-    points to the callback, which raises as it always did, only where
-    the callback would raise at some point."""
+    every height, factored zeta heads included.  It leaves to the
+    callback only the points where the callback would raise, so sample
+    raises the callback's error at the first of them."""
     z = _HardyZ(sigma)
     scan_route = None
     if sigma == 0.5:

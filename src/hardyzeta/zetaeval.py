@@ -422,16 +422,16 @@ def _c_quot(ar, ai, br, bi):
 
 
 def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
-                 table: tuple[np.ndarray, ...] | None) -> np.ndarray | None:
+                 table: tuple[np.ndarray, ...] | None) -> np.ndarray:
     """_em_sum at every point of the 1-D complex array s for each offset
     of the 1-D float array a: row k of the result holds the values for
     a[k].  Point i sums terms[i] head terms with m Bernoulli
-    corrections.  The caller has refused every cutoff N above MAX_TERMS,
-    as _em_sum does.  Returns None where _em_sum would raise at any
-    other point: Backlund's premises failed, an overflow, or a Backlund
-    bound or left-of-strip rounding estimate above EM_TOL.  The caller
-    then takes the points one at a time through _em_sum, which raises
-    its own error.
+    corrections.  The caller has refused every point where _em_sum
+    would raise before forming a complex power: a cutoff N above
+    MAX_TERMS or a failed Backlund premise.  The column of a point where
+    _em_sum would raise later is NaN: an overflow (a head term a^-s above
+    the largest double included), or a Backlund bound or left-of-strip
+    rounding estimate above EM_TOL.
 
     The tail is elementwise numpy over the points in the scalar's
     operations and order: base^(1-s) is Python's complex power at each
@@ -446,18 +446,15 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
     base = terms + a[:, None]
-    # Before the complex powers, which a failed premise could overflow.
-    if np.any(edge <= 0.0) or np.any(base <= np.abs(si) / TWO_PI):
-        return None
     rows = base.tolist()
     expo = (1.0 - s).tolist()
     pw1 = np.array([[b ** e for b, e in zip(row, expo)] for row in rows],
                    dtype=complex).reshape(base.shape)
     inv2 = np.array([[b ** -2.0 for b in row] for row in rows]
                     ).reshape(base.shape)
-    # What overflows here leaves a non-finite tail, refused below as the
-    # scalar refuses it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # What overflows here leaves a value that is not finite, refused
+    # below as the scalar refuses it.
+    with np.errstate(all="ignore"):
         tr, ti = _c_quot(pw1.real, pw1.imag, sr - 1.0, si)
         tr = tr + 0.5 * pw1.real / base
         ti = ti + 0.5 * pw1.imag / base
@@ -480,17 +477,19 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
         omitted.real, omitted.imag = _c_prod(
             _EM_COEF[m] * cr, _EM_COEF[m] * ci, wr, wi)
         bound = np.abs(s + (2 * m + 1)) / edge * np.abs(omitted)
-    head_over = ((sr > _SIGMA_HEAD_SAFE)
-                 & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX))
-    if not np.isfinite(value).all() or np.any(head_over):
-        return None
-    _add_heads(value, sr, si, a, terms, table)
-    limit = EM_TOL * np.maximum(1.0, np.abs(value))
-    left = sr < 0.0
-    sigma1 = 1.0 - sr[left]
-    rounding = _EPS * (base[:, left] ** sigma1 / sigma1 + 1.0)
-    if not (np.all(bound <= limit) and np.all(rounding <= limit[:, left])):
-        return None
+        _add_heads(value, sr, si, a, terms, table)
+        limit = EM_TOL * np.maximum(1.0, np.abs(value))
+        # _em_sum's test of the largest head term a^-s: numpy's complex
+        # exp can leave a term of modulus just above the largest double
+        # finite, and with it the value.
+        head_over = ((sr > _SIGMA_HEAD_SAFE)
+                     & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX))
+        sigma1 = 1.0 - sr
+        rounding = np.where(sr < 0.0,
+                            _EPS * (base ** sigma1 / sigma1 + 1.0), 0.0)
+        ok = (np.isfinite(value) & ~head_over & (bound <= limit)
+              & (rounding <= limit))
+    value[:, ~ok.all(axis=0)] = np.nan
     return value
 
 
@@ -646,11 +645,11 @@ def generalized_hardy(sigma: float, t: float) -> GeneralizedHardyValue:
     return GeneralizedHardyValue(z=val.real, y=val.imag)
 
 
-def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray | None:
+def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray:
     """generalized_hardy(sigma, t).z at every point of the 1-D float
-    array ts, bit for bit, or None where generalized_hardy would raise
-    at any point.  The caller then takes the points one at a time
-    through generalized_hardy, which raises its own error.
+    array ts, bit for bit, and NaN where generalized_hardy would raise.
+    The caller takes those points, and only those, through
+    generalized_hardy, which raises its own error.
 
     zeta comes from _em_blocks, as zeta_em sums it, factored heads
     included (from t ~ 314 on sigma = 1/2), with no zeta_em call; theta
@@ -662,10 +661,9 @@ def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray | None:
     points.real, points.imag = sigma, ts
     zetas = np.empty(ts.shape, dtype=complex)
     for span, values in _em_blocks(points, np.ones(1), 1):
-        if values is None:
-            return None
         zetas[span] = values[0]
-    return np.array([(z * cmath.exp(1j * theta(t))).real
+    return np.array([math.nan if cmath.isnan(z)
+                     else (z * cmath.exp(1j * theta(t))).real
                      for z, t in zip(zetas.tolist(), ts.tolist())])
 
 
@@ -715,7 +713,7 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
 
 
 def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
-               ) -> Iterator[tuple[slice, np.ndarray | None]]:
+               ) -> Iterator[tuple[slice, np.ndarray]]:
     """The batched Euler-Maclaurin core of zeta, the mod-5 L-function and
     Davenport-Heilbronn.  For each block of at most _POINT_BLOCK points
     of the 1-D complex array points, yields the block's slice and its
@@ -724,42 +722,51 @@ def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
     passes them, 0 as hurwitz_zeta does), one _em_sum_many pass over the
     block's points of each m.  A block whose heads of a = 1 reach
     _SMOOTH_MIN_TERMS terms reads _factor_split once, for its longest
-    such head, and cuts the others' splits from it.  Yields None for a
-    block that holds a NaN or infinity, the pole s = 1, or a point where
-    _em_pair or _em_sum would raise; the caller then takes that block
-    through its scalar path.  A cutoff N above MAX_TERMS is refused as
-    _em_sum refuses it, whatever the head length: the zeta cutoff
-    N = MAX_TERMS + 1 sums only MAX_TERMS terms."""
+    such head, and cuts the others' splits from it.
+
+    The column of a point the scalar would refuse is NaN: a NaN or
+    infinity, the pole s = 1, or a point where _em_pair or _em_sum would
+    raise, for any offset.  The caller takes those points, and only
+    those, through its scalar path, which raises its own error.  A
+    cutoff N above MAX_TERMS is refused as _em_sum refuses it, whatever
+    the head length (the zeta cutoff N = MAX_TERMS + 1 sums only
+    MAX_TERMS terms), and with a failed Backlund premise before any
+    complex power, head or factor table is formed for the point."""
     for i in range(0, points.size, _POINT_BLOCK):
         block = points[i:i + _POINT_BLOCK]
         yield slice(i, i + block.size), _em_block(block, offsets, shift)
 
 
 def _em_block(points: np.ndarray, offsets: np.ndarray,
-              shift: int) -> np.ndarray | None:
+              shift: int) -> np.ndarray:
     """One block of _em_blocks."""
-    if not np.isfinite(points).all() or np.any(points == 1.0):
-        return None
-    try:
-        n, m = map(np.array, zip(*[_em_pair(z) for z in points.tolist()]))
-    except DomainError:
-        return None
-    # Before a factor table is built for a head that long.
-    if np.any(n > MAX_TERMS):
-        return None
+    # A point refused before its pair takes a cutoff above MAX_TERMS, and
+    # is refused below with those _em_pair gives.
+    refused = (MAX_TERMS + 1, EM_ORDER)
+    pairs = []
+    for z in points.tolist():
+        try:
+            pairs.append(_em_pair(z) if cmath.isfinite(z) and z != 1.0
+                         else refused)
+        except DomainError:
+            pairs.append(refused)
+    n, m = map(np.array, zip(*pairs))
+    # About 100 B a point, freed before the sums.
+    del pairs
     terms = n - shift
-    longest = int(terms.max())
+    # What _em_sum refuses before its complex powers: N above MAX_TERMS
+    # and a failed Backlund premise.
+    accepted = ((n <= MAX_TERMS) & (2 * m + 1 + points.real > 0.0)
+                & (terms + offsets.min() > np.abs(points.imag) / TWO_PI))
+    longest = int(terms.max(initial=0, where=accepted))
     table = (_factor_table(longest) if any(
         _factored(a, longest) for a in offsets.tolist()) else None)
-    values = np.empty((offsets.size, points.size), dtype=complex)
+    values = np.full((offsets.size, points.size), np.nan, dtype=complex)
     for order in (EM_ORDER, EM_ORDER_MAX):
-        idx = np.flatnonzero(m == order)
-        if not idx.size:
-            continue
-        part = _em_sum_many(points[idx], offsets, terms[idx], order, table)
-        if part is None:
-            return None
-        values[:, idx] = part
+        idx = np.flatnonzero(accepted & (m == order))
+        if idx.size:
+            values[:, idx] = _em_sum_many(points[idx], offsets, terms[idx],
+                                          order, table)
     return values
 
 
@@ -770,13 +777,13 @@ def _mod5_series(s: complex | np.ndarray,
 
     A scalar s takes four hurwitz_zeta calls and returns a complex.  An
     ndarray s returns a complex array of its shape, from the Hurwitz
-    values of _em_blocks, with no hurwitz_zeta call.  A block that
-    _em_blocks declines (a NaN or infinity, the pole s = 1 or any other
-    point hurwitz_zeta would refuse) is evaluated one point at a time
-    through the scalar branch, which raises the scalar's error for the
-    first refused point.  A block holds under 1 KB a point (tracemalloc
-    peak), so the memory of a call stays near 15 MB however many points
-    it takes."""
+    values of _em_blocks, with no hurwitz_zeta call at the points they
+    accept.  The points they refuse (NaN, an infinity, the pole s = 1 or
+    any other point hurwitz_zeta would refuse), and only those, go
+    through the scalar branch in point order, which raises the scalar's
+    error for the first refused point.  A block holds under 1 KB a
+    point (tracemalloc peak), so the memory of a call stays near 15 MB
+    however many points it takes."""
     if not isinstance(s, np.ndarray):
         total = 0.0 + 0.0j
         for a, c in coeffs.items():
@@ -786,11 +793,9 @@ def _mod5_series(s: complex | np.ndarray,
     offsets = np.array([a / 5.0 for a in coeffs])
     out = np.empty(points.shape, dtype=complex)
     for span, values in _em_blocks(points, offsets, 0):
-        if values is None:
-            out[span] = [_mod5_series(z, coeffs)
-                         for z in points[span].tolist()]
-        else:
-            out[span] = _mod5_block(points[span], values, coeffs)
+        out[span] = _mod5_block(points[span], values, coeffs)
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        out[i] = _mod5_series(complex(points[i]), coeffs)
     return out.reshape(s.shape)
 
 
@@ -805,10 +810,12 @@ def _mod5_block(points: np.ndarray, values: np.ndarray,
     total = 0.0 + 0.0j
     for c, h in zip(coeffs.values(), values):
         total = total + c * h
-    scale = np.exp(-points * math.log(5.0))
-    out = np.empty(points.shape, dtype=complex)
-    out.real, out.imag = _c_prod(scale.real, scale.imag, total.real,
-                                 total.imag)
+    # A refused point's NaN stays NaN, however its scale overflows.
+    with np.errstate(all="ignore"):
+        scale = np.exp(-points * math.log(5.0))
+        out = np.empty(points.shape, dtype=complex)
+        out.real, out.imag = _c_prod(scale.real, scale.imag, total.real,
+                                     total.imag)
     return out
 
 
@@ -819,7 +826,8 @@ def dirichlet_l_mod5(s: complex | np.ndarray) -> complex | np.ndarray:
     character's L-function follows as L(s, chi-bar) = conj(L(conj(s), chi)).
     Takes a complex, or an ndarray of points and returns an array of
     their values, with the refusals and the point blocks of
-    davenport_heilbronn (see _mod5_series).
+    davenport_heilbronn: only a refused point takes the scalar call
+    (see _mod5_series).
     """
     return _mod5_series(s, _CHI5)
 
@@ -843,10 +851,10 @@ def davenport_heilbronn(s: complex | np.ndarray) -> complex | np.ndarray:
     batched Euler-Maclaurin sums over blocks of at most 2^14 points,
     without calling hurwitz_zeta.  Each value equals the scalar call's
     to roundoff (bit for bit with glibc on x86-64; the tests allow 1e-15
-    max(1, |value|)).  A block with a point the scalar call refuses is
-    evaluated point by point through the scalar call, so the array call
-    raises the scalar's error for the first refused point.  The heads
-    take row blocks of at most 2^14 complex elements (256 KB).
+    max(1, |value|)).  A point the scalar call refuses, and only such a
+    point, is evaluated through the scalar call, in point order, so the
+    array call raises the scalar's error for the first refused point.
+    The heads take row blocks of at most 2^14 complex elements (256 KB).
     argument_principle_count evaluates its whole contour grid in one
     such call.
     """

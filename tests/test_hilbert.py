@@ -83,6 +83,20 @@ class TestSample:
             f.sample([0.5, 1.5, 2.5])
         assert err.value.point == 1.5
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("with_many", [False, True])
+    def test_non_finite_result_raises(self, value, with_many):
+        # Whether or not an array entry took the other points.
+        calls = []
+        f = SampledFunction(
+            lambda x: calls.append(x) or (value if x > 1.0 else x), "odd",
+            many=(lambda xs: np.where(xs > 1.0, math.nan, xs))
+            if with_many else None)
+        with pytest.raises(EvaluationError, match="non-finite") as err:
+            f.sample([0.5, 1.5, 2.5])
+        assert err.value.point == 1.5
+        assert calls == ([1.5] if with_many else [0.5, 1.5])
+
     @pytest.mark.parametrize("xs,shape", [
         (0.5, "()"), (np.array(0.5), "()"),
         ([[20.0, 21.0], [22.0, 23.0]], r"\(2, 2\)"),
@@ -188,8 +202,9 @@ class TestArraySampling:
             scalar = [g.eval(t) for t in ts.tolist()]
             assert _bits(g.sample(ts)) == _bits(scalar)
             # The cosine has no array entry, so the last combination
-            # leaves its points to the callback.
-            assert (g.many(ts) is None) == (k == 3)
+            # leaves every point to the callback, and the others none.
+            refused = np.isnan(g.many(ts))
+            assert refused.all() if k == 3 else not refused.any()
 
     # Above t = 2690 the heads are factored; the last grid's second point
     # has the cutoff N = MAX_TERMS + 1, which sums MAX_TERMS head terms.
@@ -214,6 +229,17 @@ class TestArraySampling:
         assert str(got.value) == str(want.value)
         assert repr(got.value.point) == repr(want.value.point)
         assert type(got.value.__cause__) is type(want.value.__cause__)
+
+    def test_only_refused_points_reach_the_callback(self, monkeypatch):
+        # The batch takes the accepted points, factored heads included,
+        # and leaves the callback the NaN alone.
+        seen = []
+        monkeypatch.setattr(hilbert, "generalized_hardy", lambda sigma, t: (
+            seen.append(t) or generalized_hardy(sigma, t)))
+        with pytest.raises(EvaluationError) as err:
+            hardy_function(0.5).sample([3000.0, 3001.0, math.nan, 9000.0])
+        assert math.isnan(err.value.point)
+        assert len(seen) == 1 and math.isnan(seen[0])
 
     def test_memory_is_one_point_block(self, monkeypatch):
         # Under 1 KB a point, as for the Davenport-Heilbronn grids: two
@@ -451,9 +477,17 @@ class TestGramSchmidt:
         ids=["zero-first", "zero-second", "zero-alone", "nan-second"])
     def test_zero_or_nan_input_raises_at_its_index(self, fs, index):
         rule = gauss_legendre_rule(32, Interval(0.0, 1.0))
-        with pytest.raises(DependenceError) as err:
-            gram_schmidt(fs, rule)
-        assert err.value.index == index
+        if fs[index] is NAN:
+            # sample refuses the NaN value at its first point, before
+            # any residual is formed.
+            with pytest.raises(EvaluationError,
+                               match="^nan failed at t=.*non-finite") as err:
+                gram_schmidt(fs, rule)
+            assert err.value.point == rule.nodes[0]
+        else:
+            with pytest.raises(DependenceError) as err:
+                gram_schmidt(fs, rule)
+            assert err.value.index == index
 
 
 class TestIndependenceReport:

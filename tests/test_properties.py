@@ -2,7 +2,7 @@
 
 Case counts per suite are chosen so the whole harness runs well over a
 thousand cases: 250 + 200 + 150 + 120 + 120 + 120 + 100 + 60 = 1120.  The
-two float-range suites each add a grid of 20 x 20 (sigma, t) points.
+three float-range suites each add a grid of 20 x 20 (sigma, t) points.
 """
 
 import math
@@ -18,10 +18,11 @@ from hardyzeta.hilbert import (
     gauss_legendre_rule,
     gram_matrix,
     gram_schmidt,
+    hardy_function,
     inner_product,
     norm,
 )
-from hardyzeta.errors import NumericsError
+from hardyzeta.errors import EvaluationError, NumericsError
 from hardyzeta.polyzero import PolynomialRealCoeffs, poly_real_zeros, project
 from hardyzeta.specialfn import theta, theta_asymptotic
 from hardyzeta.zetaeval import (
@@ -272,3 +273,37 @@ def test_dh_array_agrees_with_scalar_across_float_range():
     got = davenport_heilbronn(np.array(accepted))
     assert np.all(np.abs(got - np.array(want))
                   <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_hardy_grid_agrees_with_scalar_across_float_range():
+    # hardy_function(sigma).sample on the float-range grid, for each sigma
+    # of it: a grid holding a refused point raises the scalar loop's
+    # error at its point, and the accepted points give the scalar values
+    # bit for bit.
+    rng = np.random.default_rng(SEED)
+    values = _float_range_values(rng, 5)
+    mixed = 0
+    for sigma in values:
+        f = hardy_function(sigma)
+        want, accepted, refused = [], [], []
+        for t in values:
+            try:
+                want.append(generalized_hardy(sigma, t).z)
+                accepted.append(t)
+            except NumericsError:
+                refused.append(t)
+        got = f.sample(accepted)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes(), sigma
+        if not (accepted and refused):
+            continue
+        mixed += 1
+        ts = [*accepted, *refused]
+        scalar = SampledFunction(lambda t: generalized_hardy(sigma, t).z,
+                                 f.label)
+        with pytest.raises(EvaluationError) as loop:
+            scalar.sample(ts)
+        with pytest.raises(EvaluationError) as batched:
+            f.sample(ts)
+        assert str(batched.value) == str(loop.value)
+        assert repr(batched.value.point) == repr(loop.value.point)
+    assert mixed

@@ -620,22 +620,47 @@ class TestBatchedModFive:
             self, monkeypatch):
         # _em_sum refuses a cutoff N above MAX_TERMS by N, whatever its
         # head length: zeta's N = MAX_TERMS + 1 sums MAX_TERMS terms.
-        # The batch declines such a block before it builds a factor
-        # table or sums a head of that length.
-        def untouchable(*args):
-            raise AssertionError("summed a head")
+        # The batch refuses such a point, leaving its column NaN, before
+        # it builds a factor table or sums a head of that length: the
+        # table is built for the longest accepted head only, and the
+        # heads summed are the accepted point's.
+        heads, tables = [], []
+        add_heads, factor_table = zetaeval._add_heads, zetaeval._factor_table
 
-        monkeypatch.setattr(zetaeval, "_add_heads", untouchable)
-        monkeypatch.setattr(zetaeval, "_factor_table", untouchable)
+        def add_heads_traced(value, sr, si, a, terms, table):
+            heads.extend(terms.tolist())
+            return add_heads(value, sr, si, a, terms, table)
+
+        monkeypatch.setattr(zetaeval, "_add_heads", add_heads_traced)
+        monkeypatch.setattr(zetaeval, "_factor_table",
+                            lambda n: tables.append(n) or factor_table(n))
         t = 0.5 * math.pi * (MAX_TERMS + 0.5)
         assert zetaeval._em_pair(complex(-1.7, t)) == (MAX_TERMS + 1,
                                                        EM_ORDER)
-        for points, offsets, shift in (
-                ([complex(-1.7, 3000.0), complex(-1.7, t)], [1.0], 1),
-                ([0.7 + 85.0j, complex(0.5, 5e6)], [0.2, 0.4, 0.6, 0.8], 0)):
-            blocks = zetaeval._em_blocks(np.array(points), np.array(offsets),
-                                         shift)
-            assert [values for _, values in blocks] == [None]
+        for points, offsets, shift, factored in (
+                ([complex(-1.7, 3000.0), complex(-1.7, t)], [1.0], 1, True),
+                ([0.7 + 85.0j, complex(0.5, 5e6)], [0.2, 0.4, 0.6, 0.8], 0,
+                 False)):
+            heads.clear()
+            tables.clear()
+            [(_, values)] = zetaeval._em_blocks(
+                np.array(points), np.array(offsets), shift)
+            assert np.isfinite(values[:, 0]).all()
+            assert np.isnan(values[:, 1]).all()
+            accepted = zetaeval._em_pair(points[0])[0] - shift
+            assert heads == [accepted]
+            assert tables == ([accepted] if factored else [])
+
+    def test_head_term_just_above_the_largest_double_is_refused(self):
+        # |0.2^-s| lies just above the largest double here, yet numpy's
+        # complex exp leaves both its parts finite, and so the value:
+        # only _em_sum's own test of a^-s refuses it in the batch.
+        s = complex(441.013, 1.0)
+        with pytest.raises(DomainError, match="overflows") as scalar:
+            davenport_heilbronn(s)
+        with pytest.raises(DomainError) as batched:
+            davenport_heilbronn(np.array([0.7 + 85.0j, s]))
+        assert str(batched.value) == str(scalar.value)
 
     def test_first_refused_point_decides_the_error(self):
         # A bound refusal before a premise refusal: the array raises the
@@ -678,6 +703,18 @@ class TestBatchedModFive:
             fn(_batch_points())
             fn(grids[0])
         assert calls == []
+
+    def test_only_refused_points_reach_hurwitz_zeta(self, monkeypatch):
+        # The refused point's own first hurwitz_zeta call, which raises,
+        # is the only one: the accepted points stay in the batch.
+        calls = []
+        hurwitz = zetaeval.hurwitz_zeta
+        monkeypatch.setattr(zetaeval, "hurwitz_zeta",
+                            lambda s, a: calls.append(s) or hurwitz(s, a))
+        with pytest.raises(DomainError, match="premises"):
+            davenport_heilbronn(np.array([0.7 + 85.0j, 2.0 + 3.0j,
+                                          -45.0 + 10.0j]))
+        assert calls == [-45.0 + 10.0j]
 
     def test_memory_is_one_point_block(self):
         # Under 1 KB a point, as the docstrings state, so a grid of
