@@ -3,12 +3,21 @@
 Subcommands: theta, z, gz, spiral, gram, ortho, polyfit, zeros, lehmer,
 dh-scan, report.  Data goes to stdout (or --out), diagnostics to stderr.
 Exit codes: 0 success, 1 usage error, 2 numeric/domain error.
+
+Any value may start with a minus sign (--t -1e3, --box -1:2:80:90).
+Separated values are read by one grammar: an interval or a box takes
+exactly 2 or 4 numbers split by ":", a list takes any number split by
+",", empty items skipped.  theta, z and gz print through one emitter;
+the JSON of gram, polyfit, zeros and lehmer rounds every computed float
+to 12 significant digits and echoes the arguments verbatim.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +46,13 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No flag of this tool starts with "-" and a digit or "-." and a
+        # digit, so such an argument is a value: --t -1e3, --sigmas
+        # -0.5,0.3.  argparse's own pattern takes only -5 and -.5 forms.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors by default; this tool reserves 2
     # for numeric failures.
     def error(self, message):
@@ -44,41 +60,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _interval_arg(text: str) -> hilbert.Interval:
-    try:
-        a, b = (float(p) for p in text.split(":"))
-        return hilbert.Interval(a, b)
-    except (ValueError, NumericsError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an interval like 10:50, got {text!r} ({exc})"
-        ) from exc
+def _separated(kind: type, sep: str, count: int | None = None,
+               build=list):
+    """argparse type for `sep`-separated `kind` values, passed to `build`
+    as a list: exactly `count` of them, or any number with empty items
+    skipped when `count` is None."""
 
-
-def _list_arg(kind: type, what: str):
-    """argparse type for a comma-separated list of `kind` values."""
-
-    def parse(text: str) -> list:
+    def parse(text: str):
+        parts = text.split(sep)
         try:
-            return [kind(p) for p in text.split(",") if p.strip() != ""]
-        except ValueError as exc:
+            if count is None:
+                parts = [p for p in parts if p.strip() != ""]
+            elif len(parts) != count:
+                raise ValueError(f"{len(parts)} found")
+            return build([kind(p) for p in parts])
+        except (ValueError, NumericsError) as exc:
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated {what}, got {text!r}"
-            ) from exc
+                f"expected {count or 'a list of'} {kind.__name__}s separated "
+                f"by {sep!r}, got {text!r} ({exc})") from exc
 
     return parse
 
 
-def _box_arg(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected a box like 0.51:1:80:90, got {text!r}"
-        )
-    try:
-        s1, s2, t1, t2 = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad box {text!r}: {exc}") from exc
-    return s1, s2, t1, t2
+_INTERVAL = _separated(float, ":", 2, lambda ab: hilbert.Interval(*ab))
+_BOX = _separated(float, ":", 4, tuple)
+_FLOATS = _separated(float, ",")
+_INTS = _separated(int, ",")
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -135,51 +142,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the CSV to this path instead of stdout")
 
     p = sub.add_parser("gram", help="conditioning of a Z(sigma,.) family")
-    p.add_argument("--sigmas", type=_list_arg(float, "numbers"),
-                   required=True)
-    p.add_argument("--interval", type=_interval_arg, required=True)
+    p.add_argument("--sigmas", type=_FLOATS, required=True)
+    p.add_argument("--interval", type=_INTERVAL, required=True)
     _add_order(p)
     _add_out(p)
 
     p = sub.add_parser("ortho", help="orthogonalize a Z(sigma,.) family")
-    p.add_argument("--sigmas", type=_list_arg(float, "numbers"),
-                   required=True)
-    p.add_argument("--interval", type=_interval_arg, required=True)
+    p.add_argument("--sigmas", type=_FLOATS, required=True)
+    p.add_argument("--interval", type=_INTERVAL, required=True)
     _add_order(p)
     p.add_argument("--out", type=str, required=True, metavar="PREFIX",
                    help="write the CSV to PREFIX.csv")
 
     p = sub.add_parser("polyfit", help="polynomial zero-convergence study")
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--degrees", type=_list_arg(int, "integers"),
-                   required=True)
+    p.add_argument("--interval", type=_INTERVAL, required=True)
+    p.add_argument("--degrees", type=_INTS, required=True)
     _add_out(p)
 
     step_help = ("grid step of the sign-change scan (default 0.01); at most "
                  f"{zerofinder.MAX_SCAN_STEP:g}, below the smallest zero gap "
                  "up to t = 1e4")
     p = sub.add_parser("zeros", help="scan and refine critical-line zeros")
-    p.add_argument("--interval", type=_interval_arg, required=True)
+    p.add_argument("--interval", type=_INTERVAL, required=True)
     p.add_argument("--step", type=float, default=0.01, help=step_help)
     _add_json(p)
     _add_out(p, help="write the JSON records to this path instead of "
                      "stdout")
 
     p = sub.add_parser("lehmer", help="close-pair scan")
-    p.add_argument("--interval", type=_interval_arg, required=True)
+    p.add_argument("--interval", type=_INTERVAL, required=True)
     p.add_argument("--threshold", type=float, default=0.2)
     p.add_argument("--step", type=float, default=0.01, help=step_help)
     _add_out(p)
 
     p = sub.add_parser("dh-scan", help="off-line zero count for the "
                                        "Davenport-Heilbronn function")
-    p.add_argument("--box", type=_box_arg, required=True)
+    p.add_argument("--box", type=_BOX, required=True)
     p.add_argument("--n-per-side", type=int, default=256)
     _add_out(p)
 
     p = sub.add_parser("report", help="run the full verification suite")
-    p.add_argument("--interval", type=_interval_arg, default=None)
+    p.add_argument("--interval", type=_INTERVAL, default=None)
     p.add_argument("--quad-order", type=int,
                    default=RunConfig.quad_order,
                    help="Gauss-Legendre order for inner products "
@@ -197,14 +201,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_values(args, echo: tuple[str, ...], **values: float) -> int:
+    """The values at 15 significant digits: as JSON after the echoed
+    arguments, or alone, space-separated."""
+    if args.json:
+        text = json.dumps({**{k: getattr(args, k) for k in echo},
+                           **{k: sig(v, 15) for k, v in values.items()}})
+    else:
+        text = " ".join(format_sig(v) for v in values.values())
+    _emit(text, args.out)
+    return EXIT_OK
+
+
 def _cmd_theta(args) -> int:
     value = (theta if args.mode == "exact" else theta_asymptotic)(args.t)
-    if args.json:
-        _emit(json.dumps({"t": args.t, "mode": args.mode,
-                          "theta": sig(value, 15)}), args.out)
-    else:
-        _emit(format_sig(value), args.out)
-    return EXIT_OK
+    return _emit_values(args, ("t", "mode"), theta=value)
 
 
 def _cmd_z(args) -> int:
@@ -212,38 +223,38 @@ def _cmd_z(args) -> int:
         value = hardy_z_rs(args.t)
     else:
         value = generalized_hardy(0.5, args.t).z
-    if args.json:
-        _emit(json.dumps({"t": args.t, "method": args.method,
-                          "z": sig(value, 15)}), args.out)
-    else:
-        _emit(format_sig(value), args.out)
-    return EXIT_OK
+    return _emit_values(args, ("t", "method"), z=value)
 
 
 def _cmd_gz(args) -> int:
     v = generalized_hardy(args.sigma, args.t)
-    if args.json:
-        _emit(json.dumps({"sigma": args.sigma, "t": args.t,
-                          "z": sig(v.z, 15), "y": sig(v.y, 15)}), args.out)
-    else:
-        _emit(f"{format_sig(v.z)} {format_sig(v.y)}", args.out)
-    return EXIT_OK
+    return _emit_values(args, ("sigma", "t"), z=v.z, y=v.y)
 
 
 def _cmd_spiral(args) -> int:
     path = dirichlet_partial_sums(complex(args.sigma, args.t), args.n)
-    wrote = []
-    if args.csv:
-        write_spiral_csv(path, args.csv)
-        wrote.append(args.csv)
+    # The SVG goes first: it refuses a path of one partial sum, and then
+    # no file is written.
     if args.svg:
         emit_spiral_svg(path, args.svg)
-        wrote.append(args.svg)
+    if args.csv:
+        write_spiral_csv(path, args.csv)
+    wrote = [name for name in (args.csv, args.svg) if name]
     if wrote:
         print("wrote " + ", ".join(wrote), file=sys.stderr)
     else:
         _emit(spiral_csv(path), None)
     return EXIT_OK
+
+
+def _sig12(value):
+    """A computed JSON value with every float, at any depth, rounded to
+    12 significant digits; ints and bools stay as they are."""
+    if isinstance(value, dict):
+        return {k: _sig12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_sig12(v) for v in value]
+    return sig(value) if isinstance(value, float) else value
 
 
 def _family_order(args) -> int:
@@ -255,17 +266,17 @@ def _family_order(args) -> int:
 def _cmd_gram(args) -> int:
     order = _family_order(args)
     rep = hilbert.independence_report(args.sigmas, args.interval, order)
-    eigenvalues = np.linalg.eigvalsh(rep.correlations)
     payload = {
         "sigmas": args.sigmas,
         "interval": [args.interval.a, args.interval.b],
         "order": order,
-        "determinant": sig(rep.correlation_det),
-        "eigenvalues": [sig(float(v)) for v in eigenvalues],
-        "min_eigenvalue": sig(rep.min_eigenvalue),
-        "correlations": [[sig(float(c)) for c in row]
-                         for row in rep.correlations],
-        "gram": [[sig(float(g)) for g in row] for row in rep.gram.entries],
+        **_sig12({
+            "determinant": rep.correlation_det,
+            "eigenvalues": np.linalg.eigvalsh(rep.correlations),
+            "min_eigenvalue": rep.min_eigenvalue,
+            "correlations": rep.correlations,
+            "gram": rep.gram.entries,
+        }),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return EXIT_OK
@@ -292,32 +303,17 @@ def _cmd_ortho(args) -> int:
 def _cmd_polyfit(args) -> int:
     f = hilbert.hardy_function(args.sigma)
     studies = polyzero.zero_convergence_study(f, args.interval, args.degrees)
-    payload = []
-    for comp in studies:
-        payload.append({
-            "degree": comp.degree,
-            "l2_error": sig(comp.l2_error),
-            "max_deviation": sig(comp.max_deviation),
-            "pairs": [[sig(a), sig(b), sig(d)]
-                      for a, b, d in comp.matched_pairs],
-        })
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    payload = [{"degree": c.degree, "l2_error": c.l2_error,
+                "max_deviation": c.max_deviation, "pairs": c.matched_pairs}
+               for c in studies]
+    _emit(json.dumps(_sig12(payload), indent=2, sort_keys=True), args.out)
     return EXIT_OK
 
 
 def _cmd_zeros(args) -> int:
     records = zerofinder.find_critical_zeros(args.interval, step=args.step)
     if args.json or args.out:
-        payload = [
-            {
-                "location": sig(r.location),
-                "bracket": [sig(r.bracket[0]), sig(r.bracket[1])],
-                "derivative": sig(r.derivative),
-                "simple": r.simple,
-                "residual": sig(r.residual),
-            }
-            for r in records
-        ]
+        payload = _sig12([dataclasses.asdict(r) for r in records])
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         for r in records:
@@ -328,15 +324,7 @@ def _cmd_zeros(args) -> int:
 def _cmd_lehmer(args) -> int:
     pairs = zerofinder.lehmer_scan(args.interval, threshold=args.threshold,
                                    step=args.step)
-    payload = [
-        {
-            "t_low": sig(p.t_low),
-            "t_high": sig(p.t_high),
-            "normalized_gap": sig(p.normalized_gap),
-            "min_between": sig(p.min_between),
-        }
-        for p in pairs
-    ]
+    payload = _sig12([dataclasses.asdict(p) for p in pairs])
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -355,13 +343,8 @@ def _cmd_report(args) -> int:
     config = RunConfig(quad_order=args.quad_order,
                        interval=(interval.a, interval.b))
     entries = run_report(config)
-    text = report_json(config, entries)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        sys.stdout.write(render_summary(entries) + "\n")
-    else:
-        sys.stdout.write(text)
-        print(render_summary(entries), file=sys.stderr)
+    _emit(report_json(config, entries), args.out)
+    print(render_summary(entries), file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 

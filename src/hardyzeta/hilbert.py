@@ -244,7 +244,8 @@ class _Combination:
     """sum_k c_k f_k over the nonzero coefficients, in index order; many
     adds the inputs' arrays in that order, so its values are the
     callback's bit for bit, and NaN at each point an input leaves to its
-    callback, everywhere if an input has no array entry."""
+    callback.  If an input has no array entry, many is NaN everywhere and
+    calls no input."""
 
     __slots__ = ("terms",)
 
@@ -255,11 +256,11 @@ class _Combination:
         return sum(c * f.eval(t) for c, f in self.terms)
 
     def many(self, xs: np.ndarray) -> np.ndarray:
+        if any(f.many is None for _, f in self.terms):
+            return np.full(xs.size, math.nan)
         total = 0
         for c, f in self.terms:
-            values = (np.full(xs.size, math.nan) if f.many is None
-                      else f.many(xs))
-            total = total + c * values
+            total = total + c * f.many(xs)
         return total
 
 

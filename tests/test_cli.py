@@ -21,6 +21,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _assert_refused_before_running(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "theta", "--t", "50", "--mode", "exact")
@@ -110,12 +119,70 @@ class TestValueCommands:
                                         argv):
         # A flag the command does not read, or one given before the
         # command, is refused before anything runs or is written.
-        monkeypatch.chdir(tmp_path)
+        _assert_refused_before_running(capsys, tmp_path, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--interval", "10::50", "--out", "z.json"),
+        ("report", "--interval", "10:", "--out", "r.json"),
+        ("gram", "--sigmas", "0.3,0.5", "--interval", "-5", "--out", "g"),
+        ("dh-scan", "--box", "0.51:1:80:90:", "--out", "d.json"),
+        ("dh-scan", "--box", "1:2:3", "--out", "d.json"),
+        ("polyfit", "--interval", "10:20", "--degrees", "20.5",
+         "--out", "p.json"),
+    ], ids=["interval-empty-part", "interval-one-number", "interval-negative",
+            "box-five-parts", "box-three-parts", "degrees-not-int"])
+    def test_malformed_value_is_usage_error(self, capsys, tmp_path,
+                                            monkeypatch, argv):
+        # An interval or a box takes exactly its count of numbers, no
+        # empty part among them.
+        _assert_refused_before_running(capsys, tmp_path, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv,shown", [
+        (("gz", "--sigma", "0.3", "--t", "-1e3"), ""),
+        (("theta", "--t", "-1e2", "--json"), ""),
+        (("gram", "--sigmas", "-0.5,0.3", "--interval", "10:50",
+          "--order", "32"), ""),
+        (("gram", "--sigmas", "0.5,0.3", "--interval", "-50:-10",
+          "--order", "64"), ""),
+        (("dh-scan", "--box", "-1:2:80:90"), '"count": 7'),
+    ], ids=["gz-t", "theta-t", "gram-sigmas", "gram-interval", "dh-scan-box"])
+    def test_value_may_start_with_minus(self, capsys, argv, shown):
+        # A value that starts with "-" and a digit is no flag: it prints
+        # the bytes of its --flag=value form.
+        joined = []
+        for arg in argv:
+            if re.match(r"-\.?\d", arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
         code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "error:" in err
-        assert list(tmp_path.iterdir()) == []
+        assert code == 0 and err == ""
+        assert (code, out, err) == run_cli(capsys, *joined)
+        assert shown in out
+
+    def test_list_skips_empty_items(self, capsys):
+        argv = ("gram", "--interval", "10:20", "--order", "32", "--sigmas")
+        code, out, _ = run_cli(capsys, *argv, "0.3,,0.5")
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "0.3,0.5")[1]
+
+    # theta, z and gz share one emitter; these are its bytes, key order
+    # included.
+    @pytest.mark.parametrize("argv,frozen", [
+        (("theta", "--t", "50", "--json"),
+         '{"t": 50.0, "mode": "exact", "theta": 26.4613660701614}\n'),
+        (("z", "--t", "30", "--method", "em", "--json"),
+         '{"t": 30.0, "method": "em", "z": 0.596028519239885}\n'),
+        (("gz", "--sigma", "0.3", "--t", "25", "--json"),
+         '{"sigma": 0.3, "t": 25.0, "z": -0.0255356834777926, '
+         '"y": 0.314977489102268}\n'),
+        (("theta", "--t", "50"), "26.4613660701614\n"),
+        (("z", "--t", "30", "--method", "em"), "0.596028519239885\n"),
+        (("gz", "--sigma", "0.3", "--t", "25"),
+         "-0.0255356834777926 0.314977489102268\n"),
+    ], ids=["theta-json", "z-json", "gz-json", "theta", "z", "gz"])
+    def test_value_output_frozen(self, capsys, argv, frozen):
+        assert run_cli(capsys, *argv) == (0, frozen, "")
 
     OWN_FLAGS = {
         "theta": {"--t", "--mode", "--json", "--out"},
@@ -165,6 +232,16 @@ class TestFileCommands:
         assert run_cli(capsys, *argv, "--csv", str(csv))[0] == 0
         assert out.encode("utf-8") == csv.read_bytes()
 
+    def test_spiral_refused_writes_no_file(self, capsys, tmp_path):
+        # One partial sum draws no SVG; the CSV is not written either.
+        code, out, err = run_cli(capsys, "spiral", "--sigma", "0.5", "--t",
+                                 "30", "--n", "1", "--csv",
+                                 str(tmp_path / "a.csv"), "--svg",
+                                 str(tmp_path / "b.svg"))
+        assert code == 2 and out == ""
+        assert "two partial sums" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ortho_csv(self, capsys, tmp_path):
         prefix = tmp_path / "orth"
         code, _, err = run_cli(capsys, "ortho", "--sigmas", "0.5,0.3",
@@ -202,6 +279,13 @@ class TestJsonCommands:
         for r in payload:
             assert r["simple"] is True
             assert len(f"{r['location']:.12g}".replace(".", "")) <= 13
+        # Computed floats at 12 significant digits; `simple` stays a bool.
+        assert out.startswith(
+            '[\n  {\n    "bracket": [\n      14.13,\n      14.14\n    ],\n'
+            '    "derivative": 0.793160433521,\n'
+            '    "location": 14.1347251417,\n'
+            '    "residual": 1.60210429327e-12,\n'
+            '    "simple": true\n  },\n')
 
     def test_lehmer_json(self, capsys):
         code, out, _ = run_cli(capsys, "lehmer", "--interval", "7000:7010",

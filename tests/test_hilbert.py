@@ -206,6 +206,20 @@ class TestArraySampling:
             refused = np.isnan(g.many(ts))
             assert refused.all() if k == 3 else not refused.any()
 
+    def test_combination_without_array_entry_samples_no_grid(
+            self, monkeypatch):
+        # A Gram-Schmidt output that mixes Z(sigma, .) with a plain
+        # callback is NaN from many before any input's grid is evaluated.
+        iv = Interval(100.0, 110.0)
+        rule = gauss_legendre_rule(oscillation_order(iv), iv)
+        fam = [hardy_function(s) for s in (0.3, 0.5, 0.7)] + [COS]
+        last = gram_schmidt(fam, rule)[3]
+        grids = []
+        monkeypatch.setattr(hilbert, "_hardy_z_many", lambda sigma, ts: (
+            grids.append(sigma) or zetaeval._hardy_z_many(sigma, ts)))
+        assert np.isnan(last.many(rule.nodes)).all()
+        assert grids == []
+
     # Above t = 2690 the heads are factored; the last grid's second point
     # has the cutoff N = MAX_TERMS + 1, which sums MAX_TERMS head terms.
     @pytest.mark.parametrize("sigma,ts", [
