@@ -10,7 +10,8 @@ Everything is deterministic: rules are cached per order, reductions run
 in index order, and the first Gram-Schmidt output reuses the input
 callback unchanged so it is bit-identical to the input.  Z(sigma, .) and
 the Gram-Schmidt combinations of such functions sample a node grid in
-one batched call, bit for bit their point-by-point values.
+one batched call, bit for bit their point-by-point values; gram_matrix
+and gram_schmidt sample all their Z(sigma, .) members in one such call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import (DependenceError, DomainError, EvaluationError,
                      NumericsError)
 from .specialfn import TWO_PI, theta_derivative
-from .zetaeval import _hardy_z_many, generalized_hardy
+from .zetaeval import _hardy_z_family, _hardy_z_many, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
 
@@ -94,12 +95,10 @@ class SampledFunction:
         """The function at each point of xs, any sequence that
         np.asarray(xs, float) makes 1-D; any other shape raises
         DomainError before anything is evaluated.  The points go to many
-        in one call when it is set.  The callback is called, with
-        built-in floats in point order, at every point that many left
-        NaN or infinite, or at every point when many is not set.  The
-        first point where it raises, or returns a complex of any type, a
-        value float() rejects (None), a NaN or an infinity, raises
-        EvaluationError with that point."""
+        in one call when it is set, and the callback fills in the rest
+        (_fill).  gram_matrix and gram_schmidt sample a family of
+        Z(sigma, .) without this method, in one call for all its
+        members, with the same fill."""
         points = np.asarray(xs, dtype=float)
         if points.ndim != 1:
             raise DomainError(
@@ -107,6 +106,15 @@ class SampledFunction:
                 f"points, got shape {points.shape}")
         out = (np.full(points.size, math.nan) if self.many is None
                else self.many(points))
+        return self._fill(points, out)
+
+    def _fill(self, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, with the callback's value, called with built-in floats
+        in point order, at every point of the 1-D float array points
+        where out is NaN or infinite.  The first point where it raises,
+        or returns a complex of any type, a value float() rejects
+        (None), a NaN or an infinity, raises EvaluationError with that
+        point."""
         todo = np.flatnonzero(~np.isfinite(out))
         for i, x in zip(todo.tolist(), points[todo].tolist()):
             try:
@@ -225,11 +233,36 @@ def norm(f: SampledFunction, rule: QuadratureRule) -> float:
     return math.sqrt(max(_dot(rule.weights, fv, fv), 0.0))
 
 
+def _family_rows(fs: Sequence[SampledFunction],
+                 xs: np.ndarray) -> dict[int, np.ndarray]:
+    """The array entries of the Z(sigma, .) members of fs (those whose
+    eval is a _HardyZ) at the 1-D float array xs, by index in fs: rows
+    of one _hardy_z_family call, each bit for bit the member's many."""
+    zs = [i for i, f in enumerate(fs) if isinstance(f.eval, _HardyZ)]
+    if not zs:
+        return {}
+    return dict(zip(zs, _hardy_z_family([fs[i].eval.sigma for i in zs], xs)))
+
+
+def _sample_all(fs: Sequence[SampledFunction],
+                xs: np.ndarray) -> list[np.ndarray]:
+    """[f.sample(xs) for f in fs] for the 1-D float array xs, with the
+    Z(sigma, .) members sampled in one family call (_family_rows).  The
+    callback of each member fills its refused points, member by member
+    in input order, so the first refusal raises the EvaluationError
+    that sampling one member after another would raise."""
+    rows = _family_rows(fs, xs)
+    return [f._fill(xs, rows[i]) if i in rows else f.sample(xs)
+            for i, f in enumerate(fs)]
+
+
 def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatrix:
-    """Pairwise inner products; exactly symmetric by construction."""
+    """Pairwise inner products; exactly symmetric by construction.  The
+    members are sampled on the nodes as by their sample, the Z(sigma, .)
+    among them in one batched call (_sample_all)."""
     if len(fs) < 1:
         raise DomainError("gram_matrix needs at least one function")
-    samples = [f.sample(rule.nodes) for f in fs]
+    samples = _sample_all(fs, rule.nodes)
     n = len(fs)
     g = np.empty((n, n), dtype=float)
     for i in range(n):
@@ -244,8 +277,9 @@ class _Combination:
     """sum_k c_k f_k over the nonzero coefficients, in index order; many
     adds the inputs' arrays in that order, so its values are the
     callback's bit for bit, and NaN at each point an input leaves to its
-    callback.  If an input has no array entry, many is NaN everywhere and
-    calls no input."""
+    callback.  The Z(sigma, .) inputs take their arrays from one family
+    call (_family_rows).  If an input has no array entry, many is NaN
+    everywhere and calls no input."""
 
     __slots__ = ("terms",)
 
@@ -256,11 +290,13 @@ class _Combination:
         return sum(c * f.eval(t) for c, f in self.terms)
 
     def many(self, xs: np.ndarray) -> np.ndarray:
-        if any(f.many is None for _, f in self.terms):
+        fs = [f for _, f in self.terms]
+        if any(f.many is None for f in fs):
             return np.full(xs.size, math.nan)
+        rows = _family_rows(fs, xs)
         total = 0
-        for c, f in self.terms:
-            total = total + c * f.many(xs)
+        for i, (c, f) in enumerate(self.terms):
+            total = total + c * (rows[i] if i in rows else f.many(xs))
         return total
 
 
@@ -274,11 +310,15 @@ def gram_schmidt(fs: Sequence[SampledFunction],
     are not normalized.  Raises DependenceError naming the first index
     whose residual is not above DEPENDENCE_TOL relative to the input's
     norm: a zero input, or a NaN residual, raises too.
+
+    The inputs are sampled on the nodes as by their sample, the
+    Z(sigma, .) among them in one batched call (_sample_all), and each
+    output's array entry samples its Z inputs in one such call.
     """
     if len(fs) < 1:
         raise DomainError("gram_schmidt needs at least one function")
     w = rule.weights
-    samples = [f.sample(rule.nodes) for f in fs]
+    samples = _sample_all(fs, rule.nodes)
     basis_vals: list[np.ndarray] = []
     basis_sq: list[float] = []
     coeff_rows: list[np.ndarray] = []
@@ -349,7 +389,10 @@ def hardy_function(sigma: float) -> SampledFunction:
     call (zetaeval._hardy_z_many), bit for bit the callback's values at
     every height, factored zeta heads included.  It leaves to the
     callback only the points where the callback would raise, so sample
-    raises the callback's error at the first of them."""
+    raises the callback's error at the first of them.  gram_matrix,
+    gram_schmidt and the Gram-Schmidt outputs sample several such
+    functions in one call (zetaeval._hardy_z_family), bit for bit the
+    same values."""
     z = _HardyZ(sigma)
     scan_route = None
     if sigma == 0.5:

@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -612,15 +612,22 @@ def hardy_z_rs(t: float) -> float:
     theta is theta_asymptotic (no log-gamma), which keeps this route
     fully independent of the Euler-Maclaurin one; near 2*pi its error
     stays under 2.2e-9, far below the sum's own error of ~1e-2 there.
-    Raises DomainError through theta_asymptotic's one domain check
-    unless 2*pi <= t <= 1e50, and when N exceeds MAX_TERMS.
+    Raises DomainError unless 2*pi <= t <= 1e50, theta_asymptotic's
+    domain, under its own name and naming the Euler-Maclaurin route, and
+    when N exceeds MAX_TERMS.
 
     log n and sqrt n come from _rs_terms, memoized by length, one entry,
     which the Euler-Maclaurin route never reads.  It keeps 112 B per
     term: about 4.4 KB up to t = 1e4 (N = 39), and 112 MB only at
     N = MAX_TERMS (t ~ 6.3e12).
     """
-    th = theta_asymptotic(t)
+    try:
+        th = theta_asymptotic(t)
+    except DomainError:
+        raise DomainError(
+            f"Riemann-Siegel Z needs 2*pi <= t <= 1e50, got t={t!r}; "
+            "the Euler-Maclaurin route (generalized_hardy, --method em) "
+            "also takes t below 2*pi") from None
     root = math.sqrt(t / TWO_PI)
     n_main = int(math.floor(root))
     if n_main > MAX_TERMS:
@@ -645,26 +652,41 @@ def generalized_hardy(sigma: float, t: float) -> GeneralizedHardyValue:
     return GeneralizedHardyValue(z=val.real, y=val.imag)
 
 
-def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray:
-    """generalized_hardy(sigma, t).z at every point of the 1-D float
-    array ts, bit for bit, and NaN where generalized_hardy would raise.
-    The caller takes those points, and only those, through
+def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
+    """generalized_hardy(sigmas[k], ts[j]).z at row k, column j, bit for
+    bit, for the 1-D float array ts; NaN where generalized_hardy would
+    raise.  The caller takes those points, and only those, through
     generalized_hardy, which raises its own error.
 
-    zeta comes from _em_blocks, as zeta_em sums it, factored heads
-    included (from t ~ 314 on sigma = 1/2), with no zeta_em call; theta
-    is taken at each point through the scalar theta, and each value is
-    (zeta e^{i theta}).real in CPython's complex arithmetic, as
-    generalized_hardy forms it.  A block of points holds
-    under 1 KB a point (tracemalloc peak)."""
-    points = np.empty(ts.shape, dtype=complex)
-    points.real, points.imag = sigma, ts
-    zetas = np.empty(ts.shape, dtype=complex)
-    for span, values in _em_blocks(points, np.ones(1), 1):
+    zeta comes from one _em_blocks pass over all the points
+    sigmas[k] + i ts[j], as zeta_em sums it, factored heads included
+    (from t ~ 314 on sigma = 1/2), with no zeta_em call.  theta is taken
+    once per node through the scalar theta, at the nodes where some row
+    is accepted, and each value is (zeta e^{i theta}).real in CPython's
+    complex arithmetic, as generalized_hardy forms it.  A block of
+    points holds under 1 KB a point (tracemalloc peak)."""
+    points = np.empty((len(sigmas), ts.size), dtype=complex)
+    points.real = np.asarray(sigmas, dtype=float)[:, None]
+    points.imag = ts
+    zetas = np.empty(points.size, dtype=complex)
+    for span, values in _em_blocks(points.ravel(), np.ones(1), 1):
         zetas[span] = values[0]
-    return np.array([math.nan if cmath.isnan(z)
-                     else (z * cmath.exp(1j * theta(t))).real
-                     for z, t in zip(zetas.tolist(), ts.tolist())])
+    zetas = zetas.reshape(points.shape)
+    accepted = ~np.isnan(zetas).all(axis=0)
+    phases = [cmath.exp(1j * theta(t)) if ok else None
+              for t, ok in zip(ts.tolist(), accepted.tolist())]
+    out = np.empty(points.shape)
+    for k, row in enumerate(zetas):
+        out[k] = [math.nan if cmath.isnan(z) else (z * e).real
+                  for z, e in zip(row.tolist(), phases)]
+    return out
+
+
+def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray:
+    """generalized_hardy(sigma, t).z at every point of the 1-D float
+    array ts, and NaN where it would raise: the one-row family
+    _hardy_z_family([sigma], ts)."""
+    return _hardy_z_family([sigma], ts)[0]
 
 
 def _check_n_max(n_max: int) -> None:

@@ -79,6 +79,28 @@ class TestExitCodes:
         assert out == ""
         assert name in err
 
+    @pytest.mark.parametrize("t", ["-100", "3", "1e51", "-inf", "nan"])
+    def test_rs_refusal_names_its_own_range(self, capsys, t):
+        # The Riemann-Siegel route names its range and the route that
+        # takes t below it, not the range of its theta.
+        code, out, err = run_cli(capsys, "z", "--t", t)
+        assert (code, out) == (2, "")
+        assert f"Riemann-Siegel Z needs 2*pi <= t <= 1e50, got t={float(t)!r}" in err
+        assert "--method em" in err and "asymptotic theta" not in err
+
+    def test_em_route_takes_t_below_2pi(self, capsys):
+        code, out, _ = run_cli(capsys, "z", "--t", "-100", "--method", "em")
+        assert code == 0 and math.isfinite(float(out))
+
+    @pytest.mark.parametrize("t", ["-inf", "-infinity", "-nan", "-INF",
+                                   "-Infinity", "-NaN"])
+    def test_minus_infinity_and_nan_are_values(self, capsys, t):
+        # Read as the value of --t, not as a flag, so the refusal is
+        # theta's own, exit 2.
+        code, out, err = run_cli(capsys, "theta", "--t", t)
+        assert (code, out) == (2, "")
+        assert f"t must be finite, got {float(t)!r}" in err
+
 
 class TestValueCommands:
     def test_theta_fifteen_digits(self, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hardyzeta import hilbert, zetaeval
-from hardyzeta.errors import DependenceError, DomainError, EvaluationError
+from hardyzeta.errors import (DependenceError, DomainError, EvaluationError,
+                              NumericsError)
 from hardyzeta.hilbert import (
     Interval,
     SampledFunction,
@@ -217,6 +218,8 @@ class TestArraySampling:
         grids = []
         monkeypatch.setattr(hilbert, "_hardy_z_many", lambda sigma, ts: (
             grids.append(sigma) or zetaeval._hardy_z_many(sigma, ts)))
+        monkeypatch.setattr(hilbert, "_hardy_z_family", lambda sigmas, ts: (
+            grids.append(sigmas) or zetaeval._hardy_z_family(sigmas, ts)))
         assert np.isnan(last.many(rule.nodes)).all()
         assert grids == []
 
@@ -271,6 +274,130 @@ class TestArraySampling:
             finally:
                 tracemalloc.stop()
             assert peak <= 1024 * n, lo
+
+
+def _z_or_nan(sigma: float, t: float) -> float:
+    try:
+        return generalized_hardy(sigma, t).z
+    except NumericsError:
+        return math.nan
+
+
+class TestFamilySampling:
+    """gram_matrix, gram_schmidt and the Gram-Schmidt outputs sample their
+    Z(sigma, .) members in one batched call: each row bit for bit the
+    member's point-by-point values, from one core pass and one theta
+    call per node, and the refusals of sampling one member after
+    another."""
+
+    def test_rows_equal_scalar_bit_for_bit(self):
+        # Seeded sigmas with the pole sigma = 1 and sigma < 0, heads on
+        # both sides of _SMOOTH_MIN_TERMS up to t = 1e4, and refused
+        # points mixed in: NaN, the pole at t = 0, sigma = -20.
+        rng = np.random.default_rng(33)
+        sigmas = [1.0, 0.5, -1.5, -20.0] + rng.uniform(-2.0, 3.0, 3).tolist()
+        ts = np.concatenate([rng.uniform(lo, hi, 10) for lo, hi in
+                             [(250.0, 380.0), (380.0, 3000.0), (3000.0, 1e4)]]
+                            + [[math.nan, 0.0, -300.0]])
+        ts = rng.permutation(ts)
+        heads = _heads(0.5, ts[np.isfinite(ts)])
+        assert min(heads) < zetaeval._SMOOTH_MIN_TERMS <= max(heads)
+        family = zetaeval._hardy_z_family(sigmas, ts)
+        assert family.shape == (len(sigmas), ts.size)
+        refused = 0
+        for sigma, row in zip(sigmas, family):
+            scalar = [_z_or_nan(sigma, t) for t in ts.tolist()]
+            refused += np.isnan(scalar).sum()
+            assert _bits(row) == _bits(scalar)
+            assert _bits(zetaeval._hardy_z_many(sigma, ts)) == _bits(scalar)
+        assert len(sigmas) < refused < family.size
+
+    @pytest.mark.parametrize("call", ["gram_matrix", "gram_schmidt",
+                                      "ortho_sample"])
+    def test_one_core_pass_and_one_theta_per_node(self, monkeypatch, call):
+        iv = Interval(300.0, 310.0)
+        rule = gauss_legendre_rule(oscillation_order(iv), iv)
+        fam = [hardy_function(s) for s in (0.5, 0.3, -0.4)]
+        last = gram_schmidt(fam, rule)[2]
+        passes, thetas = [], []
+        em_blocks, theta = zetaeval._em_blocks, zetaeval.theta
+        monkeypatch.setattr(zetaeval, "_em_blocks", lambda points, *args: (
+            passes.append(points.size) or em_blocks(points, *args)))
+        monkeypatch.setattr(zetaeval, "theta", lambda t: (
+            thetas.append(t) or theta(t)))
+        if call == "gram_matrix":
+            gram_matrix(fam, rule)
+        elif call == "gram_schmidt":
+            gram_schmidt(fam, rule)
+        else:
+            last.sample(rule.nodes)
+        assert passes == [len(fam) * rule.nodes.size]
+        assert thetas == rule.nodes.tolist()
+
+    def test_head_work_is_the_members_sum(self, head_exps):
+        # Heads of both sides of _SMOOTH_MIN_TERMS: the family takes the
+        # exps its members take one by one, none more.
+        rng = np.random.default_rng(34)
+        sigmas = [0.5] + rng.uniform(-2.0, 3.0, 3).tolist()
+        ts = np.sort(rng.uniform(290.0, 340.0, 40))
+        family, exps = head_exps(lambda: zetaeval._hardy_z_family(sigmas, ts))
+        assert np.isfinite(family).all()
+        members = [head_exps(lambda: zetaeval._hardy_z_many(s, ts))[1]
+                   for s in sigmas]
+        assert exps == sum(members) == sum(
+            _head_exps(n) for s in sigmas for n in _heads(s, ts))
+
+    @pytest.mark.parametrize("kernel", [gram_matrix, gram_schmidt])
+    @pytest.mark.parametrize("members,ts", [
+        (["bad", 0.5, 1.0], [0.0, 20.0, math.nan]),
+        (["plain", 0.5, 1.0], [0.0, 20.0, 21.0]),
+        ([0.3, "plain", -20.0], [1.0, 2.0]),
+        ([0.5, "bad", 0.7], [math.nan, 20.0]),
+        ([0.5, 0.7], [3000.0, math.nan, 9000.0]),
+    ], ids=["callback-first", "pole", "sigma-minus-20", "nan-first",
+            "nan-above-2690"])
+    def test_refusals_raise_as_member_by_member(self, kernel, members, ts):
+        # A plain callback before the Z members raises first; otherwise
+        # the first member with a refused point does, at that point.
+        def family(seen):
+            def plain(name):
+                def f(t):
+                    seen.append(t)
+                    if name == "bad" and t == 20.0:
+                        raise ZeroDivisionError("bad point")
+                    return math.cos(t)
+                return SampledFunction(f, name)
+            return [hardy_function(m) if isinstance(m, float) else plain(m)
+                    for m in members]
+
+        ts = np.array(ts)
+        rule = hilbert.QuadratureRule(nodes=ts, weights=np.ones(ts.size))
+        want_seen, got_seen = [], []
+        with pytest.raises(EvaluationError) as want:
+            [f.sample(ts) for f in family(want_seen)]
+        with pytest.raises(EvaluationError) as got:
+            kernel(family(got_seen), rule)
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.point) == repr(want.value.point)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+        assert got_seen == want_seen
+
+    def test_memory_is_one_point_block(self, monkeypatch):
+        # Three members on 2^14 nodes, three blocks of points in one
+        # pass, all taken by the batch: under 1 KB a point, the bound of
+        # one member's sample; at t = 9000 every head is factored.
+        n = zetaeval._POINT_BLOCK
+        fs = [hardy_function(s) for s in (0.5, 0.3, 0.7)]
+        monkeypatch.setattr(hilbert, "generalized_hardy", None)
+        ts = np.linspace(9000.0, 9010.0, n)
+        rule = hilbert.QuadratureRule(nodes=ts, weights=np.full(n, 1.0 / n))
+        tracemalloc.start()
+        try:
+            gram_matrix(fs, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * len(fs) * n
 
 
 class TestInterval:

@@ -343,7 +343,8 @@ class TestHardyZ:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, 5.0,
                                    2.0 * math.pi - 1e-9, 1e51, 1e200])
     def test_domain_of_asymptotic_theta(self, t):
-        # One check, in theta_asymptotic: never OverflowError or ValueError.
+        # One check, in theta_asymptotic, reported under hardy_z_rs's own
+        # name: never OverflowError or ValueError.
         with pytest.raises(DomainError, match=r"2\*pi"):
             hardy_z_rs(t)
 
