@@ -290,7 +290,7 @@ def _cmd_ortho(args) -> int:
     rule = hilbert.gauss_legendre_rule(order, args.interval)
     family = [hilbert.hardy_function(s) for s in args.sigmas]
     outs = hilbert.gram_schmidt(family, rule)
-    samples = [g.sample(rule.nodes) for g in outs]
+    samples = hilbert._sample_all(outs, rule.nodes)
     header = "t," + ",".join(f"g{i + 1}" for i in range(len(outs)))
     lines = [header]
     for j, t in enumerate(rule.nodes):

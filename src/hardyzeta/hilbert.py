@@ -8,10 +8,10 @@ Hardy functions Z(sigma, .).
 
 Everything is deterministic: rules are cached per order, reductions run
 in index order, and the first Gram-Schmidt output reuses the input
-callback unchanged so it is bit-identical to the input.  Z(sigma, .) and
-the Gram-Schmidt combinations of such functions sample a node grid in
-one batched call, bit for bit their point-by-point values; gram_matrix
-and gram_schmidt sample all their Z(sigma, .) members in one such call.
+callback unchanged so it is bit-identical to the input.  Every sampler
+here (sample, inner_product, norm, gram_matrix, gram_schmidt) takes the
+node grid of any mix of Z(sigma, .) and their Gram-Schmidt combinations
+from one batched call, bit for bit their point-by-point values.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DependenceError, DomainError, EvaluationError,
                      NumericsError)
 from .specialfn import TWO_PI, theta_derivative
-from .zetaeval import _hardy_z_family, _hardy_z_many, generalized_hardy
+from .zetaeval import _hardy_z_family, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
 
@@ -73,11 +73,8 @@ class QuadratureRule:
 class SampledFunction:
     """A real function of one real variable plus a label for messages.
 
-    The callback must be deterministic.  many, when set, is its array
-    entry: many(xs) takes a 1-D float ndarray and returns a float
-    ndarray of the same length, the callback's values bit for bit, and
-    NaN at the points it leaves to the callback.  scan_route, when
-    set, is an independent and cheaper route to the same function, valid
+    The callback must be deterministic.  scan_route, when set, is an
+    independent and cheaper route to the same function, valid
     for 2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
     sign-change brackets on it there, and refine and report every zero
     on eval.
@@ -86,7 +83,6 @@ class SampledFunction:
     eval: Callable[[float], float]
     label: str = ""
     scan_route: SampledFunction | None = None
-    many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -94,19 +90,17 @@ class SampledFunction:
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """The function at each point of xs, any sequence that
         np.asarray(xs, float) makes 1-D; any other shape raises
-        DomainError before anything is evaluated.  The points go to many
-        in one call when it is set, and the callback fills in the rest
-        (_fill).  gram_matrix and gram_schmidt sample a family of
-        Z(sigma, .) without this method, in one call for all its
-        members, with the same fill."""
+        DomainError before anything is evaluated.  Z(sigma, .) and its
+        Gram-Schmidt combinations take the points from one batched call,
+        bit for bit, and leave the callback only the points that call
+        refuses; any other function calls its callback at every point
+        (_sample_all)."""
         points = np.asarray(xs, dtype=float)
         if points.ndim != 1:
             raise DomainError(
                 f"{self.label or 'function'} samples a 1-D sequence of "
                 f"points, got shape {points.shape}")
-        out = (np.full(points.size, math.nan) if self.many is None
-               else self.many(points))
-        return self._fill(points, out)
+        return _sample_all([self], points)[0]
 
     def _fill(self, points: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out, with the callback's value, called with built-in floats
@@ -224,42 +218,50 @@ def _dot(weights: np.ndarray, fv: np.ndarray, gv: np.ndarray) -> float:
 def inner_product(f: SampledFunction, g: SampledFunction,
                   rule: QuadratureRule) -> float:
     """Weighted inner product sum_i w_i f(x_i) g(x_i)."""
-    return _dot(rule.weights, f.sample(rule.nodes), g.sample(rule.nodes))
+    return _dot(rule.weights, *_sample_all([f, g], rule.nodes))
 
 
 def norm(f: SampledFunction, rule: QuadratureRule) -> float:
     """Quadrature L2 norm, sqrt(<f, f>); clamped at zero."""
-    fv = f.sample(rule.nodes)
+    fv, = _sample_all([f], rule.nodes)
     return math.sqrt(max(_dot(rule.weights, fv, fv), 0.0))
 
 
-def _family_rows(fs: Sequence[SampledFunction],
-                 xs: np.ndarray) -> dict[int, np.ndarray]:
-    """The array entries of the Z(sigma, .) members of fs (those whose
-    eval is a _HardyZ) at the 1-D float array xs, by index in fs: rows
-    of one _hardy_z_family call, each bit for bit the member's many."""
-    zs = [i for i, f in enumerate(fs) if isinstance(f.eval, _HardyZ)]
-    if not zs:
-        return {}
-    return dict(zip(zs, _hardy_z_family([fs[i].eval.sigma for i in zs], xs)))
+def _sigmas(f: SampledFunction) -> tuple[float, ...] | None:
+    """The sigma of each Z(sigma, .) that f's values are formed from, or
+    None when f reaches a callback this module does not own."""
+    return (f.eval.sigmas if isinstance(f.eval, (_HardyZ, _Combination))
+            else None)
 
 
 def _sample_all(fs: Sequence[SampledFunction],
                 xs: np.ndarray) -> list[np.ndarray]:
-    """[f.sample(xs) for f in fs] for the 1-D float array xs, with the
-    Z(sigma, .) members sampled in one family call (_family_rows).  The
-    callback of each member fills its refused points, member by member
-    in input order, so the first refusal raises the EvaluationError
-    that sampling one member after another would raise."""
-    rows = _family_rows(fs, xs)
-    return [f._fill(xs, rows[i]) if i in rows else f.sample(xs)
-            for i, f in enumerate(fs)]
+    """[f.sample(xs) for f in fs] for the 1-D points xs, from one
+    _hardy_z_family call over the distinct sigma of all the members,
+    told apart by their bits (float.hex: 0.0 and -0.0 take rows of their
+    own, and every NaN shares one).  Each member forms its values from
+    those rows in its callback's order, bit for bit, or is NaN
+    everywhere when it reaches a plain callback (_sigmas).  The callback
+    of each member then fills its refused points (_fill), member by
+    member in input order, so the first refusal raises the
+    EvaluationError that sampling one member after another would
+    raise."""
+    xs = np.asarray(xs, dtype=float)
+    sigmas = [_sigmas(f) for f in fs]
+    distinct = {float(s).hex(): s for part in sigmas if part is not None
+                for s in part}
+    rows = (dict(zip(distinct, _hardy_z_family(list(distinct.values()), xs)))
+            if distinct else {})
+    return [f._fill(xs, np.full(xs.size, math.nan) if part is None
+                    else f.eval.values(rows))
+            for f, part in zip(fs, sigmas)]
 
 
 def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatrix:
     """Pairwise inner products; exactly symmetric by construction.  The
     members are sampled on the nodes as by their sample, the Z(sigma, .)
-    among them in one batched call (_sample_all)."""
+    and Gram-Schmidt outputs among them in one batched call
+    (_sample_all)."""
     if len(fs) < 1:
         raise DomainError("gram_matrix needs at least one function")
     samples = _sample_all(fs, rule.nodes)
@@ -274,12 +276,12 @@ def gram_matrix(fs: Sequence[SampledFunction], rule: QuadratureRule) -> GramMatr
 
 
 class _Combination:
-    """sum_k c_k f_k over the nonzero coefficients, in index order; many
-    adds the inputs' arrays in that order, so its values are the
-    callback's bit for bit, and NaN at each point an input leaves to its
-    callback.  The Z(sigma, .) inputs take their arrays from one family
-    call (_family_rows).  If an input has no array entry, many is NaN
-    everywhere and calls no input."""
+    """sum_k c_k f_k over the nonzero coefficients, in index order.  It
+    is formed from the family rows of its inputs' sigmas (values) when
+    every input is a Z(sigma, .) or such a combination, and sigmas is
+    None otherwise.  values adds the inputs' rows in the callback's
+    order, so it is the callback's bit for bit, and NaN at each point an
+    input's row leaves to the callback."""
 
     __slots__ = ("terms",)
 
@@ -289,14 +291,15 @@ class _Combination:
     def __call__(self, t: float) -> float:
         return sum(c * f.eval(t) for c, f in self.terms)
 
-    def many(self, xs: np.ndarray) -> np.ndarray:
-        fs = [f for _, f in self.terms]
-        if any(f.many is None for f in fs):
-            return np.full(xs.size, math.nan)
-        rows = _family_rows(fs, xs)
+    @property
+    def sigmas(self) -> tuple[float, ...] | None:
+        parts = [_sigmas(f) for _, f in self.terms]
+        return None if None in parts else sum(parts, ())
+
+    def values(self, rows: dict[str, np.ndarray]) -> np.ndarray:
         total = 0
-        for i, (c, f) in enumerate(self.terms):
-            total = total + c * (rows[i] if i in rows else f.many(xs))
+        for c, f in self.terms:
+            total = total + c * f.eval.values(rows)
         return total
 
 
@@ -312,8 +315,10 @@ def gram_schmidt(fs: Sequence[SampledFunction],
     norm: a zero input, or a NaN residual, raises too.
 
     The inputs are sampled on the nodes as by their sample, the
-    Z(sigma, .) among them in one batched call (_sample_all), and each
-    output's array entry samples its Z inputs in one such call.
+    Z(sigma, .) and Gram-Schmidt outputs among them in one batched call
+    (_sample_all).  An output formed from Z(sigma, .) alone, at any
+    depth of nesting, samples as its inputs do: any mix of such outputs
+    and Z(sigma, .) is one batched call over their distinct sigma.
     """
     if len(fs) < 1:
         raise DomainError("gram_schmidt needs at least one function")
@@ -344,12 +349,10 @@ def gram_schmidt(fs: Sequence[SampledFunction],
         if i == 0:
             outputs.append(replace(fs[0]))
         else:
-            combination = _Combination(row, fs)
             outputs.append(
                 SampledFunction(
-                    eval=combination,
+                    eval=_Combination(row, fs),
                     label=f"ortho[{i}]({fs[i].label or i})",
-                    many=combination.many,
                 )
             )
     return outputs
@@ -364,9 +367,10 @@ def correlation_matrix(gram: GramMatrix) -> np.ndarray:
 
 
 class _HardyZ:
-    """Z(sigma, t) = generalized_hardy(sigma, t).z, and its array entry.
-    Both look their kernel up in this module at call time, so a wrapper
-    set on it later is still called."""
+    """Z(sigma, t) = generalized_hardy(sigma, t).z, formed from the family
+    row of its sigma (values), a copy, as _fill writes into it.  The
+    callback and _sample_all look their kernels up in this module at
+    call time, so a wrapper set on them later is still called."""
 
     __slots__ = ("sigma",)
 
@@ -376,8 +380,12 @@ class _HardyZ:
     def __call__(self, t: float) -> float:
         return generalized_hardy(self.sigma, t).z
 
-    def many(self, ts: np.ndarray) -> np.ndarray:
-        return _hardy_z_many(self.sigma, ts)
+    @property
+    def sigmas(self) -> tuple[float]:
+        return (self.sigma,)
+
+    def values(self, rows: dict[str, np.ndarray]) -> np.ndarray:
+        return rows[float(self.sigma).hex()].copy()
 
 
 def hardy_function(sigma: float) -> SampledFunction:
@@ -385,22 +393,20 @@ def hardy_function(sigma: float) -> SampledFunction:
     the Euler-Maclaurin route.  On the critical line its scan route is
     the Riemann-Siegel sum, which exists only there.
 
-    Its array entry samples a whole grid in one batched Euler-Maclaurin
-    call (zetaeval._hardy_z_many), bit for bit the callback's values at
-    every height, factored zeta heads included.  It leaves to the
-    callback only the points where the callback would raise, so sample
-    raises the callback's error at the first of them.  gram_matrix,
-    gram_schmidt and the Gram-Schmidt outputs sample several such
-    functions in one call (zetaeval._hardy_z_family), bit for bit the
-    same values."""
-    z = _HardyZ(sigma)
+    It samples a whole grid in one batched Euler-Maclaurin call
+    (zetaeval._hardy_z_family), bit for bit the callback's values at
+    every height, factored zeta heads included, and so does any mix of
+    such functions and their Gram-Schmidt combinations (_sample_all).
+    The call leaves to the callback only the points where the callback
+    would raise, so sampling raises the callback's error at the first
+    of them."""
     scan_route = None
     if sigma == 0.5:
         # Imported here: zerofinder imports this module.
         from .zerofinder import hardy_rs_function
         scan_route = hardy_rs_function()
-    return SampledFunction(eval=z, label=f"Z({sigma:g},.)",
-                           scan_route=scan_route, many=z.many)
+    return SampledFunction(eval=_HardyZ(sigma), label=f"Z({sigma:g},.)",
+                           scan_route=scan_route)
 
 
 def oscillation_order(interval: Interval) -> int:

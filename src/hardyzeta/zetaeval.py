@@ -101,8 +101,10 @@ _HEAD_BLOCK = 2**14
 
 # Most points one block of the batched Euler-Maclaurin core (_em_blocks)
 # takes at once.  A mod-5 block's tails and values hold under 1 KB a
-# point (tracemalloc peak, 14.5 MB at 2^14 points), so a grid of
-# MAX_TERMS points taken whole would need some 900 MB.
+# point (tracemalloc peak, 15.4 MB at 2^14 points), so a grid of
+# MAX_TERMS points taken whole would need some 900 MB.  A zeta block on
+# the EM_ORDER_MAX pair peaks at 1057 B a point (17.3 MB), as its
+# Pochhammer factors of all orders take 320 B a point.
 _POINT_BLOCK = 2**14
 
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
@@ -664,7 +666,9 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     once per node through the scalar theta, at the nodes where some row
     is accepted, and each value is (zeta e^{i theta}).real in CPython's
     complex arithmetic, as generalized_hardy forms it.  A block of
-    points holds under 1 KB a point (tracemalloc peak)."""
+    points holds under 1.1 KB a point (tracemalloc peak): 1057 B for a
+    block of Z(1/2, .) at t = 9000, where every point takes the
+    EM_ORDER_MAX pair."""
     points = np.empty((len(sigmas), ts.size), dtype=complex)
     points.real = np.asarray(sigmas, dtype=float)[:, None]
     points.imag = ts
@@ -680,13 +684,6 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
         out[k] = [math.nan if cmath.isnan(z) else (z * e).real
                   for z, e in zip(row.tolist(), phases)]
     return out
-
-
-def _hardy_z_many(sigma: float, ts: np.ndarray) -> np.ndarray:
-    """generalized_hardy(sigma, t).z at every point of the 1-D float
-    array ts, and NaN where it would raise: the one-row family
-    _hardy_z_family([sigma], ts)."""
-    return _hardy_z_family([sigma], ts)[0]
 
 
 def _check_n_max(n_max: int) -> None:

@@ -60,3 +60,25 @@ def head_exps(monkeypatch):
         return result, sum(sizes)
 
     return run
+
+
+@pytest.fixture
+def core_passes(monkeypatch):
+    """core_passes(call) gives call() and the point count of each pass
+    through the batched Euler-Maclaurin core (zetaeval._em_blocks) made
+    in it, in call order."""
+
+    def run(call):
+        sizes = []
+        em_blocks = zetaeval._em_blocks
+
+        def counted(points, *args):
+            sizes.append(points.size)
+            return em_blocks(points, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zetaeval, "_em_blocks", counted)
+            result = call()
+        return result, sizes
+
+    return run

@@ -324,20 +324,20 @@ class TestJsonCommands:
 
     def test_polyfit_evaluates_only_the_study(self, capsys, monkeypatch):
         calls = []
-        real, real_many = hilbert.generalized_hardy, hilbert._hardy_z_many
+        real, real_family = hilbert.generalized_hardy, hilbert._hardy_z_family
 
         def counted(sigma, t):
             calls.append(t)
             return real(sigma, t)
 
-        def counted_many(sigma, ts):
-            values = real_many(sigma, ts)
-            if values is not None:
+        def counted_family(sigmas, ts):
+            values = real_family(sigmas, ts)
+            for _ in sigmas:
                 calls.extend(ts.tolist())
             return values
 
         monkeypatch.setattr(hilbert, "generalized_hardy", counted)
-        monkeypatch.setattr(hilbert, "_hardy_z_many", counted_many)
+        monkeypatch.setattr(hilbert, "_hardy_z_family", counted_family)
         code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
                                "--interval", "10:30", "--degrees", "20,40")
         assert code == 0

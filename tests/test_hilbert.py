@@ -22,7 +22,7 @@ from hardyzeta.hilbert import (
     oscillation_order,
 )
 from hardyzeta.specialfn import TWO_PI
-from hardyzeta.zetaeval import generalized_hardy
+from hardyzeta.zetaeval import GeneralizedHardyValue, generalized_hardy
 
 ONE = SampledFunction(lambda x: 1.0, "1")
 X = SampledFunction(lambda x: x, "x")
@@ -85,30 +85,46 @@ class TestSample:
         assert err.value.point == 1.5
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("with_many", [False, True])
-    def test_non_finite_result_raises(self, value, with_many):
-        # Whether or not an array entry took the other points.
-        calls = []
-        f = SampledFunction(
-            lambda x: calls.append(x) or (value if x > 1.0 else x), "odd",
-            many=(lambda xs: np.where(xs > 1.0, math.nan, xs))
-            if with_many else None)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_result_raises(self, value, batched, monkeypatch):
+        # Whether or not a family call took the other points: batched,
+        # Z(1/2, .) whose callback returns value where it would raise,
+        # at the NaN alone.
+        calls, grids = [], []
+        if batched:
+            monkeypatch.setattr(hilbert, "_hardy_z_family", lambda s, ts: (
+                grids.append(ts.tolist()) or zetaeval._hardy_z_family(s, ts)))
+            monkeypatch.setattr(hilbert, "generalized_hardy", lambda s, t: (
+                calls.append(t) or GeneralizedHardyValue(z=value, y=0.0)))
+            f, xs = hardy_function(0.5), [20.0, math.nan, 21.0]
+        else:
+            f = SampledFunction(
+                lambda x: calls.append(x) or (value if x > 1.0 else x), "odd")
+            xs = [0.5, 1.5, 2.5]
         with pytest.raises(EvaluationError, match="non-finite") as err:
-            f.sample([0.5, 1.5, 2.5])
-        assert err.value.point == 1.5
-        assert calls == ([1.5] if with_many else [0.5, 1.5])
+            f.sample(xs)
+        assert repr(err.value.point) == repr(xs[1])
+        assert repr(calls) == repr(xs[1:2] if batched else xs[:2])
+        assert repr(grids) == repr([xs] if batched else [])
 
     @pytest.mark.parametrize("xs,shape", [
         (0.5, "()"), (np.array(0.5), "()"),
         ([[20.0, 21.0], [22.0, 23.0]], r"\(2, 2\)"),
         (np.ones((2, 0)), r"\(2, 0\)"),
     ], ids=["float", "0-d", "2-d", "2-d-empty"])
-    @pytest.mark.parametrize("with_many", [False, True])
-    def test_only_one_dimensional_points(self, xs, shape, with_many):
-        # Refused before the callback or the array entry sees a point.
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_only_one_dimensional_points(self, xs, shape, batched,
+                                         monkeypatch):
+        # Refused before the callback or a family call sees a point.
         calls = []
-        f = SampledFunction(lambda t: calls.append(t) or t, "id",
-                            many=calls.append if with_many else None)
+        if batched:
+            monkeypatch.setattr(hilbert, "_hardy_z_family", lambda s, ts: (
+                calls.append(ts) or zetaeval._hardy_z_family(s, ts)))
+            monkeypatch.setattr(hilbert, "generalized_hardy", lambda s, t: (
+                calls.append(t) or generalized_hardy(s, t)))
+            f = hardy_function(0.5)
+        else:
+            f = SampledFunction(lambda t: calls.append(t) or t, "id")
         with pytest.raises(DomainError, match=f"shape {shape}"):
             f.sample(xs)
         assert calls == []
@@ -142,7 +158,7 @@ class TestArraySampling:
     def _check_batched(self, sigma, ts):
         # The batch takes the grid, whatever its heights or head lengths.
         scalar = [generalized_hardy(sigma, t).z for t in ts.tolist()]
-        assert _bits(zetaeval._hardy_z_many(sigma, ts)) == _bits(scalar)
+        assert _bits(zetaeval._hardy_z_family([sigma], ts)[0]) == _bits(scalar)
         assert _bits(hardy_function(sigma).sample(ts)) == _bits(scalar)
 
     # Grids of 10 points in a window of width 40, the first on sigma =
@@ -177,7 +193,7 @@ class TestArraySampling:
             heads = _heads(sigma, ts)
             assert len(set(heads)) >= 5
             assert min(heads) < threshold <= max(heads)
-            _, exps = head_exps(lambda: zetaeval._hardy_z_many(sigma, ts))
+            _, exps = head_exps(lambda: zetaeval._hardy_z_family([sigma], ts))
             assert exps == sum(_head_exps(n) for n in heads)
             self._check_batched(sigma, ts)
 
@@ -191,7 +207,7 @@ class TestArraySampling:
         assert heads.count(longest) * coprime > 2 * zetaeval._HEAD_BLOCK
         self._check_batched(0.5, ts)
 
-    def test_gram_schmidt_outputs_bit_for_bit(self):
+    def test_gram_schmidt_outputs_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(2718)
         iv = Interval(100.0, 110.0)
         rule = gauss_legendre_rule(oscillation_order(iv), iv)
@@ -199,28 +215,31 @@ class TestArraySampling:
         fam = [hardy_function(s) for s in sigmas] + [COS]
         outs = gram_schmidt(fam, rule)
         ts = np.concatenate((rule.nodes, rng.uniform(iv.a, iv.b, 40)))
+        seen = []
+        monkeypatch.setattr(hilbert, "generalized_hardy", lambda s, t: (
+            seen.append(t) or generalized_hardy(s, t)))
         for k, g in enumerate(outs):
             scalar = [g.eval(t) for t in ts.tolist()]
+            seen.clear()
             assert _bits(g.sample(ts)) == _bits(scalar)
-            # The cosine has no array entry, so the last combination
-            # leaves every point to the callback, and the others none.
-            refused = np.isnan(g.many(ts))
-            assert refused.all() if k == 3 else not refused.any()
+            # The cosine is a plain callback, so the last combination
+            # takes every point through its callback, and the others none.
+            assert bool(seen) == (k == 3)
 
     def test_combination_without_array_entry_samples_no_grid(
             self, monkeypatch):
         # A Gram-Schmidt output that mixes Z(sigma, .) with a plain
-        # callback is NaN from many before any input's grid is evaluated.
+        # callback samples through its callback alone, with no family
+        # call.
         iv = Interval(100.0, 110.0)
         rule = gauss_legendre_rule(oscillation_order(iv), iv)
         fam = [hardy_function(s) for s in (0.3, 0.5, 0.7)] + [COS]
         last = gram_schmidt(fam, rule)[3]
         grids = []
-        monkeypatch.setattr(hilbert, "_hardy_z_many", lambda sigma, ts: (
-            grids.append(sigma) or zetaeval._hardy_z_many(sigma, ts)))
         monkeypatch.setattr(hilbert, "_hardy_z_family", lambda sigmas, ts: (
             grids.append(sigmas) or zetaeval._hardy_z_family(sigmas, ts)))
-        assert np.isnan(last.many(rule.nodes)).all()
+        scalar = [last.eval(t) for t in rule.nodes.tolist()]
+        assert _bits(last.sample(rule.nodes)) == _bits(scalar)
         assert grids == []
 
     # Above t = 2690 the heads are factored; the last grid's second point
@@ -275,6 +294,25 @@ class TestArraySampling:
                 tracemalloc.stop()
             assert peak <= 1024 * n, lo
 
+    def test_memory_of_one_block_on_the_largest_order(self, monkeypatch):
+        # One block of Z(1/2, .) at t = 9000, where every point takes the
+        # EM_ORDER_MAX pair and its Pochhammer factors of all orders:
+        # under 1.1 KB a point, as _hardy_z_family states (1057 B
+        # measured).
+        n = zetaeval._POINT_BLOCK
+        ts = np.linspace(9000.0, 9010.0, n)
+        assert all(zetaeval._em_pair(complex(0.5, t))[1]
+                   == zetaeval.EM_ORDER_MAX for t in (ts[0], ts[-1]))
+        f = hardy_function(0.5)
+        monkeypatch.setattr(hilbert, "generalized_hardy", None)
+        tracemalloc.start()
+        try:
+            f.sample(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 1024 * n
+
 
 def _z_or_nan(sigma: float, t: float) -> float:
     try:
@@ -309,30 +347,100 @@ class TestFamilySampling:
             scalar = [_z_or_nan(sigma, t) for t in ts.tolist()]
             refused += np.isnan(scalar).sum()
             assert _bits(row) == _bits(scalar)
-            assert _bits(zetaeval._hardy_z_many(sigma, ts)) == _bits(scalar)
+            assert (_bits(zetaeval._hardy_z_family([sigma], ts)[0])
+                    == _bits(scalar))
         assert len(sigmas) < refused < family.size
 
     @pytest.mark.parametrize("call", ["gram_matrix", "gram_schmidt",
                                       "ortho_sample"])
-    def test_one_core_pass_and_one_theta_per_node(self, monkeypatch, call):
+    def test_one_core_pass_and_one_theta_per_node(self, monkeypatch, call,
+                                                  core_passes):
         iv = Interval(300.0, 310.0)
         rule = gauss_legendre_rule(oscillation_order(iv), iv)
         fam = [hardy_function(s) for s in (0.5, 0.3, -0.4)]
         last = gram_schmidt(fam, rule)[2]
-        passes, thetas = [], []
-        em_blocks, theta = zetaeval._em_blocks, zetaeval.theta
-        monkeypatch.setattr(zetaeval, "_em_blocks", lambda points, *args: (
-            passes.append(points.size) or em_blocks(points, *args)))
+        thetas = []
+        theta = zetaeval.theta
         monkeypatch.setattr(zetaeval, "theta", lambda t: (
             thetas.append(t) or theta(t)))
-        if call == "gram_matrix":
-            gram_matrix(fam, rule)
-        elif call == "gram_schmidt":
-            gram_schmidt(fam, rule)
-        else:
-            last.sample(rule.nodes)
+        _, passes = core_passes({
+            "gram_matrix": lambda: gram_matrix(fam, rule),
+            "gram_schmidt": lambda: gram_schmidt(fam, rule),
+            "ortho_sample": lambda: last.sample(rule.nodes),
+        }[call])
         assert passes == [len(fam) * rule.nodes.size]
         assert thetas == rule.nodes.tolist()
+
+    @pytest.mark.parametrize("call", [
+        "gram_matrix(outs)", "gram_schmidt(outs)", "outs_and_family",
+        "gram_matrix(nested)", "sample(nested)", "inner_product"])
+    def test_gram_schmidt_outputs_share_one_core_pass(self, call,
+                                                      core_passes):
+        # Any mix of Z(sigma, .) and their Gram-Schmidt outputs, nested
+        # ones too, is one pass of (distinct sigma) x nodes points.
+        iv = Interval(300.0, 310.0)
+        rule = gauss_legendre_rule(oscillation_order(iv), iv)
+        fam = [hardy_function(s) for s in (0.5, 0.3, -0.4)]
+        outs = gram_schmidt(fam, rule)
+        nested = gram_schmidt(outs, rule)
+        _, passes = core_passes({
+            "gram_matrix(outs)": lambda: gram_matrix(outs, rule),
+            "gram_schmidt(outs)": lambda: gram_schmidt(outs, rule),
+            "outs_and_family": lambda: gram_matrix(
+                outs[1:] + fam[::-1] + [hardy_function(0.3)], rule),
+            "gram_matrix(nested)": lambda: gram_matrix(nested, rule),
+            "sample(nested)": lambda: nested[2].sample(rule.nodes),
+            "inner_product": lambda: inner_product(nested[1], fam[2], rule),
+        }[call])
+        assert passes == [len(fam) * rule.nodes.size]
+
+    def test_report_entry_and_ortho_one_pass_each(self, core_passes,
+                                                  tmp_path):
+        # gs-preserves-first: Gram-Schmidt (3 sigma), the first output
+        # and the first input (1 each) and the outputs' Gram matrix (3),
+        # 2048 points on 256 nodes.  ortho: Gram-Schmidt, then its
+        # outputs in one pass.
+        from hardyzeta import report
+        from hardyzeta.cli import main
+
+        entry, passes = core_passes(
+            lambda: report._entry_gs_first(report.RunConfig()))
+        assert entry.status == "Pass"
+        assert passes == [768, 256, 256, 768] and sum(passes) == 2048
+        code, passes = core_passes(lambda: main([
+            "ortho", "--sigmas", "0.5,0.3,0.4", "--interval", "10:50",
+            "--out", str(tmp_path / "o")]))
+        assert code == 0
+        assert passes == [3 * 256, 3 * 256]
+
+    @pytest.mark.parametrize("sigmas", [
+        [0.5, 0.3, 0.5], [0.0, -0.0, 0.0], [-0.0, 2.5, 0.0],
+        [0.5, math.nan], [math.nan, 0.5], [0.5, -math.nan, math.nan]],
+        ids=["repeated", "zero-signs", "zero-signs-apart", "nan-last",
+             "nan-first", "two-nans"])
+    def test_shared_rows_equal_member_by_member(self, sigmas):
+        # One family call over the distinct sigma by their bits: each
+        # member in an array of its own, bit for bit its callback's
+        # values and member-by-member sampling, or the error both raise.
+        ts = np.array([20.0, 300.0, 3000.0, -15.0])
+        fs = [hardy_function(s) for s in sigmas]
+        callbacks = [SampledFunction(lambda t, f=f: f.eval(t), f.label)
+                     for f in fs]
+
+        def outcome(sample):
+            try:
+                return [_bits(v) for v in sample()]
+            except EvaluationError as exc:
+                return (str(exc), repr(exc.point), type(exc.__cause__))
+
+        want = outcome(lambda: [f.sample(ts) for f in callbacks])
+        assert outcome(lambda: [f.sample(ts) for f in fs]) == want
+        assert outcome(lambda: hilbert._sample_all(fs, ts)) == want
+        assert isinstance(want, list) == (not np.isnan(sigmas).any())
+        if isinstance(want, list):
+            got = hilbert._sample_all(fs, ts)
+            assert not any(np.shares_memory(a, b)
+                           for i, a in enumerate(got) for b in got[:i])
 
     def test_head_work_is_the_members_sum(self, head_exps):
         # Heads of both sides of _SMOOTH_MIN_TERMS: the family takes the
@@ -342,7 +450,7 @@ class TestFamilySampling:
         ts = np.sort(rng.uniform(290.0, 340.0, 40))
         family, exps = head_exps(lambda: zetaeval._hardy_z_family(sigmas, ts))
         assert np.isfinite(family).all()
-        members = [head_exps(lambda: zetaeval._hardy_z_many(s, ts))[1]
+        members = [head_exps(lambda: zetaeval._hardy_z_family([s], ts))[1]
                    for s in sigmas]
         assert exps == sum(members) == sum(
             _head_exps(n) for s in sigmas for n in _heads(s, ts))
@@ -381,6 +489,20 @@ class TestFamilySampling:
         assert repr(got.value.point) == repr(want.value.point)
         assert type(got.value.__cause__) is type(want.value.__cause__)
         assert got_seen == want_seen
+
+    def test_rule_nodes_of_any_sequence(self):
+        # A rule built by hand with list nodes samples as with an array.
+        nodes, weights = [20.0, 21.5, 23.0], np.ones(3)
+        fam = [hardy_function(0.5), COS]
+        listed = hilbert.QuadratureRule(nodes=nodes, weights=weights)
+        arrayed = hilbert.QuadratureRule(nodes=np.array(nodes),
+                                         weights=weights)
+        assert (_bits(gram_matrix(fam, listed).entries)
+                == _bits(gram_matrix(fam, arrayed).entries))
+        assert inner_product(*fam, listed) == inner_product(*fam, arrayed)
+        assert norm(fam[0], listed) == norm(fam[0], arrayed)
+        assert (gram_schmidt(fam, listed)[1].eval(22.0)
+                == gram_schmidt(fam, arrayed)[1].eval(22.0))
 
     def test_memory_is_one_point_block(self, monkeypatch):
         # Three members on 2^14 nodes, three blocks of points in one

@@ -19,7 +19,7 @@ from hardyzeta.polyzero import (
     zero_convergence_study,
 )
 from hardyzeta.zerofinder import hardy_em_function, scan_and_refine
-from hardyzeta.zetaeval import _hardy_z_many, generalized_hardy, hardy_z_rs
+from hardyzeta.zetaeval import _hardy_z_family, generalized_hardy, hardy_z_rs
 
 
 class TestProject:
@@ -162,7 +162,7 @@ class TestReferenceZeros:
         """Record Euler-Maclaurin heights, Riemann-Siegel heights and
         (label, record) of every bracket refine_zero accepts.  The
         Euler-Maclaurin heights are the scalar calls' and the points of
-        every array call that returns values."""
+        each row of every family call."""
         em, rs, records = [], [], []
         refine = zerofinder.refine_zero
 
@@ -171,15 +171,15 @@ class TestReferenceZeros:
             records.append((f.label, record))
             return record
 
-        def many_traced(sigma, ts):
-            values = _hardy_z_many(sigma, ts)
-            if values is not None:
+        def family_traced(sigmas, ts):
+            values = _hardy_z_family(sigmas, ts)
+            for _ in sigmas:
                 em.extend(ts.tolist())
             return values
 
         monkeypatch.setattr(hilbert, "generalized_hardy",
                             lambda s, t: em.append(t) or generalized_hardy(s, t))
-        monkeypatch.setattr(hilbert, "_hardy_z_many", many_traced)
+        monkeypatch.setattr(hilbert, "_hardy_z_family", family_traced)
         monkeypatch.setattr(zerofinder, "hardy_z_rs",
                             lambda t: rs.append(t) or hardy_z_rs(t))
         monkeypatch.setattr(zerofinder, "refine_zero", refine_traced)

@@ -807,15 +807,15 @@ class TestFactoredHead:
                         == zetaeval._SMOOTH_MIN_TERMS - 1)
                 zeta_em(complex(sigma, t))
                 generalized_hardy(sigma, t)
-            zetaeval._hardy_z_many(sigma, np.linspace(-below, below, 9))
+            zetaeval._hardy_z_family([sigma], np.linspace(-below, below, 9))
         hurwitz_zeta(complex(0.5, 9000.0), 0.2)
         davenport_heilbronn(complex(0.75, 9000.0))
         davenport_heilbronn(0.75 + 1j * np.linspace(8990.0, 9000.0, 9))
         hardy_z_rs(9000.0)
         for call in (lambda: zeta_em(complex(0.5, above)),
                      lambda: hurwitz_zeta(complex(0.5, above), 1.0),
-                     lambda: zetaeval._hardy_z_many(
-                         0.5, np.array([10.0, above]))):
+                     lambda: zetaeval._hardy_z_family(
+                         [0.5], np.array([10.0, above]))):
             with pytest.raises(AssertionError, match="factor split"):
                 call()
 
