@@ -5,7 +5,7 @@ dh-scan, report.  Data goes to stdout (or --out), diagnostics to stderr.
 Exit codes: 0 success, 1 usage error, 2 numeric/domain error.
 
 Any value may start with a minus sign (--t -1e3, --box -1:2:80:90,
---t -inf).
+--t -inf, --sigmas -nan,0.5).
 Separated values are read by one grammar: an interval or a box takes
 exactly 2 or 4 numbers split by ":", a list takes any number split by
 ",", empty items skipped.  theta, z and gz print through one emitter;
@@ -50,11 +50,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # No flag of this tool starts with "-" and a digit or "-." and a
-        # digit, or is -inf, -infinity or -nan, so such an argument is a
-        # value: --t -1e3, --sigmas -0.5,0.3, --t -inf.  argparse's own
-        # pattern takes only -5 and -.5 forms.
+        # digit, or with -inf, -infinity or -nan alone or before ":" or
+        # ",", so such an argument is a value: --t -1e3, --sigmas
+        # -0.5,0.3, --t -inf, --sigmas -nan,0.5, --interval -inf:20.
+        # argparse's own pattern takes only -5 and -.5 forms.
         self._negative_number_matcher = re.compile(
-            r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+            r"^-(\.?\d|(inf|infinity|nan)([:,]|$))", re.IGNORECASE)
 
     # argparse exits 2 on usage errors by default; this tool reserves 2
     # for numeric failures.

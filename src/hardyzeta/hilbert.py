@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DependenceError, DomainError, EvaluationError,
                      NumericsError)
-from .specialfn import TWO_PI, theta_derivative
+from .specialfn import TWO_PI, _require_count, theta_derivative
 from .zetaeval import _hardy_z_family, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
@@ -197,13 +197,11 @@ def gauss_legendre_rule(order: int, interval: Interval) -> QuadratureRule:
     """Gauss-Legendre rule of the given order mapped onto the interval.
 
     Exact for polynomials of degree <= 2*order - 1; weights sum to the
-    interval width.
+    interval width.  order is an integer in [1, MAX_QUAD_ORDER]; anything
+    else, a float such as 8.0 included, raises DomainError.
     """
-    if not 1 <= order <= MAX_QUAD_ORDER:
-        raise DomainError(
-            f"quadrature order must be in [1, {MAX_QUAD_ORDER}], got {order}"
-        )
-    xs, ws = _unit_rule(order)
+    xs, ws = _unit_rule(
+        _require_count(order, "quadrature order", 1, MAX_QUAD_ORDER))
     half = 0.5 * interval.width
     return QuadratureRule(
         nodes=interval.a + half * (xs + 1.0),

@@ -26,6 +26,7 @@ from .hilbert import (
     SampledFunction,
     gauss_legendre_rule,
 )
+from .specialfn import _require_count
 # refine_zero stays bound here: the benchmark tracer wraps
 # polyzero.refine_zero as well as zerofinder.refine_zero.
 from .zerofinder import MAX_SCAN_STEP, refine_zero, scan_and_refine
@@ -116,12 +117,11 @@ def project(f: SampledFunction, interval: Interval,
 
     c_n = (2n+1)/(b-a) * <f, P_n(u(x))>, the orthogonal projection, with
     the inner products taken by the Gauss-Legendre rule of order
-    max(2*degree, MIN_QUAD_ORDER).
+    max(2*degree, MIN_QUAD_ORDER).  degree is an integer in
+    [1, MAX_PROJECT_DEGREE]; anything else, a float such as 8.0 included,
+    raises DomainError before f is sampled.
     """
-    if not 1 <= degree <= MAX_PROJECT_DEGREE:
-        raise DomainError(
-            f"degree must be in [1, {MAX_PROJECT_DEGREE}], got {degree}"
-        )
+    degree = _require_count(degree, "degree", 1, MAX_PROJECT_DEGREE)
     rule = gauss_legendre_rule(max(2 * degree, MIN_QUAD_ORDER), interval)
     fv = f.sample(rule.nodes)
     u = (2.0 * (rule.nodes - interval.a) / interval.width) - 1.0
@@ -210,12 +210,16 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
     Riemann-Siegel and refined on Euler-Maclaurin inside [2*pi, 1e4],
     and scanned on Euler-Maclaurin elsewhere, as Z(sigma, .) for
     sigma != 1/2 is everywhere.  For each degree (ascending) the real
-    zeros of the degree-d projection are matched against them.  Raises
-    if the zero counts still disagree at the largest degree.
+    zeros of the degree-d projection are matched against them.  Every
+    degree is checked as project checks it before the zero scan runs, so
+    a bad degree raises DomainError with no evaluation of f.  Raises
+    NumericsError if the zero counts still disagree at the largest
+    degree.
     """
+    degrees = sorted(_require_count(d, "degree", 1, MAX_PROJECT_DEGREE)
+                     for d in degrees)
     if not degrees:
         raise DomainError("need at least one degree")
-    degrees = sorted(degrees)
     step = min(interval.width / 1000.0, MAX_SCAN_STEP)
     alpha = [r.location for r in scan_and_refine(f, interval, step, 1e-12)]
     out = []

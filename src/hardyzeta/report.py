@@ -22,29 +22,26 @@ from importlib import resources
 import numpy as np
 
 from . import hilbert, polyzero, zerofinder
-from .errors import DomainError
 from .output import sig
-from .specialfn import chi
+from .specialfn import _require_count, chi
 from .zetaeval import davenport_heilbronn, generalized_hardy, zeta_em
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a report run depends on; embedded verbatim in the output.
 
-    Raises DomainError for a quadrature order outside
-    [1, MAX_QUAD_ORDER] or an interval that is not finite with a < b,
-    so a report never records a config its schema rejects.
+    quad_order is stored as an int.  Raises DomainError for a quad_order
+    that is not an integer in [1, MAX_QUAD_ORDER] (a float such as 64.0
+    included) or an interval that is not finite with a < b, so a report
+    never records a config its schema rejects.
     """
 
     quad_order: int = 256
     interval: tuple[float, float] = (10.0, 50.0)
 
     def __post_init__(self):
-        if not 1 <= self.quad_order <= hilbert.MAX_QUAD_ORDER:
-            raise DomainError(
-                f"quad_order must be in [1, {hilbert.MAX_QUAD_ORDER}], "
-                f"got {self.quad_order}"
-            )
+        object.__setattr__(self, "quad_order", _require_count(
+            self.quad_order, "quad_order", 1, hilbert.MAX_QUAD_ORDER))
         hilbert.Interval(*self.interval)
 
     def as_dict(self) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .errors import DomainError, PoleError
 
@@ -67,6 +68,21 @@ def _require_finite(z: complex, name: str = "argument") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{name} must be finite, got {z!r}")
     return z
+
+
+def _require_count(n, name: str, lo: int, hi: int) -> int:
+    """n as an int, where n is an integer in [lo, hi]: anything
+    operator.index takes (int, bool, numpy integers).  Raises DomainError
+    naming `name` for anything else -- a float, even 8.0, a string, None
+    -- and for a value outside [lo, hi]."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = None
+    if k is None or not lo <= k <= hi:
+        raise DomainError(
+            f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
+    return k
 
 
 def _is_nonpositive_integer(z: complex) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BracketError, ContourError, DomainError, NumericsError
 from .hilbert import Interval, SampledFunction
-from .specialfn import TWO_PI, theta, theta_derivative
+from .specialfn import TWO_PI, _require_count, theta, theta_derivative
 from .zetaeval import MAX_TERMS, generalized_hardy, hardy_z_rs
 
 #: Largest height validated for double-precision scanning.
@@ -411,9 +411,11 @@ def argument_principle_count(f: Callable[[np.ndarray | complex],
     n_per_side points per side and each step's argument increment is
     adaptively subdivided below pi/2, so once the sampling resolves the
     phase the count is exact and invariant under refinement.  Raises
-    ContourError when |f| on the contour drops under CONTOUR_MIN_ABS,
-    and DomainError before any evaluation when the 4*n_per_side contour
-    points would exceed MAX_TERMS.
+    ContourError when |f| on the contour drops under CONTOUR_MIN_ABS.
+    Raises DomainError before any evaluation when either side of the
+    box, [sigma1, sigma2] or [t1, t2], is not an Interval (finite with
+    a < b), or when n_per_side is not an integer in [2, MAX_TERMS // 4],
+    so that the 4*n_per_side contour points stay within MAX_TERMS.
 
     f maps points to values numpy-style: it is called once on the
     complex ndarray of the 4*n_per_side+1 grid points, and must return
@@ -422,12 +424,8 @@ def argument_principle_count(f: Callable[[np.ndarray | complex],
     TypeError.
     """
     s1, s2, t1, t2 = box
-    if not (s1 < s2 and t1 < t2):
-        raise DomainError(f"degenerate box {box}")
-    if not 2 <= n_per_side <= MAX_TERMS // 4:
-        raise DomainError(
-            f"n_per_side must lie in [2, {MAX_TERMS // 4}], got {n_per_side}"
-        )
+    Interval(s1, s2), Interval(t1, t2)  # each side finite with a < b
+    n_per_side = _require_count(n_per_side, "n_per_side", 2, MAX_TERMS // 4)
     corners = [complex(s1, t1), complex(s2, t1), complex(s2, t2),
                complex(s1, t2), complex(s1, t1)]
     frac = np.arange(n_per_side, dtype=float) / n_per_side

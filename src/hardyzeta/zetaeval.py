@@ -25,8 +25,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .specialfn import (TWO_PI, _require_finite, log_gamma, theta,
-                        theta_asymptotic)
+from .specialfn import (TWO_PI, _require_count, _require_finite, log_gamma,
+                        theta, theta_asymptotic)
 
 # Bernoulli numbers B_2 .. B_42 as exact rationals: the correction
 # coefficients B_{2k}/(2k)! for up to EM_ORDER_MAX terms and the first
@@ -686,21 +686,19 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_n_max(n_max: int) -> None:
-    if not 1 <= n_max <= MAX_TERMS:
-        raise DomainError(
-            f"n_max must be in [1, MAX_TERMS={MAX_TERMS}], got {n_max}"
-        )
+_N_MAX = "n_max (at most MAX_TERMS)"
 
 
 def dirichlet_partial_sums(s: complex, n_max: int) -> SpiralPath:
     """Partial sums of the Dirichlet series sum n^{-s} and their midpoints.
 
     The segment points[k] - points[k-1] is the (k+1)-st term, of modulus
-    (k+1)^{-sigma}; midpoints trace the inverse spiral.
+    (k+1)^{-sigma}; midpoints trace the inverse spiral.  n_max is an
+    integer in [1, MAX_TERMS]; anything else, a float included, raises
+    DomainError.
     """
     s = _require_finite(s, "s")
-    _check_n_max(n_max)
+    n_max = _require_count(n_max, _N_MAX, 1, MAX_TERMS)
     ns = np.arange(1, n_max + 1, dtype=float)
     terms = _powers(ns, -s)
     points = np.cumsum(terms)
@@ -714,12 +712,14 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     Compares 2 sin(pi s) Gamma(s) zeta(s) -- computed stably as
     2 pi zeta(s) / Gamma(1-s) -- against the truncated series
     (2 pi)^s sum_{n<=n_max} n^{s-1} ((-i)^{s-1} + i^{s-1}), which
-    converges for Re s < 0.  Returns |LHS - RHS|.
+    converges for Re s < 0.  Returns |LHS - RHS|.  n_max is an integer
+    in [1, MAX_TERMS]; anything else, a float included, raises
+    DomainError before zeta is evaluated.
     """
     s = _require_finite(s, "s")
     if s.real >= 0.0:
         raise DomainError(f"residue identity series needs Re s < 0, got {s}")
-    _check_n_max(n_max)
+    n_max = _require_count(n_max, _N_MAX, 1, MAX_TERMS)
     lhs = TWO_PI * zeta_em(s) * cmath.exp(-log_gamma(1.0 - s))
     ns = np.arange(1, n_max + 1, dtype=float)
     series = complex(np.sum(_powers(ns, s - 1.0)))

@@ -66,13 +66,15 @@ class TestExitCodes:
         (("theta", "--t", "1e308"), "overflows"),
         (("z", "--method", "em", "--t", "1e308"), "MAX_TERMS"),
         (("gz", "--sigma", "1e306", "--t", "1000"), "overflows a double"),
+        (("dh-scan", "--box", "0.5:inf:80:90"),
+         "interval endpoints must be finite: Interval(a=0.5, b=inf)"),
     ], ids=["step-nan", "zeros-step-0.5",
             "lehmer-step-0.2", "dh-scan-n-per-side-250001", "threshold-nan",
             "threshold-0", "gz-sigma-minus-20", "gz-sigma-minus-10",
             "spiral-n-above-max-terms", "zeros-step-1e-9",
             "theta-asym-below-2pi", "theta-asym-above-1e50",
             "gram-above-1e50", "theta-exact-overflow", "z-em-above-max-terms",
-            "gz-sigma-1e306"])
+            "gz-sigma-1e306", "dh-scan-box-infinite-side"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -100,6 +102,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "theta", "--t", t)
         assert (code, out) == (2, "")
         assert f"t must be finite, got {float(t)!r}" in err
+        # So is the first item of a list, an interval or a box: it is
+        # refused as the same value in a later position is.
+        gram = ("gram", "--interval", "10:20", "--order", "32", "--sigmas")
+        first = run_cli(capsys, *gram, f"{t},0.5")
+        assert first == run_cli(capsys, *gram, f"0.5,{t}")
+        assert first[:2] == (2, "")
+        for code, *forms in [
+                (1, ("zeros", "--interval", f"{t}:20"),
+                 ("zeros", "--interval", f"20:{t}")),
+                (2, ("dh-scan", "--box", f"{t}:1:80:90"),
+                 ("dh-scan", "--box", f"0.5:{t}:80:90"))]:
+            for argv in forms:
+                got, out, err = run_cli(capsys, *argv)
+                assert (got, out) == (code, "")
+                assert "interval endpoints must be finite" in err
 
 
 class TestValueCommands:

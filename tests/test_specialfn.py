@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -6,10 +7,17 @@ import numpy as np
 import pytest
 from scipy.special import loggamma as scipy_loggamma
 
+from hardyzeta import hilbert, zerofinder, zetaeval
 from hardyzeta.errors import DomainError, PoleError
+from hardyzeta.hilbert import (MAX_QUAD_ORDER, Interval, gauss_legendre_rule,
+                               hardy_function)
+from hardyzeta.polyzero import (MAX_PROJECT_DEGREE, project,
+                                zero_convergence_study)
+from hardyzeta.report import RunConfig
 from hardyzeta.specialfn import (chi, log_gamma, theta, theta_asymptotic,
                                  theta_derivative)
-from hardyzeta.zetaeval import residue_identity_residual
+from hardyzeta.zetaeval import (MAX_TERMS, dirichlet_partial_sums,
+                                residue_identity_residual)
 
 # Frozen from termwise evaluation of the six-term expansion at t = 2*pi:
 # -pi - pi/8 + 1/(96 pi) + 7/(5760 (2 pi)^3) + 31/(80640 (2 pi)^5).
@@ -255,3 +263,86 @@ class TestThetaDerivative:
         for t in OUTSIDE_ASYMPTOTIC + [-5.0]:
             with pytest.raises(DomainError, match=r"2\*pi"):
                 theta_derivative(t)
+
+
+# Every count argument, as (call, name in the message, lo, hi, a valid
+# count, the result's bits).  call(n, f) passes n as the count; f is the
+# contour's function where there is one.
+_STUDY_IV = Interval(10.0, 30.0)
+_BOX = (0.5, 1.0, 80.0, 90.0)
+COUNT_SITES = {
+    "dirichlet_partial_sums": (
+        lambda n, f: dirichlet_partial_sums(complex(0.5, 30.0), n),
+        "n_max", 1, MAX_TERMS, 50,
+        lambda p: (p.points.tobytes(), p.midpoints.tobytes())),
+    "residue_identity_residual": (
+        lambda n, f: residue_identity_residual(-1.5 + 0.0j, n),
+        "n_max", 1, MAX_TERMS, 50, float.hex),
+    "argument_principle_count": (
+        lambda n, f: zerofinder.argument_principle_count(f, _BOX, n),
+        "n_per_side", 2, MAX_TERMS // 4, 16, int),
+    "gauss_legendre_rule": (
+        lambda n, f: gauss_legendre_rule(n, _STUDY_IV),
+        "quadrature order", 1, MAX_QUAD_ORDER, 8,
+        lambda r: (r.nodes.tobytes(), r.weights.tobytes())),
+    "project": (
+        lambda n, f: project(hardy_function(0.5), _STUDY_IV, n),
+        "degree", 1, MAX_PROJECT_DEGREE, 8,
+        lambda r: (r.poly.coeffs.tobytes(), r.l2_error.hex())),
+    "zero_convergence_study": (
+        lambda n, f: zero_convergence_study(hardy_function(0.5), _STUDY_IV,
+                                            [20, n]),
+        "degree", 1, MAX_PROJECT_DEGREE, 24,
+        lambda out: [(type(c.degree), c.degree, c.function_zeros,
+                      c.polynomial_zeros, c.l2_error.hex()) for c in out]),
+    "RunConfig": (
+        lambda n, f: RunConfig(quad_order=n),
+        "quad_order", 1, MAX_QUAD_ORDER, 64,
+        lambda c: json.dumps(c.as_dict())),
+}
+# Everything a count site may evaluate or build.
+_EVALUATORS = [(zetaeval, "_em_blocks"), (zetaeval, "zeta_em"),
+               (zetaeval, "_powers"), (zetaeval, "hurwitz_zeta"),
+               (zerofinder, "hardy_z_rs"), (hilbert, "_hardy_z_family"),
+               (hilbert, "generalized_hardy"), (hilbert, "_unit_rule")]
+
+
+def _bad_counts(lo, hi):
+    return [5.5, 8.0, "8", None, lo - 1, hi + 1]
+
+
+class TestRequireCount:
+    """One rule for every count: an integer (what operator.index takes)
+    in [lo, hi], or DomainError naming the argument before anything is
+    evaluated."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        seen = []
+        for module, attr in _EVALUATORS:
+            original = getattr(module, attr)
+            monkeypatch.setattr(
+                module, attr,
+                lambda *a, _o=original, _n=attr: seen.append(_n) or _o(*a))
+        return seen
+
+    @pytest.mark.parametrize("site,n", [
+        (site, n) for site, (_, _, lo, hi, _, _) in COUNT_SITES.items()
+        for n in _bad_counts(lo, hi)])
+    def test_refused_before_any_evaluation(self, evaluated, site, n):
+        call, name, *_ = COUNT_SITES[site]
+        with pytest.raises(DomainError,
+                           match=rf"^{name}( \(.*\))? must be an integer"):
+            call(n, lambda z: evaluated.append("f") or z - complex(0.7, 85.0))
+        assert evaluated == []
+
+    @pytest.mark.parametrize("site", list(COUNT_SITES))
+    def test_numpy_integer_gives_the_int_bits(self, site):
+        call, _, _, _, k, bits = COUNT_SITES[site]
+        f = lambda z: z - complex(0.7, 85.0)
+        assert bits(call(np.int64(k), f)) == bits(call(k, f))
+
+    def test_study_checks_every_degree_before_its_scan(self, evaluated):
+        with pytest.raises(DomainError, match="degree"):
+            zero_convergence_study(hardy_function(0.5), _STUDY_IV, [20, 600])
+        assert evaluated == []

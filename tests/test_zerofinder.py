@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -572,6 +573,27 @@ class TestArgumentPrinciple:
     def test_degenerate_box(self):
         with pytest.raises(DomainError):
             argument_principle_count(zeta_em, (0.9, 0.6, 10.0, 50.0), 64)
+
+    @pytest.mark.parametrize("box,why", [
+        ((0.5, math.inf, 80.0, 90.0), "finite"),
+        ((math.nan, 1.0, 80.0, 90.0), "finite"),
+        ((0.5, 1.0, -math.inf, 90.0), "finite"),
+        ((0.5, 1.0, 80.0, math.nan), "finite"),
+        ((0.9, 0.6, 80.0, 90.0), "a < b"),
+        ((0.5, 1.0, 90.0, 90.0), "a < b"),
+    ], ids=["sigma-inf", "sigma-nan", "t-minus-inf", "t-nan", "sigma-reversed",
+            "t-empty"])
+    def test_box_sides_are_intervals(self, box, why):
+        # Each side is refused as Interval refuses it, before f is called.
+        seen = []
+
+        def f(z):
+            seen.append(z)
+            return z - complex(0.7, 85.0)
+
+        with pytest.raises(DomainError, match=f"interval .*{re.escape(why)}"):
+            argument_principle_count(f, box, 16)
+        assert seen == []
 
     def test_n_per_side_above_max_terms_refused(self):
         seen = []
