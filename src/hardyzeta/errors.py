@@ -14,9 +14,10 @@ class PoleError(DomainError):
 
 
 class EvaluationError(NumericsError):
-    """A sampled-function callback failed; carries the offending point."""
+    """A callback failed or returned a value that is not a finite
+    number; carries the offending point."""
 
-    def __init__(self, message: str, point: float | None = None):
+    def __init__(self, message: str, point: float | complex | None = None):
         super().__init__(message)
         self.point = point
 

@@ -73,9 +73,14 @@ class QuadratureRule:
 class SampledFunction:
     """A real function of one real variable plus a label for messages.
 
-    The callback must be deterministic.  scan_route, when set, is an
-    independent and cheaper route to the same function, valid
-    for 2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
+    The callback must be deterministic.  Every value the package reads
+    from it (sample, and the refinement and window-end values of
+    zerofinder) passes one rule, _value: an exception the callback
+    raises, or a value that is complex, not a number (None), NaN or
+    infinite, becomes an EvaluationError naming the point, chained from
+    the cause.  scan_route, when set, is an independent and cheaper
+    route to the same function, valid for
+    2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
     sign-change brackets on it there, and refine and report every zero
     on eval.
     """
@@ -103,30 +108,33 @@ class SampledFunction:
         return _sample_all([self], points)[0]
 
     def _fill(self, points: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out, with the callback's value, called with built-in floats
-        in point order, at every point of the 1-D float array points
-        where out is NaN or infinite.  The first point where it raises,
-        or returns a complex of any type, a value float() rejects
-        (None), a NaN or an infinity, raises EvaluationError with that
-        point."""
+        """out, with _value at every point of the 1-D float array points
+        where out is NaN or infinite, in point order."""
         todo = np.flatnonzero(~np.isfinite(out))
-        for i, x in zip(todo.tolist(), points[todo].tolist()):
-            try:
-                value = self.eval(x)
-                if type(value) is not float:
-                    # float() of a numpy complex keeps the real part.
-                    if np.iscomplexobj(value):
-                        raise TypeError(f"returned a complex value {value!r}")
-                    value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"returned a non-finite value {value!r}")
-                out[i] = value
-            except Exception as exc:
-                raise EvaluationError(
-                    f"{self.label or 'function'} failed at t={x!r}: {exc}",
-                    point=x,
-                ) from exc
+        out[todo] = [self._value(x) for x in points[todo].tolist()]
         return out
+
+    def _value(self, x: float) -> float:
+        """The callback's value at the built-in float x, as a float: the
+        one rule for every value the package reads from the callback.
+        When the callback raises, or returns a complex of any type, a
+        value float() rejects (None), a NaN or an infinity, it raises
+        EvaluationError with the point x, chained from the cause."""
+        try:
+            value = self.eval(x)
+            if type(value) is not float:
+                # float() of a numpy complex keeps the real part.
+                if np.iscomplexobj(value):
+                    raise TypeError(f"returned a complex value {value!r}")
+                value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"returned a non-finite value {value!r}")
+            return value
+        except Exception as exc:
+            raise EvaluationError(
+                f"{self.label or 'function'} failed at t={x!r}: {exc}",
+                point=x,
+            ) from exc
 
 
 @dataclass

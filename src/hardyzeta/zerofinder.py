@@ -26,7 +26,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BracketError, ContourError, DomainError, NumericsError
+from .errors import (BracketError, ContourError, DomainError,
+                     EvaluationError, NumericsError)
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, _require_count, theta, theta_derivative
 from .zetaeval import MAX_TERMS, generalized_hardy, hardy_z_rs
@@ -156,21 +157,16 @@ def _brent(f: Callable[[float], float], xa: float, xb: float,
     step can stall on roundoff; bisection alone shrinks a bracket below
     1e-15 of its width in 50 iterations.
 
-    Raises BracketError when f(xa) and f(xb) share a sign, and
-    NumericsError when f returns NaN or 100 iterations do not converge.
+    f must return a float at each point (refine_zero passes
+    SampledFunction._value, which checks it).  Raises BracketError when
+    f(xa) and f(xb) share a sign, and NumericsError when 100 iterations
+    do not converge.
     """
     rtol = 1e-15
     maxiter = 100
-
-    def at(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericsError(f"f is NaN at x={x!r}; Brent cannot continue")
-        return fx
-
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = at(xpre), at(xcur)
+    fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -210,7 +206,7 @@ def _brent(f: Callable[[float], float], xa: float, xb: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = at(xcur)
+        fcur = f(xcur)
     raise NumericsError(f"Brent did not converge on ({xa}, {xb}) in "
                         f"{maxiter} iterations")
 
@@ -224,7 +220,10 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
     h = max(1e-6, tol); the zero is flagged simple when |f'| clears
     SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude.  A tol that
     is not a positive finite number raises DomainError before f is
-    evaluated.
+    evaluated.  Every value of f, at the bracket ends, the Brent
+    iterates and the derivative and residual points, is read through
+    SampledFunction._value, so a refused or non-finite value raises
+    EvaluationError naming its point, chained from the cause.
     """
     _check_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -232,7 +231,7 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
         raise BracketError(f"bracket must be ordered, got ({lo}, {hi})")
     # One cache for this call: Brent re-evaluates both ends and returns
     # a point it has evaluated (an end, when f is exactly 0 there).
-    f_at = functools.cache(f.eval)
+    f_at = functools.cache(f._value)
     flo, fhi = f_at(lo), f_at(hi)
     if flo != 0.0 and fhi != 0.0 and (flo > 0.0) == (fhi > 0.0):
         raise BracketError(
@@ -290,7 +289,11 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
     ascending and distinct.  A span without a sign change drops the
     bracket: a scan-route-only pair of sign changes, or a zero just
     outside the interval.  A tol that is not a positive finite number
-    raises DomainError before anything is evaluated.
+    raises DomainError before anything is evaluated.  Sampling, the two
+    window-end signs and refinement read f as SampledFunction._value
+    does, so a refused or non-finite value anywhere raises
+    EvaluationError naming its point, chained from the cause, and no
+    partial list is returned.
     """
     _check_tol(tol)
     in_range = TWO_PI <= interval.a and interval.b <= MAX_SCAN_HEIGHT
@@ -299,9 +302,9 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
         vals = f.scan_route.sample(xs)
         # A zero between its two routes' positions at a window end is
         # inside the window on f or not at all: f signs the ends.
-        vals[0] = f.eval(float(xs[0]))
+        vals[0] = f._value(float(xs[0]))
         brackets = _brackets(xs, vals, interval, step,
-                             end=lambda: f.eval(float(xs[-1])))
+                             end=lambda: f._value(float(xs[-1])))
     else:
         brackets = _brackets(xs, f.sample(xs), interval, step)
     # Each span reaches midway to the neighbouring brackets.  The next
@@ -334,7 +337,10 @@ def find_critical_zeros(interval: Interval,
 
     The interval must lie in [2*pi, MAX_SCAN_HEIGHT] and the step must
     not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell
-    (DomainError otherwise, before anything is evaluated).
+    (DomainError otherwise, before anything is evaluated).  A route
+    that refuses a height or returns a non-finite value there raises
+    EvaluationError naming the height, chained from the cause (the
+    kernel's DomainError, for a refusal).
     """
     if interval.a < TWO_PI:
         raise DomainError(
@@ -378,6 +384,18 @@ def lehmer_scan(interval: Interval, threshold: float,
     return pairs
 
 
+def _contour_value(z: complex, value: object) -> complex:
+    """value, f's value at the contour point z, as a complex; a value
+    that is not a finite complex number raises EvaluationError with z."""
+    try:
+        v = complex(value)
+        if not cmath.isfinite(v):
+            raise ValueError(f"returned a non-finite value {v!r}")
+        return v
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(f"f failed at z={z!r}: {exc}", point=z) from exc
+
+
 def _phase_steps(f: Callable[[complex], complex], z0: complex, z1: complex,
                  v0: complex, v1: complex, depth: int = 0) -> float:
     """Total argument increment of f along [z0, z1], subdividing until
@@ -396,7 +414,7 @@ def _phase_steps(f: Callable[[complex], complex], z0: complex, z1: complex,
             "a zero may sit on the contour"
         )
     zm = 0.5 * (z0 + z1)
-    vm = f(zm)
+    vm = _contour_value(zm, f(zm))
     return (_phase_steps(f, z0, zm, v0, vm, depth + 1)
             + _phase_steps(f, zm, z1, vm, v1, depth + 1))
 
@@ -412,19 +430,31 @@ def argument_principle_count(f: Callable[[np.ndarray | complex],
     adaptively subdivided below pi/2, so once the sampling resolves the
     phase the count is exact and invariant under refinement.  Raises
     ContourError when |f| on the contour drops under CONTOUR_MIN_ABS.
-    Raises DomainError before any evaluation when either side of the
-    box, [sigma1, sigma2] or [t1, t2], is not an Interval (finite with
-    a < b), or when n_per_side is not an integer in [2, MAX_TERMS // 4],
-    so that the 4*n_per_side contour points stay within MAX_TERMS.
+    Raises DomainError before any evaluation when box is not four
+    numbers, when its sigma side [sigma1, sigma2] or its t side
+    [t1, t2] is not an Interval (finite with a < b; the message names
+    the side), or when n_per_side is not an integer in
+    [2, MAX_TERMS // 4], so that the 4*n_per_side contour points stay
+    within MAX_TERMS.
 
     f maps points to values numpy-style: it is called once on the
     complex ndarray of the 4*n_per_side+1 grid points, and must return
     an array of their values, then once on each subdivision midpoint, a
     complex, one at a time.  A grid result of another shape raises
-    TypeError.
+    TypeError.  A grid or midpoint value that is not a finite complex
+    number raises EvaluationError with its point, chained from the
+    cause, the grid's before any subdivision; exceptions f raises
+    propagate unchanged.
     """
+    if len(box) != 4:
+        raise DomainError(f"box must be (sigma1, sigma2, t1, t2), got {box!r}")
     s1, s2, t1, t2 = box
-    Interval(s1, s2), Interval(t1, t2)  # each side finite with a < b
+    for side, lo, hi in (("sigma", s1, s2), ("t", t1, t2)):
+        try:
+            Interval(lo, hi)
+        except DomainError as exc:
+            raise DomainError(
+                f"the {side} side of box {box!r} is refused: {exc}") from exc
     n_per_side = _require_count(n_per_side, "n_per_side", 2, MAX_TERMS // 4)
     corners = [complex(s1, t1), complex(s2, t1), complex(s2, t2),
                complex(s1, t2), complex(s1, t1)]
@@ -432,11 +462,17 @@ def argument_principle_count(f: Callable[[np.ndarray | complex],
     grid = np.concatenate(
         [a + (b - a) * frac for a, b in zip(corners[:-1], corners[1:])]
         + [corners[:1]])
-    vals = np.asarray(f(grid), dtype=complex)
+    raw = f(grid)
+    try:
+        vals = np.asarray(raw, dtype=complex)
+    except (TypeError, ValueError):  # an entry numpy cannot make complex
+        vals = np.asarray(raw, dtype=object)
     if vals.shape != grid.shape:
         raise TypeError(f"f must map the {grid.size} contour points to as "
                         f"many values, got an array of shape {vals.shape}")
     zs, vs = grid.tolist(), vals.tolist()
+    if vals.dtype == object or not np.isfinite(vals).all():
+        vs = [_contour_value(z, v) for z, v in zip(zs, vs)]
     total = 0.0
     for i in range(len(zs) - 1):
         total += _phase_steps(f, zs[i], zs[i + 1], vs[i], vs[i + 1])

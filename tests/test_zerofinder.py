@@ -7,7 +7,7 @@ import pytest
 
 from hardyzeta import zerofinder
 from hardyzeta.errors import (BracketError, ContourError, DomainError,
-                              NumericsError)
+                              EvaluationError, NumericsError)
 from hardyzeta.hilbert import Interval, SampledFunction, hardy_function
 from hardyzeta.zerofinder import (
     argument_principle_count,
@@ -109,6 +109,26 @@ class TestRefine:
         assert abs(r.location - math.pi) < 1e-12
         assert len(seen) == len(set(seen))
 
+    def test_nan_at_derivative_point_refused(self):
+        # NaN only at root +- 1e-6, the central-difference points; it
+        # used to come back as derivative=nan, simple=False.
+        f = SampledFunction(
+            lambda x: (math.nan if abs(abs(x - math.pi) - 1e-6) < 1e-9
+                       else math.sin(x)), "sin")
+        with pytest.raises(EvaluationError) as err:
+            refine_zero(f, (3.0, 3.3), 1e-10)
+        assert abs(abs(err.value.point - math.pi) - 1e-6) < 1e-9
+
+    @pytest.mark.parametrize("value", [
+        lambda x: None, lambda x: complex(math.sin(x)),
+        lambda x: np.complex128(math.sin(x))],
+        ids=["none", "complex", "numpy-complex"])
+    def test_value_that_is_not_a_real_number_refused(self, value):
+        with pytest.raises(EvaluationError) as err:
+            refine_zero(SampledFunction(value, "bad"), (3.0, 3.3))
+        assert err.value.point == 3.0
+        assert isinstance(err.value.__cause__, TypeError)
+
     @pytest.mark.parametrize("bracket", [(2.0, 3.0), (1.0, 2.0)])
     def test_exact_zero_at_bracket_end(self, bracket):
         r = refine_zero(SampledFunction(lambda x: x - 2.0, "x-2"), bracket)
@@ -148,9 +168,16 @@ class TestBrent:
             zerofinder._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
     def test_nan_refused(self):
-        with pytest.raises(NumericsError, match="NaN"):
-            zerofinder._brent(lambda x: math.nan if x > 0.0 else x - 0.5,
-                              -1.0, 1.0, 1e-12)
+        # _brent takes the values refine_zero has checked: a NaN at a
+        # Brent iterate (the first lands near 0.2) names that iterate.
+        f = SampledFunction(
+            lambda x: 1.0 if x == 1.0 else math.nan if x > 0.0 else x - 0.5,
+            "nan-right")
+        with pytest.raises(EvaluationError, match="nan") as err:
+            refine_zero(f, (-1.0, 1.0), 1e-12)
+        assert isinstance(err.value, NumericsError)
+        assert 0.0 < err.value.point < 1.0
+        assert math.isnan(f.eval(err.value.point))
 
     def test_discontinuity_converges_to_the_jump(self):
         # No root, only a sign change: Brent still closes the bracket.
@@ -228,6 +255,27 @@ class TestScanAndRefine:
         zeros = [k * math.pi for k in range(math.ceil(a / math.pi),
                                             math.floor(b / math.pi) + 1)]
         assert [r.location for r in recs] == pytest.approx(zeros, abs=1e-9)
+
+    def test_nan_at_span_end_is_not_dropped(self):
+        # f is NaN at 11.0, the end of the span that holds the zeros near
+        # 9.575 and 12.716; they used to be lost with no error.
+        route = SampledFunction(lambda x: -math.sin(x), "route")
+        f = SampledFunction(
+            lambda x: math.nan if x == 11.0 else -math.sin(x - 0.15),
+            "shifted", scan_route=route)
+        with pytest.raises(EvaluationError) as err:
+            scan_and_refine(f, Interval(7.0, 20.0), 0.1, 1e-10)
+        assert err.value.point == 11.0
+
+    @pytest.mark.parametrize("end", [7.0, 20.0], ids=["a", "b"])
+    def test_nan_at_window_end_refused(self, end):
+        # The window ends are signed on f, not on its scan route.
+        route = SampledFunction(math.sin, "sin")
+        f = SampledFunction(lambda x: math.nan if x == end else math.sin(x),
+                            "sin", scan_route=route)
+        with pytest.raises(EvaluationError, match="non-finite") as err:
+            scan_and_refine(f, Interval(7.0, 20.0), 0.01, 1e-10)
+        assert err.value.point == end
 
     def test_find_critical_zeros_is_the_pipeline_on_z_em(self):
         iv = Interval(100.0, 110.0)
@@ -435,9 +483,14 @@ class TestCriticalZeros:
 
     def test_refuses_em_terms_below_default_cutoff(self, hardy_at_cutoff):
         # N = 200 is below |t|/2pi ~ 1114 at t = 7000, and refinement
-        # there stops at the kernel's refusal, which names the cutoff.
-        with pytest.raises(DomainError, match="N=200"):
+        # there stops at the kernel's refusal, which names the cutoff,
+        # as an EvaluationError at the first point, as sample raises it.
+        with pytest.raises(EvaluationError) as err:
             refine_zero(hardy_at_cutoff(200), (7005.0, 7005.1))
+        assert err.value.point == 7005.0
+        cause = err.value.__cause__
+        assert isinstance(cause, DomainError)
+        assert re.search("N=200", str(cause))
 
     def test_residuals_tiny_relative_to_local_scale(self):
         recs = scan_and_refine(hardy_em_function(), Interval(10.0, 60.0),
@@ -574,26 +627,77 @@ class TestArgumentPrinciple:
         with pytest.raises(DomainError):
             argument_principle_count(zeta_em, (0.9, 0.6, 10.0, 50.0), 64)
 
-    @pytest.mark.parametrize("box,why", [
-        ((0.5, math.inf, 80.0, 90.0), "finite"),
-        ((math.nan, 1.0, 80.0, 90.0), "finite"),
-        ((0.5, 1.0, -math.inf, 90.0), "finite"),
-        ((0.5, 1.0, 80.0, math.nan), "finite"),
-        ((0.9, 0.6, 80.0, 90.0), "a < b"),
-        ((0.5, 1.0, 90.0, 90.0), "a < b"),
+    @pytest.mark.parametrize("box,side,why", [
+        ((0.5, math.inf, 80.0, 90.0), "sigma", "finite"),
+        ((math.nan, 1.0, 80.0, 90.0), "sigma", "finite"),
+        ((0.5, 1.0, -math.inf, 90.0), "t", "finite"),
+        ((0.5, 1.0, 80.0, math.nan), "t", "finite"),
+        ((0.9, 0.6, 80.0, 90.0), "sigma", "a < b"),
+        ((0.5, 1.0, 90.0, 90.0), "t", "a < b"),
+        ((0.5, 0.9, 90.0, 80.0), "t", "a < b"),
     ], ids=["sigma-inf", "sigma-nan", "t-minus-inf", "t-nan", "sigma-reversed",
-            "t-empty"])
-    def test_box_sides_are_intervals(self, box, why):
-        # Each side is refused as Interval refuses it, before f is called.
+            "t-empty", "t-reversed"])
+    def test_box_sides_are_intervals(self, box, side, why):
+        # Each side is refused as Interval refuses it, and named, before
+        # f is called.
         seen = []
 
         def f(z):
             seen.append(z)
             return z - complex(0.7, 85.0)
 
-        with pytest.raises(DomainError, match=f"interval .*{re.escape(why)}"):
+        with pytest.raises(DomainError, match=f"interval .*{re.escape(why)}"
+                           ) as err:
+            argument_principle_count(f, box, 16)
+        assert f"the {side} side of box" in str(err.value)
+        assert seen == []
+
+    @pytest.mark.parametrize("box", [(0.5, 1.0, 80.0),
+                                     (0.5, 1.0, 80.0, 90.0, 100.0)],
+                             ids=["3", "5"])
+    def test_box_of_other_length_refused(self, box):
+        seen = []
+
+        def f(z):
+            seen.append(z)
+            return z - complex(0.7, 85.0)
+
+        with pytest.raises(DomainError, match=re.escape(repr(box))):
             argument_principle_count(f, box, 16)
         assert seen == []
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), math.inf, None,
+                                     "x"], ids=["nan", "inf", "none", "str"])
+    def test_grid_value_refused_before_subdivision(self, bad):
+        # One grid value that is not a finite complex number is refused
+        # at its point after the one grid call; a NaN used to cost 48
+        # subdivision calls and end in a misleading ContourError.
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            values = (z - complex(0.75, 85.0)).astype(object)
+            values[5] = bad
+            return values
+
+        with pytest.raises(EvaluationError) as err:
+            argument_principle_count(f, (0.5, 1.0, 80.0, 90.0), 8)
+        assert len(calls) == 1
+        assert err.value.point == calls[0][5]
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 1.0), None],
+                             ids=["nan", "none"])
+    def test_midpoint_value_refused(self, bad):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return z - complex(0.51, 80.2) if isinstance(z, np.ndarray) else bad
+
+        with pytest.raises(EvaluationError) as err:
+            argument_principle_count(f, (0.5, 1.0, 80.0, 90.0), 2)
+        assert len(calls) == 2
+        assert err.value.point == calls[1]
 
     def test_n_per_side_above_max_terms_refused(self):
         seen = []
