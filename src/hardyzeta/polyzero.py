@@ -5,7 +5,9 @@ real orthogonal polynomials as in the zero theorem the paper's argument
 runs through; real zeros are pulled out of the expansion through the
 colleague-matrix eigenvalue problem; and a convergence study tracks how
 the polynomial zeros approach the function's own zeros as the degree
-grows.  The reference zeros come from zerofinder.scan_and_refine: for
+grows.  The study projects once, at its largest degree: a lower degree
+is a truncation of that projection, the discrete projection on the same
+Gauss rule.  The reference zeros come from zerofinder.scan_and_refine: for
 Z(1/2, .) on an interval inside [2*pi, 1e4] a Riemann-Siegel scan with
 Euler-Maclaurin refinement, elsewhere (and for every other function) a
 scan of the function itself.
@@ -95,7 +97,8 @@ class ZeroComparison:
 
     matched_pairs holds (alpha, beta, |alpha - beta|) tuples from the
     order-preserving minimal-distance assignment of the two sorted lists;
-    l2_error is the projection's own (ProjectionResult.l2_error).
+    l2_error is the quadrature L2 norm of f minus the degree-d
+    polynomial on the Gauss rule of the study's top projection.
     """
 
     function_zeros: list[float]
@@ -209,12 +212,18 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
     on f itself otherwise.  So hardy_function(0.5) is scanned on
     Riemann-Siegel and refined on Euler-Maclaurin inside [2*pi, 1e4],
     and scanned on Euler-Maclaurin elsewhere, as Z(sigma, .) for
-    sigma != 1/2 is everywhere.  For each degree (ascending) the real
-    zeros of the degree-d projection are matched against them.  Every
-    degree is checked as project checks it before the zero scan runs, so
-    a bad degree raises DomainError with no evaluation of f.  Raises
-    NumericsError if the zero counts still disagree at the largest
-    degree.
+    sigma != 1/2 is everywhere.  f is projected once, by project at the
+    largest degree D; each degree d (ascending) takes the first d + 1
+    of its coefficients, the discrete projection on the same rule of
+    order max(2D, MIN_QUAD_ORDER), or the top projection itself when d
+    reaches its trimmed length.  A truncation's l2_error is the discrete
+    Parseval sum: the top's squared error plus c_n^2 (b-a)/(2n+1) for
+    each coefficient it drops, a sum of positive terms.  The real zeros
+    of each degree-d polynomial are matched against the reference
+    zeros.  Every degree is checked as project checks it before the zero
+    scan runs, so a bad degree raises DomainError with no evaluation of
+    f.  Raises NumericsError if the zero counts still disagree at the
+    largest degree.
     """
     degrees = sorted(_require_count(d, "degree", 1, MAX_PROJECT_DEGREE)
                      for d in degrees)
@@ -222,9 +231,20 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
         raise DomainError("need at least one degree")
     step = min(interval.width / 1000.0, MAX_SCAN_STEP)
     alpha = [r.location for r in scan_and_refine(f, interval, step, 1e-12)]
+    top = project(f, interval, degrees[-1])
+    c = top.poly.coeffs
+    # Discrete Parseval on the top rule: the squared residual of a
+    # truncation is the top's plus the weighted squares it dropped.
+    weighted = c * c * interval.width / (2.0 * np.arange(len(c)) + 1.0)
     out = []
     for deg in degrees:
-        proj = project(f, interval, deg)
+        if deg + 1 >= len(c):
+            proj = top
+        else:
+            poly = PolynomialRealCoeffs(coeffs=c[:deg + 1], interval=interval)
+            tail = float(np.sum(weighted[len(poly.coeffs):]))
+            proj = ProjectionResult(poly=poly, l2_error=math.sqrt(
+                top.l2_error * top.l2_error + tail))
         beta = poly_real_zeros(proj.poly)
         pairs = _match_sorted(alpha, beta)
         out.append(ZeroComparison(function_zeros=list(alpha),

@@ -81,6 +81,16 @@ class TestExitCodes:
         assert out == ""
         assert name in err
 
+    @pytest.mark.parametrize("command", ["zeros", "lehmer"])
+    def test_default_step_refusal_names_the_flag(self, capsys, command):
+        # No --step is given: the scan grid refuses the default 0.01 on
+        # a window narrower than it, and the refusal says so.
+        code, out, err = run_cli(capsys, command,
+                                 "--interval", "7000:7000.005")
+        assert (code, out) == (2, "")
+        assert ("--step 0.01 (default 0.01) is refused: "
+                "step must lie in (0, ") in err
+
     @pytest.mark.parametrize("t", ["-100", "3", "1e51", "-inf", "nan"])
     def test_rs_refusal_names_its_own_range(self, capsys, t):
         # The Riemann-Siegel route names its range and the route that
@@ -372,14 +382,16 @@ class TestJsonCommands:
                                                      monkeypatch):
         # [5, 15] crosses 2*pi, below which the Riemann-Siegel route is
         # not valid, so the study scans Z(1/2, .) on Euler-Maclaurin and
-        # prints these frozen bytes.
+        # prints these frozen bytes.  Degree 20 is the degree-30
+        # projection truncated; its l2_error is the Parseval residual on
+        # the 60-node rule.
         monkeypatch.setattr(zerofinder, "hardy_z_rs", None)
         code, out, _ = run_cli(capsys, "polyfit", "--sigma", "0.5",
                                "--interval", "5:15", "--degrees", "20,30")
         assert code == 0
         zero = 14.1347251417
         frozen = [
-            {"degree": 20, "l2_error": 2.008828576e-13,
+            {"degree": 20, "l2_error": 2.00783221865e-13,
              "max_deviation": 7.63833440942e-14,
              "pairs": [[zero, zero, 7.63833440942e-14]]},
             {"degree": 30, "l2_error": 1.17305195359e-14,

@@ -9,6 +9,7 @@ from hardyzeta.hilbert import (
     MIN_QUAD_ORDER,
     Interval,
     SampledFunction,
+    gauss_legendre_rule,
     hardy_function,
 )
 from hardyzeta.polyzero import (
@@ -143,12 +144,62 @@ class TestZeroConvergence:
         with pytest.raises(DomainError):
             zero_convergence_study(f, Interval(1.0, 10.0), [])
 
-    def test_l2_error_is_the_projections(self):
-        f = SampledFunction(math.sin, "sin")
-        iv = Interval(1.0, 10.0)
-        comps = zero_convergence_study(f, iv, [15, 20, 25])
-        for c in comps:
-            assert c.l2_error == project(f, iv, c.degree).l2_error
+    STUDIES = {
+        "sin": (SampledFunction(math.sin, "sin"), Interval(1.0, 10.0),
+                [15, 20, 25]),
+        "hardy": (hardy_function(0.5), Interval(990.0, 1000.0),
+                  [16, 24, 32, 48]),
+        # The top projection trims to degree 3, below degrees 5 and 9.
+        "cubic": (SampledFunction(lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0),
+                                  "cubic"), Interval(0.3, 4.1), [2, 5, 9]),
+    }
+
+    @pytest.mark.parametrize("name", STUDIES)
+    def test_top_degree_is_the_projection(self, name):
+        f, iv, degrees = self.STUDIES[name]
+        top = project(f, iv, degrees[-1])
+        c = zero_convergence_study(f, iv, degrees)[-1]
+        assert c.degree == degrees[-1]
+        assert c.l2_error.hex() == top.l2_error.hex()
+        assert c.polynomial_zeros == poly_real_zeros(top.poly)
+
+    @pytest.mark.parametrize("name", STUDIES)
+    def test_lower_degrees_truncate_the_top_projection(self, name):
+        f, iv, degrees = self.STUDIES[name]
+        top = project(f, iv, degrees[-1]).poly
+        for c in zero_convergence_study(f, iv, degrees):
+            coeffs = top.coeffs[:c.degree + 1]
+            truncation = PolynomialRealCoeffs(coeffs, iv)
+            assert np.array_equal(truncation.coeffs, coeffs)
+            assert c.polynomial_zeros == poly_real_zeros(truncation)
+
+    @pytest.mark.parametrize("name", STUDIES)
+    def test_l2_error_is_the_truncations_residual_on_the_top_rule(self, name):
+        # The study takes l2_error from the discrete Parseval identity;
+        # the direct weighted residual on the top projection's rule
+        # agrees to rounding of the function's quadrature norm.
+        f, iv, degrees = self.STUDIES[name]
+        rule = gauss_legendre_rule(max(2 * degrees[-1], MIN_QUAD_ORDER), iv)
+        fv = f.sample(rule.nodes)
+        norm = math.sqrt(float(np.sum(rule.weights * fv * fv)))
+        top = project(f, iv, degrees[-1]).poly
+        for c in zero_convergence_study(f, iv, degrees):
+            truncation = PolynomialRealCoeffs(top.coeffs[:c.degree + 1], iv)
+            resid = fv - truncation.evaluate(rule.nodes)
+            direct = math.sqrt(float(np.sum(rule.weights * resid * resid)))
+            assert abs(c.l2_error - direct) <= 1e-13 * norm
+
+    def test_trimmed_top_projection(self):
+        f, iv, degrees = self.STUDIES["cubic"]
+        comps = zero_convergence_study(f, iv, degrees)
+        top = project(f, iv, 9)
+        assert top.poly.degree == 3
+        assert [c.degree for c in comps] == degrees
+        # Degrees at or above the trimmed top take the top itself.
+        assert comps[1].l2_error == comps[2].l2_error == top.l2_error
+        assert comps[1].polynomial_zeros == comps[2].polynomial_zeros
+        assert comps[2].max_deviation < 1e-12
+        assert comps[0].l2_error > 1.0
 
 
 class TestReferenceZeros:
@@ -211,16 +262,17 @@ class TestReferenceZeros:
         assert [r.location for _, r in records] == zeros
         assert {label for label, _ in records} == {"Z(0.5,.)"}
         assert not grid & set(zeros)
-        # Euler-Maclaurin evaluations: projection nodes, the signs of
-        # the two window ends and 72 for refinement, none for the rest of
-        # the scan.  The only grid points among them are the window ends
-        # and the ends of the cells refine_zero accepted.  A scan on
-        # Euler-Maclaurin would add the 1001 grid points, 1313 in all, as
-        # the sigma = 0.3 study below makes.
-        nodes = sum(max(2 * d, MIN_QUAD_ORDER) for d in self.DEGREES)
+        # Euler-Maclaurin evaluations: the nodes of the one projection,
+        # at the top degree, the signs of the two window ends and 72 for
+        # refinement, none for the rest of the scan.  The only grid
+        # points among them are the window ends and the ends of the cells
+        # refine_zero accepted.  A scan on Euler-Maclaurin would add the
+        # 1001 grid points, 1169 in all, as the sigma = 0.3 study below
+        # makes.
+        nodes = max(2 * max(self.DEGREES), MIN_QUAD_ORDER)
         cells = {t for _, r in records for t in r.bracket}
         assert grid & set(em) <= cells | {self.WINDOW.a, self.WINDOW.b}
-        assert len(em) == nodes + 2 + 72 == 314
+        assert len(em) == nodes + 2 + 72 == 170
 
     def test_zero_at_window_end_kept(self):
         # The zero near 65.1125 lies between its Riemann-Siegel and
@@ -235,9 +287,10 @@ class TestReferenceZeros:
         em, rs, records = self._traced(monkeypatch)
         zero_convergence_study(hardy_function(0.3), self.WINDOW, self.DEGREES)
         # Z(0.3, .) has no scan route: the 1001-point grid is sampled on
-        # Euler-Maclaurin.  1313 = 240 projection nodes + 1001 + 72.
+        # Euler-Maclaurin.  1169 = 96 projection nodes + 1001 + 72.
+        nodes = max(2 * max(self.DEGREES), MIN_QUAD_ORDER)
         assert rs == []
-        assert len(em) == 1313
+        assert len(em) == nodes + 1001 + 72 == 1169
         assert {label for label, _ in records} == {"Z(0.3,.)"}
 
     def test_outside_scan_range_scans_on_euler_maclaurin(self, monkeypatch):
