@@ -33,7 +33,7 @@ from .output import (
     spiral_csv,
     write_spiral_csv,
 )
-from .report import RunConfig, render_summary, report_json, run_report
+from .report import FAMILY_ORDER, render_summary, report_json, run_report
 from .specialfn import theta, theta_asymptotic
 from .zetaeval import (
     davenport_heilbronn,
@@ -110,8 +110,8 @@ def _add_out(p: argparse.ArgumentParser,
 def _add_order(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=None,
                    help="Gauss-Legendre order for inner products (default "
-                        "the larger of 256 and the interval's oscillation "
-                        "order)")
+                        f"the larger of {FAMILY_ORDER} and the interval's "
+                        "oscillation order)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,11 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("report", help="run the full verification suite")
-    p.add_argument("--interval", type=_INTERVAL, default=None)
-    p.add_argument("--quad-order", type=int,
-                   default=RunConfig.quad_order,
-                   help="Gauss-Legendre order for inner products "
-                        f"(default {RunConfig.quad_order})")
     _add_out(p, help="write the report JSON to this path; the summary "
                      "then goes to stdout")
 
@@ -266,9 +261,19 @@ def _sig12(value):
 
 
 def _family_order(args) -> int:
+    """args.order, or by default the larger of FAMILY_ORDER and the
+    interval's oscillation order; a default above MAX_QUAD_ORDER is
+    refused as --order's, though no order was given."""
     if args.order is not None:
         return args.order
-    return max(RunConfig.quad_order, hilbert.oscillation_order(args.interval))
+    order = max(FAMILY_ORDER, hilbert.oscillation_order(args.interval))
+    if order > hilbert.MAX_QUAD_ORDER:
+        raise DomainError(
+            f"--order defaults to {order}, the larger of {FAMILY_ORDER} and "
+            f"the oscillation order of [{args.interval.a:g}, "
+            f"{args.interval.b:g}], above MAX_QUAD_ORDER = "
+            f"{hilbert.MAX_QUAD_ORDER}; give --order or a narrower interval")
+    return order
 
 
 def _cmd_gram(args) -> int:
@@ -360,11 +365,8 @@ def _cmd_dh_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    interval = args.interval or hilbert.Interval(*RunConfig.interval)
-    config = RunConfig(quad_order=args.quad_order,
-                       interval=(interval.a, interval.b))
-    entries = run_report(config)
-    _emit(report_json(config, entries), args.out)
+    entries = run_report()
+    _emit(report_json(entries), args.out)
     print(render_summary(entries), file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 

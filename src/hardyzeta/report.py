@@ -8,9 +8,11 @@ the Lehmer-pair scan near t=7005, and the Davenport-Heilbronn off-line
 zero count -- and records one entry per claim.  Entry failures are
 recorded, never raised, so one bad claim cannot abort the suite.
 
-Reports are byte-reproducible: the config is embedded verbatim, floats
-are rounded to 12 significant digits, keys are sorted, and nothing
-time-, platform- or path-dependent is written.
+Every claim fixes its own settings, so the report takes none.  Reports
+are byte-reproducible: the family claims' fixed order and interval are
+embedded as the config, floats are rounded to 12 significant digits,
+keys are sorted, and nothing time-, platform- or path-dependent is
+written.
 """
 
 from __future__ import annotations
@@ -23,33 +25,13 @@ import numpy as np
 
 from . import hilbert, polyzero, zerofinder
 from .output import sig
-from .specialfn import _require_count, chi
+from .specialfn import chi
 from .zetaeval import davenport_heilbronn, generalized_hardy, zeta_em
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a report run depends on; embedded verbatim in the output.
-
-    quad_order is stored as an int.  Raises DomainError for a quad_order
-    that is not an integer in [1, MAX_QUAD_ORDER] (a float such as 64.0
-    included) or an interval that is not finite with a < b, so a report
-    never records a config its schema rejects.
-    """
-
-    quad_order: int = 256
-    interval: tuple[float, float] = (10.0, 50.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "quad_order", _require_count(
-            self.quad_order, "quad_order", 1, hilbert.MAX_QUAD_ORDER))
-        hilbert.Interval(*self.interval)
-
-    def as_dict(self) -> dict:
-        """Flat config: quad_order and interval."""
-        return {
-            "quad_order": self.quad_order,
-            "interval": [self.interval[0], self.interval[1]],
-        }
+#: Gauss-Legendre order and interval of the two family claims,
+#: gs-preserves-first and independence-grid; the payload's config.
+FAMILY_ORDER = 256
+FAMILY_INTERVAL = hilbert.Interval(10.0, 50.0)
 
 
 @dataclass
@@ -71,7 +53,7 @@ class ReportEntry:
         }
 
 
-def _entry_sin_theta(config: RunConfig) -> ReportEntry:
+def _entry_sin_theta() -> ReportEntry:
     ts = np.arange(10.0, 200.0001, 0.1)
     worst = max(abs(generalized_hardy(0.5, float(t)).y)
                 for t in ts)
@@ -84,7 +66,7 @@ def _entry_sin_theta(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_functional_equation(config: RunConfig) -> ReportEntry:
+def _entry_functional_equation() -> ReportEntry:
     worst = 0.0
     for sigma in np.linspace(-1.0, 2.0, 20):
         for t in np.linspace(5.0, 60.0, 20):
@@ -102,7 +84,7 @@ def _entry_functional_equation(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_chi_modulus(config: RunConfig) -> ReportEntry:
+def _entry_chi_modulus() -> ReportEntry:
     at_half = abs(chi(complex(0.5, 0.0)) - 1.0)
     worst = max(abs(abs(chi(complex(0.5, t))) - 1.0)
                 for t in (1.0, 5.0, 10.0, 50.0, 100.0))
@@ -115,9 +97,8 @@ def _entry_chi_modulus(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_gs_first(config: RunConfig) -> ReportEntry:
-    iv = hilbert.Interval(*config.interval)
-    rule = hilbert.gauss_legendre_rule(config.quad_order, iv)
+def _entry_gs_first() -> ReportEntry:
+    rule = hilbert.gauss_legendre_rule(FAMILY_ORDER, FAMILY_INTERVAL)
     family = [hilbert.hardy_function(s) for s in (0.5, 0.3, 0.4)]
     outs = hilbert.gram_schmidt(family, rule)
     first_dev = float(np.max(np.abs(outs[0].sample(rule.nodes)
@@ -133,15 +114,15 @@ def _entry_gs_first(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_independence(config: RunConfig) -> ReportEntry:
-    iv = hilbert.Interval(*config.interval)
+def _entry_independence() -> ReportEntry:
     metrics: dict[str, float] = {}
     # Reflective pair sigma2 = 1 - sigma1, a non-reflective pair, and a
     # mixed triple; determinants/eigenvalues are recorded, not judged.
     for tag, sigmas in (("pair_0.3_0.7", (0.3, 0.7)),
                         ("pair_0.3_0.6", (0.3, 0.6)),
                         ("triple_0.5_0.3_0.4", (0.5, 0.3, 0.4))):
-        rep = hilbert.independence_report(sigmas, iv, config.quad_order)
+        rep = hilbert.independence_report(sigmas, FAMILY_INTERVAL,
+                                          FAMILY_ORDER)
         metrics[f"{tag}_det"] = rep.correlation_det
         metrics[f"{tag}_min_eig"] = rep.min_eigenvalue
         for s1, s2, c in rep.pairwise():
@@ -155,7 +136,7 @@ def _entry_independence(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_zero_convergence(config: RunConfig) -> ReportEntry:
+def _entry_zero_convergence() -> ReportEntry:
     iv = hilbert.Interval(10.0, 30.0)
     f = hilbert.hardy_function(0.5)
     studies = polyzero.zero_convergence_study(f, iv, [20, 30, 40])
@@ -169,7 +150,7 @@ def _entry_zero_convergence(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_lehmer(config: RunConfig) -> ReportEntry:
+def _entry_lehmer() -> ReportEntry:
     pairs = zerofinder.lehmer_scan(hilbert.Interval(7000.0, 7010.0),
                                    threshold=0.2, step=0.01)
     if not pairs:
@@ -196,7 +177,7 @@ def _entry_lehmer(config: RunConfig) -> ReportEntry:
     )
 
 
-def _entry_dh_offline(config: RunConfig) -> ReportEntry:
+def _entry_dh_offline() -> ReportEntry:
     box = (0.51, 1.0, 80.0, 90.0)
     count = zerofinder.argument_principle_count(davenport_heilbronn, box,
                                                 n_per_side=256)
@@ -224,30 +205,32 @@ _ENTRY_BUILDERS = {
 }
 
 
-def run_report(config: RunConfig | None = None) -> list[ReportEntry]:
-    """Run every claim check in declared order; failures are recorded
-    as Fail entries rather than raised."""
-    config = config or RunConfig()
+def run_report() -> list[ReportEntry]:
+    """Run every claim check in declared order, each on the settings it
+    fixes itself; failures are recorded as Fail entries rather than
+    raised."""
     entries = []
     for claim, build in _ENTRY_BUILDERS.items():
         try:
-            entries.append(build(config))
+            entries.append(build())
         except Exception as exc:
             entries.append(ReportEntry(claim, "Fail", {},
                                        f"aborted: {exc!r}"))
     return entries
 
 
-def report_payload(config: RunConfig, entries: list[ReportEntry]) -> dict:
+def report_payload(entries: list[ReportEntry]) -> dict:
+    """The family claims' fixed config and every entry as a dict."""
     return {
-        "config": config.as_dict(),
+        "config": {"quad_order": FAMILY_ORDER,
+                   "interval": [FAMILY_INTERVAL.a, FAMILY_INTERVAL.b]},
         "entries": [e.as_dict() for e in entries],
     }
 
 
-def report_json(config: RunConfig, entries: list[ReportEntry]) -> str:
-    """Canonical JSON text; identical configs yield identical bytes."""
-    return json.dumps(report_payload(config, entries), indent=2,
+def report_json(entries: list[ReportEntry]) -> str:
+    """Canonical JSON text; identical entries yield identical bytes."""
+    return json.dumps(report_payload(entries), indent=2,
                       sort_keys=True) + "\n"
 
 

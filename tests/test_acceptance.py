@@ -20,7 +20,7 @@ from hardyzeta.hilbert import (
     hardy_function,
 )
 from hardyzeta.polyzero import zero_convergence_study
-from hardyzeta.report import RunConfig, report_json, run_report
+from hardyzeta.report import report_json, run_report
 from hardyzeta.specialfn import chi, theta, theta_asymptotic
 from hardyzeta.zerofinder import (
     argument_principle_count,
@@ -216,9 +216,8 @@ def test_11_residue_identity():
 
 
 def test_12_report_determinism():
-    config = RunConfig()
-    text1 = report_json(config, run_report(config))
-    text2 = report_json(config, run_report(config))
+    text1 = report_json(run_report())
+    text2 = report_json(run_report())
     ok = text1 == text2
     payload = json.loads(text1)
     statuses = {e["claim_id"]: e["status"] for e in payload["entries"]}

@@ -10,8 +10,8 @@ import pytest
 
 from hardyzeta import cli, hilbert, polyzero, report, zerofinder
 from hardyzeta.cli import main
-from hardyzeta.errors import DomainError
-from hardyzeta.report import RunConfig, load_schema, report_json, run_report
+from hardyzeta.report import (load_schema, report_json, report_payload,
+                              run_report)
 from hardyzeta.zetaeval import davenport_heilbronn
 
 
@@ -91,6 +91,21 @@ class TestExitCodes:
         assert ("--step 0.01 (default 0.01) is refused: "
                 "step must lie in (0, ") in err
 
+    @pytest.mark.parametrize("command", ["gram", "ortho"])
+    def test_default_order_refusal_names_the_flag(self, capsys, tmp_path,
+                                                  monkeypatch, command):
+        # No --order is given: the default, the interval's oscillation
+        # order on [10, 2000], is above MAX_QUAD_ORDER, and the refusal
+        # says so before anything is evaluated or written.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, command, "--sigmas", "0.3,0.5",
+                                 "--interval", "10:2000", "--out", "o")
+        assert (code, out) == (2, "")
+        assert ("--order defaults to 22937, the larger of 256 and the "
+                "oscillation order of [10, 2000], above MAX_QUAD_ORDER = "
+                "4096") in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("t", ["-100", "3", "1e51", "-inf", "nan"])
     def test_rs_refusal_names_its_own_range(self, capsys, t):
         # The Riemann-Siegel route names its range and the route that
@@ -162,8 +177,11 @@ class TestValueCommands:
         ("spiral", "--sigma", "0.5", "--t", "30", "--n", "5", "--out", "x"),
         ("--json", "theta", "--t", "50"),
         ("--out", "x", "z", "--t", "30"),
+        ("report", "--quad-order", "256", "--out", "r.json"),
+        ("report", "--interval", "10:50", "--out", "r.json"),
     ], ids=["zeros-quad-order", "dh-scan-json", "gram-quad-order",
-            "spiral-out", "json-before-command", "out-before-command"])
+            "spiral-out", "json-before-command", "out-before-command",
+            "report-quad-order", "report-interval"])
     def test_unread_flag_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                         argv):
         # A flag the command does not read, or one given before the
@@ -172,7 +190,7 @@ class TestValueCommands:
 
     @pytest.mark.parametrize("argv", [
         ("zeros", "--interval", "10::50", "--out", "z.json"),
-        ("report", "--interval", "10:", "--out", "r.json"),
+        ("lehmer", "--interval", "10:", "--out", "l.json"),
         ("gram", "--sigmas", "0.3,0.5", "--interval", "-5", "--out", "g"),
         ("dh-scan", "--box", "0.51:1:80:90:", "--out", "d.json"),
         ("dh-scan", "--box", "1:2:3", "--out", "d.json"),
@@ -244,7 +262,7 @@ class TestValueCommands:
         "zeros": {"--interval", "--step", "--json", "--out"},
         "lehmer": {"--interval", "--threshold", "--step", "--out"},
         "dh-scan": {"--box", "--n-per-side", "--out"},
-        "report": {"--interval", "--quad-order", "--out"},
+        "report": {"--out"},
     }
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -439,7 +457,7 @@ class TestReport:
             return davenport_heilbronn(s)
 
         monkeypatch.setattr(report, "davenport_heilbronn", counted)
-        entry = report._entry_dh_offline(RunConfig())
+        entry = report._entry_dh_offline()
         assert entry.status == "Pass"
         assert grids == [1025, 2049]
         assert all(type(z) is complex for z in midpoints)
@@ -447,19 +465,16 @@ class TestReport:
 
     def test_config_matches_schema(self):
         config_schema = load_schema()["properties"]["config"]
-        keys = set(RunConfig().as_dict())
+        keys = set(report_payload([])["config"])
         assert keys == set(config_schema["properties"])
         assert set(config_schema["required"]) <= keys
 
     def test_payload_validates_against_schema(self):
-        config = RunConfig()
-        entries = run_report(config)
-        payload = json.loads(report_json(config, entries))
+        payload = json.loads(report_json(run_report()))
         jsonschema.validate(payload, load_schema())
 
     def test_all_claims_present_in_order(self):
-        config = RunConfig()
-        entries = run_report(config)
+        entries = run_report()
         assert [e.claim_id for e in entries] == [
             "sin-theta-identity",
             "functional-equation",
@@ -481,31 +496,10 @@ class TestReport:
         assert by_id["independence-grid"].status == "Measured"
 
     def test_config_dict_is_flat(self):
-        assert RunConfig().as_dict() == {
+        assert report_payload([])["config"] == {
             "quad_order": 256,
             "interval": [10.0, 50.0],
         }
-
-    @pytest.mark.parametrize("order", ["0", "5000"])
-    def test_cli_report_rejects_quad_order(self, capsys, tmp_path, order):
-        out = tmp_path / "r.json"
-        code, stdout, err = run_cli(capsys, "report", "--quad-order", order,
-                                    "--out", str(out))
-        assert code == 2
-        assert "quad_order" in err
-        assert stdout == "" and not out.exists()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"quad_order": 0},
-        {"quad_order": 4097},
-        {"interval": (50.0, 10.0)},
-        {"interval": (10.0, 10.0)},
-        {"interval": (10.0, math.inf)},
-        {"interval": (math.nan, 50.0)},
-    ], ids=["order-0", "order-4097", "reversed", "empty", "infinite", "nan"])
-    def test_config_rejects_unreportable_values(self, kwargs):
-        with pytest.raises(DomainError):
-            RunConfig(**kwargs)
 
 
 def test_readme_cli_examples_parse():

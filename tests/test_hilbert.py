@@ -403,8 +403,7 @@ class TestFamilySampling:
         from hardyzeta import report
         from hardyzeta.cli import main
 
-        entry, passes = core_passes(
-            lambda: report._entry_gs_first(report.RunConfig()))
+        entry, passes = core_passes(report._entry_gs_first)
         assert entry.status == "Pass"
         assert passes == [768, 256, 256, 768] and sum(passes) == 2048
         code, passes = core_passes(lambda: main([

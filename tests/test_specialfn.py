@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import random
 
@@ -13,7 +12,6 @@ from hardyzeta.hilbert import (MAX_QUAD_ORDER, Interval, gauss_legendre_rule,
                                hardy_function)
 from hardyzeta.polyzero import (MAX_PROJECT_DEGREE, project,
                                 zero_convergence_study)
-from hardyzeta.report import RunConfig
 from hardyzeta.specialfn import (chi, log_gamma, theta, theta_asymptotic,
                                  theta_derivative)
 from hardyzeta.zetaeval import (MAX_TERMS, dirichlet_partial_sums,
@@ -295,10 +293,6 @@ COUNT_SITES = {
         "degree", 1, MAX_PROJECT_DEGREE, 24,
         lambda out: [(type(c.degree), c.degree, c.function_zeros,
                       c.polynomial_zeros, c.l2_error.hex()) for c in out]),
-    "RunConfig": (
-        lambda n, f: RunConfig(quad_order=n),
-        "quad_order", 1, MAX_QUAD_ORDER, 64,
-        lambda c: json.dumps(c.as_dict())),
 }
 # Everything a count site may evaluate or build.
 _EVALUATORS = [(zetaeval, "_em_blocks"), (zetaeval, "zeta_em"),
