@@ -46,10 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-#: Default --step of zeros and lehmer.
-SCAN_STEP = 0.01
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -168,12 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=_INTS, required=True)
     _add_out(p)
 
-    step_help = (f"grid step of the sign-change scan (default {SCAN_STEP:g}); "
-                 f"at most {zerofinder.MAX_SCAN_STEP:g}, below the smallest "
-                 "zero gap up to t = 1e4")
     p = sub.add_parser("zeros", help="scan and refine critical-line zeros")
     p.add_argument("--interval", type=_INTERVAL, required=True)
-    p.add_argument("--step", type=float, default=SCAN_STEP, help=step_help)
     _add_json(p)
     _add_out(p, help="write the JSON records to this path instead of "
                      "stdout")
@@ -181,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lehmer", help="close-pair scan")
     p.add_argument("--interval", type=_INTERVAL, required=True)
     p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--step", type=float, default=SCAN_STEP, help=step_help)
     _add_out(p)
 
     p = sub.add_parser("dh-scan", help="off-line zero count for the "
@@ -323,21 +314,8 @@ def _cmd_polyfit(args) -> int:
     return EXIT_OK
 
 
-def _scan_step(args) -> float:
-    """args.step, refused as --step, with its default named, when the
-    scan grid of args.interval cannot take it: a window narrower than
-    the default is refused even though no step was given."""
-    try:
-        zerofinder._scan_grid(args.interval, args.step)
-    except DomainError as exc:
-        raise DomainError(f"--step {args.step:g} (default {SCAN_STEP:g}) "
-                          f"is refused: {exc}") from exc
-    return args.step
-
-
 def _cmd_zeros(args) -> int:
-    records = zerofinder.find_critical_zeros(args.interval,
-                                             step=_scan_step(args))
+    records = zerofinder.find_critical_zeros(args.interval)
     if args.json or args.out:
         payload = _sig12([dataclasses.asdict(r) for r in records])
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
@@ -348,8 +326,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_lehmer(args) -> int:
-    pairs = zerofinder.lehmer_scan(args.interval, threshold=args.threshold,
-                                   step=_scan_step(args))
+    pairs = zerofinder.lehmer_scan(args.interval, threshold=args.threshold)
     payload = _sig12([dataclasses.asdict(p) for p in pairs])
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return EXIT_OK

@@ -89,9 +89,6 @@ class SampledFunction:
     label: str = ""
     scan_route: SampledFunction | None = None
 
-    def __call__(self, t: float) -> float:
-        return self.eval(t)
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """The function at each point of xs, any sequence that
         np.asarray(xs, float) makes 1-D; any other shape raises
@@ -365,10 +362,13 @@ def gram_schmidt(fs: Sequence[SampledFunction],
 
 
 def correlation_matrix(gram: GramMatrix) -> np.ndarray:
-    """Scale-free Gram matrix: entries / sqrt(diag_i * diag_j)."""
-    d = np.sqrt(np.diag(gram.entries))
-    if np.any(d <= 0.0):
-        raise DomainError("correlation matrix undefined for a zero function")
+    """Scale-free Gram matrix: entries / sqrt(diag_i * diag_j).  A diagonal
+    entry that is not positive and finite raises DomainError."""
+    diag = np.diag(gram.entries)
+    if not (np.all(diag > 0.0) and np.all(np.isfinite(diag))):
+        raise DomainError("correlation matrix needs a positive finite "
+                          f"diagonal, got {diag!r}")
+    d = np.sqrt(diag)
     return gram.entries / np.outer(d, d)
 
 

@@ -51,7 +51,8 @@ class PolynomialRealCoeffs:
 
     Coefficients refer to P_n(u) with u the affine map of the interval
     onto [-1, 1].  Trailing coefficients under COEFF_TRIM * max|c| are
-    dropped at construction.
+    dropped at construction; an empty, multi-dimensional or non-finite
+    coefficient vector raises DomainError.
     """
 
     coeffs: np.ndarray
@@ -61,6 +62,8 @@ class PolynomialRealCoeffs:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or len(c) == 0:
             raise DomainError("coefficient vector must be non-empty and 1-d")
+        if not np.all(np.isfinite(c)):
+            raise DomainError(f"coefficients must be finite, got {c!r}")
         scale = np.max(np.abs(c))
         if scale > 0.0:
             keep = len(c)

@@ -152,7 +152,7 @@ def _entry_zero_convergence() -> ReportEntry:
 
 def _entry_lehmer() -> ReportEntry:
     pairs = zerofinder.lehmer_scan(hilbert.Interval(7000.0, 7010.0),
-                                   threshold=0.2, step=0.01)
+                                   threshold=0.2)
     if not pairs:
         return ReportEntry("lehmer-7005", "Fail", {},
                            "no close pair found in [7000, 7010]")

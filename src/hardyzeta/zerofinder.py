@@ -13,7 +13,9 @@ scan_and_refine is the one scan-then-refine loop: it scans on a
 function's scan route (SampledFunction.scan_route) where that route is
 valid, and refines every zero on the function itself.
 The scan step is capped below the smallest zero gap up to
-MAX_SCAN_HEIGHT, so no two zeros can share a grid cell.
+MAX_SCAN_HEIGHT, so no two zeros can share a grid cell.  A window
+narrower than the step is scanned at its two ends: it holds at most
+one zero, since its width is below that gap too.
 """
 
 from __future__ import annotations
@@ -79,34 +81,25 @@ CONTOUR_MIN_ABS = 1e-8
 MAX_SCAN_STEP = 0.02
 
 
-def scan_sign_changes(f: SampledFunction, interval: Interval,
-                      step: float) -> list[tuple[float, float]]:
-    """All consecutive grid pairs of f with a strict sign change, in
-    ascending order, from one sample call on the grid a, a+step, ..., b.
-
-    Grid points where f lands exactly on zero are expanded into a
-    bracket of +/- step/10 around the point.  A step whose grid could
-    exceed MAX_TERMS points raises DomainError before f is evaluated.
-    """
-    xs = _scan_grid(interval, step)
-    return list(_brackets(xs, f.sample(xs), interval, step))
-
-
 def _scan_grid(interval: Interval, step: float) -> np.ndarray:
-    """The grid a, a+step, ..., b of scan_sign_changes, with b appended
-    unless the last step lands on it; DomainError for a bad step."""
-    if not 0.0 < step < interval.width:
-        raise DomainError(
-            f"step must lie in (0, {interval.width}), got {step}"
-        )
-    n = int(math.floor(interval.width / step))
-    if n + 2 > MAX_TERMS:
+    """The scan grid a, a+step, ..., b: b replaces the last step's point
+    when that lands within 1e-12 max(1, |b|) of it, and is appended
+    otherwise, so a step at least the interval's width gives the grid
+    [a, b].  A step that is not positive, or whose grid could exceed
+    MAX_TERMS points, raises DomainError."""
+    if not step > 0.0:
+        raise DomainError(f"step must be positive, got {step}")
+    cells = interval.width / step
+    if not cells < MAX_TERMS - 1:
         raise DomainError(
             f"step={step} gives a grid of over MAX_TERMS={MAX_TERMS} "
             f"points on {interval}"
         )
+    n = math.floor(cells)
     xs = interval.a + step * np.arange(n + 1)
-    if xs[-1] < interval.b - 1e-12 * max(1.0, abs(interval.b)):
+    if n > 0 and xs[-1] >= interval.b - 1e-12 * max(1.0, abs(interval.b)):
+        xs[-1] = interval.b
+    else:
         xs = np.append(xs, interval.b)
     return xs
 
@@ -114,10 +107,12 @@ def _scan_grid(interval: Interval, step: float) -> np.ndarray:
 def _brackets(xs: np.ndarray, vals: np.ndarray, interval: Interval,
               step: float, end: Callable[[], float] | None = None
               ) -> Iterator[tuple[float, float]]:
-    """The sign-change brackets of values vals on the grid xs, ascending,
-    with the exact-zero rule of scan_sign_changes.  When end is given,
-    vals[-1] is set to end() only after every bracket left of the last
-    cell has been taken."""
+    """The sign-change brackets of values vals on the grid xs, ascending:
+    each consecutive grid pair with a strict sign change, and for each
+    grid point where vals is exactly zero the bracket of +/- step/10
+    around it, clipped to the interval.  When end is given, vals[-1] is
+    set to end() only after every bracket left of the last cell has
+    been taken."""
 
     def cells(lo: int, hi: int) -> Iterator[tuple[float, float]]:
         v0, v1 = vals[lo:hi], vals[lo + 1:hi + 1]
@@ -273,7 +268,8 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
                     tol: float) -> list[ZeroRecord]:
     """Scan-then-refine the zeros of f on an interval, ascending.
 
-    Brackets come from one scan at the given step: on f.scan_route when
+    Brackets come from one scan on the grid a, a+step, ..., b (just
+    [a, b] when the step is at least the width): on f.scan_route when
     f has one and the interval lies inside its validated range
     [2*pi, MAX_SCAN_HEIGHT], on f itself otherwise.  A scan on the route
     samples the whole grid there in one call but takes the signs at
@@ -288,8 +284,10 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
     interval.b).  Spans are disjoint and ordered, so records come out
     ascending and distinct.  A span without a sign change drops the
     bracket: a scan-route-only pair of sign changes, or a zero just
-    outside the interval.  A tol that is not a positive finite number
-    raises DomainError before anything is evaluated.  Sampling, the two
+    outside the interval.  A tol that is not a positive finite number,
+    a step that is not positive, or one whose grid would exceed
+    MAX_TERMS points raises DomainError before anything is evaluated.
+    Sampling, the two
     window-end signs and refinement read f as SampledFunction._value
     does, so a refused or non-finite value anywhere raises
     EvaluationError naming its point, chained from the cause, and no
@@ -337,7 +335,8 @@ def find_critical_zeros(interval: Interval,
 
     The interval must lie in [2*pi, MAX_SCAN_HEIGHT] and the step must
     not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell
-    (DomainError otherwise, before anything is evaluated).  A route
+    (DomainError otherwise, before anything is evaluated); an interval
+    narrower than the step is scanned at its two ends.  A route
     that refuses a height or returns a non-finite value there raises
     EvaluationError naming the height, chained from the cause (the
     kernel's DomainError, for a refusal).

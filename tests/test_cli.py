@@ -47,9 +47,6 @@ class TestExitCodes:
         assert "2*pi" in err
 
     @pytest.mark.parametrize("argv,name", [
-        (("zeros", "--interval", "10:20", "--step", "nan"), "step"),
-        (("zeros", "--interval", "7000:7010", "--step", "0.5"), "step"),
-        (("lehmer", "--interval", "7000:7010", "--step", "0.2"), "step"),
         (("dh-scan", "--box", "0.51:1:80:90", "--n-per-side", "250001"),
          "n_per_side"),
         (("lehmer", "--interval", "10:20", "--threshold", "nan"), "threshold"),
@@ -58,7 +55,6 @@ class TestExitCodes:
         (("gz", "--sigma", "-10", "--t", "1"), "rounding"),
         (("spiral", "--sigma", "0.5", "--t", "30", "--n", "1000001"),
          "MAX_TERMS"),
-        (("zeros", "--interval", "10:20", "--step", "1e-9"), "MAX_TERMS"),
         (("theta", "--mode", "asym", "--t", "0.5"), "2*pi"),
         (("theta", "--mode", "asym", "--t", "1e70"), "2*pi"),
         (("gram", "--sigmas", "0.3,0.5", "--interval", "1e60:1.0000001e60"),
@@ -68,28 +64,27 @@ class TestExitCodes:
         (("gz", "--sigma", "1e306", "--t", "1000"), "overflows a double"),
         (("dh-scan", "--box", "0.5:inf:80:90"),
          "interval endpoints must be finite: Interval(a=0.5, b=inf)"),
-    ], ids=["step-nan", "zeros-step-0.5",
-            "lehmer-step-0.2", "dh-scan-n-per-side-250001", "threshold-nan",
+    ], ids=["dh-scan-n-per-side-250001", "threshold-nan",
             "threshold-0", "gz-sigma-minus-20", "gz-sigma-minus-10",
-            "spiral-n-above-max-terms", "zeros-step-1e-9",
-            "theta-asym-below-2pi", "theta-asym-above-1e50",
-            "gram-above-1e50", "theta-exact-overflow", "z-em-above-max-terms",
-            "gz-sigma-1e306", "dh-scan-box-infinite-side"])
+            "spiral-n-above-max-terms", "theta-asym-below-2pi",
+            "theta-asym-above-1e50", "gram-above-1e50", "theta-exact-overflow",
+            "z-em-above-max-terms", "gz-sigma-1e306",
+            "dh-scan-box-infinite-side"])
     def test_rejected_parameter_is_two(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert name in err
 
-    @pytest.mark.parametrize("command", ["zeros", "lehmer"])
-    def test_default_step_refusal_names_the_flag(self, capsys, command):
-        # No --step is given: the scan grid refuses the default 0.01 on
-        # a window narrower than it, and the refusal says so.
-        code, out, err = run_cli(capsys, command,
-                                 "--interval", "7000:7000.005")
-        assert (code, out) == (2, "")
-        assert ("--step 0.01 (default 0.01) is refused: "
-                "step must lie in (0, ") in err
+    @pytest.mark.parametrize("argv,printed", [
+        (("zeros", "--interval", "7005.06:7005.07"), "7005.06286617\n"),
+        (("lehmer", "--interval", "7000:7000.005"), "[]\n"),
+    ], ids=["zeros", "lehmer"])
+    def test_window_narrower_than_step_is_scanned(self, capsys, argv,
+                                                  printed):
+        # Both windows are narrower than the scan step, 0.01; they used
+        # to be refused with exit 2.
+        assert run_cli(capsys, *argv) == (0, printed, "")
 
     @pytest.mark.parametrize("command", ["gram", "ortho"])
     def test_default_order_refusal_names_the_flag(self, capsys, tmp_path,
@@ -179,9 +174,12 @@ class TestValueCommands:
         ("--out", "x", "z", "--t", "30"),
         ("report", "--quad-order", "256", "--out", "r.json"),
         ("report", "--interval", "10:50", "--out", "r.json"),
+        ("zeros", "--interval", "100:110", "--step", "0.01"),
+        ("lehmer", "--interval", "7000:7010", "--step", "0.01"),
     ], ids=["zeros-quad-order", "dh-scan-json", "gram-quad-order",
             "spiral-out", "json-before-command", "out-before-command",
-            "report-quad-order", "report-interval"])
+            "report-quad-order", "report-interval", "zeros-step",
+            "lehmer-step"])
     def test_unread_flag_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                         argv):
         # A flag the command does not read, or one given before the
@@ -259,8 +257,8 @@ class TestValueCommands:
         "gram": {"--sigmas", "--interval", "--order", "--out"},
         "ortho": {"--sigmas", "--interval", "--order", "--out"},
         "polyfit": {"--sigma", "--interval", "--degrees", "--out"},
-        "zeros": {"--interval", "--step", "--json", "--out"},
-        "lehmer": {"--interval", "--threshold", "--step", "--out"},
+        "zeros": {"--interval", "--json", "--out"},
+        "lehmer": {"--interval", "--threshold", "--out"},
         "dh-scan": {"--box", "--n-per-side", "--out"},
         "report": {"--out"},
     }
@@ -338,7 +336,7 @@ class TestJsonCommands:
 
     def test_zeros_json_twelve_digits(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--interval", "10:30",
-                               "--step", "0.01", "--json")
+                               "--json")
         payload = json.loads(out)
         assert [round(r["location"], 4) for r in payload] == [
             14.1347, 21.022, 25.0109

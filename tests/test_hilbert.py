@@ -693,6 +693,15 @@ class TestGramMatrix:
         with pytest.raises(DomainError):
             gram_matrix([], rule)
 
+    @pytest.mark.parametrize("diagonal", [0.0, math.nan, math.inf],
+                             ids=["zero", "nan", "inf"])
+    def test_correlation_needs_positive_finite_diagonal(self, diagonal):
+        # NaN used to come back as [[nan]], and inf raised numpy's
+        # RuntimeWarning from inf / inf.
+        gram = hilbert.GramMatrix(np.array([[1.0, 0.5], [0.5, diagonal]]))
+        with pytest.raises(DomainError, match="positive finite diagonal"):
+            correlation_matrix(gram)
+
 
 class TestGramSchmidt:
     def test_legendre_emerges(self):

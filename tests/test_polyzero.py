@@ -92,6 +92,15 @@ class TestPolyRealZeros:
             with pytest.raises(DomainError):
                 poly_real_zeros(p)
 
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, math.inf], [0.0, 1.0, math.inf], [1.0, math.nan],
+        [1.0, 2.0, math.nan]], ids=["1-inf", "0-1-inf", "1-nan", "1-2-nan"])
+    def test_non_finite_coefficients_refused(self, coeffs):
+        # These were trimmed to the constant 1, taken for the zero
+        # polynomial, given no zeros, or sent to the eigenvalue solver.
+        with pytest.raises(DomainError, match="finite"):
+            PolynomialRealCoeffs(np.array(coeffs), Interval(0.0, 1.0))
+
     def test_trailing_trim(self):
         p = PolynomialRealCoeffs(np.array([1.0, 1.0, 1e-20]),
                                  Interval(0.0, 1.0))

@@ -16,7 +16,6 @@ from hardyzeta.zerofinder import (
     lehmer_scan,
     refine_zero,
     scan_and_refine,
-    scan_sign_changes,
     zero_count_estimate,
 )
 from hardyzeta.zetaeval import (
@@ -31,38 +30,63 @@ SIN = SampledFunction(math.sin, "sin")
 # at tol 1e-12 and confirmed by the N = 1e4 oracle (agreement 1.1e-13).
 FIRST_ZERO = 14.134725141734693
 
+# Frozen: the lower zero of the Lehmer pair near 7005, found by
+# find_critical_zeros on [7004.9, 7005.3].
+LEHMER_LOW = 7005.0628661749115
+
+
+def scan(f, interval, step):
+    """The sign-change brackets scan_and_refine draws from f's own
+    values on its scan grid."""
+    xs = zerofinder._scan_grid(interval, step)
+    return list(zerofinder._brackets(xs, f.sample(xs), interval, step))
+
 
 class TestScan:
     def test_sin_three_brackets(self):
-        brackets = scan_sign_changes(SIN, Interval(1.0, 10.0), 0.1)
+        brackets = scan(SIN, Interval(1.0, 10.0), 0.1)
         assert len(brackets) == 3
         for (lo, hi), ref in zip(brackets, (math.pi, 2 * math.pi, 3 * math.pi)):
             assert lo < ref < hi
 
     def test_constant_no_brackets(self):
         f = SampledFunction(lambda x: 1.0, "1")
-        assert scan_sign_changes(f, Interval(0.0, 5.0), 0.1) == []
+        assert scan(f, Interval(0.0, 5.0), 0.1) == []
 
     def test_exact_grid_zero_expanded(self):
         f = SampledFunction(lambda x: x - 2.0, "x-2")
-        brackets = scan_sign_changes(f, Interval(0.0, 4.0), 1.0)
+        brackets = scan(f, Interval(0.0, 4.0), 1.0)
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo == pytest.approx(1.9) and hi == pytest.approx(2.1)
 
     def test_step_domain(self):
+        # A step wider than the interval scans its two ends.
+        grid = zerofinder._scan_grid(Interval(0.0, 1.0), 2.0)
+        assert grid.tolist() == [0.0, 1.0]
         with pytest.raises(DomainError):
-            scan_sign_changes(SIN, Interval(0.0, 1.0), 2.0)
+            zerofinder._scan_grid(Interval(0.0, 1.0), 0.0)
         with pytest.raises(DomainError):
-            scan_sign_changes(SIN, Interval(0.0, 1.0), 0.0)
-        with pytest.raises(DomainError):
-            scan_sign_changes(SIN, Interval(0.0, 1.0), math.nan)
+            zerofinder._scan_grid(Interval(0.0, 1.0), math.nan)
+
+    def test_grid_ends_on_b(self):
+        # The last step lands 1e-10 short of b, inside the end tolerance
+        # of 1e-12 * b; b replaces it, so a zero in that gap is found.
+        iv = Interval(7000.0, 7000.0 + 1e-9)
+        assert zerofinder._scan_grid(iv, 3e-10)[-1] == iv.b
+        z = 7000.0 + 9.6e-10
+        f = SampledFunction(lambda x: x - z, "x-z")
+        [r] = scan_and_refine(f, iv, 3e-10, 1e-13)
+        assert abs(r.location - z) < 1e-11
 
     def test_grid_over_max_terms_refused(self):
         seen = []
         f = SampledFunction(lambda x: seen.append(x) or math.sin(x), "sin")
         with pytest.raises(DomainError, match="MAX_TERMS"):
-            scan_sign_changes(f, Interval(10.0, 20.0), 1e-9)
+            scan_and_refine(f, Interval(10.0, 20.0), 1e-9, 1e-10)
+        # width/step overflows to inf here; it used to raise OverflowError.
+        with pytest.raises(DomainError, match="MAX_TERMS"):
+            scan_and_refine(f, Interval(10.0, 20.0), 5e-324, 1e-10)
         assert seen == []
 
     def test_bracket_list_frozen(self):
@@ -71,7 +95,7 @@ class TestScan:
         values = {0.0: 0.0, 0.25: 1.0, 0.5: -1.0, 0.75: 0.0, 1.0: 1.0,
                   1.25: -1.0, 1.5: -2.0, 1.75: 3.0, 2.0: 0.5, 2.1: 0.0}
         f = SampledFunction(lambda x: values[x], "table")
-        brackets = scan_sign_changes(f, Interval(0.0, 2.1), 0.25)
+        brackets = scan(f, Interval(0.0, 2.1), 0.25)
         assert brackets == [(0.0, 0.025), (0.25, 0.5), (0.725, 0.775),
                             (1.0, 1.25), (1.5, 1.75), (2.075, 2.1)]
         assert all(type(x) is float for b in brackets for x in b)
@@ -79,8 +103,8 @@ class TestScan:
     def test_hardy_brackets_up_to_50(self):
         from hardyzeta.zerofinder import hardy_rs_function
 
-        brackets = scan_sign_changes(hardy_rs_function(),
-                                     Interval(2 * math.pi + 1e-9, 50.0), 0.01)
+        brackets = scan(hardy_rs_function(),
+                        Interval(2 * math.pi + 1e-9, 50.0), 0.01)
         assert len(brackets) == 10
 
 
@@ -443,6 +467,32 @@ class TestCriticalZeros:
         with pytest.raises(DomainError, match="MAX_TERMS"):
             find_critical_zeros(Interval(10.0, 20.0), step=1e-9)
         assert seen == []
+
+    def test_lehmer_scan_step_above_ceiling_refused(self, monkeypatch):
+        monkeypatch.setattr(zerofinder, "hardy_z_rs", None)
+        with pytest.raises(DomainError, match="MAX_SCAN_STEP"):
+            lehmer_scan(Interval(7000.0, 7010.0), 0.2, step=0.2)
+
+    @pytest.mark.parametrize("a,b,ref", [
+        (14.13, 14.14, FIRST_ZERO), (7005.06, 7005.07, LEHMER_LOW)],
+        ids=["first-zero", "lehmer-7005"])
+    def test_window_narrower_than_step_keeps_its_zero(self, a, b, ref):
+        # Both widths come out just under 0.01 in floating point; such a
+        # window is scanned at its two ends, where it used to be refused.
+        iv = Interval(a, b)
+        assert iv.width < 0.01
+        assert zerofinder._scan_grid(iv, 0.01).tolist() == [a, b]
+        got = find_critical_zeros(iv)
+        assert len(got) == 1
+        assert abs(got[0].location - ref) < 1e-10
+
+    @pytest.mark.parametrize("width", [0.005, 1e-9])
+    def test_zero_free_window_narrower_than_step(self, width):
+        # 1e-9 is under the grid's end tolerance of 1e-12 * b, so b must
+        # still be appended to the one-point grid.
+        iv = Interval(7000.0, 7000.0 + width)
+        assert zerofinder._scan_grid(iv, 0.01).tolist() == [iv.a, iv.b]
+        assert find_critical_zeros(iv) == []
 
     def test_scan_evaluates_each_height_once(self, monkeypatch):
         seen = []
