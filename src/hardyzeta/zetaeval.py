@@ -94,16 +94,20 @@ _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 # pair.
 _SMOOTH_MIN_TERMS = 200
 
-# Complex elements in one row block of the batched heads (_add_heads),
-# 256 KB: rows of one head length, so a batched head holds no more
-# memory than a scalar head of 2^14 terms.
+# Most elements, points times columns of the widest head, in one chunk of
+# the batched heads (_add_heads).  A chunk's phase and weight tables and
+# row blocks are views of four buffers of at most this many complex
+# elements, 1 MB in all, allocated once per call.  On a full block of
+# points the heads peak 1.67 MB above their entry for mod-5 points at t
+# in [10, 20] and 1.79 MB for Z(1/2, .) at t in [9000, 9010], 104 and
+# 112 B a point (tracemalloc).
 _HEAD_BLOCK = 2**14
 
 # Most points one block of the batched Euler-Maclaurin core (_em_blocks)
 # takes at once.  A mod-5 block's tails and values hold under 1 KB a
-# point (tracemalloc peak, 15.4 MB at 2^14 points), so a grid of
+# point (tracemalloc peak, 15.5 MB at 2^14 points), so a grid of
 # MAX_TERMS points taken whole would need some 900 MB.  A zeta block on
-# the EM_ORDER_MAX pair peaks at 1057 B a point (17.3 MB), as its
+# the EM_ORDER_MAX pair peaks at 1066 B a point (17.5 MB), as its
 # Pochhammer factors of all orders take 320 B a point.
 _POINT_BLOCK = 2**14
 
@@ -124,6 +128,12 @@ _LOG_COEF_OVER_TARGET = math.log(abs(_EM_COEF[EM_ORDER_MAX]) / EM_TARGET)
 # As a >= 5e-324, the head term a^-sigma can overflow only above this
 # sigma (~0.95).
 _SIGMA_HEAD_SAFE = _LOG_FLOAT_MAX / -math.log(5e-324)
+
+# Largest real part x at which glibc's cexp(x+iy) is exp(x) (cos y,
+# sin y), product for product: above (int)(1023 log 2) = 709 it rescales
+# by exp(709).  The batched heads (_add_heads) take each term as such a
+# product, so _em_block refuses a point with a head exponent above it.
+_EXP_SPLIT_MAX = 709.0
 
 #: Machine epsilon of a double, for the head-sum rounding estimate.
 _EPS = 2.0**-52
@@ -299,11 +309,12 @@ def _factor_table(terms: int) -> tuple[np.ndarray, ...]:
             smooth_log)
 
 
-def _factored(a: float, terms: int) -> bool:
+def _factored(a: float, terms: int | np.ndarray) -> bool | np.ndarray:
     """Whether _em_sum, and so the batched head, sums a head of terms
     terms at offset a over the integers coprime to 30 (_factored_head):
-    for a = 1 and at least _SMOOTH_MIN_TERMS terms."""
-    return a == 1.0 and terms >= _SMOOTH_MIN_TERMS
+    for a = 1 and at least _SMOOTH_MIN_TERMS terms; elementwise for an
+    array of terms."""
+    return (a == 1.0) & (terms >= _SMOOTH_MIN_TERMS)
 
 
 def _factored_head(s: complex, terms: int) -> complex:
@@ -430,21 +441,22 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
     a[k].  Point i sums terms[i] head terms with m Bernoulli
     corrections.  The caller has refused every point where _em_sum
     would raise before forming a complex power: a cutoff N above
-    MAX_TERMS or a failed Backlund premise.  The column of a point where
-    _em_sum would raise later is NaN: an overflow (a head term a^-s above
-    the largest double included), or a Backlund bound or left-of-strip
-    rounding estimate above EM_TOL.
+    MAX_TERMS or a failed Backlund premise, and every point with a head
+    exponent above _EXP_SPLIT_MAX, so no head term overflows.  The
+    column of a point where _em_sum would raise later is NaN: an
+    overflow, or a Backlund bound or left-of-strip rounding estimate
+    above EM_TOL.
 
     The tail is elementwise numpy over the points in the scalar's
     operations and order: base^(1-s) is Python's complex power at each
     point, and complex products and quotients follow CPython's formulas
     (_c_prod, _c_quot).  The Pochhammer products, which do not depend on
     a, are formed once, from factors formed for every order at once.  The
-    heads (_add_heads) are summed by head length, as _em_sum sums them,
-    factored where it factors them, from table: the _factor_table of
-    the caller's longest head of a = 1, or None if none has
-    _SMOOTH_MIN_TERMS terms.  Each row's terms and their sum are the
-    scalar head's."""
+    heads (_add_heads) take each term as a weight times a phase, shared
+    by the points of one sigma and of one height, factored where _em_sum
+    factors them, from table: the _factor_table of the caller's longest
+    head of a = 1, or None if none has _SMOOTH_MIN_TERMS terms.  Each
+    row's terms and their sum are the scalar head's."""
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
     base = terms + a[:, None]
@@ -481,16 +493,10 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
         bound = np.abs(s + (2 * m + 1)) / edge * np.abs(omitted)
         _add_heads(value, sr, si, a, terms, table)
         limit = EM_TOL * np.maximum(1.0, np.abs(value))
-        # _em_sum's test of the largest head term a^-s: numpy's complex
-        # exp can leave a term of modulus just above the largest double
-        # finite, and with it the value.
-        head_over = ((sr > _SIGMA_HEAD_SAFE)
-                     & (-sr * np.log(a[:, None]) > _LOG_FLOAT_MAX))
         sigma1 = 1.0 - sr
         rounding = np.where(sr < 0.0,
                             _EPS * (base ** sigma1 / sigma1 + 1.0), 0.0)
-        ok = (np.isfinite(value) & ~head_over & (bound <= limit)
-              & (rounding <= limit))
+        ok = np.isfinite(value) & (bound <= limit) & (rounding <= limit)
     value[:, ~ok.all(axis=0)] = np.nan
     return value
 
@@ -499,52 +505,227 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
                a: np.ndarray, terms: np.ndarray,
                table: tuple[np.ndarray, ...] | None) -> None:
     """Add sum_{n<terms[i]} (n+a[k])^{-s} to value[k, i] at the points
-    s = sr[i] + i si[i], each head as _em_sum sums it, bit for bit.  The
-    points of each head length go together.  A head summed term by term
-    is a row of exp(-s (x) log(n+a[k])); one that _factored factors is
-    a row of _factored_head's expression on the split of its length,
-    cut from table (the _factor_table of the longest) by _last_smooth.
-    Every array holds at most _HEAD_BLOCK complex elements (256 KB), or
-    one row if that is longer, as large as the scalar head."""
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(terms.tolist()):
-        groups.setdefault(n, []).append(i)
-    for n, members in groups.items():
-        idx = np.array(members)
-        gsr, gsi = sr[idx], si[idx]
+    s = sr[i] + i si[i], each head as _em_sum sums it, bit for bit.
+
+    Each term (n+a)^{-s} is split as the weight (n+a)^{-sigma} times the
+    phase e^{-it log(n+a)}: glibc's cexp(x+iy) is exp(x) cos y + i
+    exp(x) sin y for x <= _EXP_SPLIT_MAX, so the real weight exp(x+0i)
+    times each part of the phase exp(0+iy) is the scalar's term exactly
+    (_em_block refuses the points beyond).  The points go in height
+    order, in chunks within _HEAD_BLOCK (_height_chunks).  For each
+    offset a chunk takes one phase row per distinct height and one
+    weight row per distinct sigma, both told apart by their bits, each
+    as long as the longest head that reads it (_split_tables), so all
+    sigma and all head lengths at one height share one phase row.  Each
+    head is the product of its two rows' first columns, summed as
+    _em_sum sums it: term by term (_plain_sums), or where _factored
+    factors it as a row of _factored_head's expression on the split of
+    its length, cut from table (the _factor_table of the longest) by
+    _last_smooth (_factored_sums).
+
+    Every table and row block is a view of one _HeadSpace, allocated
+    once per call: 64 B per element of the largest chunk, at most 1 MB
+    (_HEAD_BLOCK elements) unless one point alone is wider."""
+    # The columns a point's heads read: its terms, or, where every offset
+    # factors its head, the c and the m of its split.
+    columns = terms
+    if table is not None and (a == 1.0).all():
+        coprime, smooth = table[:2]
+        columns = np.where(_factored(1.0, terms),
+                           np.searchsorted(coprime, terms, "right")
+                           + np.searchsorted(smooth, terms, "right"), terms)
+    plain_logs = [np.log(np.arange(terms.max(
+        initial=0, where=~_factored(offset, terms)), dtype=float) + offset)
+        for offset in a.tolist()]
+    widest = int(columns.max())
+    space = _HeadSpace(max(widest, min(_HEAD_BLOCK, terms.size * widest)))
+    order = np.argsort(si, kind="stable")
+    for chunk in _height_chunks(si[order], columns[order]):
+        idx = order[chunk]
+        # Heights come in runs; 0.0 and -0.0, equal in the order, may
+        # alternate, and then take a row per run.
+        csi = si[idx]
+        keys = csi.view(np.int64)
+        rise = np.concatenate(([True], keys[1:] != keys[:-1]))
+        h, ts = np.cumsum(rise) - 1, csi[rise]
+        # Then by length, so that the heads of each length, and the
+        # factored heads, the longest, are runs of rows.
+        by_length = np.argsort(terms[idx], kind="stable")
+        idx, h = idx[by_length], h[by_length]
+        n, csr = terms[idx], sr[idx]
+        _, s_at, s = np.unique(csr.view(np.int64), return_index=True,
+                               return_inverse=True)
+        sigmas = csr[s_at]
+        sums = np.empty(idx.size, dtype=complex)
         for k, offset in enumerate(a.tolist()):
-            factored = _factored(offset, n)
-            if factored:
-                coprime, smooth, coprime_log, smooth_log = table
-                n_c = np.searchsorted(coprime, n, "right")
-                n_m = np.searchsorted(smooth, n, "right")
-                last = _last_smooth(smooth[:n_m], coprime[:n_c], n)
-                logs, m_logs = coprime_log[:n_c], smooth_log[:n_m]
-            else:
-                logs = np.log(np.arange(0, n, dtype=float) + offset)
-            rows = max(1, _HEAD_BLOCK // logs.size)
-            block = np.empty((min(rows, idx.size), logs.size), dtype=complex)
-            for i in range(0, idx.size, rows):
-                bsr, bsi = gsr[i:i + rows], gsi[i:i + rows]
-                row_terms = _exp_outer(bsr, bsi, logs, block[:bsr.size])
-                if factored:
-                    partial = np.cumsum(_exp_outer(bsr, bsi, m_logs), axis=1)
-                    row_terms *= partial[:, last]
-                value[k, idx[i:i + rows]] += row_terms.sum(axis=1)
+            cut = idx.size - np.count_nonzero(_factored(offset, n))
+            if cut:
+                _plain_sums(sums[:cut], space, ts, sigmas, h[:cut], s[:cut],
+                            n[:cut], plain_logs[k])
+            if cut < idx.size:
+                _factored_sums(sums[cut:], space, ts, sigmas, h[cut:],
+                               s[cut:], n[cut:], table)
+            value[k, idx] += sums
 
 
-def _exp_outer(sr: np.ndarray, si: np.ndarray, logs: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-s (x) logs) for the points s = sr + i si, row i for s[i], in
-    out if given.  -s (x) logs is formed as two real outer products,
-    equal to numpy's complex-by-real product -s * logs (a factor with
-    zero imaginary part adds only exact zeros) at a quarter of its cost,
-    so each row is the scalar's exp(-s * logs) term for term."""
-    if out is None:
-        out = np.empty((len(sr), len(logs)), dtype=complex)
-    np.multiply.outer(-sr, logs, out=out.real)
-    np.multiply.outer(-si, logs, out=out.imag)
-    return np.exp(out, out=out)
+class _HeadSpace:
+    """The buffers of one _add_heads call, from which each chunk carves
+    its tables and row blocks (_block): a fresh array of this size would
+    come from fresh pages, whose first touch costs about as much as the
+    exps the split saves.  phase holds the phase tables, weight the
+    weight tables, terms the row blocks of head terms, scratch the
+    weights gathered for a row block and, for factored heads, their
+    cumulative sums gathered at each c."""
+
+    def __init__(self, size: int):
+        self.phase, self.weight, self.terms, self.scratch = np.empty(
+            (4, size), dtype=complex)
+
+
+def _block(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols elements of flat as a rows x cols array."""
+    return flat[:rows * cols].reshape(rows, cols)
+
+
+def _height_chunks(ts: np.ndarray, widths: np.ndarray) -> list[slice]:
+    """Slices of the points in height order (ts ascending) into chunks
+    whose point count times widest point stays within _HEAD_BLOCK, or
+    of one point where that point alone is wider.  A chunk ends where a
+    run of one height starts, wherever one starts inside it, so a run
+    that fits in a chunk is never split."""
+    if ts.size * widths.max() <= _HEAD_BLOCK:
+        return [slice(0, ts.size)]
+    keys = ts.view(np.int64)
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    chunks, lo = [], 0
+    while lo < ts.size:
+        widest = np.maximum.accumulate(
+            widths[lo:lo + _HEAD_BLOCK // widths[lo]])
+        hi = lo + max(1, int(np.count_nonzero(
+            np.arange(1, widest.size + 1) * widest <= _HEAD_BLOCK)))
+        if hi < ts.size:
+            j = np.searchsorted(starts, hi, "right")
+            if j and starts[j - 1] > lo:
+                hi = int(starts[j - 1])
+        chunks.append(slice(lo, hi))
+        lo = hi
+    return chunks
+
+
+def _runs(n: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each run of equal values of n."""
+    cuts = (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()
+    return zip([0] + cuts, cuts + [n.size])
+
+
+def _plain_sums(out: np.ndarray, space: _HeadSpace, ts: np.ndarray,
+                sigmas: np.ndarray, h: np.ndarray, s: np.ndarray,
+                n: np.ndarray, logs: np.ndarray) -> None:
+    """out[i] = sum_{j<n[i]} e^{-(sigma + it) logs[j]} at sigma =
+    sigmas[s[i]], t = ts[h[i]], summed term by term as _em_sum sums it.
+    n is sorted, so that each length's heads are a run of rows."""
+    phase, weight = _split_tables(space, 0, ts, sigmas, h, s, n, logs)
+    terms = _products(space, 0, phase, weight, h, s)
+    for lo, hi in _runs(n):
+        out[lo:hi] = terms[lo:hi, :n[lo]].sum(axis=1)
+
+
+def _factored_sums(out: np.ndarray, space: _HeadSpace, ts: np.ndarray,
+                   sigmas: np.ndarray, h: np.ndarray, s: np.ndarray,
+                   n: np.ndarray, table: tuple[np.ndarray, ...]) -> None:
+    """As _plain_sums, for zeta heads each a row of _factored_head's
+    expression on the split of its length, cut from table.  The tables
+    and row blocks of the 5-smooth m follow those of the c in space; the
+    c and the m up to a length are at most its columns."""
+    coprime, smooth, coprime_log, smooth_log = table
+    n_c = np.searchsorted(coprime, n, "right")
+    n_m = np.searchsorted(smooth, n, "right")
+    c_phase, c_weight = _split_tables(space, 0, ts, sigmas, h, s, n_c,
+                                      coprime_log)
+    m_phase, m_weight = _split_tables(space, max(c_phase.size,
+                                                 c_weight.size),
+                                      ts, sigmas, h, s, n_m, smooth_log)
+    terms = _products(space, 0, c_phase, c_weight, h, s)
+    # A row's sums past its own m are never read.
+    partial = _products(space, terms.size, m_phase, m_weight, h, s)
+    np.cumsum(partial, axis=1, out=partial)
+    for lo, hi in _runs(n):
+        c, m = n_c[lo], n_m[lo]
+        last = _last_smooth(smooth[:m], coprime[:c], n[lo])
+        rows = terms[lo:hi, :c]
+        rows *= np.take(partial[lo:hi], last, axis=1, mode="clip",
+                        out=_block(space.scratch, hi - lo, c))
+        out[lo:hi] = rows.sum(axis=1)
+
+
+def _split_tables(space: _HeadSpace, at: int, ts: np.ndarray,
+                  sigmas: np.ndarray, h: np.ndarray, s: np.ndarray,
+                  widths: np.ndarray, logs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The phase rows of ts and the weight rows of sigmas over logs, from
+    element at of space's phase and weight on, each row as long as the
+    widest of the heads i (height ts[h[i]], sigma sigmas[s[i]], widths[i]
+    columns) that read it: a row no head reads takes no exp."""
+    h_width = np.zeros(ts.size, dtype=int)
+    np.maximum.at(h_width, h, widths)
+    s_width = np.zeros(sigmas.size, dtype=int)
+    np.maximum.at(s_width, s, widths)
+    logs = logs[:widths.max()]
+    return (_phases(ts, logs, h_width,
+                    _block(space.phase[at:], ts.size, logs.size)),
+            _weights(sigmas, logs, s_width,
+                     _block(space.weight[at:], sigmas.size, logs.size)))
+
+
+def _phases(ts: np.ndarray, logs: np.ndarray, widths: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """e^{-i t logs} for each t of ts, in row j of out over the first
+    widths[j] logs (the rest of the row holds its exponent): the complex
+    exp of 0 - i t log, with -t log as the scalar's exp(-s log) forms
+    it."""
+    out.real = 0.0
+    np.multiply.outer(-ts, logs, out=out.imag)
+    return np.exp(out, out=out,
+                  where=np.arange(logs.size) < widths[:, None])
+
+
+def _weights(sigmas: np.ndarray, logs: np.ndarray, widths: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """exp(-sigma logs) for each sigma of sigmas, in row j of out over the
+    first widths[j] logs (the rest of the row holds its exponent), in
+    both the real and the imaginary part, so that one real multiply
+    scales a phase's cos and sin alike.  Each is the real part of the
+    complex exp of -sigma log + 0i: numpy's real exp is a SIMD kernel
+    that differs from glibc's in the last bit."""
+    out.imag = 0.0
+    np.multiply.outer(-sigmas, logs, out=out.real)
+    np.exp(out, out=out, where=np.arange(logs.size) < widths[:, None])
+    out.imag = out.real
+    return out
+
+
+def _products(space: _HeadSpace, at: int, phase: np.ndarray,
+              weight: np.ndarray, h: np.ndarray, s: np.ndarray
+              ) -> np.ndarray:
+    """Row i: weight row s[i] times phase row h[i], part by part, as
+    glibc's cexp multiplies exp(x) into cos y and sin y.  Only the
+    columns within both rows' widths are terms.  Where the heads read
+    consecutive phase rows, one each, those rows are scaled in place;
+    otherwise the rows are gathered into space's terms from element at
+    on.  A single weight row is broadcast, others are gathered: fresh
+    pages cost about as much as the exps split off."""
+    if (np.diff(h) == 1).all():
+        rows = phase[h[0]:h[0] + h.size]
+    else:
+        rows = np.take(phase, h, axis=0, mode="clip",
+                       out=_block(space.terms[at:], h.size, phase.shape[1]))
+    if (s == s[0]).all():
+        weights = weight[s[0]]
+    else:
+        weights = np.take(weight, s, axis=0, mode="clip",
+                          out=_block(space.scratch, s.size, weight.shape[1]))
+    np.multiply(rows.view(float), weights.view(float), out=rows.view(float))
+    return rows
 
 
 def zeta_em(s: complex) -> complex:
@@ -662,13 +843,18 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
 
     zeta comes from one _em_blocks pass over all the points
     sigmas[k] + i ts[j], as zeta_em sums it, factored heads included
-    (from t ~ 314 on sigma = 1/2), with no zeta_em call.  theta is taken
-    once per node through the scalar theta, at the nodes where some row
-    is accepted, and each value is (zeta e^{i theta}).real in CPython's
-    complex arithmetic, as generalized_hardy forms it.  A block of
-    points holds under 1.1 KB a point (tracemalloc peak): 1057 B for a
-    block of Z(1/2, .) at t = 9000, where every point takes the
-    EM_ORDER_MAX pair."""
+    (from t ~ 314 on sigma = 1/2), with no zeta_em call.  The heads take
+    e^{-it log n} once per node for all K sigma, as long as the longest
+    head there, and n^{-sigma_k} once per sigma in each chunk of nodes
+    (_add_heads): a K = 3 family takes 11.0 thousand phase exps and
+    967 weight exps where three complex exps a term took 31.3 thousand
+    (hilbert-study's first pass, seed 101, mean per call).  theta is
+    taken once per node through the scalar theta, at the nodes where
+    some row is accepted, and each value is (zeta e^{i theta}).real in
+    CPython's complex arithmetic, as generalized_hardy forms it.  A
+    block of points holds under 1.1 KB a point (tracemalloc peak):
+    1066 B for a block of Z(1/2, .) at t = 9000, where every point takes
+    the EM_ORDER_MAX pair."""
     points = np.empty((len(sigmas), ts.size), dtype=complex)
     points.real = np.asarray(sigmas, dtype=float)[:, None]
     points.imag = ts
@@ -745,11 +931,16 @@ def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
 
     The column of a point the scalar would refuse is NaN: a NaN or
     infinity, the pole s = 1, or a point where _em_pair or _em_sum would
-    raise, for any offset.  The caller takes those points, and only
-    those, through its scalar path, which raises its own error.  A
-    cutoff N above MAX_TERMS is refused as _em_sum refuses it, whatever
-    the head length (the zeta cutoff N = MAX_TERMS + 1 sums only
-    MAX_TERMS terms), and with a failed Backlund premise before any
+    raise, for any offset.  So is the column of a point whose largest
+    head exponent, -sigma log(n+a) at the least or the largest base,
+    exceeds _EXP_SPLIT_MAX, where the split heads would not be the
+    scalar's: only a mod-5 point at sigma in (440.5, 441) is accepted by
+    the scalar there, as zeta's Backlund premise holds only right of
+    sigma = -41.  The caller takes those points, and only those, through
+    its scalar path, which raises its own error or returns the value.
+    A cutoff N above MAX_TERMS is refused as _em_sum refuses it,
+    whatever the head length (the zeta cutoff N = MAX_TERMS + 1 sums
+    only MAX_TERMS terms), and with a failed Backlund premise before any
     complex power, head or factor table is formed for the point."""
     for i in range(0, points.size, _POINT_BLOCK):
         block = points[i:i + _POINT_BLOCK]
@@ -774,9 +965,18 @@ def _em_block(points: np.ndarray, offsets: np.ndarray,
     del pairs
     terms = n - shift
     # What _em_sum refuses before its complex powers: N above MAX_TERMS
-    # and a failed Backlund premise.
+    # and a failed Backlund premise.  And a point whose largest head
+    # exponent -sigma log(n+a), at the least or the largest base, exceeds
+    # _EXP_SPLIT_MAX, where the split heads (_add_heads) stop being
+    # exact; the scalar path takes it.  NaN and infinite points, refused
+    # already, may warn here.
+    with np.errstate(all="ignore"):
+        exponent = np.maximum(
+            -points.real * np.log(offsets.min()),
+            -points.real * np.log(terms - 1 + offsets.max()))
     accepted = ((n <= MAX_TERMS) & (2 * m + 1 + points.real > 0.0)
-                & (terms + offsets.min() > np.abs(points.imag) / TWO_PI))
+                & (terms + offsets.min() > np.abs(points.imag) / TWO_PI)
+                & (exponent <= _EXP_SPLIT_MAX))
     longest = int(terms.max(initial=0, where=accepted))
     table = (_factor_table(longest) if any(
         _factored(a, longest) for a in offsets.tolist()) else None)
@@ -797,12 +997,18 @@ def _mod5_series(s: complex | np.ndarray,
     A scalar s takes four hurwitz_zeta calls and returns a complex.  An
     ndarray s returns a complex array of its shape, from the Hurwitz
     values of _em_blocks, with no hurwitz_zeta call at the points they
-    accept.  The points they refuse (NaN, an infinity, the pole s = 1 or
-    any other point hurwitz_zeta would refuse), and only those, go
-    through the scalar branch in point order, which raises the scalar's
-    error for the first refused point.  A block holds under 1 KB a
-    point (tracemalloc peak), so the memory of a call stays near 15 MB
-    however many points it takes."""
+    accept.  Their heads take each e^{-it log(n+a/5)} once per height and
+    each (n+a/5)^{-sigma} once per sigma in a chunk (_add_heads), so the
+    sides of a contour share them: a dh-winding box takes 77.8 thousand
+    phase exps and 157.4 thousand weight exps where a complex exp a term
+    took 305.5 thousand (first pass, seed 101, mean per task).  The
+    points they refuse (NaN, an infinity, the pole s = 1, any other
+    point hurwitz_zeta would refuse, and a head exponent above
+    _EXP_SPLIT_MAX), and only those, go through the scalar branch in
+    point order, which raises the scalar's error for the first point it
+    refuses.  A block holds under 1 KB a point (tracemalloc peak), so
+    the memory of a call stays near 16 MB however many points it
+    takes."""
     if not isinstance(s, np.ndarray):
         total = 0.0 + 0.0j
         for a, c in coeffs.items():
@@ -871,10 +1077,13 @@ def davenport_heilbronn(s: complex | np.ndarray) -> complex | np.ndarray:
     without calling hurwitz_zeta.  Each value equals the scalar call's
     to roundoff (bit for bit with glibc on x86-64; the tests allow 1e-15
     max(1, |value|)).  A point the scalar call refuses, and only such a
-    point, is evaluated through the scalar call, in point order, so the
-    array call raises the scalar's error for the first refused point.
-    The heads take row blocks of at most 2^14 complex elements (256 KB).
-    argument_principle_count evaluates its whole contour grid in one
-    such call.
+    point or one at sigma in (440.5, 441), where a head exponent passes
+    709 (see _em_blocks), is evaluated through the scalar call, in point
+    order, so the array call raises the scalar's error for the first
+    refused point.
+    The heads share e^{-it log(n+a/5)} among the points of one height and
+    (n+a/5)^{-sigma} among those of one sigma, in chunks of at most 2^14
+    terms (_add_heads); argument_principle_count evaluates its whole
+    contour grid in one such call, whose sides share both.
     """
     return _mod5_series(s, _DH_COEF)

@@ -1,4 +1,5 @@
 import cmath
+import platform
 
 import numpy as np
 import pytest
@@ -7,6 +8,14 @@ from hardyzeta import zetaeval
 from hardyzeta.hilbert import SampledFunction
 from hardyzeta.specialfn import theta
 from hardyzeta.zetaeval import EM_ORDER, _em_sum
+
+
+def pytest_report_header(config):
+    """The batched heads are bit for bit the scalar's only where numpy's
+    complex exp splits exactly (test_complex_exp_splits_exactly): name
+    the numpy and the C library that a failure of it ran on."""
+    libc, version = platform.libc_ver()
+    return f"numpy {np.__version__}, libc {libc or 'unknown'} {version}"
 
 
 @pytest.fixture
@@ -44,22 +53,28 @@ def hardy_at_cutoff():
 @pytest.fixture
 def head_exps(monkeypatch):
     """head_exps(call) gives call() and the complex exps the batched heads
-    took in it: the elements of every zetaeval._exp_outer call."""
+    took in it, as (phase exps, weight exps): the row widths of every
+    zetaeval._phases and zetaeval._weights call."""
 
     def run(call):
-        sizes = []
-        exp_outer = zetaeval._exp_outer
-
-        def counted(sr, si, logs, out=None):
-            sizes.append(len(sr) * len(logs))
-            return exp_outer(sr, si, logs, out)
-
+        counts = {"_phases": 0, "_weights": 0}
         with monkeypatch.context() as patch:
-            patch.setattr(zetaeval, "_exp_outer", counted)
+            for name in counts:
+                patch.setattr(zetaeval, name, _counted(counts, name))
             result = call()
-        return result, sum(sizes)
+        return result, (counts["_phases"], counts["_weights"])
 
     return run
+
+
+def _counted(counts, name):
+    table = getattr(zetaeval, name)
+
+    def counted(values, logs, widths, out):
+        counts[name] += int(widths.sum())
+        return table(values, logs, widths, out)
+
+    return counted
 
 
 @pytest.fixture

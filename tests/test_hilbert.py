@@ -179,8 +179,9 @@ class TestArraySampling:
         # Seeded sigma in [-2, 3] and 64 points around the height where
         # the head reaches the threshold, found by bisection: one block
         # with heads of at least 5 lengths, on both sides of it.  Each
-        # head takes the exps of its own length, none padded.
+        # node's phase row takes the exps of its own head, none padded.
         rng = np.random.default_rng(29)
+        phases, weights = [], []
         for sigma in [0.5] + rng.uniform(-2.0, 3.0, 5).tolist():
             lo, hi = 10.0, 1e4
             while hi - lo > 1e-3:
@@ -194,8 +195,16 @@ class TestArraySampling:
             assert len(set(heads)) >= 5
             assert min(heads) < threshold <= max(heads)
             _, exps = head_exps(lambda: zetaeval._hardy_z_family([sigma], ts))
-            assert exps == sum(_head_exps(n) for n in heads)
+            phases.append(exps[0] == sum(_head_exps(n) for n in heads))
+            weights.append(exps[1])
             self._check_batched(sigma, ts)
+        assert all(phases)
+        # One weight row per chunk, as wide as its widest head of each
+        # kind: at 200, the 199 terms of the longest plain head plus the
+        # c and the m of the longest factored one.
+        assert weights == {zetaeval._SMOOTH_MIN_TERMS:
+                           [300, 301, 300, 300, 301, 301],
+                           800: [590, 590, 589, 590, 590, 590]}[threshold]
 
     def test_rows_beyond_one_head_block(self):
         # 300 points sharing nearly every head length: one length's
@@ -442,8 +451,10 @@ class TestFamilySampling:
                            for i, a in enumerate(got) for b in got[:i])
 
     def test_head_work_is_the_members_sum(self, head_exps):
-        # Heads of both sides of _SMOOTH_MIN_TERMS: the family takes the
-        # exps its members take one by one, none more.
+        # Heads of both sides of _SMOOTH_MIN_TERMS: what the members take
+        # one by one is the weights, one row per sigma in each chunk, the
+        # family in two chunks, each member in one.  The phases the family
+        # takes once, as each member alone does.
         rng = np.random.default_rng(34)
         sigmas = [0.5] + rng.uniform(-2.0, 3.0, 3).tolist()
         ts = np.sort(rng.uniform(290.0, 340.0, 40))
@@ -451,8 +462,27 @@ class TestFamilySampling:
         assert np.isfinite(family).all()
         members = [head_exps(lambda: zetaeval._hardy_z_family([s], ts))[1]
                    for s in sigmas]
-        assert exps == sum(members) == sum(
-            _head_exps(n) for s in sigmas for n in _heads(s, ts))
+        phases = sum(_head_exps(n) for n in _heads(0.5, ts))
+        assert members == [(phases, 303)] * 4
+        assert exps == (phases, 1616)
+
+    @pytest.mark.parametrize("lo,k", [(20.0, 2), (290.0, 3), (290.0, 12),
+                                      (3000.0, 3)])
+    def test_family_takes_one_phase_row_per_node(self, lo, k, head_exps):
+        # K members on T shared nodes take one phase row a node, as long
+        # as the longest of its heads: below t = 425 the phase exps of
+        # any one member alone, above it (where sigma moves the cutoff)
+        # those of the member with the longest heads.
+        rng = np.random.default_rng(41)
+        sigmas = [0.5] + rng.uniform(-2.0, 3.0, k - 1).tolist()
+        ts = np.sort(rng.uniform(lo, lo + 40.0, 30))
+        _, (phases, _) = head_exps(
+            lambda: zetaeval._hardy_z_family(sigmas, ts))
+        members = [head_exps(lambda: zetaeval._hardy_z_family([s], ts))[1][0]
+                   for s in sigmas]
+        assert phases == max(members) == sum(
+            _head_exps(max(n)) for n in zip(*(_heads(s, ts) for s in sigmas)))
+        assert (len(set(members)) == 1) == (lo < zetaeval._T_FIXED)
 
     @pytest.mark.parametrize("kernel", [gram_matrix, gram_schmidt])
     @pytest.mark.parametrize("members,ts", [

@@ -543,6 +543,36 @@ class TestRsTermTable:
             hardy_z_rs(100.0)
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def test_complex_exp_splits_exactly():
+    # The batched heads take each term exp(x+iy) as the weight
+    # exp(x+0i).real times each part of the phase exp(0+iy).  That is
+    # exact where the complex exp is glibc's cexp, which forms exp(x) cos
+    # y and exp(x) sin y up to x = 709: seeded x in [-745, 709], y up to
+    # 1e6 in size, signed zeros, subnormals and |y| below DBL_MIN.
+    rng = np.random.default_rng(40)
+    x = np.concatenate([rng.uniform(-745.0, 709.0, 200_000),
+                        [-745.0, -700.0, 0.0, -0.0, 1.0, 709.0] * 4])
+    y = np.concatenate([
+        rng.choice((-1.0, 1.0), 200_000) * 10.0 ** rng.uniform(-8, 6, 200_000),
+        np.repeat([0.0, -0.0, 5e-324, -2e-308], 6)])
+    y[::7] *= 1e-310
+
+    def exp(re, im):
+        # Built part by part: x + 1j * y would turn -0.0 into 0.0.
+        z = np.empty(y.size, dtype=complex)
+        z.real, z.imag = re, im
+        return np.exp(z)
+
+    weight, phase = exp(x, 0.0).real, exp(0.0, y)
+    split = np.empty(y.size, dtype=complex)
+    split.real, split.imag = weight * phase.real, weight * phase.imag
+    assert exp(x, y).tobytes() == split.tobytes()
+
+
 def _batch_points():
     """Seeded points with sigma in [-1, 3] and |t| up to 1e4, half of
     them below _T_FIXED, and two segments of 300 points whose points
@@ -573,8 +603,11 @@ class TestBatchedModFive:
     def test_array_matches_scalar_calls(self, fn, head_exps):
         s = _batch_points()
         got, exps = head_exps(lambda: fn(s))
-        # Four Hurwitz heads of N terms at each point, none padded.
-        assert exps == 4 * sum(zetaeval._em_pair(z)[0] for z in s.tolist())
+        # Four Hurwitz heads of N terms at each point, 2,667,248 terms,
+        # from one phase row a height and one weight row a sigma in each
+        # chunk: the 300 points of the horizontal segment share a height.
+        assert 4 * sum(zetaeval._em_pair(z)[0] for z in s.tolist()) == 2667248
+        assert exps == (2514984, 1047016)
         want = np.array([fn(z) for z in s.tolist()])
         assert got.dtype == complex and got.shape == s.shape
         assert np.all(np.abs(got - want)
@@ -655,13 +688,53 @@ class TestBatchedModFive:
     def test_head_term_just_above_the_largest_double_is_refused(self):
         # |0.2^-s| lies just above the largest double here, yet numpy's
         # complex exp leaves both its parts finite, and so the value:
-        # only _em_sum's own test of a^-s refuses it in the batch.
+        # the batch leaves the point, whose head exponent is above 709,
+        # to the scalar path, and _em_sum's own test of a^-s refuses it.
         s = complex(441.013, 1.0)
         with pytest.raises(DomainError, match="overflows") as scalar:
             davenport_heilbronn(s)
         with pytest.raises(DomainError) as batched:
             davenport_heilbronn(np.array([0.7 + 85.0j, s]))
         assert str(batched.value) == str(scalar.value)
+
+    def test_head_exponent_above_709_takes_the_scalar_path(self):
+        # 0.2^-sigma stays finite up to sigma ~ 441.01, but above
+        # sigma ~ 440.5 its exponent passes 709, where glibc's cexp
+        # rescales and the split heads would differ from it: the batch
+        # leaves those points to the scalar path.
+        s = np.array([440.8 + 3.0j, 440.95 + 60.0j, 0.7 + 85.0j])
+        assert -s.real[1] * math.log(0.2) > 709.0
+        want = np.array([davenport_heilbronn(z) for z in s.tolist()])
+        assert _bits(davenport_heilbronn(s)) == _bits(want)
+        [(_, values)] = zetaeval._em_blocks(s, np.arange(1, 5) / 5.0, 0)
+        assert np.isnan(values[:, :2]).all() and np.isfinite(values[:, 2]).all()
+        # A zeta head's exponent passes 709 only left of sigma = -41,
+        # where Backlund's premise refuses the point anyway.
+        sigma, ts = -100.0, np.array([3000.0, 3001.0])
+        n = zetaeval._em_pair(complex(sigma, ts[0]))[0]
+        assert -sigma * math.log(n) > 709.0
+        family = zetaeval._hardy_z_family([0.5, sigma], ts)
+        assert family[0].tobytes() == np.array(
+            [generalized_hardy(0.5, t).z for t in ts.tolist()]).tobytes()
+        assert np.isnan(family[1]).all()
+        for t in ts.tolist():
+            with pytest.raises(DomainError, match="premises"):
+                generalized_hardy(sigma, t)
+
+    def test_signed_zeros_take_rows_of_their_own(self):
+        # Heights and sigmas are told apart by their bits: a block with
+        # 0.0 and -0.0 of both, and points sharing each, gives the scalar
+        # values bit for bit, signs of zero parts included.
+        zeros = [0.0, -0.0]
+        s = np.array([complex(x, y) for x in zeros + [0.5, -1.5]
+                      for y in zeros + [3.0, -3.0]])
+        for fn in (davenport_heilbronn, dirichlet_l_mod5):
+            want = np.array([fn(z) for z in s.tolist()])
+            assert _bits(fn(s)) == _bits(want)
+        zetas = np.empty(s.size, dtype=complex)
+        for span, values in zetaeval._em_blocks(s, np.ones(1), 1):
+            zetas[span] = values[0]
+        assert _bits(zetas) == _bits([zeta_em(z) for z in s.tolist()])
 
     def test_first_refused_point_decides_the_error(self):
         # A bound refusal before a premise refusal: the array raises the
