@@ -95,20 +95,30 @@ _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 _SMOOTH_MIN_TERMS = 200
 
 # Most elements, points times columns of the widest head, in one chunk of
-# the batched heads (_add_heads).  A chunk's phase and weight tables and
-# row blocks are views of four buffers of at most this many complex
-# elements, 1 MB in all, allocated once per call.  On a full block of
-# points the heads peak 1.67 MB above their entry for mod-5 points at t
-# in [10, 20] and 1.79 MB for Z(1/2, .) at t in [9000, 9010], 104 and
-# 112 B a point (tracemalloc).
+# the batched heads (_add_heads).  A chunk's phase tables and row blocks
+# are views of two buffers of at most this many complex elements, 512 KB,
+# and factored heads take a third, allocated once per call.  On a full
+# block of points the heads peak 1.95 MB above their entry for mod-5
+# points at sigma = 0.6, t in [10, 20], 3.54 MB for mod-5 points at
+# t = 100 with 2^14 distinct sigma (2 MB of it their weight tables) and
+# 4.79 MB for Z(1/2, .) at t in [9000, 9010], 119, 216 and 292 B a
+# point (tracemalloc), below the peak of the tails before them.
 _HEAD_BLOCK = 2**14
 
+# Most elements in the weight tables of one sigma group of the batched
+# heads (_sigma_groups), 2 MB of complex elements.  The 149 distinct
+# sigma of a dh-winding contour (sigma from 0.51 to 1, 128 points a
+# side) make one group while its heads have at most 879 terms (t up to
+# about 2960).
+_WEIGHT_BLOCK = 8 * _HEAD_BLOCK
+
 # Most points one block of the batched Euler-Maclaurin core (_em_blocks)
-# takes at once.  A mod-5 block's tails and values hold under 1 KB a
-# point (tracemalloc peak, 15.5 MB at 2^14 points), so a grid of
-# MAX_TERMS points taken whole would need some 900 MB.  A zeta block on
-# the EM_ORDER_MAX pair peaks at 1066 B a point (17.5 MB), as its
-# Pochhammer factors of all orders take 320 B a point.
+# takes at once.  A mod-5 block on the EM_ORDER pair holds under 1 KB a
+# point (tracemalloc peak, 15.1 MB at 2^14 points), so a grid of
+# MAX_TERMS points taken whole would need some 900 MB.  On the
+# EM_ORDER_MAX pair, whose Pochhammer factors of all orders take 320 B a
+# point, a zeta block peaks at 1066 B a point (17.5 MB) and a mod-5 block,
+# with four rows of tails, at 1400 B (22.9 MB).
 _POINT_BLOCK = 2**14
 
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
@@ -273,11 +283,12 @@ def _coprime_numbers(limit: int) -> np.ndarray:
 
 
 def _last_smooth(smooth: np.ndarray, coprime: np.ndarray,
-                 terms: int) -> np.ndarray:
+                 terms: int | np.ndarray) -> np.ndarray:
     """For each c of coprime, the index in smooth (the 5-smooth m up to
     at least terms, ascending) of the largest m <= terms / c: the rule
     by which _factor_split splits a head of terms terms, and by which
-    the batched head cuts each shorter head's split from a longer one."""
+    the batched head cuts each shorter head's split from a longer one,
+    a row for each of a column of terms."""
     # Exact in floats: m c <= terms gives fl(terms / c) >= m, and
     # m c > terms puts terms / c at least 1/c >= 1/MAX_TERMS below m,
     # far more than its rounding error below MAX_TERMS.
@@ -457,17 +468,36 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
     factors them, from table: the _factor_table of the caller's longest
     head of a = 1, or None if none has _SMOOTH_MIN_TERMS terms.  Each
     row's terms and their sum are the scalar head's."""
+    base = terms + a[:, None]
+    # The tails' temporaries are freed before the heads, where a point
+    # block peaks in memory.
+    value, bound = _em_tails(s, base, m)
+    # What overflows here leaves a value that is not finite, refused
+    # below as the scalar refuses it.
+    with np.errstate(all="ignore"):
+        _add_heads(value, s.real, s.imag, a, terms, table)
+        limit = EM_TOL * np.maximum(1.0, np.abs(value))
+        sigma1 = 1.0 - s.real
+        rounding = np.where(s.real < 0.0,
+                            _EPS * (base ** sigma1 / sigma1 + 1.0), 0.0)
+        ok = np.isfinite(value) & (bound <= limit) & (rounding <= limit)
+    value[:, ~ok.all(axis=0)] = np.nan
+    return value
+
+
+def _em_tails(s: np.ndarray, base: np.ndarray, m: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The tails of _em_sum_many at the points s, row k at the cutoffs
+    base[k], with m Bernoulli corrections, and the Backlund bound of each;
+    what overflows is left not finite."""
     sr, si = s.real, s.imag
     edge = 2 * m + 1 + sr
-    base = terms + a[:, None]
     rows = base.tolist()
     expo = (1.0 - s).tolist()
     pw1 = np.array([[b ** e for b, e in zip(row, expo)] for row in rows],
                    dtype=complex).reshape(base.shape)
     inv2 = np.array([[b ** -2.0 for b in row] for row in rows]
                     ).reshape(base.shape)
-    # What overflows here leaves a value that is not finite, refused
-    # below as the scalar refuses it.
     with np.errstate(all="ignore"):
         tr, ti = _c_quot(pw1.real, pw1.imag, sr - 1.0, si)
         tr = tr + 0.5 * pw1.real / base
@@ -482,23 +512,14 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
             tr, ti = tr + ur, ti + ui
             wr, wi = wr * inv2, wi * inv2
             cr, ci = _c_prod(cr, ci, fr[k], fi[k])
-        # Freed before the heads, where a point block peaks in memory.
+        # Freed before the value and the omitted term are formed.
         del fr, fi
-        # The tail now, the head is added below.
         value = np.empty(base.shape, dtype=complex)
         value.real, value.imag = tr, ti
         omitted = np.empty(base.shape, dtype=complex)
         omitted.real, omitted.imag = _c_prod(
             _EM_COEF[m] * cr, _EM_COEF[m] * ci, wr, wi)
-        bound = np.abs(s + (2 * m + 1)) / edge * np.abs(omitted)
-        _add_heads(value, sr, si, a, terms, table)
-        limit = EM_TOL * np.maximum(1.0, np.abs(value))
-        sigma1 = 1.0 - sr
-        rounding = np.where(sr < 0.0,
-                            _EPS * (base ** sigma1 / sigma1 + 1.0), 0.0)
-        ok = np.isfinite(value) & (bound <= limit) & (rounding <= limit)
-    value[:, ~ok.all(axis=0)] = np.nan
-    return value
+        return value, np.abs(s + (2 * m + 1)) / edge * np.abs(omitted)
 
 
 def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
@@ -511,75 +532,215 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
     phase e^{-it log(n+a)}: glibc's cexp(x+iy) is exp(x) cos y + i
     exp(x) sin y for x <= _EXP_SPLIT_MAX, so the real weight exp(x+0i)
     times each part of the phase exp(0+iy) is the scalar's term exactly
-    (_em_block refuses the points beyond).  The points go in height
-    order, in chunks within _HEAD_BLOCK (_height_chunks).  For each
-    offset a chunk takes one phase row per distinct height and one
-    weight row per distinct sigma, both told apart by their bits, each
-    as long as the longest head that reads it (_split_tables), so all
-    sigma and all head lengths at one height share one phase row.  Each
-    head is the product of its two rows' first columns, summed as
-    _em_sum sums it: term by term (_plain_sums), or where _factored
-    factors it as a row of _factored_head's expression on the split of
-    its length, cut from table (the _factor_table of the longest) by
-    _last_smooth (_factored_sums).
+    (_em_block refuses the points beyond).  For each offset the call
+    takes one weight row per distinct sigma, told apart by its bits, as
+    long as the longest head of that sigma (_weight_tables), so the
+    sides of a contour share every weight row.  Where those rows would
+    pass _WEIGHT_BLOCK elements the sigmas are split into consecutive
+    groups (_sigma_groups); a contour or a family is one group.  A
+    group's points go in height order, in chunks within _HEAD_BLOCK
+    (_height_chunks), and for each offset a chunk takes one phase row
+    per distinct height, also told apart by its bits, as long as the
+    longest head there, so all sigma and all head lengths at one height
+    share one phase row.  Each head is the product of its two rows'
+    first columns, summed as _em_sum sums it: term by term
+    (_plain_sums), or where _factored factors it as a row of
+    _factored_head's expression on the split of its length, cut from
+    table (the _factor_table of the longest) by _last_smooth
+    (_factored_sums).
 
     Every table and row block is a view of one _HeadSpace, allocated
-    once per call: 64 B per element of the largest chunk, at most 1 MB
-    (_HEAD_BLOCK elements) unless one point alone is wider."""
-    # The columns a point's heads read: its terms, or, where every offset
-    # factors its head, the c and the m of its split.
-    columns = terms
-    if table is not None and (a == 1.0).all():
-        coprime, smooth = table[:2]
-        columns = np.where(_factored(1.0, terms),
-                           np.searchsorted(coprime, terms, "right")
-                           + np.searchsorted(smooth, terms, "right"), terms)
-    plain_logs = [np.log(np.arange(terms.max(
-        initial=0, where=~_factored(offset, terms)), dtype=float) + offset)
-        for offset in a.tolist()]
+    once per call: 32 B per element of the largest chunk, 48 B where
+    heads are factored, at most 768 KB (_HEAD_BLOCK elements) unless one
+    point alone is wider, and 16 B per element of the largest group's
+    weight tables, at most 2 MB unless one sigma alone is wider."""
+    # Offsets other than 1 factor no head, so they read the same columns
+    # and weight widths and split every chunk alike.
+    kinds = {offset == 1.0: offset for offset in a.tolist()}
+    reads = {kind: _reads(offset, terms, table)
+             for kind, offset in kinds.items()}
+    # The most columns a point's heads read at any offset.
+    columns = functools.reduce(np.maximum, [sum(r[1:], r[0])
+                                            for r in reads.values()])
+    keys = sr.view(np.int64)
+    if (keys == keys[0]).all():
+        sigmas, sigma_of = sr[:1], np.zeros(sr.size, dtype=np.intp)
+    else:
+        keys, sigma_of = np.unique(keys, return_inverse=True)
+        sigmas = keys.view(float)
+    widths = {kind: _weight_widths(r, sigma_of, sigmas.size)
+              for kind, r in reads.items()}
+    tops = {kind: w.max(axis=1).tolist() for kind, w in widths.items()}
+    plain_logs = [np.log(np.arange(tops[offset == 1.0][0], dtype=float)
+                         + offset) for offset in a.tolist()]
+    groups, table_size = _sigma_groups(list(widths.values()),
+                                       list(tops.values()))
     widest = int(columns.max())
-    space = _HeadSpace(max(widest, min(_HEAD_BLOCK, terms.size * widest)))
+    space = _HeadSpace(max(widest, min(_HEAD_BLOCK, terms.size * widest)),
+                       table_size, table is not None)
     order = np.argsort(si, kind="stable")
-    for chunk in _height_chunks(si[order], columns[order]):
-        idx = order[chunk]
-        # Heights come in runs; 0.0 and -0.0, equal in the order, may
-        # alternate, and then take a row per run.
-        csi = si[idx]
-        keys = csi.view(np.int64)
-        rise = np.concatenate(([True], keys[1:] != keys[:-1]))
-        h, ts = np.cumsum(rise) - 1, csi[rise]
-        # Then by length, so that the heads of each length, and the
-        # factored heads, the longest, are runs of rows.
-        by_length = np.argsort(terms[idx], kind="stable")
-        idx, h = idx[by_length], h[by_length]
-        n, csr = terms[idx], sr[idx]
-        _, s_at, s = np.unique(csr.view(np.int64), return_index=True,
-                               return_inverse=True)
-        sigmas = csr[s_at]
-        sums = np.empty(idx.size, dtype=complex)
+    for group in groups:
+        points = order
+        if len(groups) > 1:
+            points = order[(sigma_of[order] >= group.start)
+                           & (sigma_of[order] < group.stop)]
+            # Each table as wide as the group's widest row.
+            tops = {kind: w[:, group].max(axis=1).tolist()
+                    for kind, w in widths.items()}
+        chunks = []
+        for chunk in ([slice(0, points.size)]
+                      if points.size * widest <= _HEAD_BLOCK
+                      else _height_chunks(si[points], columns[points])):
+            # Heights come in runs; 0.0 and -0.0, equal in the order, may
+            # alternate, and then take a row per run.
+            idx = points[chunk]
+            keys = si[idx].view(np.int64)
+            rise = np.concatenate(([True], keys[1:] != keys[:-1]))
+            ts = keys[rise].view(float)
+            # Then by length, so that the heads of each length, and the
+            # factored heads, the longest, are runs of rows.
+            by_length = np.argsort(terms[idx], kind="stable")
+            idx = points[chunk] = idx[by_length]
+            h = (np.cumsum(rise) - 1)[by_length]
+            s, n = sigma_of[idx] - group.start, terms[idx]
+            parts = {}
+            for kind in kinds:
+                # The c and the m each head reads, 0 for a plain head: the
+                # factored heads, the longest, come last.
+                split = [r[idx] for r in reads[kind][1:]]
+                cut = idx.size - (np.count_nonzero(split[0]) if split else 0)
+                parts[kind] = (
+                    cut,
+                    _Heads(ts, h[:cut], s[:cut], n[:cut], [n[:cut]])
+                    if cut else None,
+                    _Heads(ts, h[cut:], s[cut:], n[cut:],
+                           [c[cut:] for c in split])
+                    if cut < idx.size else None)
+            chunks.append((chunk, parts))
+        sums = np.empty(points.size, dtype=complex)
         for k, offset in enumerate(a.tolist()):
-            cut = idx.size - np.count_nonzero(_factored(offset, n))
-            if cut:
-                _plain_sums(sums[:cut], space, ts, sigmas, h[:cut], s[:cut],
-                            n[:cut], plain_logs[k])
-            if cut < idx.size:
-                _factored_sums(sums[cut:], space, ts, sigmas, h[cut:],
-                               s[cut:], n[cut:], table)
-            value[k, idx] += sums
+            kind = offset == 1.0
+            plain, c, m = _weight_tables(
+                space, sigmas[group], widths[kind][:, group], tops[kind],
+                [plain_logs[k]] + (list(table[2:]) if table is not None
+                                   else []))
+            for chunk, parts in chunks:
+                cut, plain_heads, factored_heads = parts[kind]
+                if plain_heads:
+                    _plain_sums(sums[chunk][:cut], space, plain_heads, plain,
+                                plain_logs[k])
+                if factored_heads:
+                    _factored_sums(sums[chunk][cut:], space, factored_heads,
+                                   c, m, table)
+            value[k, points] += sums
+
+
+class _Heads:
+    """Heads of one chunk that sum alike, term by term or factored, in
+    length order, and what their sums read at every offset: each head's
+    height row h and sigma row s, its length n, the runs of one length,
+    whether the heads read consecutive phase rows, one each, and whether
+    they read a single weight row; and for each table of logs they read
+    (the terms, or the c and the m of the splits) each head's columns
+    and each height's widest."""
+
+    def __init__(self, ts: np.ndarray, h: np.ndarray, s: np.ndarray,
+                 n: np.ndarray, columns: list[np.ndarray]):
+        self.ts, self.h, self.s, self.n = ts, h, s, n
+        self.runs = list(_runs(n))
+        self.consecutive = bool((h[1:] - h[:-1] == 1).all())
+        self.single = bool((s == s[0]).all())
+        self.columns, self.widths = columns, []
+        for cols in columns:
+            # Each height's only head reads row h = 0, 1, ... in order.
+            if self.consecutive and h.size == ts.size:
+                self.widths.append(cols)
+                continue
+            widest = np.zeros(ts.size, dtype=int)
+            np.maximum.at(widest, h, cols)
+            self.widths.append(widest)
+
+
+def _reads(offset: float, terms: np.ndarray,
+           table: tuple[np.ndarray, ...] | None) -> list[np.ndarray]:
+    """The columns the heads of terms terms read at offset, one array per
+    table of logs: [terms] where no head is factored, else the terms of
+    each head summed term by term and the c and the m of the split of
+    each factored head, each 0 where the head is summed the other way."""
+    factored = _factored(offset, terms)
+    if not factored.any():
+        return [terms]
+    return [np.where(factored, 0, terms)] + [
+        np.where(factored, np.searchsorted(split, terms, "right"), 0)
+        for split in table[:2]]
+
+
+def _weight_widths(reads: list[np.ndarray], sigma_of: np.ndarray,
+                   count: int) -> np.ndarray:
+    """The widths of the weight rows of each distinct sigma i (that of
+    the heads with sigma_of i), column i: in row j the most columns its
+    heads read of table j (_reads)."""
+    widths = np.zeros((len(reads), count), dtype=int)
+    for row, cols in zip(widths, reads):
+        np.maximum.at(row, sigma_of, cols)
+    return widths
+
+
+def _sigma_groups(widths: list[np.ndarray],
+                  tops: list[list[int]]) -> tuple[list[slice], int]:
+    """Slices of the distinct sigmas, the columns of widths (the
+    _weight_widths of each kind of offset, whose rows' maxima are tops),
+    into consecutive groups whose weight tables, one row per sigma, each
+    table as wide as its widest row, hold at most _WEIGHT_BLOCK elements
+    for every offset, or of one sigma where its rows alone hold more;
+    and the most elements a group's tables hold."""
+    count = widths[0].shape[1]
+    whole = count * max(map(sum, tops))
+    if whole <= _WEIGHT_BLOCK:
+        return [slice(0, count)], whole
+    groups, most, lo = [], 0, 0
+    while lo < count:
+        row = np.max([np.maximum.accumulate(w[:, lo:], axis=1).sum(axis=0)
+                      for w in widths], axis=0)
+        size = np.arange(1, row.size + 1) * row
+        hi = max(1, int(np.count_nonzero(size <= _WEIGHT_BLOCK)))
+        groups.append(slice(lo, lo + hi))
+        most = max(most, int(size[hi - 1]))
+        lo += hi
+    return groups, most
+
+
+def _weight_tables(space: _HeadSpace, sigmas: np.ndarray,
+                   widths: np.ndarray, tops: list[int],
+                   logs: list[np.ndarray]) -> list[np.ndarray | None]:
+    """The weight rows of sigmas for one offset, one table of space's
+    weight after another, table j over logs[j] (the plain heads' logs,
+    and for factored heads the logs of the c and of the m): row i as
+    long as widths[j, i] (_weight_widths), the table as wide as tops[j];
+    None for a table no head reads, and for the c and the m where no
+    head is factored."""
+    tables, at = [None] * 3, 0
+    for j, (width, cols, logs) in enumerate(zip(widths, tops, logs)):
+        if cols:
+            tables[j] = _weights(sigmas, logs[:cols], width, _block(
+                space.weight[at:], sigmas.size, cols))
+            at += sigmas.size * cols
+    return tables
 
 
 class _HeadSpace:
     """The buffers of one _add_heads call, from which each chunk carves
     its tables and row blocks (_block): a fresh array of this size would
     come from fresh pages, whose first touch costs about as much as the
-    exps the split saves.  phase holds the phase tables, weight the
-    weight tables, terms the row blocks of head terms, scratch the
-    weights gathered for a row block and, for factored heads, their
-    cumulative sums gathered at each c."""
+    exps the split saves.  phase holds a chunk's phase tables, terms its
+    row blocks of head terms, scratch, only where heads are factored,
+    their cumulative sums gathered at each c; weight holds a sigma
+    group's weight tables for one offset."""
 
-    def __init__(self, size: int):
-        self.phase, self.weight, self.terms, self.scratch = np.empty(
-            (4, size), dtype=complex)
+    def __init__(self, size: int, table_size: int, factored: bool):
+        self.phase, self.terms = np.empty((2, size), dtype=complex)
+        self.scratch = np.empty(size if factored else 0, dtype=complex)
+        self.weight = np.empty(table_size, dtype=complex)
 
 
 def _block(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -593,8 +754,6 @@ def _height_chunks(ts: np.ndarray, widths: np.ndarray) -> list[slice]:
     of one point where that point alone is wider.  A chunk ends where a
     run of one height starts, wherever one starts inside it, so a run
     that fits in a chunk is never split."""
-    if ts.size * widths.max() <= _HEAD_BLOCK:
-        return [slice(0, ts.size)]
     keys = ts.view(np.int64)
     starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     chunks, lo = [], 0
@@ -618,63 +777,55 @@ def _runs(n: np.ndarray) -> Iterator[tuple[int, int]]:
     return zip([0] + cuts, cuts + [n.size])
 
 
-def _plain_sums(out: np.ndarray, space: _HeadSpace, ts: np.ndarray,
-                sigmas: np.ndarray, h: np.ndarray, s: np.ndarray,
-                n: np.ndarray, logs: np.ndarray) -> None:
-    """out[i] = sum_{j<n[i]} e^{-(sigma + it) logs[j]} at sigma =
-    sigmas[s[i]], t = ts[h[i]], summed term by term as _em_sum sums it.
-    n is sorted, so that each length's heads are a run of rows."""
-    phase, weight = _split_tables(space, 0, ts, sigmas, h, s, n, logs)
-    terms = _products(space, 0, phase, weight, h, s)
-    for lo, hi in _runs(n):
+def _plain_sums(out: np.ndarray, space: _HeadSpace, heads: _Heads,
+                weight: np.ndarray, logs: np.ndarray) -> None:
+    """out[i] = sum_{j<n[i]} e^{-(sigma + it) logs[j]} for the plain
+    heads at t = ts[h[i]], with e^{-sigma logs} from row s[i] of weight,
+    summed term by term as _em_sum sums it."""
+    terms = _products(space, 0, _phase_table(space, 0, heads, 0, logs),
+                      weight, heads)
+    n = heads.n
+    for lo, hi in heads.runs:
         out[lo:hi] = terms[lo:hi, :n[lo]].sum(axis=1)
 
 
-def _factored_sums(out: np.ndarray, space: _HeadSpace, ts: np.ndarray,
-                   sigmas: np.ndarray, h: np.ndarray, s: np.ndarray,
-                   n: np.ndarray, table: tuple[np.ndarray, ...]) -> None:
-    """As _plain_sums, for zeta heads each a row of _factored_head's
-    expression on the split of its length, cut from table.  The tables
-    and row blocks of the 5-smooth m follow those of the c in space; the
-    c and the m up to a length are at most its columns."""
+def _factored_sums(out: np.ndarray, space: _HeadSpace, heads: _Heads,
+                   c_weight: np.ndarray, m_weight: np.ndarray,
+                   table: tuple[np.ndarray, ...]) -> None:
+    """As _plain_sums, for zeta heads (_Heads split by the c and the m of
+    table) each a row of _factored_head's expression on the split of its
+    length, cut from table, with the weights of the c and of the m from
+    c_weight and m_weight.  The phase table and row blocks of the
+    5-smooth m follow those of the c in space; the c and the m up to a
+    length are at most its columns."""
     coprime, smooth, coprime_log, smooth_log = table
-    n_c = np.searchsorted(coprime, n, "right")
-    n_m = np.searchsorted(smooth, n, "right")
-    c_phase, c_weight = _split_tables(space, 0, ts, sigmas, h, s, n_c,
-                                      coprime_log)
-    m_phase, m_weight = _split_tables(space, max(c_phase.size,
-                                                 c_weight.size),
-                                      ts, sigmas, h, s, n_m, smooth_log)
-    terms = _products(space, 0, c_phase, c_weight, h, s)
+    c_phase = _phase_table(space, 0, heads, 0, coprime_log)
+    m_phase = _phase_table(space, c_phase.size, heads, 1, smooth_log)
+    terms = _products(space, 0, c_phase, c_weight, heads)
     # A row's sums past its own m are never read.
-    partial = _products(space, terms.size, m_phase, m_weight, h, s)
+    partial = _products(space, terms.size, m_phase, m_weight, heads)
     np.cumsum(partial, axis=1, out=partial)
-    for lo, hi in _runs(n):
-        c, m = n_c[lo], n_m[lo]
-        last = _last_smooth(smooth[:m], coprime[:c], n[lo])
+    # The last m of each c, for every run's length at once.
+    starts = [lo for lo, _ in heads.runs]
+    lasts = _last_smooth(smooth, coprime[:terms.shape[1]],
+                         heads.n[starts][:, None])
+    for (lo, hi), last, c in zip(heads.runs, lasts,
+                                 heads.columns[0][starts].tolist()):
         rows = terms[lo:hi, :c]
-        rows *= np.take(partial[lo:hi], last, axis=1, mode="clip",
+        rows *= np.take(partial[lo:hi], last[:c], axis=1, mode="clip",
                         out=_block(space.scratch, hi - lo, c))
         out[lo:hi] = rows.sum(axis=1)
 
 
-def _split_tables(space: _HeadSpace, at: int, ts: np.ndarray,
-                  sigmas: np.ndarray, h: np.ndarray, s: np.ndarray,
-                  widths: np.ndarray, logs: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The phase rows of ts and the weight rows of sigmas over logs, from
-    element at of space's phase and weight on, each row as long as the
-    widest of the heads i (height ts[h[i]], sigma sigmas[s[i]], widths[i]
-    columns) that read it: a row no head reads takes no exp."""
-    h_width = np.zeros(ts.size, dtype=int)
-    np.maximum.at(h_width, h, widths)
-    s_width = np.zeros(sigmas.size, dtype=int)
-    np.maximum.at(s_width, s, widths)
+def _phase_table(space: _HeadSpace, at: int, heads: _Heads, j: int,
+                 logs: np.ndarray) -> np.ndarray:
+    """The phase rows of the heads' heights over logs, their table j,
+    from element at of space's phase on, each row as long as the widest
+    head at its height."""
+    widths = heads.widths[j]
     logs = logs[:widths.max()]
-    return (_phases(ts, logs, h_width,
-                    _block(space.phase[at:], ts.size, logs.size)),
-            _weights(sigmas, logs, s_width,
-                     _block(space.weight[at:], sigmas.size, logs.size)))
+    return _phases(heads.ts, logs, widths,
+                   _block(space.phase[at:], widths.size, logs.size))
 
 
 def _phases(ts: np.ndarray, logs: np.ndarray, widths: np.ndarray,
@@ -685,8 +836,7 @@ def _phases(ts: np.ndarray, logs: np.ndarray, widths: np.ndarray,
     it."""
     out.real = 0.0
     np.multiply.outer(-ts, logs, out=out.imag)
-    return np.exp(out, out=out,
-                  where=np.arange(logs.size) < widths[:, None])
+    return np.exp(out, out=out, where=_within(widths, logs.size))
 
 
 def _weights(sigmas: np.ndarray, logs: np.ndarray, widths: np.ndarray,
@@ -699,31 +849,39 @@ def _weights(sigmas: np.ndarray, logs: np.ndarray, widths: np.ndarray,
     that differs from glibc's in the last bit."""
     out.imag = 0.0
     np.multiply.outer(-sigmas, logs, out=out.real)
-    np.exp(out, out=out, where=np.arange(logs.size) < widths[:, None])
-    out.imag = out.real
+    np.exp(out, out=out, where=_within(widths, logs.size))
+    # The imaginary part, +0, plus the real part is the real part, with
+    # no copy of the table, which assigning one part to the other makes.
+    np.add(out.real, out.imag, out=out.imag)
     return out
 
 
+def _within(widths: np.ndarray, cols: int) -> np.ndarray | bool:
+    """Which of cols columns lie within row j's first widths[j]: True
+    for all where every row is full."""
+    if widths.min() == cols:
+        return True
+    return np.arange(cols) < widths[:, None]
+
+
 def _products(space: _HeadSpace, at: int, phase: np.ndarray,
-              weight: np.ndarray, h: np.ndarray, s: np.ndarray
-              ) -> np.ndarray:
-    """Row i: weight row s[i] times phase row h[i], part by part, as
-    glibc's cexp multiplies exp(x) into cos y and sin y.  Only the
-    columns within both rows' widths are terms.  Where the heads read
+              weight: np.ndarray, heads: _Heads) -> np.ndarray:
+    """Row i: weight row s[i] times phase row h[i] of the heads, part by
+    part, as glibc's cexp multiplies exp(x) into cos y and sin y, over
+    the phase's columns (weight is at least as wide).  Only the columns
+    within both rows' widths are terms.  Where the heads read
     consecutive phase rows, one each, those rows are scaled in place;
     otherwise the rows are gathered into space's terms from element at
-    on.  A single weight row is broadcast, others are gathered: fresh
-    pages cost about as much as the exps split off."""
-    if (np.diff(h) == 1).all():
+    on.  A single weight row is broadcast, others are gathered by
+    indexing: np.take would first copy a table cut to fewer columns, and
+    a product with the cut rows in place runs at half speed."""
+    h, s, cols = heads.h, heads.s, phase.shape[1]
+    if heads.consecutive:
         rows = phase[h[0]:h[0] + h.size]
     else:
         rows = np.take(phase, h, axis=0, mode="clip",
-                       out=_block(space.terms[at:], h.size, phase.shape[1]))
-    if (s == s[0]).all():
-        weights = weight[s[0]]
-    else:
-        weights = np.take(weight, s, axis=0, mode="clip",
-                          out=_block(space.scratch, s.size, weight.shape[1]))
+                       out=_block(space.terms[at:], h.size, cols))
+    weights = weight[s[0], :cols] if heads.single else weight[s, :cols]
     np.multiply(rows.view(float), weights.view(float), out=rows.view(float))
     return rows
 
@@ -845,9 +1003,9 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     sigmas[k] + i ts[j], as zeta_em sums it, factored heads included
     (from t ~ 314 on sigma = 1/2), with no zeta_em call.  The heads take
     e^{-it log n} once per node for all K sigma, as long as the longest
-    head there, and n^{-sigma_k} once per sigma in each chunk of nodes
+    head there, and n^{-sigma_k} once per sigma in the call
     (_add_heads): a K = 3 family takes 11.0 thousand phase exps and
-    967 weight exps where three complex exps a term took 31.3 thousand
+    392 weight exps where three complex exps a term took 31.3 thousand
     (hilbert-study's first pass, seed 101, mean per call).  theta is
     taken once per node through the scalar theta, at the nodes where
     some row is accepted, and each value is (zeta e^{i theta}).real in
@@ -997,18 +1155,20 @@ def _mod5_series(s: complex | np.ndarray,
     A scalar s takes four hurwitz_zeta calls and returns a complex.  An
     ndarray s returns a complex array of its shape, from the Hurwitz
     values of _em_blocks, with no hurwitz_zeta call at the points they
-    accept.  Their heads take each e^{-it log(n+a/5)} once per height and
-    each (n+a/5)^{-sigma} once per sigma in a chunk (_add_heads), so the
-    sides of a contour share them: a dh-winding box takes 77.8 thousand
-    phase exps and 157.4 thousand weight exps where a complex exp a term
-    took 305.5 thousand (first pass, seed 101, mean per task).  The
+    accept.  Their heads take each e^{-it log(n+a/5)} once per height in
+    a chunk and each (n+a/5)^{-sigma} once per sigma in the call
+    (_add_heads), so the sides of a contour share them: a dh-winding box
+    takes 77.8 thousand phase exps and 89.4 thousand weight exps where a
+    complex exp a term took 305.5 thousand (first pass, seed 101, mean
+    per task).  The
     points they refuse (NaN, an infinity, the pole s = 1, any other
     point hurwitz_zeta would refuse, and a head exponent above
     _EXP_SPLIT_MAX), and only those, go through the scalar branch in
     point order, which raises the scalar's error for the first point it
-    refuses.  A block holds under 1 KB a point (tracemalloc peak), so
-    the memory of a call stays near 16 MB however many points it
-    takes."""
+    refuses.  A block holds under 1 KB a point on the EM_ORDER pair and
+    1.4 KB on EM_ORDER_MAX (tracemalloc peak), so the memory of a call
+    stays near 16 MB, or 23 MB for points on EM_ORDER_MAX, however many
+    points it takes."""
     if not isinstance(s, np.ndarray):
         total = 0.0 + 0.0j
         for a, c in coeffs.items():
@@ -1081,9 +1241,9 @@ def davenport_heilbronn(s: complex | np.ndarray) -> complex | np.ndarray:
     709 (see _em_blocks), is evaluated through the scalar call, in point
     order, so the array call raises the scalar's error for the first
     refused point.
-    The heads share e^{-it log(n+a/5)} among the points of one height and
-    (n+a/5)^{-sigma} among those of one sigma, in chunks of at most 2^14
-    terms (_add_heads); argument_principle_count evaluates its whole
-    contour grid in one such call, whose sides share both.
+    The heads share e^{-it log(n+a/5)} among the points of one height in
+    chunks of at most 2^14 terms, and (n+a/5)^{-sigma} among all the
+    points of one sigma (_add_heads); argument_principle_count evaluates
+    its whole contour grid in one such call, whose sides share both.
     """
     return _mod5_series(s, _DH_COEF)

@@ -199,12 +199,12 @@ class TestArraySampling:
             weights.append(exps[1])
             self._check_batched(sigma, ts)
         assert all(phases)
-        # One weight row per chunk, as wide as its widest head of each
+        # One weight row per call, as wide as its widest head of each
         # kind: at 200, the 199 terms of the longest plain head plus the
         # c and the m of the longest factored one.
         assert weights == {zetaeval._SMOOTH_MIN_TERMS:
                            [300, 301, 300, 300, 301, 301],
-                           800: [590, 590, 589, 590, 590, 590]}[threshold]
+                           800: [295] * 6}[threshold]
 
     def test_rows_beyond_one_head_block(self):
         # 300 points sharing nearly every head length: one length's
@@ -451,10 +451,10 @@ class TestFamilySampling:
                            for i, a in enumerate(got) for b in got[:i])
 
     def test_head_work_is_the_members_sum(self, head_exps):
-        # Heads of both sides of _SMOOTH_MIN_TERMS: what the members take
-        # one by one is the weights, one row per sigma in each chunk, the
-        # family in two chunks, each member in one.  The phases the family
-        # takes once, as each member alone does.
+        # Heads of both sides of _SMOOTH_MIN_TERMS: the family takes the
+        # weights the members take one by one, one row per sigma, though
+        # it goes in two chunks and each member in one.  The phases the
+        # family takes once, as each member alone does.
         rng = np.random.default_rng(34)
         sigmas = [0.5] + rng.uniform(-2.0, 3.0, 3).tolist()
         ts = np.sort(rng.uniform(290.0, 340.0, 40))
@@ -464,7 +464,7 @@ class TestFamilySampling:
                    for s in sigmas]
         phases = sum(_head_exps(n) for n in _heads(0.5, ts))
         assert members == [(phases, 303)] * 4
-        assert exps == (phases, 1616)
+        assert exps == (phases, 1212)
 
     @pytest.mark.parametrize("lo,k", [(20.0, 2), (290.0, 3), (290.0, 12),
                                       (3000.0, 3)])

@@ -573,6 +573,19 @@ def test_complex_exp_splits_exactly():
     assert exp(x, y).tobytes() == split.tobytes()
 
 
+def _contour_grid(box, n_per_side=128):
+    """The grid argument_principle_count evaluates in one array call."""
+    grids = []
+
+    def dh(s):
+        if isinstance(s, np.ndarray):
+            grids.append(s)
+        return davenport_heilbronn(s)
+
+    argument_principle_count(dh, box, n_per_side)
+    return grids[0]
+
+
 def _batch_points():
     """Seeded points with sigma in [-1, 3] and |t| up to 1e4, half of
     them below _T_FIXED, and two segments of 300 points whose points
@@ -604,10 +617,11 @@ class TestBatchedModFive:
         s = _batch_points()
         got, exps = head_exps(lambda: fn(s))
         # Four Hurwitz heads of N terms at each point, 2,667,248 terms,
-        # from one phase row a height and one weight row a sigma in each
-        # chunk: the 300 points of the horizontal segment share a height.
+        # from one phase row a height in each chunk and one weight row a
+        # sigma in each call: the 300 points of the horizontal segment
+        # share a height.
         assert 4 * sum(zetaeval._em_pair(z)[0] for z in s.tolist()) == 2667248
-        assert exps == (2514984, 1047016)
+        assert exps == (2514984, 886204)
         want = np.array([fn(z) for z in s.tolist()])
         assert got.dtype == complex and got.shape == s.shape
         assert np.all(np.abs(got - want)
@@ -789,6 +803,61 @@ class TestBatchedModFive:
             davenport_heilbronn(np.array([0.7 + 85.0j, 2.0 + 3.0j,
                                           -45.0 + 10.0j]))
         assert calls == [-45.0 + 10.0j]
+
+    def test_one_weight_row_per_sigma_on_a_contour(self, head_exps):
+        # A dh-winding box at t = 395: its heads of 252 to 255 terms put
+        # each horizontal side in several chunks, yet each distinct sigma
+        # of the grid takes one weight row per offset, as long as its
+        # longest head, and the phase rows stay one a height per chunk.
+        s = _contour_grid((0.51, 1.0, 395.0, 400.0))
+        pairs = [zetaeval._em_pair(z) for z in s.tolist()]
+        assert 128 * min(n for n, _ in pairs) > zetaeval._HEAD_BLOCK
+        longest = Counter()
+        for key, (n, _) in zip(s.real.view(np.int64).tolist(), pairs):
+            longest[key] = max(longest[key], n)
+        got, exps = head_exps(lambda: davenport_heilbronn(s))
+        assert exps == (133884, 4 * sum(longest.values()))
+        want = np.array([davenport_heilbronn(z) for z in s.tolist()])
+        assert np.all(np.abs(got - want)
+                      <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    def test_sigma_groups_take_each_weight_row_once(self, head_exps):
+        # A horizontal segment of a whole block of points, every sigma
+        # distinct: its weight rows would pass _WEIGHT_BLOCK elements
+        # several times over, so its sigmas go in groups, each walked in
+        # its own chunks.  Each sigma still takes one weight row per
+        # offset, the values are the scalar's and the block stays under
+        # 1 KB a point.
+        n = zetaeval._POINT_BLOCK
+        s = np.linspace(0.51, 1.0, n) + 100.0j
+        heads = [zetaeval._em_pair(z)[0] for z in s.tolist()]
+        assert np.unique(s.real).size == n
+        assert n * min(heads) > 2 * zetaeval._WEIGHT_BLOCK
+        got, (_, weights) = head_exps(lambda: davenport_heilbronn(s))
+        assert weights == 4 * sum(heads)
+        assert _bits(got) == _bits([davenport_heilbronn(z)
+                                    for z in s.tolist()])
+        tracemalloc.start()
+        try:
+            davenport_heilbronn(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * n
+
+    def test_memory_of_a_contour_call(self):
+        # The contour path's memory, pinned: one call on the 513 points of
+        # a dh-winding box at t = 395 peaked at 1,612,969 B (tracemalloc,
+        # numpy 2.4.6; 1,655,991 B before the weight rows were shared
+        # across chunks), allowed 10% more.
+        s = _contour_grid((0.51, 1.0, 395.0, 400.0))
+        tracemalloc.start()
+        try:
+            davenport_heilbronn(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 1612969
 
     def test_memory_is_one_point_block(self):
         # Under 1 KB a point, as the docstrings state, so a grid of
