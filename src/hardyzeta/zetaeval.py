@@ -60,27 +60,15 @@ _EM_COEF = tuple(
     for k, b in enumerate(_BERNOULLI_EVEN)
 )
 
-#: Bernoulli correction terms m of the Euler-Maclaurin pair up to
-#: |t| = _T_FIXED, and above it wherever that pair is the cheaper one.
+#: Bernoulli correction terms m of the fixed Euler-Maclaurin pair, taken
+#: where Backlund's pair sums at least as many head terms, or has none.
 EM_ORDER = 8
 
-#: Bernoulli correction terms m of the other Euler-Maclaurin pair.
+#: Bernoulli correction terms m of Backlund's Euler-Maclaurin pair.
 EM_ORDER_MAX = 20
 
 #: Backlund bound, absolute, that the EM_ORDER_MAX pair is sized to meet.
 EM_TARGET = 1e-11
-
-# One Bernoulli correction (complex products in the interpreter) costs
-# about as much as this many head terms (one numpy log and exp each):
-# 0.5-0.7 us against 30-40 ns, timed in process on a 2-vCPU Xeon.
-_BERNOULLI_COST = 17
-
-# Head terms the EM_ORDER_MAX pair must save to pay for its extra
-# Bernoulli terms.  Its N is above |t|/2pi, so it cannot save them while
-# 2|t|/pi + 1 <= |t|/2pi + _EXTRA_COST, that is for every
-# |t| <= _T_FIXED = (_EXTRA_COST - 1) 2pi/3 ~ 425.
-_EXTRA_COST = _BERNOULLI_COST * (EM_ORDER_MAX - EM_ORDER)
-_T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 
 # Riemann zeta heads of at least this many terms are summed over the
 # integers coprime to 30 (_factored_head), below it term by term, by
@@ -90,19 +78,19 @@ _T_FIXED = (_EXTRA_COST - 1) * TWO_PI / 3.0
 # shared Xeon: 14.3 against 11.7 us at 100 terms, 15.3 against 14.3 at
 # 150, 16.9 against 16.9 at 200, 18.3 against 20.8 at 250, 19.3 against
 # 24.5 at 450, 22.7 against 37.6 at 800 and 46.8 against 115.2 at 2688.
-# At sigma = 1/2 the head reaches 200 terms at t = 314 on the EM_ORDER
-# pair.
+# At sigma = 1/2 the head reaches 200 terms at t = 653.
 _SMOOTH_MIN_TERMS = 200
 
 # Most elements, points times columns of the widest head, in one chunk of
 # the batched heads (_add_heads).  A chunk's phase tables and row blocks
 # are views of two buffers of at most this many complex elements, 512 KB,
 # and factored heads take a third, allocated once per call.  On a full
-# block of points the heads peak 1.95 MB above their entry for mod-5
-# points at sigma = 0.6, t in [10, 20], 3.54 MB for mod-5 points at
+# block of points the heads peak 1.88 MB above their entry for mod-5
+# points at sigma = 0.6, t in [10, 20], 3.62 MB for mod-5 points at
 # t = 100 with 2^14 distinct sigma (2 MB of it their weight tables) and
-# 4.79 MB for Z(1/2, .) at t in [9000, 9010], 119, 216 and 292 B a
-# point (tracemalloc), below the peak of the tails before them.
+# 4.78 MB for Z(1/2, .) at t in [9000, 9010], 115, 221 and 292 B a
+# point (tracemalloc).  Only the last passes the peak of the tails
+# before them, by 0.84 MB.
 _HEAD_BLOCK = 2**14
 
 # Most elements in the weight tables of one sigma group of the batched
@@ -113,12 +101,10 @@ _HEAD_BLOCK = 2**14
 _WEIGHT_BLOCK = 8 * _HEAD_BLOCK
 
 # Most points one block of the batched Euler-Maclaurin core (_em_blocks)
-# takes at once.  A mod-5 block on the EM_ORDER pair holds under 1 KB a
-# point (tracemalloc peak, 15.1 MB at 2^14 points), so a grid of
-# MAX_TERMS points taken whole would need some 900 MB.  On the
-# EM_ORDER_MAX pair, whose Pochhammer factors of all orders take 320 B a
-# point, a zeta block peaks at 1066 B a point (17.5 MB) and a mod-5 block,
-# with four rows of tails, at 1400 B (22.9 MB).
+# takes at once.  A mod-5 block holds under 1 KB a point on either pair
+# (tracemalloc peak, 15.6 MB at 2^14 points), so a grid of MAX_TERMS
+# points taken whole would need some 900 MB; a zeta block of Z(1/2, .)
+# at t = 9000 peaks at 445 B a point (7.3 MB).
 _POINT_BLOCK = 2**14
 
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
@@ -128,8 +114,8 @@ EM_TOL = 1e-8
 #: Dirichlet partial-sum series, sums.
 MAX_TERMS = 10**6
 
-# Constants of _backlund_cutoff: edge = sigma + _EDGE_SHIFT, and logs it
-# compares against and sums.
+# Constants of Backlund's N in _em_pair: edge = sigma + _EDGE_SHIFT, and
+# logs it compares against and sums.
 _EDGE_SHIFT = 2 * EM_ORDER_MAX + 1
 _LOG_MAX_TERMS = math.log(MAX_TERMS)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -162,12 +148,27 @@ _DH_COEF = {1: 1.0, 2: KAPPA, 3: -KAPPA, 4: -1.0}
 def _em_pair(s: complex) -> tuple[int, int]:
     """Cutoff N and Bernoulli order m of the Euler-Maclaurin sum at s.
 
-    The cheaper, counting a Bernoulli term as _BERNOULLI_COST head terms,
-    of (max(50, ceil(2|t|/pi)), EM_ORDER) and (_backlund_cutoff(s),
-    EM_ORDER_MAX).  Up to |t| = _T_FIXED the first pair wins whatever the
-    second's N, since that N exceeds |t|/2pi, so it is taken without
-    computing that N.  Raises DomainError where |t|/2pi >= MAX_TERMS:
-    Backlund's premise then needs N > MAX_TERMS, and 2|t| may overflow.
+    Of (max(50, ceil(2|t|/pi)), EM_ORDER) and (N_B, EM_ORDER_MAX), the
+    pair with fewer head terms, the first on a tie or where N_B does not
+    exist.  A head term costs a complex exp, and in the batched tails a
+    Bernoulli order costs about as much as a head term, so the second
+    pair wins from low |t| on: at sigma = 1/2 N_B is 12 at t = 0 and 69
+    at t = 200, against 50 and 128.  Raises DomainError where
+    |t|/2pi >= MAX_TERMS: Backlund's premise then needs N > MAX_TERMS,
+    and 2|t| may overflow.
+
+    N_B is the smallest N > |t|/2pi at which Backlund's bound with
+    m = EM_ORDER_MAX is at most EM_TARGET.  It does not exist where his
+    premise sigma+2m+1 > 0 fails, where it would exceed MAX_TERMS, or
+    where the tail's Pochhammer product s(s+1)...(s+2m) could overflow
+    a double.  With edge = sigma+2m+1 and base >= N, the bound is at
+    most |B_{2m+2}/(2m+2)!| (|s|+2m+1)^{2m+2} N^{-edge} / edge, since
+    each of the 2m+2 factors |s+j| in |s+2m+1| prod_{j<=2m} |s+j| is at
+    most |s|+2m+1.  Solving for N in logs takes O(1), and the exp is
+    taken only below log MAX_TERMS, so nothing here can overflow.  The
+    batched core takes every point's pair here, so the function keeps
+    to plain comparisons: a max() call per point cost a quarter of its
+    time.
     """
     t = abs(s.imag)
     if t / TWO_PI >= MAX_TERMS:
@@ -176,35 +177,22 @@ def _em_pair(s: complex) -> tuple[int, int]:
             f"s={s}: Backlund's bound needs N above |Im s|/2pi="
             f"{t / TWO_PI:.3g}"
         )
-    n_fixed = max(50, math.ceil(2.0 * t / math.pi))
-    if t <= _T_FIXED:
-        return n_fixed, EM_ORDER
-    n_b = _backlund_cutoff(s, int(t / TWO_PI) + 1)
-    if n_b is None or n_fixed <= n_b + _EXTRA_COST:
-        return n_fixed, EM_ORDER
-    return n_b, EM_ORDER_MAX
-
-
-def _backlund_cutoff(s: complex, n_min: int) -> int | None:
-    """Smallest N >= n_min at which Backlund's bound with m = EM_ORDER_MAX
-    is at most EM_TARGET, or None where Backlund's premise sigma+2m+1 > 0
-    fails, where that N would exceed MAX_TERMS, or where the tail's
-    Pochhammer product s(s+1)...(s+2m) could overflow a double.
-
-    With edge = sigma+2m+1 and base >= N, the bound is at most
-    |B_{2m+2}/(2m+2)!| (|s|+2m+1)^{2m+2} N^{-edge} / edge, since each of
-    the 2m+2 factors |s+j| in |s+2m+1| prod_{j<=2m} |s+j| is at most
-    |s|+2m+1.  Solving for N in logs takes O(1), and the exp is taken
-    only below log MAX_TERMS, so nothing here can overflow.
-    """
+    n = math.ceil(2.0 * t / math.pi)
+    if n < 50:
+        n = 50
     edge = s.real + _EDGE_SHIFT
     log_poch = (_EDGE_SHIFT + 1) * math.log(abs(s) + _EDGE_SHIFT)
     if edge <= 0.0 or log_poch > _LOG_FLOAT_MAX:
-        return None
+        return n, EM_ORDER
     log_n = (log_poch + _LOG_COEF_OVER_TARGET - math.log(edge)) / edge
     if log_n > _LOG_MAX_TERMS:
-        return None
-    return max(n_min, math.ceil(math.exp(log_n)))
+        return n, EM_ORDER
+    n_b = math.ceil(math.exp(log_n))
+    if n_b <= t / TWO_PI:
+        n_b = int(t / TWO_PI) + 1
+    if n <= n_b:
+        return n, EM_ORDER
+    return n_b, EM_ORDER_MAX
 
 
 @dataclass(frozen=True)
@@ -462,7 +450,7 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
     operations and order: base^(1-s) is Python's complex power at each
     point, and complex products and quotients follow CPython's formulas
     (_c_prod, _c_quot).  The Pochhammer products, which do not depend on
-    a, are formed once, from factors formed for every order at once.  The
+    a, are formed once, each order's factor in that order's step.  The
     heads (_add_heads) take each term as a weight times a phase, shared
     by the points of one sigma and of one height, factored where _em_sum
     factors them, from table: the _factor_table of the caller's longest
@@ -504,16 +492,14 @@ def _em_tails(s: np.ndarray, base: np.ndarray, m: int
         ti = ti + 0.5 * pw1.imag / base
         wr, wi = pw1.real * inv2, pw1.imag * inv2
         cr, ci = sr, si
-        # The factors (s+2k+1)(s+2k+2) of the Pochhammer products, row k.
-        odd = np.arange(1.0, 2.0 * m, 2.0)[:, None]
-        fr, fi = _c_prod(sr + odd, si, sr + (odd + 1.0), si)
         for k in range(m):
             ur, ui = _c_prod(_EM_COEF[k] * cr, _EM_COEF[k] * ci, wr, wi)
             tr, ti = tr + ur, ti + ui
             wr, wi = wr * inv2, wi * inv2
-            cr, ci = _c_prod(cr, ci, fr[k], fi[k])
-        # Freed before the value and the omitted term are formed.
-        del fr, fi
+            # The factor (s+2k+1)(s+2k+2) of the Pochhammer products,
+            # formed in order k's step, so that one order's are held.
+            fr, fi = _c_prod(sr + (2 * k + 1), si, sr + (2 * k + 2), si)
+            cr, ci = _c_prod(cr, ci, fr, fi)
         value = np.empty(base.shape, dtype=complex)
         value.real, value.imag = tr, ti
         omitted = np.empty(base.shape, dtype=complex)
@@ -1001,18 +987,17 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
 
     zeta comes from one _em_blocks pass over all the points
     sigmas[k] + i ts[j], as zeta_em sums it, factored heads included
-    (from t ~ 314 on sigma = 1/2), with no zeta_em call.  The heads take
+    (from t ~ 653 on sigma = 1/2), with no zeta_em call.  The heads take
     e^{-it log n} once per node for all K sigma, as long as the longest
     head there, and n^{-sigma_k} once per sigma in the call
-    (_add_heads): a K = 3 family takes 11.0 thousand phase exps and
-    392 weight exps where three complex exps a term took 31.3 thousand
-    (hilbert-study's first pass, seed 101, mean per call).  theta is
-    taken once per node through the scalar theta, at the nodes where
-    some row is accepted, and each value is (zeta e^{i theta}).real in
-    CPython's complex arithmetic, as generalized_hardy forms it.  A
-    block of points holds under 1.1 KB a point (tracemalloc peak):
-    1066 B for a block of Z(1/2, .) at t = 9000, where every point takes
-    the EM_ORDER_MAX pair."""
+    (_add_heads): a K = 3 family takes 10.2 thousand phase exps and
+    333 weight exps (hilbert-study's first pass, seed 101, mean per
+    call).  theta is taken once per node through the scalar theta, at
+    the nodes where some row is accepted, and each value is
+    (zeta e^{i theta}).real in CPython's complex arithmetic, as
+    generalized_hardy forms it.  A block of points holds under 1.1 KB a
+    point (tracemalloc peak): 445 B for a block of Z(1/2, .) at
+    t = 9000."""
     points = np.empty((len(sigmas), ts.size), dtype=complex)
     points.real = np.asarray(sigmas, dtype=float)[:, None]
     points.imag = ts
@@ -1158,17 +1143,15 @@ def _mod5_series(s: complex | np.ndarray,
     accept.  Their heads take each e^{-it log(n+a/5)} once per height in
     a chunk and each (n+a/5)^{-sigma} once per sigma in the call
     (_add_heads), so the sides of a contour share them: a dh-winding box
-    takes 77.8 thousand phase exps and 89.4 thousand weight exps where a
-    complex exp a term took 305.5 thousand (first pass, seed 101, mean
-    per task).  The
-    points they refuse (NaN, an infinity, the pole s = 1, any other
-    point hurwitz_zeta would refuse, and a head exponent above
-    _EXP_SPLIT_MAX), and only those, go through the scalar branch in
-    point order, which raises the scalar's error for the first point it
-    refuses.  A block holds under 1 KB a point on the EM_ORDER pair and
-    1.4 KB on EM_ORDER_MAX (tracemalloc peak), so the memory of a call
-    stays near 16 MB, or 23 MB for points on EM_ORDER_MAX, however many
-    points it takes."""
+    takes 40.5 thousand phase exps and 45.9 thousand weight exps where a
+    complex exp a term would take 157.0 thousand (first pass, seed 101,
+    mean per task).  The points they refuse (NaN, an infinity, the pole
+    s = 1, any other point hurwitz_zeta would refuse, and a head
+    exponent above _EXP_SPLIT_MAX), and only those, go through the
+    scalar branch in point order, which raises the scalar's error for
+    the first point it refuses.  A block holds under 1 KB a point on
+    either pair (tracemalloc peak), so the memory of a call stays near
+    16 MB however many points it takes."""
     if not isinstance(s, np.ndarray):
         total = 0.0 + 0.0j
         for a, c in coeffs.items():

@@ -50,14 +50,11 @@ def high_points():
 
 
 def threshold_height(sigma, head):
-    """|t| at which zeta_em sums head terms at sigma: up to 220 terms the
-    cutoff N = ceil(2|t|/pi) of the m = 8 pair; from 780, Backlund's
-    cutoff N = ceil(exp(log n)) of the m = 20 pair, with
+    """|t| at which zeta_em sums head terms at sigma: Backlund's cutoff
+    N = ceil(exp(log n)) of the m = 20 pair, with
     (sigma+41) log n = 42 log(|s|+41) + log(|B_42/42!| / 1e-11)
     - log(sigma+41), solved for |s| at n = N - 1/2."""
     n = head + 1
-    if head <= 220:
-        return (n - 0.5) * math.pi / 2.0
     edge = sigma + 41.0
     log_coef = float(mpmath.log(abs(mpmath.bernoulli(42))
                                 / mpmath.factorial(42) / mpmath.mpf("1e-11")))

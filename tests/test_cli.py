@@ -237,14 +237,14 @@ class TestValueCommands:
         (("theta", "--t", "50", "--json"),
          '{"t": 50.0, "mode": "exact", "theta": 26.4613660701614}\n'),
         (("z", "--t", "30", "--method", "em", "--json"),
-         '{"t": 30.0, "method": "em", "z": 0.596028519239885}\n'),
+         '{"t": 30.0, "method": "em", "z": 0.596028519239887}\n'),
         (("gz", "--sigma", "0.3", "--t", "25", "--json"),
-         '{"sigma": 0.3, "t": 25.0, "z": -0.0255356834777926, '
-         '"y": 0.314977489102268}\n'),
+         '{"sigma": 0.3, "t": 25.0, "z": -0.0255356834777969, '
+         '"y": 0.314977489102278}\n'),
         (("theta", "--t", "50"), "26.4613660701614\n"),
-        (("z", "--t", "30", "--method", "em"), "0.596028519239885\n"),
+        (("z", "--t", "30", "--method", "em"), "0.596028519239887\n"),
         (("gz", "--sigma", "0.3", "--t", "25"),
-         "-0.0255356834777926 0.314977489102268\n"),
+         "-0.0255356834777969 0.314977489102278\n"),
     ], ids=["theta-json", "z-json", "gz-json", "theta", "z", "gz"])
     def test_value_output_frozen(self, capsys, argv, frozen):
         assert run_cli(capsys, *argv) == (0, frozen, "")
@@ -347,9 +347,9 @@ class TestJsonCommands:
         # Computed floats at 12 significant digits; `simple` stays a bool.
         assert out.startswith(
             '[\n  {\n    "bracket": [\n      14.13,\n      14.14\n    ],\n'
-            '    "derivative": 0.793160433521,\n'
+            '    "derivative": 0.793160432582,\n'
             '    "location": 14.1347251417,\n'
-            '    "residual": 1.60210429327e-12,\n'
+            '    "residual": 1.60161077599e-12,\n'
             '    "simple": true\n  },\n')
 
     def test_lehmer_json(self, capsys):
@@ -407,10 +407,10 @@ class TestJsonCommands:
         assert code == 0
         zero = 14.1347251417
         frozen = [
-            {"degree": 20, "l2_error": 2.00783221865e-13,
+            {"degree": 20, "l2_error": 2.0010473904e-13,
              "max_deviation": 7.63833440942e-14,
              "pairs": [[zero, zero, 7.63833440942e-14]]},
-            {"degree": 30, "l2_error": 1.17305195359e-14,
+            {"degree": 30, "l2_error": 1.12758541831e-14,
              "max_deviation": 1.7763568394e-15,
              "pairs": [[zero, zero, 1.7763568394e-15]]},
         ]

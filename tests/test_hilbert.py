@@ -202,8 +202,7 @@ class TestArraySampling:
         # One weight row per call, as wide as its widest head of each
         # kind: at 200, the 199 terms of the longest plain head plus the
         # c and the m of the longest factored one.
-        assert weights == {zetaeval._SMOOTH_MIN_TERMS:
-                           [300, 301, 300, 300, 301, 301],
+        assert weights == {zetaeval._SMOOTH_MIN_TERMS: [300] * 6,
                            800: [295] * 6}[threshold]
 
     def test_rows_beyond_one_head_block(self):
@@ -258,7 +257,7 @@ class TestArraySampling:
         (1.0, [-1.0, -0.5, 0.0, 0.5]),
         (-20.0, [1.0, 2.0, 3.0]),
         (0.5, [3000.0, 3001.0, math.nan, 9000.0]),
-        (-3.0, [3000.0, 4000.0, 9000.0, 3500.0]),
+        (-4.0, [3000.0, 4000.0, 9000.0, 3500.0]),
         (-20.0, [2990.0, 3000.0]),
         (-1.7, [3000.0, 0.5 * math.pi * (zetaeval.MAX_TERMS + 0.5), 9000.0]),
     ], ids=["nan", "pole", "sigma-minus-20", "nan-above-2690",
@@ -305,9 +304,8 @@ class TestArraySampling:
 
     def test_memory_of_one_block_on_the_largest_order(self, monkeypatch):
         # One block of Z(1/2, .) at t = 9000, where every point takes the
-        # EM_ORDER_MAX pair and its Pochhammer factors of all orders:
-        # under 1.1 KB a point, as _hardy_z_family states (1057 B
-        # measured).
+        # EM_ORDER_MAX pair and its 20 Pochhammer factors: under 1.1 KB a
+        # point, as _hardy_z_family states (445 B measured).
         n = zetaeval._POINT_BLOCK
         ts = np.linspace(9000.0, 9010.0, n)
         assert all(zetaeval._em_pair(complex(0.5, t))[1]
@@ -453,26 +451,33 @@ class TestFamilySampling:
     def test_head_work_is_the_members_sum(self, head_exps):
         # Heads of both sides of _SMOOTH_MIN_TERMS: the family takes the
         # weights the members take one by one, one row per sigma, though
-        # it goes in two chunks and each member in one.  The phases the
-        # family takes once, as each member alone does.
+        # it goes in several chunks and each member in one.  Its phases
+        # are one row a node for the longest plain head there and one for
+        # the longest factored head.
         rng = np.random.default_rng(34)
         sigmas = [0.5] + rng.uniform(-2.0, 3.0, 3).tolist()
-        ts = np.sort(rng.uniform(290.0, 340.0, 40))
+        ts = np.sort(rng.uniform(630.0, 680.0, 40))
         family, exps = head_exps(lambda: zetaeval._hardy_z_family(sigmas, ts))
         assert np.isfinite(family).all()
         members = [head_exps(lambda: zetaeval._hardy_z_family([s], ts))[1]
                    for s in sigmas]
-        phases = sum(_head_exps(n) for n in _heads(0.5, ts))
-        assert members == [(phases, 303)] * 4
-        assert exps == (phases, 1212)
+        threshold = zetaeval._SMOOTH_MIN_TERMS
+        phases = 0
+        for heads in zip(*(_heads(s, ts) for s in sigmas)):
+            assert min(heads) < threshold <= max(heads)
+            phases += max(n for n in heads if n < threshold) + _head_exps(
+                max(heads))
+        assert members == [(5261, 300), (5151, 132), (6397, 165),
+                           (4501, 115)]
+        assert exps == (phases, 712) and phases == 12065
 
     @pytest.mark.parametrize("lo,k", [(20.0, 2), (290.0, 3), (290.0, 12),
                                       (3000.0, 3)])
     def test_family_takes_one_phase_row_per_node(self, lo, k, head_exps):
         # K members on T shared nodes take one phase row a node, as long
-        # as the longest of its heads: below t = 425 the phase exps of
-        # any one member alone, above it (where sigma moves the cutoff)
-        # those of the member with the longest heads.
+        # as the longest of its heads: sigma moves Backlund's cutoff at
+        # every height, so those are the phase exps of the member with
+        # the longest heads, and no two members take as many.
         rng = np.random.default_rng(41)
         sigmas = [0.5] + rng.uniform(-2.0, 3.0, k - 1).tolist()
         ts = np.sort(rng.uniform(lo, lo + 40.0, 30))
@@ -482,7 +487,7 @@ class TestFamilySampling:
                    for s in sigmas]
         assert phases == max(members) == sum(
             _head_exps(max(n)) for n in zip(*(_heads(s, ts) for s in sigmas)))
-        assert (len(set(members)) == 1) == (lo < zetaeval._T_FIXED)
+        assert len(set(members)) == k
 
     @pytest.mark.parametrize("kernel", [gram_matrix, gram_schmidt])
     @pytest.mark.parametrize("members,ts", [

@@ -97,14 +97,37 @@ class TestZetaEm:
                     hurwitz_zeta(s, a)
 
     def test_refuses_head_sum_rounding_left_of_strip(self):
-        # At s = -5+i the head terms reach 50^5, and rounding (estimate
-        # 5.8e-7, true error 6.2e-7 against mpmath) exceeds EM_TOL; at
-        # -3+i the estimate is 3.5e-10 and the value stands.
-        with pytest.raises(DomainError, match="rounding"):
-            zeta_em(complex(-5.0, 1.0))
+        # At s = -10+i the head terms reach 36^10, and rounding (estimate
+        # 2.7 relative) exceeds EM_TOL, as it does at -6+i (7.9e-8); at
+        # -5+i, 20 terms on Backlund's pair, the estimate is 2.4e-9 and
+        # the value stands (see test_newly_accepted_points_match_mpmath).
         with pytest.raises(DomainError, match="rounding"):
             zeta_em(complex(-10.0, 1.0))
+        with pytest.raises(DomainError, match="rounding"):
+            zeta_em(complex(-6.0, 1.0))
+        zeta_em(complex(-5.0, 1.0))
         zeta_em(complex(-3.0, 1.0))
+
+    @pytest.mark.parametrize("s, expected", [
+        # Frozen from mpmath.zeta(s) at 40 digits.  The fixed pair's 50
+        # terms refused -5+i on head-sum rounding; the others it refused
+        # on its truncation bound.  Measured relative errors: 6.7e-9 at
+        # -5+i, 2.2e-11 to 2.6e-10 at -3+3000i to -3+9000i.
+        (-5.0 + 1.0j, -0.008971503931843238 - 0.0012436690403755852j),
+        (-3.0 + 3000.0j, -1459543955.1693401 + 2026122064.3665133j),
+        (-3.0 + 3500.0j, 1456692612.486847 + 4074496275.454875j),
+        (-3.0 + 4000.0j, -4403264560.807568 - 4607474239.397763j),
+        (-3.0 + 9000.0j, 66046480281.94001 + 93796561233.85728j),
+    ])
+    def test_newly_accepted_points_match_mpmath(self, s, expected):
+        # Points that Backlund's pair, with fewer head terms, certifies
+        # and the fixed pair did not.
+        assert zetaeval._em_pair(s)[1] == EM_ORDER_MAX
+        got = zeta_em(s)
+        assert abs(got - expected) <= EM_TOL * max(1.0, abs(expected))
+        family = zetaeval._hardy_z_family([s.real], np.array([s.imag]))
+        assert family.tobytes() == np.array(
+            [[generalized_hardy(s.real, s.imag).z]]).tobytes()
 
     def test_rounding_rule_spares_the_band_left_of_zero(self):
         for sigma in (-2.0, -1.0, -0.5):
@@ -174,6 +197,19 @@ def _backlund_bound(s: complex, base: float, m: int) -> float:
             * base ** -edge)
 
 
+def _backlund_n(s: complex) -> int:
+    """Backlund's N with m = EM_ORDER_MAX as the README states it: the
+    smallest N > |t|/2pi at which his bound, each |s+j| bounded by
+    |s|+2m+1, is at most EM_TARGET, solved in logs."""
+    m = EM_ORDER_MAX
+    edge = s.real + 2 * m + 1
+    log_n = ((2 * m + 2) * math.log(abs(s) + 2 * m + 1)
+             + math.log(abs(zetaeval._EM_COEF[m]) / EM_TARGET)
+             - math.log(edge)) / edge
+    return max(int(abs(s.imag) / (2.0 * math.pi)) + 1,
+               math.ceil(math.exp(log_n)))
+
+
 class TestDefaultPair:
     def test_bernoulli_table_from_recurrence(self):
         # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, B_0 = 1.
@@ -186,11 +222,33 @@ class TestDefaultPair:
             float(b[2 * k] / math.factorial(2 * k))
             for k in range(1, EM_ORDER_MAX + 2))
 
-    def test_unchanged_up_to_405(self):
+    def test_fewer_head_terms_up_to_405(self):
+        # The pair with fewer head terms, the fixed one on a tie: on this
+        # grid, where the fixed pair was once taken throughout, Backlund's
+        # N is the smaller everywhere.
         for sigma in np.linspace(-2.0, 3.0, 6):
             for t in np.linspace(-405.0, 405.0, 163):
-                assert zetaeval._em_pair(complex(sigma, t)) == (
-                    max(50, math.ceil(2.0 * abs(t) / math.pi)), EM_ORDER)
+                s = complex(sigma, t)
+                n_fixed = max(50, math.ceil(2.0 * abs(t) / math.pi))
+                n_b = _backlund_n(s)
+                assert n_b < n_fixed
+                assert zetaeval._em_pair(s) == (n_b, EM_ORDER_MAX)
+        # In and right of the critical strip from |t| = 20 to 1e4.
+        for sigma in np.linspace(0.0, 1.0, 11):
+            for t in np.geomspace(20.0, 1e4, 60):
+                for s in (complex(sigma, t), complex(sigma, -t)):
+                    assert zetaeval._em_pair(s) == (_backlund_n(s),
+                                                    EM_ORDER_MAX)
+
+    def test_fixed_pair_where_backlund_sums_as_many(self):
+        # Left of sigma ~ -3 Backlund's N grows past the fixed one, and
+        # where his premise fails it has none.
+        for s in (complex(-10.0, 100.0), complex(-4.0, 3000.0),
+                  complex(-3.5, 9000.0)):
+            n_fixed = max(50, math.ceil(2.0 * abs(s.imag) / math.pi))
+            assert _backlund_n(s) >= n_fixed
+            assert zetaeval._em_pair(s) == (n_fixed, EM_ORDER)
+        assert zetaeval._em_pair(complex(-45.0, 10.0)) == (50, EM_ORDER)
 
     def test_half_the_head_terms_at_9000(self):
         s = complex(0.5, 9000.0)
@@ -289,8 +347,13 @@ class TestDefaultPair:
 
 class TestHurwitz:
     def test_reduces_to_zeta_at_a_one(self):
+        # zeta_em sums N - 1 head terms and hurwitz_zeta N, each with its
+        # tail at its own base, so the two differ by roundoff: 1 ulp here,
+        # where they were equal on the fixed pair's N = 50.
         s = complex(1.7, 3.0)
-        assert hurwitz_zeta(s, 1.0) == zeta_em(s)
+        zeta = zeta_em(s)
+        assert abs(hurwitz_zeta(s, 1.0) - zeta) <= 2.0 * zetaeval._EPS * abs(
+            zeta)
 
     def test_known_half(self):
         assert abs(hurwitz_zeta(2.0 + 0.0j, 0.5) - math.pi**2 / 2.0) < 1e-12
@@ -588,18 +651,17 @@ def _contour_grid(box, n_per_side=128):
 
 def _batch_points():
     """Seeded points with sigma in [-1, 3] and |t| up to 1e4, half of
-    them below _T_FIXED, and two segments of 300 points whose points
-    mostly share one (N, m), so that a group runs over several row
-    blocks of the head."""
+    them below |t| = 425, and two segments whose points mostly share one
+    (N, m), so that a group runs over several row blocks of the head."""
     rng = np.random.default_rng(2718)
     sigma = rng.uniform(-1.0, 3.0, 240)
     t = rng.choice((-1.0, 1.0), 240) * np.concatenate(
-        [rng.uniform(0.0, zetaeval._T_FIXED, 120),
-         rng.uniform(zetaeval._T_FIXED, 1e4, 120)])
-    # A horizontal segment on the EM_ORDER pair, and a short vertical
-    # one on the EM_ORDER_MAX pair, whose N moves with sigma.
+        [rng.uniform(0.0, 425.0, 120), rng.uniform(425.0, 1e4, 120)])
+    # A horizontal segment on the EM_ORDER pair, whose N = 50 Backlund's
+    # N passes left of sigma ~ -5 at t = 60, and a short vertical one on
+    # the EM_ORDER_MAX pair.
     return np.concatenate([
-        sigma + 1j * t, np.linspace(-1.0, 3.0, 300) + 200.0j,
+        sigma + 1j * t, np.linspace(-6.1, -5.3, 700) + 60.0j,
         0.5 - 1j * np.linspace(4999.95, 5000.05, 300), [0.0, 2.0, 1e-9j]])
 
 
@@ -616,12 +678,12 @@ class TestBatchedModFive:
     def test_array_matches_scalar_calls(self, fn, head_exps):
         s = _batch_points()
         got, exps = head_exps(lambda: fn(s))
-        # Four Hurwitz heads of N terms at each point, 2,667,248 terms,
+        # Four Hurwitz heads of N terms at each point, 2,616,916 terms,
         # from one phase row a height in each chunk and one weight row a
-        # sigma in each call: the 300 points of the horizontal segment
+        # sigma in each call: the 700 points of the horizontal segment
         # share a height.
-        assert 4 * sum(zetaeval._em_pair(z)[0] for z in s.tolist()) == 2667248
-        assert exps == (2514984, 886204)
+        assert 4 * sum(zetaeval._em_pair(z)[0] for z in s.tolist()) == 2616916
+        assert exps == (2477516, 836024)
         want = np.array([fn(z) for z in s.tolist()])
         assert got.dtype == complex and got.shape == s.shape
         assert np.all(np.abs(got - want)
@@ -651,7 +713,7 @@ class TestBatchedModFive:
         complex(-20.0, 3000.0),
         complex(500.0, 80.0),
         complex(-5.0, 100.0),
-        complex(-3.0, 9000.0),
+        complex(-4.0, 9000.0),
         complex(-10.0, 1.0),
     ], ids=["pole", "nan", "inf", "minus-inf", "beyond-max-terms",
             "n-above-max-terms", "premise", "premise-high", "overflow",
@@ -750,6 +812,22 @@ class TestBatchedModFive:
             zetas[span] = values[0]
         assert _bits(zetas) == _bits([zeta_em(z) for z in s.tolist()])
 
+    def test_mixed_offsets_equal_the_scalar(self):
+        # Offset 1 factors its heads from _SMOOTH_MIN_TERMS terms on and
+        # 0.3 never does, so one call on both reads its columns two ways:
+        # bit for bit hurwitz_zeta on heads that straddle the threshold,
+        # at three sigma with shared heights and two points of their own.
+        threshold = zetaeval._SMOOTH_MIN_TERMS
+        s = np.concatenate([
+            sigma + 1j * np.linspace(640.0, 670.0, 31)
+            for sigma in (0.5, 0.3, 0.75)] + [[-1.5 + 500.0j, 2.0 + 3.0j]])
+        heads = [zetaeval._em_pair(z)[0] for z in s.tolist()]
+        assert min(heads) < threshold <= max(heads)
+        offsets = [0.3, 1.0]
+        [(_, values)] = zetaeval._em_blocks(s, np.array(offsets), 0)
+        assert _bits(values) == _bits(
+            [[hurwitz_zeta(z, a) for z in s.tolist()] for a in offsets])
+
     def test_first_refused_point_decides_the_error(self):
         # A bound refusal before a premise refusal: the array raises the
         # bound's error, as a loop of scalar calls does.
@@ -805,18 +883,19 @@ class TestBatchedModFive:
         assert calls == [-45.0 + 10.0j]
 
     def test_one_weight_row_per_sigma_on_a_contour(self, head_exps):
-        # A dh-winding box at t = 395: its heads of 252 to 255 terms put
-        # each horizontal side in several chunks, yet each distinct sigma
-        # of the grid takes one weight row per offset, as long as its
-        # longest head, and the phase rows stay one a height per chunk.
-        s = _contour_grid((0.51, 1.0, 395.0, 400.0))
+        # A dh-winding box at t = 440, just above the workload's heights:
+        # its heads of 131 to 140 terms put each horizontal side in
+        # several chunks, yet each distinct sigma of the grid takes one
+        # weight row per offset, as long as its longest head, and the
+        # phase rows stay one a height per chunk.
+        s = _contour_grid((0.51, 1.0, 440.0, 445.0))
         pairs = [zetaeval._em_pair(z) for z in s.tolist()]
         assert 128 * min(n for n, _ in pairs) > zetaeval._HEAD_BLOCK
         longest = Counter()
         for key, (n, _) in zip(s.real.view(np.int64).tolist(), pairs):
             longest[key] = max(longest[key], n)
         got, exps = head_exps(lambda: davenport_heilbronn(s))
-        assert exps == (133884, 4 * sum(longest.values()))
+        assert exps == (72900, 4 * sum(longest.values()))
         want = np.array([davenport_heilbronn(z) for z in s.tolist()])
         assert np.all(np.abs(got - want)
                       <= 1e-15 * np.maximum(1.0, np.abs(want)))
@@ -847,9 +926,8 @@ class TestBatchedModFive:
 
     def test_memory_of_a_contour_call(self):
         # The contour path's memory, pinned: one call on the 513 points of
-        # a dh-winding box at t = 395 peaked at 1,612,969 B (tracemalloc,
-        # numpy 2.4.6; 1,655,991 B before the weight rows were shared
-        # across chunks), allowed 10% more.
+        # a dh-winding box at t = 395 peaked at 1,298,370 B (tracemalloc,
+        # numpy 2.4.6), allowed 10% more.
         s = _contour_grid((0.51, 1.0, 395.0, 400.0))
         tracemalloc.start()
         try:
@@ -857,7 +935,7 @@ class TestBatchedModFive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 1612969
+        assert peak <= 1.1 * 1298370
 
     def test_memory_is_one_point_block(self):
         # Under 1 KB a point, as the docstrings state, so a grid of
@@ -936,24 +1014,35 @@ class TestFactoredHead:
         def untouchable(terms):
             raise AssertionError("read the factor split")
 
-        monkeypatch.setattr(zetaeval, "_factor_split", untouchable)
-        # On the EM_ORDER pair (|t| below _T_FIXED) the head has
-        # ceil(2|t|/pi) - 1 terms: one term short of the threshold at
-        # below, one past it at above.
-        below = 0.5 * math.pi * zetaeval._SMOOTH_MIN_TERMS - 0.5
-        above = 0.5 * math.pi * (zetaeval._SMOOTH_MIN_TERMS + 1) + 0.5
-        assert above < zetaeval._T_FIXED
+        # Backlund's N moves with sigma, so each sigma has its own heights
+        # where the head is one term short of the threshold (below) and
+        # where it reaches it (above), found by bisection.
+        heights = {}
         for sigma in (0.5, -2.0, 3.0):
+            lo, hi = 10.0, 1e4
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                if (zetaeval._em_pair(complex(sigma, mid))[0] - 1
+                        < zetaeval._SMOOTH_MIN_TERMS):
+                    lo = mid
+                else:
+                    hi = mid
+            heights[sigma] = lo, hi
+        monkeypatch.setattr(zetaeval, "_factor_split", untouchable)
+        for sigma, (below, above) in heights.items():
             for t in (below, -below):
                 assert (zetaeval._em_pair(complex(sigma, t))[0] - 1
                         == zetaeval._SMOOTH_MIN_TERMS - 1)
                 zeta_em(complex(sigma, t))
                 generalized_hardy(sigma, t)
             zetaeval._hardy_z_family([sigma], np.linspace(-below, below, 9))
+            assert (zetaeval._em_pair(complex(sigma, above))[0] - 1
+                    == zetaeval._SMOOTH_MIN_TERMS)
         hurwitz_zeta(complex(0.5, 9000.0), 0.2)
         davenport_heilbronn(complex(0.75, 9000.0))
         davenport_heilbronn(0.75 + 1j * np.linspace(8990.0, 9000.0, 9))
         hardy_z_rs(9000.0)
+        above = heights[0.5][1]
         for call in (lambda: zeta_em(complex(0.5, above)),
                      lambda: hurwitz_zeta(complex(0.5, above), 1.0),
                      lambda: zetaeval._hardy_z_family(
