@@ -292,7 +292,12 @@ class _Combination:
         self.terms = [(float(c), f) for c, f in zip(coeffs, fs) if c != 0.0]
 
     def __call__(self, t: float) -> float:
-        return sum(c * f.eval(t) for c, f in self.terms)
+        # Left to right, as values adds: from Python 3.12 the builtin
+        # sum() of floats is compensated.
+        total = 0
+        for c, f in self.terms:
+            total = total + c * f.eval(t)
+        return total
 
     @property
     def sigmas(self) -> tuple[float, ...] | None:

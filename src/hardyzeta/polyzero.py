@@ -208,11 +208,12 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
     """Track polynomial zeros converging onto the function's zeros.
 
     The reference zeros come from zerofinder.scan_and_refine at step
-    min(width/1000, MAX_SCAN_STEP) (the cap keeps the zeros of Z(1/2, .)
-    up to MAX_SCAN_HEIGHT in separate cells) and tol 1e-12: every zero
-    is refined and reported on f, and the scan runs on f.scan_route
-    where f has one and the interval lies inside [2*pi, MAX_SCAN_HEIGHT],
-    on f itself otherwise.  So hardy_function(0.5) is scanned on
+    MAX_SCAN_STEP (which keeps the zeros of Z(1/2, .) up to
+    MAX_SCAN_HEIGHT in separate cells; a narrower interval is scanned at
+    its two ends) and tol 1e-12: every zero is refined and reported on
+    f, and the scan runs on f.scan_route where f has one and the
+    interval lies inside [2*pi, MAX_SCAN_HEIGHT], on f itself
+    otherwise.  So hardy_function(0.5) is scanned on
     Riemann-Siegel and refined on Euler-Maclaurin inside [2*pi, 1e4],
     and scanned on Euler-Maclaurin elsewhere, as Z(sigma, .) for
     sigma != 1/2 is everywhere.  f is projected once, by project at the
@@ -232,8 +233,8 @@ def zero_convergence_study(f: SampledFunction, interval: Interval,
                      for d in degrees)
     if not degrees:
         raise DomainError("need at least one degree")
-    step = min(interval.width / 1000.0, MAX_SCAN_STEP)
-    alpha = [r.location for r in scan_and_refine(f, interval, step, 1e-12)]
+    alpha = [r.location
+             for r in scan_and_refine(f, interval, MAX_SCAN_STEP, 1e-12)]
     top = project(f, interval, degrees[-1])
     c = top.poly.coeffs
     # Discrete Parseval on the top rule: the squared residual of a

@@ -86,11 +86,12 @@ _SMOOTH_MIN_TERMS = 200
 # are views of two buffers of at most this many complex elements, 512 KB,
 # and factored heads take a third, allocated once per call.  On a full
 # block of points the heads peak 1.88 MB above their entry for mod-5
-# points at sigma = 0.6, t in [10, 20], 3.62 MB for mod-5 points at
+# points at sigma = 0.6, t in [10, 20], 3.59 MB for mod-5 points at
 # t = 100 with 2^14 distinct sigma (2 MB of it their weight tables) and
-# 4.78 MB for Z(1/2, .) at t in [9000, 9010], 115, 221 and 292 B a
-# point (tracemalloc).  Only the last passes the peak of the tails
-# before them, by 0.84 MB.
+# 2.38 MB for Z(1/2, .) at t in [9000, 9010], 115, 219 and 145 B a
+# point (tracemalloc), each below the peak of the tails before them.
+# A one-offset call holds one chunk's _Heads at a time (_chunk_heads):
+# all of them at once would take 4.73 MB on Z(1/2, .), above the tails.
 _HEAD_BLOCK = 2**14
 
 # Most elements in the weight tables of one sigma group of the batched
@@ -104,7 +105,7 @@ _WEIGHT_BLOCK = 8 * _HEAD_BLOCK
 # takes at once.  A mod-5 block holds under 1 KB a point on either pair
 # (tracemalloc peak, 15.6 MB at 2^14 points), so a grid of MAX_TERMS
 # points taken whole would need some 900 MB; a zeta block of Z(1/2, .)
-# at t = 9000 peaks at 445 B a point (7.3 MB).
+# at t = 9000 peaks at 394 B a point (6.45 MB).
 _POINT_BLOCK = 2**14
 
 #: Largest Backlund truncation bound allowed, relative to max(1, |value|).
@@ -533,7 +534,9 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
     (_plain_sums), or where _factored factors it as a row of
     _factored_head's expression on the split of its length, cut from
     table (the _factor_table of the longest) by _last_smooth
-    (_factored_sums).
+    (_factored_sums).  A chunk's heads (_chunk_heads) are built as the
+    chunk is summed where the call has one offset, and dropped after;
+    several offsets build them once and share them.
 
     Every table and row block is a view of one _HeadSpace, allocated
     once per call: 32 B per element of the largest chunk, 48 B where
@@ -573,36 +576,11 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
             # Each table as wide as the group's widest row.
             tops = {kind: w[:, group].max(axis=1).tolist()
                     for kind, w in widths.items()}
-        chunks = []
-        for chunk in ([slice(0, points.size)]
-                      if points.size * widest <= _HEAD_BLOCK
-                      else _height_chunks(si[points], columns[points])):
-            # Heights come in runs; 0.0 and -0.0, equal in the order, may
-            # alternate, and then take a row per run.
-            idx = points[chunk]
-            keys = si[idx].view(np.int64)
-            rise = np.concatenate(([True], keys[1:] != keys[:-1]))
-            ts = keys[rise].view(float)
-            # Then by length, so that the heads of each length, and the
-            # factored heads, the longest, are runs of rows.
-            by_length = np.argsort(terms[idx], kind="stable")
-            idx = points[chunk] = idx[by_length]
-            h = (np.cumsum(rise) - 1)[by_length]
-            s, n = sigma_of[idx] - group.start, terms[idx]
-            parts = {}
-            for kind in kinds:
-                # The c and the m each head reads, 0 for a plain head: the
-                # factored heads, the longest, come last.
-                split = [r[idx] for r in reads[kind][1:]]
-                cut = idx.size - (np.count_nonzero(split[0]) if split else 0)
-                parts[kind] = (
-                    cut,
-                    _Heads(ts, h[:cut], s[:cut], n[:cut], [n[:cut]])
-                    if cut else None,
-                    _Heads(ts, h[cut:], s[cut:], n[cut:],
-                           [c[cut:] for c in split])
-                    if cut < idx.size else None)
-            chunks.append((chunk, parts))
+        chunks = _chunk_heads(points, si, sigma_of, group.start, terms,
+                              reads, columns, widest)
+        if a.size > 1:
+            # The offsets sum the same chunks: build their heads once.
+            chunks = list(chunks)
         sums = np.empty(points.size, dtype=complex)
         for k, offset in enumerate(a.tolist()):
             kind = offset == 1.0
@@ -619,6 +597,48 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
                     _factored_sums(sums[chunk][cut:], space, factored_heads,
                                    c, m, table)
             value[k, points] += sums
+
+
+def _chunk_heads(points: np.ndarray, si: np.ndarray, sigma_of: np.ndarray,
+                 first: int, terms: np.ndarray,
+                 reads: dict[bool, list[np.ndarray]], columns: np.ndarray,
+                 widest: int) -> Iterator[tuple[slice, dict]]:
+    """The chunks of points (indices in height order, of a sigma group
+    from sigma first) and the heads of each, as _add_heads sums them:
+    for each kind of offset in reads, the number of plain heads and the
+    _Heads of the plain and of the factored, None where there are none.
+    A chunk's points are put in length order in points itself as the
+    chunk is made, one chunk per step, so a caller that sums each chunk
+    as it comes holds the heads of one chunk at a time."""
+    for chunk in ([slice(0, points.size)]
+                  if points.size * widest <= _HEAD_BLOCK
+                  else _height_chunks(si[points], columns[points])):
+        # Heights come in runs; 0.0 and -0.0, equal in the order, may
+        # alternate, and then take a row per run.
+        idx = points[chunk]
+        keys = si[idx].view(np.int64)
+        rise = np.concatenate(([True], keys[1:] != keys[:-1]))
+        ts = keys[rise].view(float)
+        # Then by length, so that the heads of each length, and the
+        # factored heads, the longest, are runs of rows.
+        by_length = np.argsort(terms[idx], kind="stable")
+        idx = points[chunk] = idx[by_length]
+        h = (np.cumsum(rise) - 1)[by_length]
+        s, n = sigma_of[idx] - first, terms[idx]
+        parts = {}
+        for kind, read in reads.items():
+            # The c and the m each head reads, 0 for a plain head: the
+            # factored heads, the longest, come last.
+            split = [r[idx] for r in read[1:]]
+            cut = idx.size - (np.count_nonzero(split[0]) if split else 0)
+            parts[kind] = (
+                cut,
+                _Heads(ts, h[:cut], s[:cut], n[:cut], [n[:cut]])
+                if cut else None,
+                _Heads(ts, h[cut:], s[cut:], n[cut:],
+                       [c[cut:] for c in split])
+                if cut < idx.size else None)
+        yield chunk, parts
 
 
 class _Heads:
@@ -996,7 +1016,7 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     the nodes where some row is accepted, and each value is
     (zeta e^{i theta}).real in CPython's complex arithmetic, as
     generalized_hardy forms it.  A block of points holds under 1.1 KB a
-    point (tracemalloc peak): 445 B for a block of Z(1/2, .) at
+    point (tracemalloc peak): 394 B for a block of Z(1/2, .) at
     t = 9000."""
     points = np.empty((len(sigmas), ts.size), dtype=complex)
     points.real = np.asarray(sigmas, dtype=float)[:, None]

@@ -408,11 +408,11 @@ class TestJsonCommands:
         zero = 14.1347251417
         frozen = [
             {"degree": 20, "l2_error": 2.0010473904e-13,
-             "max_deviation": 7.63833440942e-14,
-             "pairs": [[zero, zero, 7.63833440942e-14]]},
+             "max_deviation": 7.28306304154e-14,
+             "pairs": [[zero, zero, 7.28306304154e-14]]},
             {"degree": 30, "l2_error": 1.12758541831e-14,
-             "max_deviation": 1.7763568394e-15,
-             "pairs": [[zero, zero, 1.7763568394e-15]]},
+             "max_deviation": 5.3290705182e-15,
+             "pairs": [[zero, zero, 5.3290705182e-15]]},
         ]
         assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
 

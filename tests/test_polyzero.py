@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -252,8 +253,8 @@ class TestReferenceZeros:
         iv = Interval(a, b)
         comps = zero_convergence_study(hardy_function(0.5), iv, degrees)
         # find_critical_zeros' pipeline, at the study's step and tol.
-        ref = scan_and_refine(hardy_em_function(), iv, iv.width / 1000.0,
-                              1e-12)
+        ref = scan_and_refine(hardy_em_function(), iv,
+                              zerofinder.MAX_SCAN_STEP, 1e-12)
         assert len(ref) > 0
         for c in comps:
             assert c.function_zeros == [r.location for r in ref]
@@ -263,25 +264,25 @@ class TestReferenceZeros:
         comps = zero_convergence_study(hardy_function(0.5), self.WINDOW,
                                        self.DEGREES)
         zeros = comps[-1].function_zeros
-        # One Riemann-Siegel scan of the width/1000 grid ...
+        # One Riemann-Siegel scan of the MAX_SCAN_STEP grid ...
         grid = set(rs)
-        assert len(rs) == len(grid) == 1001
+        assert len(rs) == len(grid) == 501
         # ... and every reference zero is a record refine_zero placed on
         # the Euler-Maclaurin function, never a grid point.
         assert [r.location for _, r in records] == zeros
         assert {label for label, _ in records} == {"Z(0.5,.)"}
         assert not grid & set(zeros)
         # Euler-Maclaurin evaluations: the nodes of the one projection,
-        # at the top degree, the signs of the two window ends and 72 for
+        # at the top degree, the signs of the two window ends and 74 for
         # refinement, none for the rest of the scan.  The only grid
         # points among them are the window ends and the ends of the cells
         # refine_zero accepted.  A scan on Euler-Maclaurin would add the
-        # 1001 grid points, 1169 in all, as the sigma = 0.3 study below
+        # 501 grid points, 671 in all, as the sigma = 0.3 study below
         # makes.
         nodes = max(2 * max(self.DEGREES), MIN_QUAD_ORDER)
         cells = {t for _, r in records for t in r.bracket}
         assert grid & set(em) <= cells | {self.WINDOW.a, self.WINDOW.b}
-        assert len(em) == nodes + 2 + 72 == 170
+        assert len(em) == nodes + 2 + 74 == 172
 
     def test_zero_at_window_end_kept(self):
         # The zero near 65.1125 lies between its Riemann-Siegel and
@@ -295,11 +296,11 @@ class TestReferenceZeros:
     def test_off_line_scans_on_euler_maclaurin(self, monkeypatch):
         em, rs, records = self._traced(monkeypatch)
         zero_convergence_study(hardy_function(0.3), self.WINDOW, self.DEGREES)
-        # Z(0.3, .) has no scan route: the 1001-point grid is sampled on
-        # Euler-Maclaurin.  1169 = 96 projection nodes + 1001 + 72.
+        # Z(0.3, .) has no scan route: the 501-point grid is sampled on
+        # Euler-Maclaurin.  671 = 96 projection nodes + 501 + 74.
         nodes = max(2 * max(self.DEGREES), MIN_QUAD_ORDER)
         assert rs == []
-        assert len(em) == nodes + 1001 + 72 == 1169
+        assert len(em) == nodes + 501 + 74 == 671
         assert {label for label, _ in records} == {"Z(0.3,.)"}
 
     def test_outside_scan_range_scans_on_euler_maclaurin(self, monkeypatch):
@@ -313,10 +314,10 @@ class TestReferenceZeros:
         assert len(records) == 1
 
     def test_wide_window_scan_step_capped(self, monkeypatch):
-        # Width 50: width/1000 = 0.05 would put the pair near
+        # Width 50: a step of width/1000 = 0.05 would put the pair near
         # 7005.06/7005.10 into one cell and lose both; the study scans at
-        # MAX_SCAN_STEP instead, so its reference zeros are the full
-        # census and the degree-240 projection matches them.
+        # MAX_SCAN_STEP at every width, so its reference zeros are the
+        # full census and the degree-240 projection matches them.
         em, rs, records = self._traced(monkeypatch)
         iv = Interval(6990.005, 7040.005)
         comps = zero_convergence_study(hardy_function(0.5), iv, [240])
@@ -327,3 +328,50 @@ class TestReferenceZeros:
         assert zeros == [r.location for r in ref]
         assert len(zeros) == len(comps[-1].polynomial_zeros) == 57
         assert sum(7005.0 < t < 7005.2 for t in zeros) == 2
+
+
+def _windows(seed: int, count: int, lo: float, hi: float
+             ) -> list[Interval]:
+    """count seeded windows of width 1 to 10 inside [lo, hi]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        width = rng.uniform(1.0, 10.0)
+        a = rng.uniform(lo, hi - width)
+        out.append(Interval(a, a + width))
+    return out
+
+
+class TestScanCap:
+    """The study scans at MAX_SCAN_STEP, the step zerofinder validates up
+    to MAX_SCAN_HEIGHT: its reference zeros are those of a scan 4x
+    finer, in number, and in place within the refinement tolerance."""
+
+    CASES = {
+        "half-line": (0.5, _windows(43, 32, 10.0, 1000.0)),
+        # The closest pair up to MAX_SCAN_HEIGHT, 0.0377 apart near 7005:
+        # on this window a step of 0.04 or 0.05 puts both in the cell
+        # from 7005.062, and loses them.
+        "lehmer-7005": (0.5, [Interval(7000.062, 7010.062)]),
+        # Where the Riemann-Siegel scan is least accurate.
+        "low": (0.5, _windows(44, 12, 6.3, 60.0)),
+        # Narrower than the step: scanned at its two ends.
+        "narrow": (0.5, [Interval(14.13, 14.14)]),
+        "sigma-0.3": (0.3, _windows(45, 3, 10.0, 1000.0)),
+        "sigma-0.7": (0.7, _windows(46, 3, 10.0, 1000.0)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_reference_zeros_match_a_finer_scan(self, name):
+        sigma, windows = self.CASES[name]
+        f = hardy_function(sigma)
+        total = 0
+        for iv in windows:
+            zeros = zero_convergence_study(f, iv, [48])[-1].function_zeros
+            fine = [r.location for r in scan_and_refine(
+                f, iv, zerofinder.MAX_SCAN_STEP / 4.0, 1e-12)]
+            assert len(zeros) == len(fine), iv
+            for got, want in zip(zeros, fine):
+                assert abs(got - want) <= 1e-12 + 1e-15 * want, iv
+            total += len(zeros)
+        assert total > 0
