@@ -309,14 +309,6 @@ def _factor_table(terms: int) -> tuple[np.ndarray, ...]:
             smooth_log)
 
 
-def _factored(a: float, terms: int | np.ndarray) -> bool | np.ndarray:
-    """Whether _em_sum, and so the batched head, sums a head of terms
-    terms at offset a over the integers coprime to 30 (_factored_head):
-    for a = 1 and at least _SMOOTH_MIN_TERMS terms; elementwise for an
-    array of terms."""
-    return (a == 1.0) & (terms >= _SMOOTH_MIN_TERMS)
-
-
 def _factored_head(s: complex, terms: int) -> complex:
     """sum_{n<=terms} n^{-s}, factored by complete multiplicativity as
     sum_c c^{-s} W(terms / c) over the c <= terms coprime to 30, where
@@ -390,7 +382,7 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
             and -s.real * math.log(a) > _LOG_FLOAT_MAX):
         raise DomainError(
             f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
-    if _factored(a, terms):
+    if a == 1.0 and terms >= _SMOOTH_MIN_TERMS:
         head = _factored_head(s, terms)
     else:
         ns = np.arange(0, terms, dtype=float) + a
@@ -453,10 +445,12 @@ def _em_sum_many(s: np.ndarray, a: np.ndarray, terms: np.ndarray, m: int,
     (_c_prod, _c_quot).  The Pochhammer products, which do not depend on
     a, are formed once, each order's factor in that order's step.  The
     heads (_add_heads) take each term as a weight times a phase, shared
-    by the points of one sigma and of one height, factored where _em_sum
-    factors them, from table: the _factor_table of the caller's longest
-    head of a = 1, or None if none has _SMOOTH_MIN_TERMS terms.  Each
-    row's terms and their sum are the scalar head's."""
+    by the points of one sigma and of one height.  A zeta call (a = [1])
+    whose longest head has at least _SMOOTH_MIN_TERMS terms passes that
+    head's _factor_table as table, and its heads from that length on
+    are factored from it, as _em_sum factors them; every other call
+    passes None, and its heads are summed term by term.  Each row's
+    terms and their sum are the scalar head's."""
     base = terms + a[:, None]
     # The tails' temporaries are freed before the heads, where a point
     # block peaks in memory.
@@ -513,7 +507,11 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
                a: np.ndarray, terms: np.ndarray,
                table: tuple[np.ndarray, ...] | None) -> None:
     """Add sum_{n<terms[i]} (n+a[k])^{-s} to value[k, i] at the points
-    s = sr[i] + i si[i], each head as _em_sum sums it, bit for bit.
+    s = sr[i] + i si[i], each head as _em_sum sums it, bit for bit.  A
+    call is a zeta call, a = [1], whose heads of at least
+    _SMOOTH_MIN_TERMS terms are factored by table (the _factor_table of
+    the longest, None where none is that long), or a Hurwitz call, every
+    a below 1 and table None, whose heads are all summed term by term.
 
     Each term (n+a)^{-s} is split as the weight (n+a)^{-sigma} times the
     phase e^{-it log(n+a)}: glibc's cexp(x+iy) is exp(x) cos y + i
@@ -530,40 +528,33 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
     per distinct height, also told apart by its bits, as long as the
     longest head there, so all sigma and all head lengths at one height
     share one phase row.  Each head is the product of its two rows'
-    first columns, summed as _em_sum sums it: term by term
-    (_plain_sums), or where _factored factors it as a row of
-    _factored_head's expression on the split of its length, cut from
-    table (the _factor_table of the longest) by _last_smooth
+    first columns (_products), summed term by term (_plain_sums) or,
+    for a factored head, as a row of _factored_head's expression on the
+    split of its length, cut from table by _last_smooth
     (_factored_sums).  A chunk's heads (_chunk_heads) are built as the
     chunk is summed where the call has one offset, and dropped after;
-    several offsets build them once and share them.
+    the four offsets of a mod-5 call build them once and share them.
 
     Every table and row block is a view of one _HeadSpace, allocated
     once per call: 32 B per element of the largest chunk, 48 B where
     heads are factored, at most 768 KB (_HEAD_BLOCK elements) unless one
     point alone is wider, and 16 B per element of the largest group's
     weight tables, at most 2 MB unless one sigma alone is wider."""
-    # Offsets other than 1 factor no head, so they read the same columns
-    # and weight widths and split every chunk alike.
-    kinds = {offset == 1.0: offset for offset in a.tolist()}
-    reads = {kind: _reads(offset, terms, table)
-             for kind, offset in kinds.items()}
-    # The most columns a point's heads read at any offset.
-    columns = functools.reduce(np.maximum, [sum(r[1:], r[0])
-                                            for r in reads.values()])
+    reads = _reads(terms, table)
+    columns = sum(reads[1:], reads[0])
     keys = sr.view(np.int64)
+    # One sigma skips np.unique, which cost a one-member family on 46
+    # nodes 12-16 us of heads, 2.5-2.8% of its call (2-vCPU Xeon).
     if (keys == keys[0]).all():
         sigmas, sigma_of = sr[:1], np.zeros(sr.size, dtype=np.intp)
     else:
         keys, sigma_of = np.unique(keys, return_inverse=True)
         sigmas = keys.view(float)
-    widths = {kind: _weight_widths(r, sigma_of, sigmas.size)
-              for kind, r in reads.items()}
-    tops = {kind: w.max(axis=1).tolist() for kind, w in widths.items()}
-    plain_logs = [np.log(np.arange(tops[offset == 1.0][0], dtype=float)
-                         + offset) for offset in a.tolist()]
-    groups, table_size = _sigma_groups(list(widths.values()),
-                                       list(tops.values()))
+    widths = _weight_widths(reads, sigma_of, sigmas.size)
+    tops = widths.max(axis=1).tolist()
+    plain_logs = [np.log(np.arange(tops[0], dtype=float) + offset)
+                  for offset in a.tolist()]
+    groups, table_size = _sigma_groups(widths, tops)
     widest = int(columns.max())
     space = _HeadSpace(max(widest, min(_HEAD_BLOCK, terms.size * widest)),
                        table_size, table is not None)
@@ -574,25 +565,21 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
             points = order[(sigma_of[order] >= group.start)
                            & (sigma_of[order] < group.stop)]
             # Each table as wide as the group's widest row.
-            tops = {kind: w[:, group].max(axis=1).tolist()
-                    for kind, w in widths.items()}
+            tops = widths[:, group].max(axis=1).tolist()
         chunks = _chunk_heads(points, si, sigma_of, group.start, terms,
-                              reads, columns, widest)
+                              reads, columns)
         if a.size > 1:
             # The offsets sum the same chunks: build their heads once.
             chunks = list(chunks)
         sums = np.empty(points.size, dtype=complex)
-        for k, offset in enumerate(a.tolist()):
-            kind = offset == 1.0
+        for k, logs in enumerate(plain_logs):
             plain, c, m = _weight_tables(
-                space, sigmas[group], widths[kind][:, group], tops[kind],
-                [plain_logs[k]] + (list(table[2:]) if table is not None
-                                   else []))
-            for chunk, parts in chunks:
-                cut, plain_heads, factored_heads = parts[kind]
+                space, sigmas[group], widths[:, group], tops,
+                [logs] + (list(table[2:]) if table is not None else []))
+            for chunk, cut, plain_heads, factored_heads in chunks:
                 if plain_heads:
                     _plain_sums(sums[chunk][:cut], space, plain_heads, plain,
-                                plain_logs[k])
+                                logs)
                 if factored_heads:
                     _factored_sums(sums[chunk][cut:], space, factored_heads,
                                    c, m, table)
@@ -600,19 +587,16 @@ def _add_heads(value: np.ndarray, sr: np.ndarray, si: np.ndarray,
 
 
 def _chunk_heads(points: np.ndarray, si: np.ndarray, sigma_of: np.ndarray,
-                 first: int, terms: np.ndarray,
-                 reads: dict[bool, list[np.ndarray]], columns: np.ndarray,
-                 widest: int) -> Iterator[tuple[slice, dict]]:
+                 first: int, terms: np.ndarray, reads: list[np.ndarray],
+                 columns: np.ndarray) -> Iterator[tuple]:
     """The chunks of points (indices in height order, of a sigma group
     from sigma first) and the heads of each, as _add_heads sums them:
-    for each kind of offset in reads, the number of plain heads and the
-    _Heads of the plain and of the factored, None where there are none.
-    A chunk's points are put in length order in points itself as the
-    chunk is made, one chunk per step, so a caller that sums each chunk
-    as it comes holds the heads of one chunk at a time."""
-    for chunk in ([slice(0, points.size)]
-                  if points.size * widest <= _HEAD_BLOCK
-                  else _height_chunks(si[points], columns[points])):
+    the chunk's slice, the number of plain heads, and the _Heads of the
+    plain and of the factored, None where there are none.  A chunk's
+    points are put in length order in points itself as the chunk is
+    made, one chunk per step, so a caller that sums each chunk as it
+    comes holds the heads of one chunk at a time."""
+    for chunk in _height_chunks(si[points], columns[points]):
         # Heights come in runs; 0.0 and -0.0, equal in the order, may
         # alternate, and then take a row per run.
         idx = points[chunk]
@@ -625,57 +609,47 @@ def _chunk_heads(points: np.ndarray, si: np.ndarray, sigma_of: np.ndarray,
         idx = points[chunk] = idx[by_length]
         h = (np.cumsum(rise) - 1)[by_length]
         s, n = sigma_of[idx] - first, terms[idx]
-        parts = {}
-        for kind, read in reads.items():
-            # The c and the m each head reads, 0 for a plain head: the
-            # factored heads, the longest, come last.
-            split = [r[idx] for r in read[1:]]
-            cut = idx.size - (np.count_nonzero(split[0]) if split else 0)
-            parts[kind] = (
-                cut,
-                _Heads(ts, h[:cut], s[:cut], n[:cut], [n[:cut]])
-                if cut else None,
-                _Heads(ts, h[cut:], s[cut:], n[cut:],
-                       [c[cut:] for c in split])
-                if cut < idx.size else None)
-        yield chunk, parts
+        # The c and the m each head reads, 0 for a plain head: the
+        # factored heads, the longest, come last.
+        split = [r[idx] for r in reads[1:]]
+        cut = idx.size - (np.count_nonzero(split[0]) if split else 0)
+        yield (chunk, cut,
+               _Heads(ts, h[:cut], s[:cut], n[:cut], [n[:cut]])
+               if cut else None,
+               _Heads(ts, h[cut:], s[cut:], n[cut:],
+                      [c[cut:] for c in split])
+               if cut < idx.size else None)
 
 
 class _Heads:
     """Heads of one chunk that sum alike, term by term or factored, in
     length order, and what their sums read at every offset: each head's
-    height row h and sigma row s, its length n, the runs of one length,
-    whether the heads read consecutive phase rows, one each, and whether
-    they read a single weight row; and for each table of logs they read
-    (the terms, or the c and the m of the splits) each head's columns
-    and each height's widest."""
+    height row h and sigma row s, its length n and the runs of one
+    length; and for each table of logs they read (the terms, or the c
+    and the m of the splits) each head's columns and each height's
+    widest."""
 
     def __init__(self, ts: np.ndarray, h: np.ndarray, s: np.ndarray,
                  n: np.ndarray, columns: list[np.ndarray]):
         self.ts, self.h, self.s, self.n = ts, h, s, n
         self.runs = list(_runs(n))
-        self.consecutive = bool((h[1:] - h[:-1] == 1).all())
-        self.single = bool((s == s[0]).all())
         self.columns, self.widths = columns, []
         for cols in columns:
-            # Each height's only head reads row h = 0, 1, ... in order.
-            if self.consecutive and h.size == ts.size:
-                self.widths.append(cols)
-                continue
             widest = np.zeros(ts.size, dtype=int)
             np.maximum.at(widest, h, cols)
             self.widths.append(widest)
 
 
-def _reads(offset: float, terms: np.ndarray,
+def _reads(terms: np.ndarray,
            table: tuple[np.ndarray, ...] | None) -> list[np.ndarray]:
-    """The columns the heads of terms terms read at offset, one array per
-    table of logs: [terms] where no head is factored, else the terms of
-    each head summed term by term and the c and the m of the split of
-    each factored head, each 0 where the head is summed the other way."""
-    factored = _factored(offset, terms)
-    if not factored.any():
+    """The columns the heads of terms terms read, one array per table of
+    logs: [terms] where table is None, else the terms of each head summed
+    term by term and the c and the m of the split of each head of at
+    least _SMOOTH_MIN_TERMS terms, each 0 where the head is summed the
+    other way."""
+    if table is None:
         return [terms]
+    factored = terms >= _SMOOTH_MIN_TERMS
     return [np.where(factored, 0, terms)] + [
         np.where(factored, np.searchsorted(split, terms, "right"), 0)
         for split in table[:2]]
@@ -692,22 +666,23 @@ def _weight_widths(reads: list[np.ndarray], sigma_of: np.ndarray,
     return widths
 
 
-def _sigma_groups(widths: list[np.ndarray],
-                  tops: list[list[int]]) -> tuple[list[slice], int]:
+def _sigma_groups(widths: np.ndarray,
+                  tops: list[int]) -> tuple[list[slice], int]:
     """Slices of the distinct sigmas, the columns of widths (the
-    _weight_widths of each kind of offset, whose rows' maxima are tops),
-    into consecutive groups whose weight tables, one row per sigma, each
-    table as wide as its widest row, hold at most _WEIGHT_BLOCK elements
-    for every offset, or of one sigma where its rows alone hold more;
-    and the most elements a group's tables hold."""
-    count = widths[0].shape[1]
-    whole = count * max(map(sum, tops))
+    _weight_widths, whose rows' maxima are tops), into consecutive
+    groups whose weight tables, one row per sigma, each table as wide as
+    its widest row, hold at most _WEIGHT_BLOCK elements, or of one sigma
+    where its rows alone hold more; and the most elements a group's
+    tables hold."""
+    count = widths.shape[1]
+    whole = count * sum(tops)
+    # One group skips the scan below, which cost a one-member family on
+    # 46 nodes 9-12 us of heads, 0.5-1.7% of its call (2-vCPU Xeon).
     if whole <= _WEIGHT_BLOCK:
         return [slice(0, count)], whole
     groups, most, lo = [], 0, 0
     while lo < count:
-        row = np.max([np.maximum.accumulate(w[:, lo:], axis=1).sum(axis=0)
-                      for w in widths], axis=0)
+        row = np.maximum.accumulate(widths[:, lo:], axis=1).sum(axis=0)
         size = np.arange(1, row.size + 1) * row
         hi = max(1, int(np.count_nonzero(size <= _WEIGHT_BLOCK)))
         groups.append(slice(lo, lo + hi))
@@ -862,11 +837,8 @@ def _weights(sigmas: np.ndarray, logs: np.ndarray, widths: np.ndarray,
     return out
 
 
-def _within(widths: np.ndarray, cols: int) -> np.ndarray | bool:
-    """Which of cols columns lie within row j's first widths[j]: True
-    for all where every row is full."""
-    if widths.min() == cols:
-        return True
+def _within(widths: np.ndarray, cols: int) -> np.ndarray:
+    """Which of cols columns lie within row j's first widths[j]."""
     return np.arange(cols) < widths[:, None]
 
 
@@ -874,21 +846,17 @@ def _products(space: _HeadSpace, at: int, phase: np.ndarray,
               weight: np.ndarray, heads: _Heads) -> np.ndarray:
     """Row i: weight row s[i] times phase row h[i] of the heads, part by
     part, as glibc's cexp multiplies exp(x) into cos y and sin y, over
-    the phase's columns (weight is at least as wide).  Only the columns
-    within both rows' widths are terms.  Where the heads read
-    consecutive phase rows, one each, those rows are scaled in place;
-    otherwise the rows are gathered into space's terms from element at
-    on.  A single weight row is broadcast, others are gathered by
-    indexing: np.take would first copy a table cut to fewer columns, and
-    a product with the cut rows in place runs at half speed."""
-    h, s, cols = heads.h, heads.s, phase.shape[1]
-    if heads.consecutive:
-        rows = phase[h[0]:h[0] + h.size]
-    else:
-        rows = np.take(phase, h, axis=0, mode="clip",
-                       out=_block(space.terms[at:], h.size, cols))
-    weights = weight[s[0], :cols] if heads.single else weight[s, :cols]
-    np.multiply(rows.view(float), weights.view(float), out=rows.view(float))
+    the phase's columns (weight is at least as wide), in space's terms
+    from element at on.  Only the columns within both rows' widths are
+    terms.  Both rows are gathered into contiguous blocks: np.take would
+    first copy a table cut to fewer columns, so the weight rows are
+    gathered by indexing, and a product with a broadcast or cut operand
+    runs at half speed."""
+    cols = phase.shape[1]
+    rows = np.take(phase, heads.h, axis=0, mode="clip",
+                   out=_block(space.terms[at:], heads.h.size, cols))
+    np.multiply(rows.view(float), weight[heads.s, :cols].view(float),
+                out=rows.view(float))
     return rows
 
 
@@ -1022,7 +990,7 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     points.real = np.asarray(sigmas, dtype=float)[:, None]
     points.imag = ts
     zetas = np.empty(points.size, dtype=complex)
-    for span, values in _em_blocks(points.ravel(), np.ones(1), 1):
+    for span, values in _em_blocks(points.ravel()):
         zetas[span] = values[0]
     zetas = zetas.reshape(points.shape)
     accepted = ~np.isnan(zetas).all(axis=0)
@@ -1080,17 +1048,18 @@ def residue_identity_residual(s: complex, n_max: int) -> float:
     return abs(lhs - rhs)
 
 
-def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
+def _em_blocks(points: np.ndarray, offsets: np.ndarray | None = None
                ) -> Iterator[tuple[slice, np.ndarray]]:
     """The batched Euler-Maclaurin core of zeta, the mod-5 L-function and
     Davenport-Heilbronn.  For each block of at most _POINT_BLOCK points
     of the 1-D complex array points, yields the block's slice and its
-    _em_sum values, row k for offsets[k]: each point takes its (N, m)
-    from _em_pair and sums N - shift head terms (shift 1 as zeta_em
-    passes them, 0 as hurwitz_zeta does), one _em_sum_many pass over the
-    block's points of each m.  A block whose heads of a = 1 reach
-    _SMOOTH_MIN_TERMS terms reads _factor_split once, for its longest
-    such head, and cuts the others' splits from it.
+    _em_sum values: with no offsets one row, zeta_em's, each point
+    summing N - 1 head terms; else row k for offsets[k], each below 1,
+    hurwitz_zeta's, each point summing N.  Each point takes its (N, m)
+    from _em_pair, one _em_sum_many pass over the block's points of
+    each m.  A zeta block whose longest head reaches _SMOOTH_MIN_TERMS
+    terms reads _factor_split once, for that head, and cuts the others'
+    splits from it; no Hurwitz head is factored.
 
     The column of a point the scalar would refuse is NaN: a NaN or
     infinity, the pole s = 1, or a point where _em_pair or _em_sum would
@@ -1107,12 +1076,15 @@ def _em_blocks(points: np.ndarray, offsets: np.ndarray, shift: int
     complex power, head or factor table is formed for the point."""
     for i in range(0, points.size, _POINT_BLOCK):
         block = points[i:i + _POINT_BLOCK]
-        yield slice(i, i + block.size), _em_block(block, offsets, shift)
+        yield slice(i, i + block.size), _em_block(block, offsets)
 
 
-def _em_block(points: np.ndarray, offsets: np.ndarray,
-              shift: int) -> np.ndarray:
+def _em_block(points: np.ndarray, offsets: np.ndarray | None
+              ) -> np.ndarray:
     """One block of _em_blocks."""
+    zeta = offsets is None
+    if zeta:
+        offsets = np.ones(1)
     # A point refused before its pair takes a cutoff above MAX_TERMS, and
     # is refused below with those _em_pair gives.
     refused = (MAX_TERMS + 1, EM_ORDER)
@@ -1126,7 +1098,7 @@ def _em_block(points: np.ndarray, offsets: np.ndarray,
     n, m = map(np.array, zip(*pairs))
     # About 100 B a point, freed before the sums.
     del pairs
-    terms = n - shift
+    terms = n - 1 if zeta else n
     # What _em_sum refuses before its complex powers: N above MAX_TERMS
     # and a failed Backlund premise.  And a point whose largest head
     # exponent -sigma log(n+a), at the least or the largest base, exceeds
@@ -1141,8 +1113,8 @@ def _em_block(points: np.ndarray, offsets: np.ndarray,
                 & (terms + offsets.min() > np.abs(points.imag) / TWO_PI)
                 & (exponent <= _EXP_SPLIT_MAX))
     longest = int(terms.max(initial=0, where=accepted))
-    table = (_factor_table(longest) if any(
-        _factored(a, longest) for a in offsets.tolist()) else None)
+    table = (_factor_table(longest)
+             if zeta and longest >= _SMOOTH_MIN_TERMS else None)
     values = np.full((offsets.size, points.size), np.nan, dtype=complex)
     for order in (EM_ORDER, EM_ORDER_MAX):
         idx = np.flatnonzero(accepted & (m == order))
@@ -1180,7 +1152,7 @@ def _mod5_series(s: complex | np.ndarray,
     points = s.astype(complex).ravel()
     offsets = np.array([a / 5.0 for a in coeffs])
     out = np.empty(points.shape, dtype=complex)
-    for span, values in _em_blocks(points, offsets, 0):
+    for span, values in _em_blocks(points, offsets):
         out[span] = _mod5_block(points[span], values, coeffs)
     for i in np.flatnonzero(np.isnan(out)).tolist():
         out[i] = _mod5_series(complex(points[i]), coeffs)

@@ -786,6 +786,11 @@ class TestGramSchmidt:
         off = np.max(np.abs(corr - np.diag(np.diag(corr))))
         assert off < 1e-10
 
+    def test_no_functions_refused(self):
+        rule = gauss_legendre_rule(32, Interval(0.0, 1.0))
+        with pytest.raises(DomainError, match="at least one function"):
+            gram_schmidt([], rule)
+
     def test_dependence_detected_with_index(self):
         rule = gauss_legendre_rule(32, Interval(0.0, 1.0))
         f2 = SampledFunction(lambda x: 2.0 * x, "2x")

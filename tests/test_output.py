@@ -25,6 +25,11 @@ class TestRounding:
         assert sig(0.0) == 0.0
         assert sig(-0.0) == 0.0
 
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"),
+                                   float("nan")])
+    def test_sig_passes_non_finite_through(self, x):
+        assert repr(sig(x)) == repr(x)
+
     def test_format_sig(self):
         assert format_sig(2.0) == "2"
         assert format_sig(-0.0) == "0"

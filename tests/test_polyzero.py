@@ -102,6 +102,12 @@ class TestPolyRealZeros:
         with pytest.raises(DomainError, match="finite"):
             PolynomialRealCoeffs(np.array(coeffs), Interval(0.0, 1.0))
 
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["empty", "2-d"])
+    def test_empty_or_multidimensional_coefficients_refused(self, coeffs):
+        with pytest.raises(DomainError, match="non-empty and 1-d"):
+            PolynomialRealCoeffs(np.array(coeffs), Interval(0.0, 1.0))
+
     def test_trailing_trim(self):
         p = PolynomialRealCoeffs(np.array([1.0, 1.0, 1e-20]),
                                  Interval(0.0, 1.0))
@@ -141,6 +147,7 @@ class TestZeroConvergence:
         for c in comps:
             assert c.function_zeros == []
             assert c.matched_pairs == []
+            assert c.max_deviation == 0.0
 
     def test_hardy_on_10_30(self):
         f = hardy_function(0.5)

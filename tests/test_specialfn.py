@@ -96,6 +96,12 @@ class TestLogGamma:
                 z = complex(re, im)
                 assert abs(log_gamma(z) - complex(scipy_loggamma(z))) < 1e-11
 
+    @pytest.mark.parametrize("z", [-0.5 + 1j, -2.5 - 3j])
+    def test_half_integer_real_part_equals_scipy(self, z):
+        # cos(pi Re z) is exactly 0 here, where the reflection formula's
+        # sin(pi z) is purely real.
+        assert log_gamma(z) == complex(scipy_loggamma(z))
+
     @pytest.mark.parametrize("z", [0.3 + 12.7j, -2.3 + 0.0j, -0.7 + 0.0j])
     def test_conjugate_symmetry(self, z):
         # On the negative real axis the signed zero of Im z picks the side

@@ -122,6 +122,15 @@ class TestRefine:
         with pytest.raises(BracketError):
             refine_zero(square, (-1.0, 1.0))
 
+    @pytest.mark.parametrize("bracket", [(3.3, 3.0), (3.0, 3.0)],
+                             ids=["unordered", "zero-width"])
+    def test_bad_bracket_refused_before_any_evaluation(self, bracket):
+        seen = []
+        f = SampledFunction(lambda x: seen.append(x) or math.sin(x), "sin")
+        with pytest.raises(BracketError, match="must be ordered"):
+            refine_zero(f, bracket)
+        assert seen == []
+
     def test_derivative_estimate(self):
         r = refine_zero(SIN, (3.0, 3.3), 1e-10)
         assert r.derivative == pytest.approx(math.cos(math.pi), abs=1e-4)

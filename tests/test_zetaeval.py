@@ -748,13 +748,12 @@ class TestBatchedModFive:
         assert zetaeval._em_pair(complex(-1.7, t)) == (MAX_TERMS + 1,
                                                        EM_ORDER)
         for points, offsets, shift, factored in (
-                ([complex(-1.7, 3000.0), complex(-1.7, t)], [1.0], 1, True),
-                ([0.7 + 85.0j, complex(0.5, 5e6)], [0.2, 0.4, 0.6, 0.8], 0,
-                 False)):
+                ([complex(-1.7, 3000.0), complex(-1.7, t)], None, 1, True),
+                ([0.7 + 85.0j, complex(0.5, 5e6)],
+                 np.array([0.2, 0.4, 0.6, 0.8]), 0, False)):
             heads.clear()
             tables.clear()
-            [(_, values)] = zetaeval._em_blocks(
-                np.array(points), np.array(offsets), shift)
+            [(_, values)] = zetaeval._em_blocks(np.array(points), offsets)
             assert np.isfinite(values[:, 0]).all()
             assert np.isnan(values[:, 1]).all()
             accepted = zetaeval._em_pair(points[0])[0] - shift
@@ -782,7 +781,7 @@ class TestBatchedModFive:
         assert -s.real[1] * math.log(0.2) > 709.0
         want = np.array([davenport_heilbronn(z) for z in s.tolist()])
         assert _bits(davenport_heilbronn(s)) == _bits(want)
-        [(_, values)] = zetaeval._em_blocks(s, np.arange(1, 5) / 5.0, 0)
+        [(_, values)] = zetaeval._em_blocks(s, np.arange(1, 5) / 5.0)
         assert np.isnan(values[:, :2]).all() and np.isfinite(values[:, 2]).all()
         # A zeta head's exponent passes 709 only left of sigma = -41,
         # where Backlund's premise refuses the point anyway.
@@ -808,25 +807,26 @@ class TestBatchedModFive:
             want = np.array([fn(z) for z in s.tolist()])
             assert _bits(fn(s)) == _bits(want)
         zetas = np.empty(s.size, dtype=complex)
-        for span, values in zetaeval._em_blocks(s, np.ones(1), 1):
+        for span, values in zetaeval._em_blocks(s):
             zetas[span] = values[0]
         assert _bits(zetas) == _bits([zeta_em(z) for z in s.tolist()])
 
-    def test_mixed_offsets_equal_the_scalar(self):
-        # Offset 1 factors its heads from _SMOOTH_MIN_TERMS terms on and
-        # 0.3 never does, so one call on both reads its columns two ways:
-        # bit for bit hurwitz_zeta on heads that straddle the threshold,
-        # at three sigma with shared heights and two points of their own.
+    def test_zeta_and_hurwitz_calls_equal_the_scalar(self):
+        # A zeta call factors its heads from _SMOOTH_MIN_TERMS terms on
+        # and a Hurwitz call never does: on heads that straddle the
+        # threshold, at three sigma with shared heights and two points
+        # of their own, each is bit for bit its scalar.
         threshold = zetaeval._SMOOTH_MIN_TERMS
         s = np.concatenate([
             sigma + 1j * np.linspace(640.0, 670.0, 31)
             for sigma in (0.5, 0.3, 0.75)] + [[-1.5 + 500.0j, 2.0 + 3.0j]])
         heads = [zetaeval._em_pair(z)[0] for z in s.tolist()]
-        assert min(heads) < threshold <= max(heads)
-        offsets = [0.3, 1.0]
-        [(_, values)] = zetaeval._em_blocks(s, np.array(offsets), 0)
+        assert min(heads) - 1 < threshold <= max(heads) - 1
+        [(_, zetas)] = zetaeval._em_blocks(s)
+        assert _bits(zetas) == _bits([[zeta_em(z) for z in s.tolist()]])
+        [(_, values)] = zetaeval._em_blocks(s, np.array([0.3]))
         assert _bits(values) == _bits(
-            [[hurwitz_zeta(z, a) for z in s.tolist()] for a in offsets])
+            [[hurwitz_zeta(z, 0.3) for z in s.tolist()]])
 
     def test_first_refused_point_decides_the_error(self):
         # A bound refusal before a premise refusal: the array raises the
