@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DependenceError, DomainError, EvaluationError,
                      NumericsError)
 from .specialfn import TWO_PI, _require_count, theta_derivative
-from .zetaeval import _hardy_z_family, generalized_hardy
+from .zetaeval import _hardy_z_family, _hardy_z_jet, generalized_hardy
 
 MAX_QUAD_ORDER = 4096
 
@@ -82,12 +82,16 @@ class SampledFunction:
     route to the same function, valid for
     2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
     sign-change brackets on it there, and refine and report every zero
-    on eval.
+    on eval.  jet, when set, maps t to (f(t), f'(t)), with f(t) eval's
+    value: zerofinder.refine_zero then refines by Newton steps on it
+    inside the bracket eval signs, and reports its derivative.  Each
+    pair passes the same rule as a value (_jet_value).
     """
 
     eval: Callable[[float], float]
     label: str = ""
     scan_route: SampledFunction | None = None
+    jet: Callable[[float], tuple[float, float]] | None = None
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """The function at each point of xs, any sequence that
@@ -118,20 +122,39 @@ class SampledFunction:
         value float() rejects (None), a NaN or an infinity, it raises
         EvaluationError with the point x, chained from the cause."""
         try:
-            value = self.eval(x)
-            if type(value) is not float:
-                # float() of a numpy complex keeps the real part.
-                if np.iscomplexobj(value):
-                    raise TypeError(f"returned a complex value {value!r}")
-                value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"returned a non-finite value {value!r}")
-            return value
+            return _real(self.eval(x))
         except Exception as exc:
             raise EvaluationError(
                 f"{self.label or 'function'} failed at t={x!r}: {exc}",
                 point=x,
             ) from exc
+
+    def _jet_value(self, x: float) -> tuple[float, float]:
+        """The jet's value and derivative at the built-in float x, each
+        as a float that passes _value's rule.  When the jet raises, or
+        returns anything but a pair of such values, it raises
+        EvaluationError with the point x, chained from the cause."""
+        try:
+            value, slope = self.jet(x)
+            return _real(value), _real(slope)
+        except Exception as exc:
+            raise EvaluationError(
+                f"{self.label or 'function'} jet failed at t={x!r}: {exc}",
+                point=x,
+            ) from exc
+
+
+def _real(value: object) -> float:
+    """value as a finite float; a complex of any type, a value float()
+    rejects (None), a NaN or an infinity raises."""
+    if type(value) is not float:
+        # float() of a numpy complex keeps the real part.
+        if np.iscomplexobj(value):
+            raise TypeError(f"returned a complex value {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"returned a non-finite value {value!r}")
+    return value
 
 
 @dataclass
@@ -402,7 +425,9 @@ class _HardyZ:
 def hardy_function(sigma: float) -> SampledFunction:
     """Generalized Hardy function Z(sigma, .) as a SampledFunction, on
     the Euler-Maclaurin route.  On the critical line its scan route is
-    the Riemann-Siegel sum, which exists only there.
+    the Riemann-Siegel sum, which exists only there, and its jet gives
+    Z and Z' from one Euler-Maclaurin sum (zetaeval._hardy_z_jet), so
+    refine_zero takes Newton steps on it.
 
     It samples a whole grid in one batched Euler-Maclaurin call
     (zetaeval._hardy_z_family), bit for bit the callback's values at
@@ -411,13 +436,14 @@ def hardy_function(sigma: float) -> SampledFunction:
     The call leaves to the callback only the points where the callback
     would raise, so sampling raises the callback's error at the first
     of them."""
-    scan_route = None
+    scan_route = jet = None
     if sigma == 0.5:
         # Imported here: zerofinder imports this module.
         from .zerofinder import hardy_rs_function
-        scan_route = hardy_rs_function()
+        # Looked up at call time, as _HardyZ looks up its kernel.
+        scan_route, jet = hardy_rs_function(), lambda t: _hardy_z_jet(t)
     return SampledFunction(eval=_HardyZ(sigma), label=f"Z({sigma:g},.)",
-                           scan_route=scan_route)
+                           scan_route=scan_route, jet=jet)
 
 
 def oscillation_order(interval: Interval) -> int:

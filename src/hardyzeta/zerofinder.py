@@ -1,10 +1,12 @@
 """Zero location, simplicity diagnostics, and gap statistics.
 
-Sign-change scanning with Brent refinement (a port of scipy's brentq)
-for real interval functions, the smooth zero-count estimate
-theta(T)/pi + 1 used to cross-check scans, a Lehmer-pair detector
-(abnormally close consecutive zeros of the Hardy function), and a
-winding-number zero counter for rectangles in the complex plane.
+Sign-change scanning for real interval functions, refined by
+safeguarded Newton steps on a function's jet (value and derivative) or,
+without one, by Brent's method (a port of scipy's brentq), the smooth
+zero-count estimate theta(T)/pi + 1 used to cross-check scans, a
+Lehmer-pair detector (abnormally close consecutive zeros of the Hardy
+function), and a winding-number zero counter for rectangles in the
+complex plane.
 
 Critical-line work runs on two routes: the Riemann-Siegel sum does the
 cheap scanning, the Euler-Maclaurin route refines and re-verifies every
@@ -32,7 +34,8 @@ from .errors import (BracketError, ContourError, DomainError,
                      EvaluationError, NumericsError)
 from .hilbert import Interval, SampledFunction
 from .specialfn import TWO_PI, _require_count, theta, theta_derivative
-from .zetaeval import MAX_TERMS, generalized_hardy, hardy_z_rs
+from .zetaeval import (MAX_TERMS, _hardy_z_jet, generalized_hardy,
+                       hardy_z_rs)
 
 #: Largest height validated for double-precision scanning.
 MAX_SCAN_HEIGHT = 1.0e4
@@ -44,7 +47,14 @@ SIMPLE_DERIVATIVE_FACTOR = 1e-6
 
 @dataclass(frozen=True, slots=True)
 class ZeroRecord:
-    """A refined zero, the bracket refine_zero accepted, and diagnostics."""
+    """A refined zero, the bracket refine_zero accepted, and diagnostics.
+
+    derivative is f' and residual |f|: for a function with a jet, the
+    jet's values at the last Newton point, under half the tolerance from
+    location (analytic Z'(t) on the Euler-Maclaurin route); otherwise a
+    central difference at location and |f(location)|.  simple says that
+    |derivative| clears SIMPLE_DERIVATIVE_FACTOR times the bracket's
+    amplitude."""
 
     location: float
     bracket: tuple[float, float]
@@ -206,18 +216,72 @@ def _brent(f: Callable[[float], float], xa: float, xb: float,
                         f"{maxiter} iterations")
 
 
+def _newton(jet: Callable[[float], tuple[float, float]], xa: float,
+            xb: float, fa: float, fb: float,
+            xtol: float) -> tuple[float, float, float]:
+    """A root of f on [xa, xb], where fa = f(xa) and fb = f(xb) differ in
+    sign or one is 0, by safeguarded Newton on jet(x) = (f(x), f'(x)),
+    with f and f' at the last jet point x.  It starts at the end where f
+    is 0, else at the secant root of the two end values.  Each jet point
+    replaces the end of the bracket whose sign it shares; the step from
+    it is Newton's where that lands strictly inside the bracket, else
+    the one to the bracket's midpoint (f' = 0 included).  It stops when
+    f is exactly 0 at x, returning x, or when the step falls under
+    Brent's delta = (xtol + rtol |x|)/2, rtol = 1e-15, returning x plus
+    the step, kept within the bracket, as Numerical Recipes' rtsafe
+    returns its last update: a Newton step that short leaves x + step
+    within about step^2 f''/f' of the root, when jet's f' is f's
+    derivative, and a bisection step that short leaves the midpoint
+    within delta of the bracket's sign change.  Where the values are
+    only good to noise e, as Euler-Maclaurin's at a Lehmer pair, the
+    root is only good to about e/|f'|, by this or by Brent's method.
+    Raises NumericsError when 100 jet points do not converge.
+    """
+    rtol = 1e-15
+    maxiter = 100
+    if fa == 0.0 or fb == 0.0:
+        x = xa if fa == 0.0 else xb
+    else:
+        x = xa - fa * (xb - xa) / (fb - fa)
+    for _ in range(maxiter):
+        fx, dx = jet(x)
+        if fx == 0.0:
+            return x, fx, dx
+        if (fx < 0.0) == (fa < 0.0):
+            xa, fa = x, fx
+        else:
+            xb = x
+        step = -fx / dx if dx != 0.0 else math.inf
+        delta = (xtol + rtol * abs(x)) / 2.0
+        # A step under delta may round back onto x: it ends the search
+        # before the bracket is asked whether x + step lies inside.
+        if abs(step) >= delta and not xa < x + step < xb:
+            step = 0.5 * (xa + xb) - x
+        if abs(step) < delta:
+            return min(max(x + step, xa), xb), fx, dx
+        x += step
+    raise NumericsError(f"Newton did not converge on ({xa}, {xb}) in "
+                        f"{maxiter} iterations")
+
+
 def refine_zero(f: SampledFunction, bracket: tuple[float, float],
                 tol: float = 1e-10) -> ZeroRecord:
-    """Brent refinement of a bracketed sign change, to within
-    tol + 1e-15 |root|.
+    """Refinement of a bracketed sign change, to within tol + 1e-15
+    |root|.
 
-    The derivative estimate is a central difference at
-    h = max(1e-6, tol); the zero is flagged simple when |f'| clears
-    SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude.  A tol that
-    is not a positive finite number raises DomainError before f is
-    evaluated.  Every value of f, at the bracket ends, the Brent
+    f's callback signs both bracket ends.  A function with a jet is then
+    refined by safeguarded Newton on the jet inside that bracket
+    (_newton): its derivative and residual are the jet's f' and |f| at
+    the last jet point, under (tol + 1e-15 |root|)/2 from the root it
+    returns.  Any other function is refined by Brent's method (_brent),
+    its residual is |f| at the root, and its derivative a central
+    difference at h = max(1e-6, tol).  The zero is flagged simple when
+    |f'| clears SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude.
+    A tol that is not a positive finite number raises DomainError before
+    f is evaluated.  Every value of f, at the bracket ends, the Brent
     iterates and the derivative and residual points, is read through
-    SampledFunction._value, so a refused or non-finite value raises
+    SampledFunction._value, and every jet pair through
+    SampledFunction._jet_value, so a refused or non-finite value raises
     EvaluationError naming its point, chained from the cause.
     """
     _check_tol(tol)
@@ -233,10 +297,14 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
             f"no sign change on ({lo}, {hi}): f={flo:.3e}, {fhi:.3e} "
             "(bracket lost, likely evaluation noise)"
         )
-    root = _brent(f_at, lo, hi, tol)
-    h = max(1e-6, tol)
-    deriv = (f_at(root + h) - f_at(root - h)) / (2.0 * h)
-    residual = abs(f_at(root))
+    if f.jet is not None:
+        root, value, deriv = _newton(f._jet_value, lo, hi, flo, fhi, tol)
+    else:
+        root = _brent(f_at, lo, hi, tol)
+        h = max(1e-6, tol)
+        deriv = (f_at(root + h) - f_at(root - h)) / (2.0 * h)
+        value = f_at(root)
+    residual = abs(value)
     local_scale = max(abs(flo), abs(fhi))
     simple = abs(deriv) > SIMPLE_DERIVATIVE_FACTOR * local_scale
     return ZeroRecord(location=root, bracket=(lo, hi), derivative=deriv,
@@ -259,9 +327,14 @@ def hardy_rs_function() -> SampledFunction:
 
 def hardy_em_function() -> SampledFunction:
     """Z(t) via Euler-Maclaurin, the accurate refinement route, with the
-    Riemann-Siegel route as its scan route."""
+    Riemann-Siegel route as its scan route and Z and Z' from one
+    Euler-Maclaurin sum as its jet (zetaeval._hardy_z_jet)."""
+    # The lambdas look their kernels up at call time, as in
+    # hardy_rs_function: a route set on this module's globals replaces
+    # value and jet alike.
     return SampledFunction(eval=lambda t: generalized_hardy(0.5, t).z,
-                           label="Z_em", scan_route=hardy_rs_function())
+                           label="Z_em", scan_route=hardy_rs_function(),
+                           jet=lambda t: _hardy_z_jet(t))
 
 
 def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
@@ -331,7 +404,8 @@ def find_critical_zeros(interval: Interval,
     """All Hardy-function zeros on an interval: scan_and_refine of
     hardy_em_function() at tol 1e-10, so brackets come from a
     Riemann-Siegel scan with the window ends signed on Euler-Maclaurin,
-    and every zero is refined on the Euler-Maclaurin route.
+    and every zero is refined on the Euler-Maclaurin route, by Newton
+    steps on its jet inside a bracket Euler-Maclaurin signs.
 
     The interval must lie in [2*pi, MAX_SCAN_HEIGHT] and the step must
     not exceed MAX_SCAN_STEP, so that no two zeros share a grid cell

@@ -328,6 +328,20 @@ def _factored_head(s: complex, terms: int) -> complex:
     return complex((np.exp(-s * coprime_log) * partial[last]).sum())
 
 
+def _factored_jet(s: complex, terms: int) -> tuple[complex, complex]:
+    """_factored_head(s, terms), bit for bit, and its derivative in s:
+    -sum_c c^{-s} (log c W(terms / c) + V(terms / c)), where V(x) is the
+    sum of log m m^{-s} over the 5-smooth m <= x, a second cumulative
+    sum over the exps W sums."""
+    coprime_log, smooth_log, last = _factor_split(terms)
+    smooth = np.exp(-s * smooth_log)
+    partial = np.cumsum(smooth)[last]
+    coprime = np.exp(-s * coprime_log)
+    head = complex((coprime * partial).sum())
+    logged = np.cumsum(smooth_log * smooth)[last]
+    return head, -complex((coprime * (coprime_log * partial + logged)).sum())
+
+
 def _em_sum(s: complex, a: float, terms: int, n_cut: int,
             m: int) -> complex:
     """Euler-Maclaurin value of sum_{n>=0} (n+a)^{-s}: the head
@@ -355,15 +369,7 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
     (6.6e-14 against 2.3e-11 relative at s = -1.882 + 8349.1i, a = 0.2).
     It catches gross cancellation, as at s = -10 + i."""
     base = terms + a
-    edge = 2 * m + 1 + s.real
-    if n_cut > MAX_TERMS:
-        raise DomainError(f"N={n_cut} exceeds MAX_TERMS={MAX_TERMS}")
-    if base <= abs(s.imag) / TWO_PI or edge <= 0.0:
-        raise DomainError(
-            f"N={n_cut} at s={s} fails the premises of the Backlund bound: "
-            f"cutoff above |Im s|/2pi={abs(s.imag) / TWO_PI:.1f}, "
-            f"Re s > {-2 * m - 1}"
-        )
+    _check_premises(s, base, n_cut, m)
     pw1 = base ** (1.0 - s)
     tail = pw1 / (s - 1.0) + 0.5 * pw1 / base
     inv2 = base ** -2.0
@@ -373,22 +379,104 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
         tail += _EM_COEF[k] * poch * pw
         pw *= inv2
         poch *= (s + (2 * k + 1)) * (s + (2 * k + 2))
-    # Checked before numpy sums the head, where an overflow would warn.
-    # The Pochhammer product overflows, leaving a NaN tail, long before
-    # sigma log(n+a) can; right of sigma = 0 the largest head term is
-    # a^-s.  Past both checks head and tail are finite, and so is their sum.
-    if not cmath.isfinite(tail) or (
-            s.real > _SIGMA_HEAD_SAFE
-            and -s.real * math.log(a) > _LOG_FLOAT_MAX):
-        raise DomainError(
-            f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
+    _check_finite(s, a, tail)
     if a == 1.0 and terms >= _SMOOTH_MIN_TERMS:
         head = _factored_head(s, terms)
     else:
         ns = np.arange(0, terms, dtype=float) + a
         head = complex(_powers(ns, -s).sum())
     value = head + tail
-    bound = abs(s + (2 * m + 1)) / edge * abs(_EM_COEF[m] * poch * pw)
+    _check_bounds(s, base, n_cut, m, value, _EM_COEF[m] * poch * pw)
+    return value
+
+
+def _em_jet(s: complex, terms: int, n_cut: int,
+            m: int) -> tuple[complex, complex]:
+    """_em_sum(s, 1.0, terms, n_cut, m) and its derivative in s, from
+    the same checks and head exps: the value is _em_sum's bit for bit,
+    and raises where _em_sum raises, as _em_sum raises, and where the
+    derivative overflows a double, as within about 1e-154 of the pole.
+
+    The head's derivative is -sum_n log n n^{-s}, a product and a sum
+    over the terms the value already holds, or for a factored head
+    (_factored_jet) a second cumulative sum beside W.  Each tail term is
+    a Pochhammer product times base^{-s-2k-1}; the derivative of the
+    power is -log(base) times the term, so the tail's derivative is
+    -log(base) tail plus the terms with each product replaced by its
+    derivative, which the loop carries beside the product, and the
+    derivative -base^{1-s}/(s-1)^2 of the first term's quotient.  The
+    Backlund bound certifies the value only: the derivative has no
+    bound of its own.  Its error follows the value's, from the same
+    head terms: at 120 seeded points with |t| up to 1e4 it is within
+    1.2e-11 max(1, |zeta'|) of mpmath right of sigma = 0 and 3.2e-11
+    left of it."""
+    base = terms + 1.0
+    _check_premises(s, base, n_cut, m)
+    pw1 = base ** (1.0 - s)
+    lead = pw1 / (s - 1.0)
+    tail = lead + 0.5 * pw1 / base
+    # Divided twice: (s - 1)^2 underflows to 0 within 1e-162 of the pole.
+    rest = -lead / (s - 1.0)
+    inv2 = base ** -2.0
+    poch, dpoch = s, 1.0
+    pw = pw1 * inv2
+    for k, coef in enumerate(_EM_COEF[:m]):
+        tail += coef * poch * pw
+        rest += coef * dpoch * pw
+        pw *= inv2
+        lo, hi = s + (2 * k + 1), s + (2 * k + 2)
+        factor = lo * hi
+        dpoch = dpoch * factor + poch * (lo + hi)
+        poch *= factor
+    _check_finite(s, 1.0, tail)
+    if terms >= _SMOOTH_MIN_TERMS:
+        head, dhead = _factored_jet(s, terms)
+    else:
+        logs = np.log(np.arange(0, terms, dtype=float) + 1.0)
+        powers = np.exp(-s * logs)
+        head = complex(powers.sum())
+        dhead = -complex((logs * powers).sum())
+    value = head + tail
+    _check_bounds(s, base, n_cut, m, value, _EM_COEF[m] * poch * pw)
+    slope = dhead + rest - math.log(base) * tail
+    if not cmath.isfinite(slope):
+        raise DomainError(
+            f"Euler-Maclaurin derivative at s={s} overflows a double")
+    return value, slope
+
+
+def _check_premises(s: complex, base: float, n_cut: int, m: int) -> None:
+    """_em_sum's refusals before its complex powers: N above MAX_TERMS,
+    and a failed premise of Backlund's bound."""
+    if n_cut > MAX_TERMS:
+        raise DomainError(f"N={n_cut} exceeds MAX_TERMS={MAX_TERMS}")
+    if base <= abs(s.imag) / TWO_PI or 2 * m + 1 + s.real <= 0.0:
+        raise DomainError(
+            f"N={n_cut} at s={s} fails the premises of the Backlund bound: "
+            f"cutoff above |Im s|/2pi={abs(s.imag) / TWO_PI:.1f}, "
+            f"Re s > {-2 * m - 1}"
+        )
+
+
+def _check_finite(s: complex, a: float, tail: complex) -> None:
+    """_em_sum's overflow refusal, before numpy sums the head, where an
+    overflow would warn.  The Pochhammer product overflows, leaving a
+    NaN tail, long before sigma log(n+a) can; right of sigma = 0 the
+    largest head term is a^-s.  Past this check head and tail are
+    finite, and so is their sum."""
+    if not cmath.isfinite(tail) or (
+            s.real > _SIGMA_HEAD_SAFE
+            and -s.real * math.log(a) > _LOG_FLOAT_MAX):
+        raise DomainError(
+            f"Euler-Maclaurin sum at s={s}, a={a} overflows a double")
+
+
+def _check_bounds(s: complex, base: float, n_cut: int, m: int,
+                  value: complex, omitted: complex) -> None:
+    """_em_sum's refusals of a value: Backlund's bound on the first
+    omitted term, and left of sigma = 0 the head's rounding estimate,
+    each above EM_TOL max(1, |value|)."""
+    bound = abs(s + (2 * m + 1)) / (2 * m + 1 + s.real) * abs(omitted)
     limit = EM_TOL * max(1.0, abs(value))
     if not bound <= limit:
         raise DomainError(
@@ -403,7 +491,6 @@ def _em_sum(s: complex, a: float, terms: int, n_cut: int,
                 f"Euler-Maclaurin head sum at s={s} carries rounding error "
                 f"up to {rounding:.1e}, above EM_TOL={EM_TOL:g} relative"
             )
-    return value
 
 
 def _c_prod(ar, ai, br, bi):
@@ -875,6 +962,22 @@ def zeta_em(s: complex) -> complex:
     return _em_sum(s, 1.0, n_cut - 1, n_cut, m)
 
 
+def zeta_em_jet(s: complex) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s)) from one Euler-Maclaurin sum: the value is
+    zeta_em(s) bit for bit, and raises where zeta_em raises, as it
+    raises, and where zeta'(s) overflows a double (DomainError), as
+    within about 1e-154 of the pole.  The derivative takes the same
+    pair, checks and head exps (_em_jet), at 1.4-1.6 times zeta_em's
+    time (t from 100 to 9000 on sigma = 1/2, in process on a 2-vCPU
+    Xeon); it agrees with mpmath's zeta(s, 1, 1) to about 3e-11
+    max(1, |zeta'|) up to |t| = 1e4, but no bound certifies it."""
+    s = _require_finite(s, "s")
+    if s == 1.0:
+        raise PoleError("zeta has a pole at s=1")
+    n_cut, m = _em_pair(s)
+    return _em_jet(s, n_cut - 1, n_cut, m)
+
+
 def hurwitz_zeta(s: complex, a: float) -> complex:
     """Hurwitz zeta(s, a) = sum_{n>=0} (n+a)^{-s} for a in (0, 1].
 
@@ -967,6 +1070,18 @@ def generalized_hardy(sigma: float, t: float) -> GeneralizedHardyValue:
     return GeneralizedHardyValue(z=val.real, y=val.imag)
 
 
+def _hardy_z_jet(t: float) -> tuple[float, float]:
+    """Z(t) and Z'(t) on the Euler-Maclaurin route, from one zeta_em_jet
+    call and the exact theta: Z is generalized_hardy(0.5, t).z bit for
+    bit.  On the critical line e^{i theta} zeta(1/2+it) is real, so the
+    theta' term of its derivative, i theta' e^{i theta} zeta, is
+    imaginary and Z'(t) = -Im e^{i theta} zeta'(1/2+it): no theta' is
+    taken."""
+    zeta, slope = zeta_em_jet(complex(0.5, t))
+    phase = cmath.exp(1j * theta(t))
+    return (zeta * phase).real, -(slope * phase).imag
+
+
 def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     """generalized_hardy(sigmas[k], ts[j]).z at row k, column j, bit for
     bit, for the 1-D float array ts; NaN where generalized_hardy would
@@ -981,8 +1096,11 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     (_add_heads): a K = 3 family takes 10.2 thousand phase exps and
     333 weight exps (hilbert-study's first pass, seed 101, mean per
     call).  theta is taken once per node through the scalar theta, at
-    the nodes where some row is accepted, and each value is
-    (zeta e^{i theta}).real in CPython's complex arithmetic, as
+    the nodes where some row is accepted, and e^{i theta} as one numpy
+    complex exp of 0 + i theta over those values: glibc's cexp there is
+    cos theta + i sin theta, as cmath.exp forms it.  Each value is
+    Re zeta Re e^{i theta} - Im zeta Im e^{i theta} on the arrays, the
+    real part of CPython's complex product (_c_prod), as
     generalized_hardy forms it.  A block of points holds under 1.1 KB a
     point (tracemalloc peak): 394 B for a block of Z(1/2, .) at
     t = 9000."""
@@ -993,13 +1111,13 @@ def _hardy_z_family(sigmas: Sequence[float], ts: np.ndarray) -> np.ndarray:
     for span, values in _em_blocks(points.ravel()):
         zetas[span] = values[0]
     zetas = zetas.reshape(points.shape)
-    accepted = ~np.isnan(zetas).all(axis=0)
-    phases = [cmath.exp(1j * theta(t)) if ok else None
-              for t, ok in zip(ts.tolist(), accepted.tolist())]
-    out = np.empty(points.shape)
-    for k, row in enumerate(zetas):
-        out[k] = [math.nan if cmath.isnan(z) else (z * e).real
-                  for z, e in zip(row.tolist(), phases)]
+    refused = np.isnan(zetas)
+    accepted = ~refused.all(axis=0)
+    phases = np.zeros(ts.size, dtype=complex)
+    phases.imag[accepted] = [theta(t) for t in ts[accepted].tolist()]
+    np.exp(phases, out=phases)
+    out = zetas.real * phases.real - zetas.imag * phases.imag
+    out[refused] = math.nan
     return out
 
 

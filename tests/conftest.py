@@ -97,3 +97,31 @@ def core_passes(monkeypatch):
         return result, sizes
 
     return run
+
+
+@pytest.fixture
+def em_work(monkeypatch):
+    """em_work(call) gives call() and the scalar Euler-Maclaurin sums made
+    in it, as (plain sums, jets): the calls of zetaeval._em_sum, which
+    zeta_em and hurwitz_zeta make, and of zetaeval._em_jet, which
+    zeta_em_jet makes."""
+
+    def run(call):
+        counts = {"_em_sum": 0, "_em_jet": 0}
+        with monkeypatch.context() as patch:
+            for name in counts:
+                patch.setattr(zetaeval, name, _tallied(counts, name))
+            result = call()
+        return result, (counts["_em_sum"], counts["_em_jet"])
+
+    return run
+
+
+def _tallied(counts, name):
+    kernel = getattr(zetaeval, name)
+
+    def tallied(*args):
+        counts[name] += 1
+        return kernel(*args)
+
+    return tallied

@@ -14,13 +14,20 @@
   uniform in [T - 20, T + 20] for T = 200, 800 in turn, and the height
   where zeta_em's cutoff N is that length plus one (threshold_height),
   its sign alternating every two points, positive first.
+- zeta_derivative_references.txt: zeta'(s) at 120 points of the Riemann
+  zeta (a = 1), the references of zeta_em_jet's derivative: 80 from
+  default_rng(2031), sigma uniform in [-2, 3], t uniform in [-1e4, 1e4];
+  then 40 from default_rng(2037) whose heads lie within 20 terms of 200,
+  on both sides: sigma uniform in [-2, 3], a head length uniform in
+  [180, 220] and its threshold_height, the sign of t alternating,
+  positive first.
 
 Each value is taken at 30 digits and rounded once to the nearest double
 per component.  Needs mpmath.
 
-    python tests/data/make_zeta_references.py          # write both files
+    python tests/data/make_zeta_references.py          # write the files
     python tests/data/make_zeta_references.py --check  # exit 1 unless
-                                                       # both match
+                                                       # all match
 """
 
 import math
@@ -78,18 +85,35 @@ def all_high_points():
     yield from threshold_points()
 
 
+def derivative_points():
+    rng = np.random.default_rng(2031)
+    for _ in range(80):
+        sigma = rng.uniform(-2.0, 3.0)
+        t = rng.uniform(-1e4, 1e4)
+        yield float(sigma), float(t), 1.0
+    rng = np.random.default_rng(2037)
+    for i in range(40):
+        sigma = float(rng.uniform(-2.0, 3.0))
+        t = threshold_height(sigma, int(rng.integers(180, 221)))
+        yield sigma, (t if i % 2 == 0 else -t), 1.0
+
+
+#: Each file's points and the order of the derivative of zeta it holds.
 FILES = {
-    "zeta_references.txt": points,
-    "zeta_references_high.txt": all_high_points,
+    "zeta_references.txt": (points, 0),
+    "zeta_references_high.txt": (all_high_points, 0),
+    "zeta_derivative_references.txt": (derivative_points, 1),
 }
 
 
 def render(name):
-    lines = [f"# sigma t a Re(zeta(sigma+it, a)) Im(...), float.hex; "
+    make, order = FILES[name]
+    zeta = "zeta" + "'" * order
+    lines = [f"# sigma t a Re({zeta}(sigma+it, a)) Im(...), float.hex; "
              f"mpmath at 30 digits, written by make_zeta_references.py"]
     with mpmath.workdps(30):
-        for sigma, t, a in FILES[name]():
-            ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), a))
+        for sigma, t, a in make():
+            ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), a, order))
             lines.append(" ".join(x.hex() for x in
                                   (sigma, t, a, ref.real, ref.imag)))
     return "\n".join(lines) + "\n"

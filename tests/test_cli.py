@@ -347,9 +347,9 @@ class TestJsonCommands:
         # Computed floats at 12 significant digits; `simple` stays a bool.
         assert out.startswith(
             '[\n  {\n    "bracket": [\n      14.13,\n      14.14\n    ],\n'
-            '    "derivative": 0.793160432582,\n'
+            '    "derivative": 0.793160433357,\n'
             '    "location": 14.1347251417,\n'
-            '    "residual": 1.60161077599e-12,\n'
+            '    "residual": 2.72680895606e-13,\n'
             '    "simple": true\n  },\n')
 
     def test_lehmer_json(self, capsys):
@@ -408,11 +408,11 @@ class TestJsonCommands:
         zero = 14.1347251417
         frozen = [
             {"degree": 20, "l2_error": 2.0010473904e-13,
-             "max_deviation": 7.28306304154e-14,
-             "pairs": [[zero, zero, 7.28306304154e-14]]},
+             "max_deviation": 7.63833440942e-14,
+             "pairs": [[zero, zero, 7.63833440942e-14]]},
             {"degree": 30, "l2_error": 1.12758541831e-14,
-             "max_deviation": 5.3290705182e-15,
-             "pairs": [[zero, zero, 5.3290705182e-15]]},
+             "max_deviation": 1.7763568394e-15,
+             "pairs": [[zero, zero, 1.7763568394e-15]]},
         ]
         assert out == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
 

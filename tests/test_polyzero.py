@@ -21,7 +21,8 @@ from hardyzeta.polyzero import (
     zero_convergence_study,
 )
 from hardyzeta.zerofinder import hardy_em_function, scan_and_refine
-from hardyzeta.zetaeval import _hardy_z_family, generalized_hardy, hardy_z_rs
+from hardyzeta.zetaeval import (_hardy_z_family, _hardy_z_jet,
+                                generalized_hardy, hardy_z_rs)
 
 
 class TestProject:
@@ -230,8 +231,9 @@ class TestReferenceZeros:
         """Record Euler-Maclaurin heights, Riemann-Siegel heights and
         (label, record) of every bracket refine_zero accepts.  The
         Euler-Maclaurin heights are the scalar calls' and the points of
-        each row of every family call."""
-        em, rs, records = [], [], []
+        each row of every family call; the heights of the jet calls,
+        which refinement makes, are recorded apart."""
+        em, rs, records, jets = [], [], [], []
         refine = zerofinder.refine_zero
 
         def refine_traced(f, bracket, tol):
@@ -251,7 +253,9 @@ class TestReferenceZeros:
         monkeypatch.setattr(zerofinder, "hardy_z_rs",
                             lambda t: rs.append(t) or hardy_z_rs(t))
         monkeypatch.setattr(zerofinder, "refine_zero", refine_traced)
-        return em, rs, records
+        monkeypatch.setattr(hilbert, "_hardy_z_jet",
+                            lambda t: jets.append(t) or _hardy_z_jet(t))
+        return em, rs, records, jets
 
     @pytest.mark.parametrize("a,b,degrees", [
         (10.0, 30.0, [20, 30, 40]), (990.0, 1000.0, DEGREES)],
@@ -267,7 +271,7 @@ class TestReferenceZeros:
             assert c.function_zeros == [r.location for r in ref]
 
     def test_half_line_scans_on_riemann_siegel(self, monkeypatch):
-        em, rs, records = self._traced(monkeypatch)
+        em, rs, records, jets = self._traced(monkeypatch)
         comps = zero_convergence_study(hardy_function(0.5), self.WINDOW,
                                        self.DEGREES)
         zeros = comps[-1].function_zeros
@@ -280,16 +284,18 @@ class TestReferenceZeros:
         assert {label for label, _ in records} == {"Z(0.5,.)"}
         assert not grid & set(zeros)
         # Euler-Maclaurin evaluations: the nodes of the one projection,
-        # at the top degree, the signs of the two window ends and 74 for
-        # refinement, none for the rest of the scan.  The only grid
-        # points among them are the window ends and the ends of the cells
-        # refine_zero accepted.  A scan on Euler-Maclaurin would add the
-        # 501 grid points, 671 in all, as the sigma = 0.3 study below
-        # makes.
+        # at the top degree, the signs of the two window ends and of the
+        # two ends of each of the 9 brackets, none for the rest of the
+        # scan, and 27 jets for Newton refinement, 3 a zero.  The only
+        # grid points among them are the window ends and the ends of the
+        # cells refine_zero accepted.  A scan on Euler-Maclaurin would
+        # add the 501 grid points, as the sigma = 0.3 study below makes.
         nodes = max(2 * max(self.DEGREES), MIN_QUAD_ORDER)
         cells = {t for _, r in records for t in r.bracket}
         assert grid & set(em) <= cells | {self.WINDOW.a, self.WINDOW.b}
-        assert len(em) == nodes + 2 + 74 == 172
+        assert not grid & set(jets)
+        assert len(em) == nodes + 2 + 2 * len(zeros) == 116
+        assert len(jets) == 27
 
     def test_zero_at_window_end_kept(self):
         # The zero near 65.1125 lies between its Riemann-Siegel and
@@ -301,7 +307,7 @@ class TestReferenceZeros:
         assert len(comps[-1].polynomial_zeros) == 4
 
     def test_off_line_scans_on_euler_maclaurin(self, monkeypatch):
-        em, rs, records = self._traced(monkeypatch)
+        em, rs, records, jets = self._traced(monkeypatch)
         zero_convergence_study(hardy_function(0.3), self.WINDOW, self.DEGREES)
         # Z(0.3, .) has no scan route: the 501-point grid is sampled on
         # Euler-Maclaurin.  671 = 96 projection nodes + 501 + 74.
@@ -313,7 +319,7 @@ class TestReferenceZeros:
     def test_outside_scan_range_scans_on_euler_maclaurin(self, monkeypatch):
         # [5, 15] reaches below 2*pi, where the Riemann-Siegel route is
         # not valid, so even Z(1/2, .) is scanned on Euler-Maclaurin.
-        em, rs, records = self._traced(monkeypatch)
+        em, rs, records, jets = self._traced(monkeypatch)
         comps = zero_convergence_study(hardy_function(0.5),
                                        Interval(5.0, 15.0), [20, 30])
         assert rs == []
@@ -325,7 +331,7 @@ class TestReferenceZeros:
         # 7005.06/7005.10 into one cell and lose both; the study scans at
         # MAX_SCAN_STEP at every width, so its reference zeros are the
         # full census and the degree-240 projection matches them.
-        em, rs, records = self._traced(monkeypatch)
+        em, rs, records, jets = self._traced(monkeypatch)
         iv = Interval(6990.005, 7040.005)
         comps = zero_convergence_study(hardy_function(0.5), iv, [240])
         assert len(rs) == 2501

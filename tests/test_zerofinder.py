@@ -1,11 +1,12 @@
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hardyzeta import zerofinder
+from hardyzeta import zerofinder, zetaeval
 from hardyzeta.errors import (BracketError, ContourError, DomainError,
                               EvaluationError, NumericsError)
 from hardyzeta.hilbert import Interval, SampledFunction, hardy_function
@@ -244,6 +245,127 @@ class TestBrent:
             assert ours == theirs
 
 
+def _jet_of(f, df, label):
+    """sin-like test function with the jet (f, df) and a record of the
+    points the jet was asked for."""
+    seen = []
+    return seen, SampledFunction(
+        f, label, jet=lambda x: seen.append(x) or (f(x), df(x)))
+
+
+class TestNewton:
+    """refine_zero on a function with a jet: safeguarded Newton inside
+    the bracket its callback signs."""
+
+    #: (interval, step, tol) of find_critical_zeros (step 0.01, tol
+    #: 1e-10), and of the zero study for hilbert-study task 88's window,
+    #: whose zero near 65.1125 lies between its Riemann-Siegel and
+    #: Euler-Maclaurin positions (step MAX_SCAN_STEP, tol 1e-12).
+    WINDOWS = {
+        "100-200": (Interval(100.0, 200.0), 0.01, 1e-10),
+        "9000-9100": (Interval(9000.0, 9100.0), 0.01, 1e-10),
+        "lehmer-7005": (Interval(7000.0, 7010.0), 0.01, 1e-10),
+        "task-88": (Interval(55.11308119788091, 65.11308119788092),
+                    zerofinder.MAX_SCAN_STEP, 1e-12),
+    }
+
+    @pytest.mark.parametrize("name", WINDOWS)
+    def test_agrees_with_brent(self, name):
+        iv, step, tol = self.WINDOWS[name]
+        f = hardy_em_function()
+        newton = scan_and_refine(f, iv, step, tol)
+        brent = scan_and_refine(replace(f, jet=None), iv, step, tol)
+        assert len(newton) == len(brent) > 0
+        for a, b in zip(newton, brent):
+            assert a.bracket == b.bracket
+            assert abs(a.location - b.location) <= tol + 1e-15 * a.location
+            assert a.bracket[0] <= a.location <= a.bracket[1]
+            assert a.simple and a.residual < 1e-9
+        if name == "task-88":
+            assert newton[-1].location > 65.11
+
+    def test_derivative_is_the_jets(self):
+        seen, f = _jet_of(math.sin, math.cos, "sin")
+        r = refine_zero(f, (3.0, 3.3), 1e-12)
+        assert abs(r.location - math.pi) < 1e-12
+        # The last jet point, within (tol + 1e-15 pi)/2 of the location.
+        assert abs(seen[-1] - r.location) < 0.5e-12 + 1e-15 * math.pi
+        assert r.derivative == math.cos(seen[-1])
+        assert r.residual == abs(math.sin(seen[-1]))
+        assert 2 <= len(seen) <= 4
+
+    def test_misleading_jet_bisects(self):
+        # A derivative of the wrong sign sends every Newton step out of
+        # the bracket: each point after the secant start is the midpoint
+        # of the bracket the points before it leave.
+        seen, f = _jet_of(math.sin, lambda x: -math.cos(x), "sin")
+        r = refine_zero(f, (3.0, 3.3), 1e-12)
+        assert abs(r.location - math.pi) <= 1e-12
+        lo, hi = 3.0, 3.3
+        for x, following in zip(seen, seen[1:]):
+            if math.sin(x) > 0.0:
+                lo = x
+            else:
+                hi = x
+            assert following == 0.5 * (lo + hi)
+        assert len(seen) > 30
+
+    def test_flat_jet_bisects(self):
+        seen, f = _jet_of(math.sin, lambda x: 0.0, "sin")
+        r = refine_zero(f, (3.0, 3.3), 1e-12)
+        assert abs(r.location - math.pi) <= 1e-12
+        assert r.derivative == 0.0 and not r.simple
+
+    @pytest.mark.parametrize("jet", [
+        lambda x: (math.sin(x), math.nan),
+        lambda x: (complex(math.sin(x)), 1.0),
+        lambda x: math.sin(x),
+        lambda x: (math.sin(x), math.cos(x), 0.0)],
+        ids=["nan-slope", "complex-value", "not-a-pair", "triple"])
+    def test_malformed_jet_refused(self, jet):
+        f = SampledFunction(math.sin, "sin", jet=jet)
+        with pytest.raises(EvaluationError, match="sin jet failed") as err:
+            refine_zero(f, (3.0, 3.3), 1e-12)
+        # The secant start, the first jet point.
+        assert err.value.point == 3.0 - math.sin(3.0) * (3.3 - 3.0) / (
+            math.sin(3.3) - math.sin(3.0))
+
+    def test_refusing_jet_raises_at_its_point(self):
+        def jet(t):
+            if t > 14.1347:
+                raise DomainError(f"refused t={t}")
+            return zetaeval._hardy_z_jet(t)
+
+        f = replace(hardy_em_function(), jet=jet)
+        with pytest.raises(EvaluationError) as err:
+            refine_zero(f, (14.13, 14.14), 1e-12)
+        assert err.value.point > 14.1347
+        assert isinstance(err.value.__cause__, DomainError)
+        assert f"refused t={err.value.point!r}" in str(err.value)
+
+    @pytest.mark.parametrize("bracket", [(2.0, 3.0), (1.0, 2.0)])
+    def test_exact_zero_at_bracket_end(self, bracket):
+        seen, f = _jet_of(lambda x: x - 2.0, lambda x: 1.0, "x-2")
+        r = refine_zero(f, bracket)
+        assert (r.location, r.residual, r.derivative) == (2.0, 0.0, 1.0)
+        assert seen == [2.0]
+
+    @pytest.mark.parametrize("interval,zeros,plain,jets", [
+        ((1000.0, 1010.0), 8, 18, 19), ((9000.0, 9005.0), 6, 14, 17)])
+    def test_work_per_zero(self, em_work, interval, zeros, plain, jets):
+        # Exact, host-independent counts of the scalar Euler-Maclaurin
+        # sums find_critical_zeros makes: the signs of the window ends
+        # and of both ends of each bracket are plain sums, and Newton
+        # takes at most 3 jets a zero on average.  Brent with a central
+        # difference took 65 and 51 plain sums here.
+        records, (got_plain, got_jets) = em_work(
+            lambda: find_critical_zeros(Interval(*interval)))
+        assert len(records) == zeros
+        assert (got_plain, got_jets) == (plain, jets)
+        assert got_plain == 2 + 2 * zeros
+        assert got_jets <= 3 * zeros
+
+
 class TestCountEstimate:
     def test_monotone(self):
         ts = np.linspace(10.0, 500.0, 40)
@@ -367,15 +489,23 @@ class TestCriticalZeros:
     @staticmethod
     def _polynomial_routes(monkeypatch, em_zeros, rs_zeros):
         """Monic polynomials with the given zeros as the Euler-Maclaurin
-        and Riemann-Siegel routes of Z."""
+        and Riemann-Siegel routes of Z; the Euler-Maclaurin jet is the
+        same polynomial and its derivative."""
         def poly(roots, t):
             return math.prod(t - r for r in roots)
+
+        def slope(roots, t):
+            return sum(poly(roots[:i] + roots[i + 1:], t)
+                       for i in range(len(roots)))
 
         monkeypatch.setattr(zerofinder, "hardy_z_rs",
                             lambda t: poly(rs_zeros, t))
         monkeypatch.setattr(
             zerofinder, "generalized_hardy",
             lambda sigma, t: SimpleNamespace(z=poly(em_zeros, t)))
+        monkeypatch.setattr(
+            zerofinder, "_hardy_z_jet",
+            lambda t: (poly(em_zeros, t), slope(em_zeros, t)))
 
     def test_span_fallback_beyond_cell(self, monkeypatch):
         # Each Riemann-Siegel zero sits 5.5 to 7.5 cells from its

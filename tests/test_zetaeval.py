@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ from hardyzeta.specialfn import chi, log_gamma, theta
 from hardyzeta.hilbert import (Interval, gauss_legendre_rule, hardy_function,
                                oscillation_order)
 from hardyzeta.zerofinder import (argument_principle_count,
-                                  find_critical_zeros)
+                                  find_critical_zeros, hardy_em_function)
 from hardyzeta.zetaeval import (
     EM_ORDER,
     EM_ORDER_MAX,
@@ -33,6 +34,7 @@ from hardyzeta.zetaeval import (
     hurwitz_zeta,
     residue_identity_residual,
     zeta_em,
+    zeta_em_jet,
 )
 
 # zeta(1/2), frozen from the N = 1e4 oracle (test_half_matches_oracle
@@ -343,6 +345,107 @@ class TestDefaultPair:
         for s in (complex(-41.0, 1000.0), complex(1e306, 1000.0),
                   complex(0.5, 6e6)):
             assert zetaeval._em_pair(s)[1] == EM_ORDER
+
+
+def _derivative_rows():
+    path = Path(__file__).with_name("data") / "zeta_derivative_references.txt"
+    return [[float.fromhex(x) for x in line.split()]
+            for line in path.read_text(encoding="ascii").splitlines()
+            if not line.startswith("#")]
+
+
+class TestJet:
+    """zeta_em_jet: zeta_em's value bit for bit, and zeta' from the same
+    sum; _hardy_z_jet: Z and Z' on the critical line."""
+
+    def test_rows_are_the_seeded_points(self):
+        rows = _derivative_rows()
+        assert len(rows) == 120
+        rng = np.random.default_rng(2031)
+        for sigma, t, a, _, _ in rows[:80]:
+            assert (sigma, t, a) == (rng.uniform(-2.0, 3.0),
+                                     rng.uniform(-1e4, 1e4), 1.0)
+        # The last 40 on both sides of _SMOOTH_MIN_TERMS.
+        heads = [zetaeval._em_pair(complex(sigma, t))[0] - 1
+                 for sigma, t, _, _, _ in rows[80:]]
+        assert all(180 <= h <= 220 for h in heads)
+        below = sum(h < zetaeval._SMOOTH_MIN_TERMS for h in heads)
+        assert 10 <= below <= 30
+
+    def test_value_is_zeta_em_bit_for_bit(self):
+        points = [complex(sigma, t) for sigma, t, _, _, _ in _derivative_rows()]
+        points += [0.5 + 14.134725141734693j, 2.0 + 0j, -3.5 + 0.25j,
+                   complex(0.5, -9999.0), 0j]
+        for s in points:
+            value, _ = zeta_em_jet(s)
+            assert _bits([value]) == _bits([zeta_em(s)]), s
+
+    def test_derivative_matches_frozen_mpmath_references(self):
+        # Frozen by tests/data/make_zeta_references.py; CI's --check
+        # recomputes them.  zeta' takes zeta's head exps, so its error
+        # follows zeta's: about 3.5e-11 relative at worst here, left of
+        # sigma = 0.
+        for sigma, t, _, re, im in _derivative_rows():
+            ref = complex(re, im)
+            _, slope = zeta_em_jet(complex(sigma, t))
+            assert abs(slope - ref) <= 1e-10 * max(1.0, abs(ref)), (sigma, t)
+
+    def test_derivative_at_closed_forms(self):
+        # zeta'(0) = -log(2 pi)/2; zeta'(2) = pi^2/6 (gamma + log 2 pi
+        # - 12 log A) with Glaisher's A.
+        _, slope = zeta_em_jet(0j)
+        assert abs(slope + 0.5 * math.log(2.0 * math.pi)) <= 1e-14
+        _, slope = zeta_em_jet(2.0 + 0j)
+        assert abs(slope + 0.93754825431584375) <= 1e-14
+
+    @pytest.mark.parametrize("s", [
+        1.0 + 0j, complex(math.nan, 1.0), complex(0.5, math.inf),
+        -50.0 + 1j, -10.0 + 1j, complex(0.5, 7e6)],
+        ids=["pole", "nan", "inf", "premise", "rounding", "max-terms"])
+    def test_refuses_as_zeta_em(self, s):
+        with pytest.raises(Exception) as plain:
+            zeta_em(s)
+        with pytest.raises(type(plain.value), match=re.escape(
+                str(plain.value))):
+            zeta_em_jet(s)
+
+    @pytest.mark.parametrize("gap", [1e-100, 1e-170, 1e-200])
+    def test_near_the_pole(self, gap):
+        # zeta' ~ -1/(s-1)^2 overflows first: there the jet raises where
+        # zeta_em still returns zeta.
+        s = complex(1.0, gap)
+        if gap > 1e-154:
+            value, slope = zeta_em_jet(s)
+            assert value == zeta_em(s)
+            assert abs(slope + 1.0 / (s - 1.0) ** 2) <= 1e-15 * abs(slope)
+        else:
+            assert cmath.isfinite(zeta_em(s))
+            with pytest.raises(DomainError, match="derivative .* overflows"):
+                zeta_em_jet(s)
+
+    def test_hardy_jet_value_is_generalized_hardy(self):
+        rng = np.random.default_rng(2041)
+        for t in rng.uniform(1.0, 1e4, 40).tolist() + [14.134725141734693]:
+            value, _ = zetaeval._hardy_z_jet(t)
+            assert value.hex() == generalized_hardy(0.5, t).z.hex()
+
+    def test_hardy_jet_derivative_matches_siegelz(self):
+        # Z'(t) = -Im e^{i theta} zeta'(1/2+it).  Its error is zeta''s
+        # plus |zeta'| times theta's rounding, about 1e-11 at t ~ 1e4:
+        # 1.7e-10 at t = 8561.14, where |zeta'| = 12.8.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2043)
+        for t in rng.uniform(14.0, 1e4, 40).tolist():
+            _, got = zetaeval._hardy_z_jet(t)
+            _, slope = zeta_em_jet(complex(0.5, t))
+            with mp.workdps(30):
+                ref = float(mp.siegelz(t, derivative=1))
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(slope)), t
+
+    def test_critical_line_functions_carry_the_jet(self):
+        assert hardy_function(0.5).jet(100.0) == zetaeval._hardy_z_jet(100.0)
+        assert hardy_em_function().jet(100.0) == zetaeval._hardy_z_jet(100.0)
+        assert hardy_function(0.3).jet is None
 
 
 class TestHurwitz:
@@ -1130,14 +1233,15 @@ class TestFactoredHead:
 def test_a_scan_recomputes_neither_table():
     # A zero scan at t ~ 9000 keeps one RS length and refines on a few
     # rising head lengths, so one entry each serves nearly every call:
-    # 1 of ~500 RS calls and 3 of ~50 factored heads miss.
+    # 1 of ~500 RS calls and 3 of 31 factored heads (bracket ends and
+    # Newton jets) miss.
     zetaeval._rs_terms.cache_clear()
     zetaeval._factor_split.cache_clear()
     find_critical_zeros(Interval(9000.0, 9005.0))
     rs = zetaeval._rs_terms.cache_info()
     split = zetaeval._factor_split.cache_info()
     assert rs.misses == 1 and rs.hits >= 400
-    assert split.misses <= 3 and split.hits >= 30
+    assert split.misses <= 3 and split.hits >= 25
 
 
 @pytest.mark.parametrize("lo", [990.0, 9000.0])
