@@ -11,6 +11,8 @@ complex plane.
 Critical-line work runs on two routes: the Riemann-Siegel sum does the
 cheap scanning, the Euler-Maclaurin route refines and re-verifies every
 zero, so a defect in either route cannot silently plant or move zeros.
+The scan's values around a bracket pick only the first point of its
+Euler-Maclaurin Newton refinement.
 scan_and_refine is the one scan-then-refine loop: it scans on a
 function's scan route (SampledFunction.scan_route) where that route is
 valid, and refines every zero on the function itself.
@@ -52,9 +54,12 @@ class ZeroRecord:
     derivative is f' and residual |f|: for a function with a jet, the
     jet's values at the last Newton point, under half the tolerance from
     location (analytic Z'(t) on the Euler-Maclaurin route); otherwise a
-    central difference at location and |f(location)|.  simple says that
-    |derivative| clears SIMPLE_DERIVATIVE_FACTOR times the bracket's
-    amplitude."""
+    central difference at location and |f(location)|.  When Newton
+    started at a scan's interpolant (refine_zero's scan_values), the
+    last point is often the first and only one, so the residual is
+    that start's |f| and can differ from a secant start's within the
+    tolerance.  simple says that |derivative| clears
+    SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude."""
 
     location: float
     bracket: tuple[float, float]
@@ -217,30 +222,35 @@ def _brent(f: Callable[[float], float], xa: float, xb: float,
 
 
 def _newton(jet: Callable[[float], tuple[float, float]], xa: float,
-            xb: float, fa: float, fb: float,
-            xtol: float) -> tuple[float, float, float]:
+            xb: float, fa: float, fb: float, xtol: float,
+            start: float | None = None) -> tuple[float, float, float]:
     """A root of f on [xa, xb], where fa = f(xa) and fb = f(xb) differ in
     sign or one is 0, by safeguarded Newton on jet(x) = (f(x), f'(x)),
     with f and f' at the last jet point x.  It starts at the end where f
-    is 0, else at the secant root of the two end values.  Each jet point
-    replaces the end of the bracket whose sign it shares; the step from
-    it is Newton's where that lands strictly inside the bracket, else
-    the one to the bracket's midpoint (f' = 0 included).  It stops when
-    f is exactly 0 at x, returning x, or when the step falls under
-    Brent's delta = (xtol + rtol |x|)/2, rtol = 1e-15, returning x plus
-    the step, kept within the bracket, as Numerical Recipes' rtsafe
-    returns its last update: a Newton step that short leaves x + step
-    within about step^2 f''/f' of the root, when jet's f' is f's
-    derivative, and a bisection step that short leaves the midpoint
-    within delta of the bracket's sign change.  Where the values are
-    only good to noise e, as Euler-Maclaurin's at a Lehmer pair, the
-    root is only good to about e/|f'|, by this or by Brent's method.
+    is 0, else at start when that is given (strictly inside the
+    bracket), else at the secant root of the two end values; a start
+    whose Newton step is already under delta (below) costs one jet
+    point.  Each jet point replaces the end of the bracket whose sign it
+    shares; the step from it is Newton's where that lands strictly
+    inside the bracket, else the one to the bracket's midpoint (f' = 0
+    included).  It stops when f is exactly 0 at x, returning x, or when
+    the step falls under Brent's delta = (xtol + rtol |x|)/2,
+    rtol = 1e-15, returning x plus the step, kept within the bracket,
+    as Numerical Recipes' rtsafe returns its last update: a Newton step
+    that short leaves x + step within about step^2 f''/f' of the root,
+    when jet's f' is f's derivative, and a bisection step that short
+    leaves the midpoint within delta of the bracket's sign change.
+    Where the values are only good to noise e, as Euler-Maclaurin's at
+    a Lehmer pair, the root is only good to about e/|f'|, by this or by
+    Brent's method.
     Raises NumericsError when 100 jet points do not converge.
     """
     rtol = 1e-15
     maxiter = 100
     if fa == 0.0 or fb == 0.0:
         x = xa if fa == 0.0 else xb
+    elif start is not None:
+        x = start
     else:
         x = xa - fa * (xb - xa) / (fb - fa)
     for _ in range(maxiter):
@@ -264,8 +274,44 @@ def _newton(jet: Callable[[float], tuple[float, float]], xa: float,
                         f"{maxiter} iterations")
 
 
+def _interpolant_start(scan_values: Sequence[float], lo: float, hi: float,
+                       flo: float, fhi: float, tol: float) -> float | None:
+    """Newton's start inside (lo, hi) from another route's values of f at
+    the equispaced nodes lo + k (hi - lo), k = -2..3: the root of the
+    quintic through them, each shifted by the line that carries the
+    route's values at lo and hi onto flo = f(lo) and fhi = f(hi).  The
+    route's offset from f then drops out up to its curvature over the
+    stencil.  None, for the secant start, when a value is not finite or
+    the root is not strictly inside the bracket, as when an end value
+    is 0."""
+    off0, off1 = flo - scan_values[2], fhi - scan_values[3]
+    ys = [v + off0 + (off1 - off0) * k
+          for k, v in zip(range(-2, 4), scan_values)]
+    ys[2], ys[3] = flo, fhi
+    # Newton's divided differences on the unit-spaced nodes -2..3: each
+    # order j divides by the node distance j.
+    coef = ys
+    for j in range(1, 6):
+        coef = coef[:j] + [(coef[i] - coef[i - 1]) / j
+                           for i in range(j, 6)]
+    if not all(map(math.isfinite, coef)):
+        return None
+
+    def jet(u: float) -> tuple[float, float]:
+        p, dp = coef[5], 0.0
+        for j in range(4, -1, -1):
+            dp = dp * (u - j + 2) + p
+            p = p * (u - j + 2) + coef[j]
+        return p, dp
+
+    u = _newton(jet, 0.0, 1.0, flo, fhi, tol / (hi - lo))[0]
+    x = lo + u * (hi - lo)
+    return x if lo < x < hi else None
+
+
 def refine_zero(f: SampledFunction, bracket: tuple[float, float],
-                tol: float = 1e-10) -> ZeroRecord:
+                tol: float = 1e-10, *,
+                scan_values: Sequence[float] | None = None) -> ZeroRecord:
     """Refinement of a bracketed sign change, to within tol + 1e-15
     |root|.
 
@@ -273,18 +319,32 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
     refined by safeguarded Newton on the jet inside that bracket
     (_newton): its derivative and residual are the jet's f' and |f| at
     the last jet point, under (tol + 1e-15 |root|)/2 from the root it
-    returns.  Any other function is refined by Brent's method (_brent),
-    its residual is |f| at the root, and its derivative a central
-    difference at h = max(1e-6, tol).  The zero is flagged simple when
-    |f'| clears SIMPLE_DERIVATIVE_FACTOR times the bracket's amplitude.
-    A tol that is not a positive finite number raises DomainError before
-    f is evaluated.  Every value of f, at the bracket ends, the Brent
+    returns.  Newton starts at the secant root of the two end values,
+    or, when scan_values is given, at the root of their quintic
+    interpolant (_interpolant_start).  scan_values are six values of f
+    on another route, such as a scan's, at lo + k (hi - lo) for
+    k = -2..3, so the bracket is their middle cell; each is first
+    shifted by the line through f's offsets from them at lo and hi.
+    They only pick the first jet point: the bracket, the stopping rule
+    and the root's tolerance do not depend on them, and the secant root
+    is taken when an end value is 0, a value is not finite or the
+    interpolant's root is not strictly inside the bracket.  Any other
+    function is refined by Brent's method (_brent), which ignores
+    scan_values; its residual is |f| at the root, and its derivative a
+    central difference at h = max(1e-6, tol).  The zero is flagged
+    simple when |f'| clears SIMPLE_DERIVATIVE_FACTOR times the bracket's
+    amplitude.  A tol that is not a positive finite number, or
+    scan_values that are not six values, raise DomainError before f is
+    evaluated.  Every value of f, at the bracket ends, the Brent
     iterates and the derivative and residual points, is read through
     SampledFunction._value, and every jet pair through
     SampledFunction._jet_value, so a refused or non-finite value raises
     EvaluationError naming its point, chained from the cause.
     """
     _check_tol(tol)
+    if scan_values is not None and len(scan_values) != 6:
+        raise DomainError(
+            f"scan_values must be 6 values, got {len(scan_values)}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"bracket must be ordered, got ({lo}, {hi})")
@@ -298,7 +358,10 @@ def refine_zero(f: SampledFunction, bracket: tuple[float, float],
             "(bracket lost, likely evaluation noise)"
         )
     if f.jet is not None:
-        root, value, deriv = _newton(f._jet_value, lo, hi, flo, fhi, tol)
+        start = (None if scan_values is None else _interpolant_start(
+            scan_values, lo, hi, flo, fhi, tol))
+        root, value, deriv = _newton(f._jet_value, lo, hi, flo, fhi, tol,
+                                     start)
     else:
         root = _brent(f_at, lo, hi, tol)
         h = max(1e-6, tol)
@@ -348,13 +411,19 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
     samples the whole grid there in one call but takes the signs at
     interval.a and interval.b from f, at two more evaluations of f: a
     zero whose two positions straddle a window end is then inside the
-    window exactly when f puts it there, and is found.  Each bracket is
-    refined on f, first on its grid cell.  The Riemann-Siegel and
-    Euler-Maclaurin routes place a zero up to 7.5e-3 apart (near
-    t = 25.01), many cells at a small step, so a cell without a sign
-    change of f is refined once more on its span, from midway to the
-    previous bracket (or interval.a) to midway to the next (or
-    interval.b).  Spans are disjoint and ordered, so records come out
+    window exactly when f puts it there, and is found; the route's own
+    values there are kept for the stencils.  Each bracket is refined on
+    f, first on its grid cell.  On a route scan, a cell with two grid
+    points on each side short of b hands refine_zero the route's six
+    values around it as scan_values (_stencil), so Newton starts at the
+    root of their interpolant; they steer that first point only.  The
+    Riemann-Siegel and Euler-Maclaurin routes place a zero up to 7.5e-3
+    apart (near t = 25.01), many cells at a small step, so a cell
+    without a sign change of f is refined once more on its span, from
+    midway to the previous bracket (or interval.a) to midway to the next
+    (or interval.b), from the secant start.  Edge cells, exact zeros'
+    +/- step/10 brackets and scans on f itself take the secant start
+    too.  Spans are disjoint and ordered, so records come out
     ascending and distinct.  A span without a sign change drops the
     bracket: a scan-route-only pair of sign changes, or a zero just
     outside the interval.  A tol that is not a positive finite number,
@@ -369,12 +438,16 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
     _check_tol(tol)
     in_range = TWO_PI <= interval.a and interval.b <= MAX_SCAN_HEIGHT
     xs = _scan_grid(interval, step)
+    route = None
     if f.scan_route is not None and in_range:
-        vals = f.scan_route.sample(xs)
+        route = f.scan_route.sample(xs)
         # A zero between its two routes' positions at a window end is
-        # inside the window on f or not at all: f signs the ends.
-        vals[0] = f._value(float(xs[0]))
-        brackets = _brackets(xs, vals, interval, step,
+        # inside the window on f or not at all: f signs the ends.  The
+        # signs are a copy, so the route's values stay whole for the
+        # stencils of the cells next to the ends.
+        signs = route.copy()
+        signs[0] = f._value(float(xs[0]))
+        brackets = _brackets(xs, signs, interval, step,
                              end=lambda: f._value(float(xs[-1])))
     else:
         brackets = _brackets(xs, f.sample(xs), interval, step)
@@ -389,14 +462,29 @@ def scan_and_refine(f: SampledFunction, interval: Interval, step: float,
         following = next(brackets, None)
         hi = (interval.b if following is None
               else 0.5 * (cell[1] + following[0]))
-        for bracket in (cell, (lo, hi)):
+        stencil = None if route is None else _stencil(xs, route, cell)
+        for bracket, values in ((cell, stencil), ((lo, hi), None)):
             try:
-                records.append(refine_zero(f, bracket, tol))
+                records.append(refine_zero(f, bracket, tol,
+                                           scan_values=values))
                 break
             except BracketError:
                 pass
         lo, cell = hi, following
     return records
+
+
+def _stencil(xs: np.ndarray, route: np.ndarray,
+             cell: tuple[float, float]) -> list[float] | None:
+    """The route's values at the six grid points xs[i-2..i+3] when cell
+    is the grid cell (xs[i], xs[i+1]); None when it is not a cell (an
+    exact zero's +/- step/10 bracket), or when the stencil reaches past
+    xs[-2]: the last point b need not lie on the uniform grid."""
+    i = int(np.searchsorted(xs, cell[0]))
+    if (2 <= i and i + 5 <= len(xs) and xs[i] == cell[0]
+            and xs[i + 1] == cell[1]):
+        return route[i - 2:i + 4].tolist()
+    return None
 
 
 def find_critical_zeros(interval: Interval,

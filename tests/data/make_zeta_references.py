@@ -21,6 +21,10 @@
   on both sides: sigma uniform in [-2, 3], a head length uniform in
   [180, 220] and its threshold_height, the sign of t alternating,
   positive first.
+- hardy_z_derivative_references.txt: Z'(t), mpmath's
+  siegelz(t, derivative=1), at the 40 points of
+  TestJet.test_hardy_jet_derivative_matches_siegelz: numpy's
+  default_rng(2043), t uniform in [14, 1e4].
 
 Each value is taken at 30 digits and rounded once to the nearest double
 per component.  Needs mpmath.
@@ -98,25 +102,42 @@ def derivative_points():
         yield sigma, (t if i % 2 == 0 else -t), 1.0
 
 
-#: Each file's points and the order of the derivative of zeta it holds.
+def hardy_points():
+    yield from np.random.default_rng(2043).uniform(14.0, 1e4, 40).tolist()
+
+
+def zeta_lines(make, order):
+    """The rows of zeta^(order)(s, a) at make()'s points."""
+    zeta = "zeta" + "'" * order
+    yield (f"# sigma t a Re({zeta}(sigma+it, a)) Im(...), float.hex; "
+           f"mpmath at 30 digits, written by make_zeta_references.py")
+    for sigma, t, a in make():
+        ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), a, order))
+        yield " ".join(x.hex() for x in (sigma, t, a, ref.real, ref.imag))
+
+
+def hardy_derivative_lines():
+    """The rows of Z'(t) at hardy_points()."""
+    yield ("# t Z'(t), float.hex; mpmath siegelz(t, derivative=1) at 30 "
+           "digits, written by make_zeta_references.py")
+    for t in hardy_points():
+        ref = float(mpmath.siegelz(t, derivative=1))
+        yield f"{t.hex()} {ref.hex()}"
+
+
+#: Each file's rows.
 FILES = {
-    "zeta_references.txt": (points, 0),
-    "zeta_references_high.txt": (all_high_points, 0),
-    "zeta_derivative_references.txt": (derivative_points, 1),
+    "zeta_references.txt": lambda: zeta_lines(points, 0),
+    "zeta_references_high.txt": lambda: zeta_lines(all_high_points, 0),
+    "zeta_derivative_references.txt": lambda: zeta_lines(derivative_points,
+                                                         1),
+    "hardy_z_derivative_references.txt": hardy_derivative_lines,
 }
 
 
 def render(name):
-    make, order = FILES[name]
-    zeta = "zeta" + "'" * order
-    lines = [f"# sigma t a Re({zeta}(sigma+it, a)) Im(...), float.hex; "
-             f"mpmath at 30 digits, written by make_zeta_references.py"]
     with mpmath.workdps(30):
-        for sigma, t, a in make():
-            ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), a, order))
-            lines.append(" ".join(x.hex() for x in
-                                  (sigma, t, a, ref.real, ref.imag)))
-    return "\n".join(lines) + "\n"
+        return "\n".join(FILES[name]()) + "\n"
 
 
 def main(argv):

@@ -349,7 +349,7 @@ class TestJsonCommands:
             '[\n  {\n    "bracket": [\n      14.13,\n      14.14\n    ],\n'
             '    "derivative": 0.793160433357,\n'
             '    "location": 14.1347251417,\n'
-            '    "residual": 2.72680895606e-13,\n'
+            '    "residual": 1.30096096175e-15,\n'
             '    "simple": true\n  },\n')
 
     def test_lehmer_json(self, capsys):

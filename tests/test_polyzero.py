@@ -236,8 +236,8 @@ class TestReferenceZeros:
         em, rs, records, jets = [], [], [], []
         refine = zerofinder.refine_zero
 
-        def refine_traced(f, bracket, tol):
-            record = refine(f, bracket, tol)
+        def refine_traced(f, bracket, tol, **kwargs):
+            record = refine(f, bracket, tol, **kwargs)
             records.append((f.label, record))
             return record
 
@@ -286,7 +286,7 @@ class TestReferenceZeros:
         # Euler-Maclaurin evaluations: the nodes of the one projection,
         # at the top degree, the signs of the two window ends and of the
         # two ends of each of the 9 brackets, none for the rest of the
-        # scan, and 27 jets for Newton refinement, 3 a zero.  The only
+        # scan, and 18 jets for Newton refinement, 2 a zero.  The only
         # grid points among them are the window ends and the ends of the
         # cells refine_zero accepted.  A scan on Euler-Maclaurin would
         # add the 501 grid points, as the sigma = 0.3 study below makes.
@@ -295,7 +295,7 @@ class TestReferenceZeros:
         assert grid & set(em) <= cells | {self.WINDOW.a, self.WINDOW.b}
         assert not grid & set(jets)
         assert len(em) == nodes + 2 + 2 * len(zeros) == 116
-        assert len(jets) == 27
+        assert len(jets) == 18
 
     def test_zero_at_window_end_kept(self):
         # The zero near 65.1125 lies between its Riemann-Siegel and
@@ -355,10 +355,26 @@ def _windows(seed: int, count: int, lo: float, hi: float
     return out
 
 
+def _position_noise(f: SampledFunction, t: float) -> float:
+    """How far apart two refinements of f's zero at t may land from the
+    noise in f's values alone: twice the largest deviation of f from its
+    least-squares line over 21 points 2e-12 apart around t, divided by
+    the line's slope.  Each refinement stops where the noisy values
+    change sign, within noise/|slope| of the noiseless zero.  Near the
+    Lehmer pair at 7005 this is about 2.6e-11 (Z' = 0.41, noise
+    5e-12); below t = 1000 it is under 1e-12."""
+    ts = t + 2e-12 * np.arange(-10, 11)
+    vs = f.sample(ts)
+    slope, intercept = np.polyfit(ts - t, vs, 1)
+    noise = np.abs(vs - (slope * (ts - t) + intercept)).max()
+    return 2.0 * noise / abs(slope)
+
+
 class TestScanCap:
     """The study scans at MAX_SCAN_STEP, the step zerofinder validates up
     to MAX_SCAN_HEIGHT: its reference zeros are those of a scan 4x
-    finer, in number, and in place within the refinement tolerance."""
+    finer, in number, and in place within the refinement tolerance plus
+    the position noise of f's values there (_position_noise)."""
 
     CASES = {
         "half-line": (0.5, _windows(43, 32, 10.0, 1000.0)),
@@ -385,6 +401,9 @@ class TestScanCap:
                 f, iv, zerofinder.MAX_SCAN_STEP / 4.0, 1e-12)]
             assert len(zeros) == len(fine), iv
             for got, want in zip(zeros, fine):
-                assert abs(got - want) <= 1e-12 + 1e-15 * want, iv
+                noise = _position_noise(f, want)
+                # Under 5e-11, so a zero moved by 1e-10 still fails.
+                assert noise < 5e-11, (iv, want)
+                assert abs(got - want) <= 1e-12 + 1e-15 * want + noise, iv
             total += len(zeros)
         assert total > 0

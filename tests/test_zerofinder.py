@@ -227,8 +227,8 @@ class TestBrent:
         accepted = []
         real_refine = zerofinder.refine_zero
 
-        def recording(f, bracket, tol):
-            record = real_refine(f, bracket, tol)
+        def recording(f, bracket, tol, **kwargs):
+            record = real_refine(f, bracket, tol, **kwargs)
             accepted.append((f, bracket, tol))
             return record
 
@@ -351,19 +351,197 @@ class TestNewton:
         assert seen == [2.0]
 
     @pytest.mark.parametrize("interval,zeros,plain,jets", [
-        ((1000.0, 1010.0), 8, 18, 19), ((9000.0, 9005.0), 6, 14, 17)])
+        ((1000.0, 1010.0), 8, 18, 8), ((9000.0, 9005.0), 6, 14, 6)])
     def test_work_per_zero(self, em_work, interval, zeros, plain, jets):
         # Exact, host-independent counts of the scalar Euler-Maclaurin
         # sums find_critical_zeros makes: the signs of the window ends
-        # and of both ends of each bracket are plain sums, and Newton
-        # takes at most 3 jets a zero on average.  Brent with a central
-        # difference took 65 and 51 plain sums here.
+        # and of both ends of each bracket are plain sums, and Newton,
+        # started at the root of the scan's Riemann-Siegel interpolant,
+        # takes one jet a zero.  From the secant root it took 19 and 17
+        # jets here; Brent with a central difference took 65 and 51
+        # plain sums.
         records, (got_plain, got_jets) = em_work(
             lambda: find_critical_zeros(Interval(*interval)))
         assert len(records) == zeros
         assert (got_plain, got_jets) == (plain, jets)
         assert got_plain == 2 + 2 * zeros
-        assert got_jets <= 3 * zeros
+        assert got_jets == zeros
+
+
+def _quintic(x):
+    return ((x * x) * (x * x) - 1.0) * x - 1.0
+
+
+def _polynomial(zeros):
+    """The monic polynomial with these zeros, as (value, jet)."""
+
+    def value(x):
+        return math.prod(x - z for z in zeros)
+
+    def jet(x):
+        return value(x), sum(math.prod(x - w for w in zeros if w != z)
+                             for z in zeros)
+
+    return value, jet
+
+
+class TestScanStart:
+    """scan_and_refine hands refine_zero the scan route's six values
+    around each grid-cell bracket; they pick Newton's first point and
+    nothing else."""
+
+    #: find_critical_zeros' windows: ordinary heights, the Lehmer pair
+    #: near 7005, and the top of the validated range.
+    WINDOWS = [(1000.0, 1010.0), (7000.0, 7010.0), (9000.0, 9005.0)]
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The (bracket, scan_values) of every refine_zero call."""
+        calls = []
+        real = zerofinder.refine_zero
+
+        def recording(f, bracket, tol, **kwargs):
+            calls.append((bracket, kwargs.get("scan_values")))
+            return real(f, bracket, tol, **kwargs)
+
+        monkeypatch.setattr(zerofinder, "refine_zero", recording)
+        return calls
+
+    def test_without_scan_values_records_are_unchanged(self):
+        # The bits refine_zero gave before scan_values existed, on exact
+        # arithmetic (x^5 - x - 1 and its jet) ...
+        f = SampledFunction(_quintic, "x^5-x-1", jet=lambda x: (
+            _quintic(x), 5.0 * (x * x) * (x * x) - 1.0))
+        for bracket, tol, want in [
+                ((1.0, 1.5), 1e-12, ("0x1.2ad46efb1f9cfp+0",
+                                     "0x1.0911673ae98cep+3",
+                                     "0x1.0000000000000p-51")),
+                ((0.5, 2.0), 1e-10, ("0x1.2ad46efb1f9cfp+0",
+                                     "0x1.0911673afa2f7p+3",
+                                     "0x1.1539800000000p-35"))]:
+            r = refine_zero(f, bracket, tol)
+            assert (r.location.hex(), r.derivative.hex(),
+                    r.residual.hex()) == want
+            assert refine_zero(f, bracket, tol, scan_values=None) == r
+        # ... and, to 12 digits, on Z at the first zero.
+        r = refine_zero(hardy_em_function(), (14.13, 14.14))
+        assert f"{r.location:.12g}" == "14.1347251417"
+        assert f"{r.derivative:.12g}" == "0.793160433357"
+        assert f"{r.residual:.12g}" == "2.72680895606e-13"
+
+    def test_starts_at_the_interpolant_root(self):
+        # exp(x) - 2 on nodes 0.1 apart: the quintic's root is within
+        # h^6 e^x/720 * 14/f' ~ 3e-8 of log 2, the secant root 1e-3 off.
+        # Another route offset by a line from f gives the same start.
+        lo, hi = 0.6, 0.7
+        nodes = [lo + 0.1 * k for k in range(-2, 4)]
+        for offset in (lambda x: 0.0, lambda x: 0.3 - 0.5 * x):
+            seen, f = _jet_of(lambda x: math.exp(x) - 2.0, math.exp, "e")
+            values = [math.exp(x) - 2.0 + offset(x) for x in nodes]
+            r = refine_zero(f, (lo, hi), 1e-12, scan_values=values)
+            assert abs(seen[0] - math.log(2.0)) < 1e-7
+            assert abs(r.location - math.log(2.0)) < 1e-12
+        secant = lo - (math.exp(lo) - 2.0) * (hi - lo) / (
+            math.exp(hi) - math.exp(lo))
+        assert abs(secant - math.log(2.0)) > 1e-4
+
+    def test_interpolant_fallbacks(self):
+        start = zerofinder._interpolant_start
+        values = [x - 2.0 for x in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
+        assert start(values, 1.5, 2.5, -0.5, 0.5, 1e-12) == 2.0
+        # An end value of 0, a value that is not finite, and a root
+        # that rounds onto an end give None: the secant start.
+        assert start(values, 1.5, 2.5, 0.0, 0.5, 1e-12) is None
+        assert start(values[:5] + [math.nan], 1.5, 2.5, -0.5, 0.5,
+                     1e-12) is None
+        assert start(values, 1.5, 2.5, -1e-300, 0.5, 1e-12) is None
+
+    def test_refine_zero_falls_back_to_the_secant(self):
+        seen, f = _jet_of(math.sin, math.cos, "sin")
+        refine_zero(f, (3.0, 3.3), 1e-12,
+                    scan_values=[0.0, 0.0, math.inf, 0.0, 0.0, 0.0])
+        assert seen[0] == 3.0 - math.sin(3.0) * (3.3 - 3.0) / (
+            math.sin(3.3) - math.sin(3.0))
+        with pytest.raises(DomainError, match="6 values"):
+            refine_zero(f, (3.0, 3.3), 1e-12, scan_values=[0.0] * 5)
+
+    def test_only_inner_grid_cells_carry_a_stencil(self, monkeypatch):
+        # Grid 10, 10.1, ..., 11: cells 0..9.  A stencil needs two grid
+        # points left of the cell and two right of it short of b, so
+        # cells 2..6 carry one and the edge cells 0 and 9 do not.
+        calls = self._recorded(monkeypatch)
+        value, jet = _polynomial([10.05, 10.25, 10.65, 10.95])
+        f = SampledFunction(value, "p", scan_route=SampledFunction(value),
+                            jet=jet)
+        iv = Interval(10.0, 11.0)
+        records = scan_and_refine(f, iv, 0.1, 1e-12)
+        assert len(records) == 4
+        xs = zerofinder._scan_grid(iv, 0.1)
+        assert [values is None for _, values in calls] == [
+            True, False, False, True]
+        for (lo, _), values in calls[1:3]:
+            i = xs.tolist().index(lo)
+            assert values == [value(x) for x in xs[i - 2:i + 4].tolist()]
+
+    def test_exact_zero_and_span_retry_take_the_secant(self, monkeypatch):
+        calls = self._recorded(monkeypatch)
+        iv = Interval(10.0, 11.0)
+        x5 = float(zerofinder._scan_grid(iv, 0.1)[5])
+        # The route is exactly 0 at a grid point: a +/- step/10 bracket.
+        f = SampledFunction(lambda x: x - x5 - 1e-3, "f",
+                            scan_route=SampledFunction(lambda x: x - x5),
+                            jet=lambda x: (x - x5 - 1e-3, 1.0))
+        [r] = scan_and_refine(f, iv, 0.1, 1e-12)
+        assert calls == [((x5 - 0.1 * 0.1, x5 + 0.1 * 0.1), None)]
+        # The route's zero is a cell left of f's: the cell, with its
+        # stencil, has no sign change of f, and its span takes none.
+        calls.clear()
+        f = SampledFunction(lambda x: x - 10.65, "f",
+                            scan_route=SampledFunction(lambda x: x - 10.55),
+                            jet=lambda x: (x - 10.65, 1.0))
+        [r] = scan_and_refine(f, iv, 0.1, 1e-12)
+        assert abs(r.location - 10.65) < 1e-12
+        [(cell, values), (span, retry)] = calls
+        assert values is not None and retry is None
+        assert span == (10.0, 11.0)
+
+    @pytest.mark.parametrize("f,iv", [
+        (SampledFunction(math.sin, "sin", jet=lambda x: (
+            math.sin(x), math.cos(x))), Interval(10.0, 20.0)),
+        (hardy_em_function(), Interval(5.0, 15.0))],
+        ids=["no-route", "below-route-range"])
+    def test_scans_on_f_carry_no_stencil(self, monkeypatch, f, iv):
+        calls = self._recorded(monkeypatch)
+        assert scan_and_refine(f, iv, 0.01, 1e-12)
+        assert calls and all(values is None for _, values in calls)
+
+    @pytest.mark.parametrize("interval", WINDOWS)
+    @pytest.mark.parametrize("spoil", ["bent", "noise", "none"])
+    def test_spoiled_scan_values_only_cost_jets(self, monkeypatch, interval,
+                                                spoil):
+        # Stencils bent by a parabola, replaced by noise, or dropped for
+        # the secant start: the same zeros in the same brackets, each
+        # within tol of the scan's own start.
+        iv = Interval(*interval)
+        want = find_critical_zeros(iv)
+        rng = np.random.default_rng(2046)
+        stencil = zerofinder._stencil
+
+        def spoiled(xs, route, cell):
+            values = stencil(xs, route, cell)
+            if values is None or spoil == "none":
+                return None
+            if spoil == "bent":
+                return [v + 0.5 * k * k for k, v in zip(range(-2, 4), values)]
+            return rng.normal(0.0, 2.0, 6).tolist()
+
+        monkeypatch.setattr(zerofinder, "_stencil", spoiled)
+        got = find_critical_zeros(iv)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert a.bracket == b.bracket
+            assert abs(a.location - b.location) <= 1e-10 + 1e-15 * b.location
+            assert a.simple == b.simple
 
 
 class TestCountEstimate:
