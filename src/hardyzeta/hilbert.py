@@ -75,10 +75,12 @@ class SampledFunction:
 
     The callback must be deterministic.  Every value the package reads
     from it (sample, and the refinement and window-end values of
-    zerofinder) passes one rule, _value: an exception the callback
+    zerofinder) passes one rule, _value's: an exception the callback
     raises, or a value that is complex, not a number (None), NaN or
     infinite, becomes an EvaluationError naming the point, chained from
-    the cause.  scan_route, when set, is an independent and cheaper
+    the cause (_refusal).  sample applies it in its own loop (_fill),
+    point by point, so nothing is evaluated past the first refusal.
+    scan_route, when set, is an independent and cheaper
     route to the same function, valid for
     2*pi <= t <= zerofinder.MAX_SCAN_HEIGHT; zero scans look for
     sign-change brackets on it there, and refine and report every zero
@@ -110,9 +112,23 @@ class SampledFunction:
 
     def _fill(self, points: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out, with _value at every point of the 1-D float array points
-        where out is NaN or infinite, in point order."""
+        where out is NaN or infinite, in point order.  The rule runs
+        inside this loop, point by point, so the first refusal raises
+        before any later point is evaluated: a finite built-in float is
+        taken as it is, which is what _real returns for it, and any
+        other value passes _real."""
         todo = np.flatnonzero(~np.isfinite(out))
-        out[todo] = [self._value(x) for x in points[todo].tolist()]
+        call = self.eval
+        values = []
+        for x in points[todo].tolist():
+            try:
+                value = call(x)
+                if type(value) is not float or not math.isfinite(value):
+                    value = _real(value)
+            except Exception as exc:
+                raise self._refusal(x, exc) from exc
+            values.append(value)
+        out[todo] = values
         return out
 
     def _value(self, x: float) -> float:
@@ -124,10 +140,7 @@ class SampledFunction:
         try:
             return _real(self.eval(x))
         except Exception as exc:
-            raise EvaluationError(
-                f"{self.label or 'function'} failed at t={x!r}: {exc}",
-                point=x,
-            ) from exc
+            raise self._refusal(x, exc) from exc
 
     def _jet_value(self, x: float) -> tuple[float, float]:
         """The jet's value and derivative at the built-in float x, each
@@ -138,10 +151,16 @@ class SampledFunction:
             value, slope = self.jet(x)
             return _real(value), _real(slope)
         except Exception as exc:
-            raise EvaluationError(
-                f"{self.label or 'function'} jet failed at t={x!r}: {exc}",
-                point=x,
-            ) from exc
+            raise self._refusal(x, exc, "jet ") from exc
+
+    def _refusal(self, x: float, exc: Exception,
+                 part: str = "") -> EvaluationError:
+        """The EvaluationError for the cause exc at the point x, from the
+        callback or, with part "jet ", from the jet; the caller raises
+        it from exc."""
+        return EvaluationError(
+            f"{self.label or 'function'} {part}failed at t={x!r}: {exc}",
+            point=x)
 
 
 def _real(value: object) -> float:

@@ -297,12 +297,16 @@ def theta(t: float) -> float:
     return phase
 
 
+#: Top of the asymptotic theta's domain: a round ceiling under the
+#: first overflow, t**6 in theta_derivative above 2.4e51 and t**5 in
+#: theta_asymptotic above 4.5e61.
+_ASYMPTOTIC_TOP = 1e50
+
+
 def _check_asymptotic(t: float) -> None:
     """The one domain of theta_asymptotic and theta_derivative, NaN
-    excluded.  1e50 is a round ceiling under the first overflow: t**6
-    in theta_derivative above 2.4e51, t**5 in theta_asymptotic above
-    4.5e61."""
-    if not TWO_PI <= t <= 1e50:
+    excluded: 2*pi <= t <= _ASYMPTOTIC_TOP."""
+    if not TWO_PI <= t <= _ASYMPTOTIC_TOP:
         raise DomainError(
             f"asymptotic theta needs 2*pi <= t <= 1e50, got t={t!r}")
 
@@ -315,8 +319,12 @@ def theta_asymptotic(t: float) -> float:
     Raises DomainError unless 2*pi <= t <= 1e50.  Against mpmath's
     siegeltheta the error stays within 2.2e-9 at t = 2*pi, 3.1e-11 at 10
     and 2.4e-13 at 20; below 2*pi it grows fast (7.9e-8 at t = 5).
+    The domain is tested inline, so an accepted t, as at every
+    Riemann-Siegel scan point, makes no call to _check_asymptotic; a
+    refused one raises there, with its one message.
     """
-    _check_asymptotic(t)
+    if not TWO_PI <= t <= _ASYMPTOTIC_TOP:
+        _check_asymptotic(t)
     return (
         0.5 * t * math.log(t / TWO_PI)
         - 0.5 * t

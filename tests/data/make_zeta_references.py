@@ -25,6 +25,9 @@
   siegelz(t, derivative=1), at the 40 points of
   TestJet.test_hardy_jet_derivative_matches_siegelz: numpy's
   default_rng(2043), t uniform in [14, 1e4].
+- hardy_z_references.txt: Z(t), mpmath's siegelz(t), at the 200 points
+  of TestHardyZ.test_within_gabckes_bound: default_rng(2053), t uniform
+  in [200, 1e4].
 
 Each value is taken at 30 digits and rounded once to the nearest double
 per component.  Needs mpmath.
@@ -106,6 +109,10 @@ def hardy_points():
     yield from np.random.default_rng(2043).uniform(14.0, 1e4, 40).tolist()
 
 
+def hardy_value_points():
+    yield from np.random.default_rng(2053).uniform(200.0, 1e4, 200).tolist()
+
+
 def zeta_lines(make, order):
     """The rows of zeta^(order)(s, a) at make()'s points."""
     zeta = "zeta" + "'" * order
@@ -116,12 +123,14 @@ def zeta_lines(make, order):
         yield " ".join(x.hex() for x in (sigma, t, a, ref.real, ref.imag))
 
 
-def hardy_derivative_lines():
-    """The rows of Z'(t) at hardy_points()."""
-    yield ("# t Z'(t), float.hex; mpmath siegelz(t, derivative=1) at 30 "
-           "digits, written by make_zeta_references.py")
-    for t in hardy_points():
-        ref = float(mpmath.siegelz(t, derivative=1))
+def hardy_lines(make, order):
+    """The rows of Z^(order)(t) at make()'s points."""
+    z = "Z" + "'" * order
+    call = f"siegelz(t, derivative={order})" if order else "siegelz(t)"
+    yield (f"# t {z}(t), float.hex; mpmath {call} at 30 digits, written "
+           "by make_zeta_references.py")
+    for t in make():
+        ref = float(mpmath.siegelz(t, derivative=order))
         yield f"{t.hex()} {ref.hex()}"
 
 
@@ -131,7 +140,9 @@ FILES = {
     "zeta_references_high.txt": lambda: zeta_lines(all_high_points, 0),
     "zeta_derivative_references.txt": lambda: zeta_lines(derivative_points,
                                                          1),
-    "hardy_z_derivative_references.txt": hardy_derivative_lines,
+    "hardy_z_derivative_references.txt": lambda: hardy_lines(hardy_points,
+                                                            1),
+    "hardy_z_references.txt": lambda: hardy_lines(hardy_value_points, 0),
 }
 
 

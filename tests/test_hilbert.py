@@ -45,6 +45,19 @@ class TestSample:
         assert seen == [0.5, 1.0, 0.25]
         assert [type(x) for x in seen] == [float, float, float]
 
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, int,
+                                      np.array],
+                             ids=["float64", "float32", "int", "0-d"])
+    def test_values_that_are_not_built_in_floats(self, kind):
+        # Each value that is not a built-in float passes _real, between
+        # built-in floats taken as they are: float(value) at its point.
+        def f(x):
+            return kind(3.7 * x) if x > 1.0 else 0.1 * x
+
+        out = SampledFunction(f, "mixed").sample([0.5, 1.5, 2.5, 3.5])
+        assert out.tolist() == [0.1 * 0.5] + [float(kind(3.7 * x))
+                                              for x in (1.5, 2.5, 3.5)]
+
     @pytest.mark.parametrize("xs", [[], np.empty(0), ()])
     def test_empty_input(self, xs):
         out = SIN.sample(xs)

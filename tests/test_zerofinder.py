@@ -108,6 +108,15 @@ class TestScan:
                         Interval(2 * math.pi + 1e-9, 50.0), 0.01)
         assert len(brackets) == 10
 
+    @pytest.mark.parametrize("start", [100.0, 1000.0, 9000.0])
+    def test_rs_samples_are_the_kernel_bit_for_bit(self, start):
+        # The sampling loop keeps a finite float from the callback as it
+        # is, so a scan's values are hardy_z_rs's own.
+        grid = start + 0.01 * np.arange(301)
+        want = [hardy_z_rs(t) for t in grid.tolist()]
+        got = zerofinder.hardy_rs_function().sample(grid)
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 class TestRefine:
     def test_pi_to_twelve_digits(self):

@@ -555,6 +555,25 @@ class TestHardyZ:
             d = abs(hardy_z_rs(float(t)) - generalized_hardy(0.5, float(t)).z)
             assert d <= 3.0 * t**-0.75
 
+    def test_within_gabckes_bound(self):
+        # With its one remainder term C0, the Riemann-Siegel Z is within
+        # 0.127 t^(-3/4) of Z(t) for t >= 200 (Gabcke 1979).  The
+        # references are mpmath's siegelz(t) at 200 seeded t, frozen by
+        # tests/data/make_zeta_references.py; CI's --check recomputes
+        # them.  The allowance covers rounding: the phase theta - t log n
+        # is formed near 4e4 at t = 1e4, about 1e-11 of rounding in each
+        # of at most 39 terms, and the reference's own half ulp.  The
+        # worst point, t = 1608.31, reaches 0.945 of the bound.
+        path = Path(__file__).with_name("data") / "hardy_z_references.txt"
+        rows = [[float.fromhex(x) for x in line.split()]
+                for line in path.read_text(encoding="ascii").splitlines()
+                if not line.startswith("#")]
+        seeded = np.random.default_rng(2053).uniform(200.0, 1e4, 200).tolist()
+        assert [t for t, _ in rows] == seeded
+        rounding = 1e-9
+        for t, ref in rows:
+            assert abs(hardy_z_rs(t) - ref) <= 0.127 * t**-0.75 + rounding, t
+
     def test_agrees_with_em_route_above_validated_height(self):
         # N = floor(sqrt(t/2pi)) = 56 here, beyond every N of the
         # validated range t <= 1e4.
